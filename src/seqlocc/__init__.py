@@ -37,6 +37,7 @@ from .errors import (
     DimensionTooSmall,
     GeneratorPrimitive,
     Indistinguishable,
+    MalformedScheme,
     MatrixFileError,
     NotUnitary,
     NumericalFailure,
@@ -66,12 +67,7 @@ from .linalg import (
     unitarity_defect,
     validate_unitary,
 )
-from .sequential import (
-    SequentialScheme,
-    build_sequential_scheme,
-    compose_sequential,
-    optimize_stage,
-)
+from .sequential import SequentialScheme, build_sequential_scheme, compose_sequential
 from .structure import (
     OperatorSchmidtDecomposition,
     PrimitiveForm,

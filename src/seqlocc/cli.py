@@ -63,8 +63,6 @@ def _config_from_args(args) -> RunConfig:
         restarts=args.restarts,
         k_max=args.k_max,
         max_depth=args.max_depth,
-        out=args.out,
-        csv=getattr(args, "csv", None),
     )
 
 
@@ -154,10 +152,10 @@ def cmd_discriminate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    scheme = sio.load_scheme_file(args.scheme)
+    scheme = sio.load_scheme_file(args.scheme, cfg.unitarity_tol)
     U = _read_matrix(args.matrix_u, cfg.unitarity_tol)
     V = _read_matrix(args.matrix_v, cfg.unitarity_tol)
-    report = verify_scheme(scheme, U, V)
+    report = verify_scheme(scheme, U, V, cfg)
     lines = [
         f"overlap: {report.overlap:.6e}",
         f"budget: {scheme.budget:.6e}",

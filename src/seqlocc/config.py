@@ -26,7 +26,6 @@ class RunConfig:
     tol_angle: float = 1e-8          # eigenphase dedup / arc comparison tolerance
     identity_tol: float = 1e-6       # "differs from identity" threshold for symmetry probes
     x_tol: float = 1e-6              # routing threshold between the x=1 and x!=1 branches
-    witness_tol: float = 1e-6        # minimum second Schmidt coefficient of a witness state
 
     # search budgets
     seed: int = 0
@@ -34,11 +33,6 @@ class RunConfig:
     k_min: int = 0
     k_max: int = 12
     max_depth: int = 4
-    slack: int = 1                   # extra sequential queries tolerated past ceil(pi/theta)
-
-    # output paths (CLI)
-    out: str | None = None
-    csv: str | None = None
 
     def __post_init__(self):
         for f in fields(self):

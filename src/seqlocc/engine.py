@@ -27,6 +27,7 @@ from .errors import (
     CaseFailure,
     DimensionMismatch,
     Indistinguishable,
+    MalformedScheme,
     RecursionDepthExceeded,
     SeqloccError,
     VSelectionFailed,
@@ -61,6 +62,7 @@ from .templates import (
     Query,
     append_query,
     bare_query_template,
+    check_local_unitarity,
     compose_templates,
     evaluate_template,
     sequential_template,
@@ -474,7 +476,10 @@ def _case_iii_a(U, V, f_template, fU_real, fV, delta_u, build, depth):
     delta_u_block = op_distance_mod_phase(FU_real, identity)
     # the probe inverts the ideal image, so the real composite sits within
     # twice the synthesis deviation of the identity
-    assert delta_u_block <= 2.0 * delta_u + 4.0 * delta_u ** 2 + 1e-9
+    if not delta_u_block <= 2.0 * delta_u + 4.0 * delta_u ** 2 + 1e-9:
+        raise CaseFailure(build.trace, SeqloccError(
+            f"probe composite deviates {delta_u_block:.3e} from the identity, "
+            f"beyond twice the synthesis deviation {delta_u:.3e}"))
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=1e-12),
                            validate_unitary(FV, d_a, d_b, tol=1e-6),
                            build, depth + 1)
@@ -605,15 +610,33 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
     scheme = _dispatch_pair(U, V, build, depth=0)
-    report = verify_scheme(scheme, U, V)
+    report = verify_scheme(scheme, U, V, cfg)
     report.theta_trace = list(build.theta_trace)
     report.per_branch_error = list(build.per_branch_error)
     report.wall_notes = "; ".join(build.notes)
     return scheme, report
 
 
-def verify_scheme(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
-    """Recompute both outputs from scratch and compare against the budget."""
+def validate_scheme(scheme: LoccSequentialScheme, tol: float = 1e-9) -> None:
+    """Raise unless the scheme is well formed: NotUnitary for a local factor
+    off unitarity by more than tol, MalformedScheme for an input that is not
+    a unit vector (to tol) of length d_a or d_b."""
+    t = scheme.template
+    check_local_unitarity(t, tol)
+    for name, v, d in (("input_a", scheme.input_a, t.d_a), ("input_b", scheme.input_b, t.d_b)):
+        v = np.asarray(v)
+        if v.shape != (d,):
+            raise MalformedScheme(f"{name} has shape {v.shape}, expected ({d},)")
+        norm = float(np.linalg.norm(v))
+        if not abs(norm - 1.0) <= tol:
+            raise MalformedScheme(f"{name} has norm {norm:.12g}, expected 1")
+
+
+def verify_scheme(scheme: LoccSequentialScheme, U, V,
+                  cfg: RunConfig | None = None) -> DiscriminationReport:
+    """Validate the scheme (see validate_scheme, at cfg.unitarity_tol), then
+    recompute both outputs from scratch and compare against the budget."""
+    validate_scheme(scheme, (cfg or RunConfig()).unitarity_tol)
     inp = np.kron(scheme.input_a, scheme.input_b)
     phi_u = evaluate_template(scheme.template, mat(U)) @ inp
     phi_v = evaluate_template(scheme.template, mat(V)) @ inp

@@ -90,3 +90,7 @@ class CaseFailure(SeqloccError):
 
 class MatrixFileError(SeqloccError):
     """Matrix or scheme file is malformed."""
+
+
+class MalformedScheme(SeqloccError):
+    """A scheme's input states are not unit vectors of the template's dimensions."""

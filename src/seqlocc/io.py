@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .engine import DiscriminationReport, LoccSequentialScheme
+from .engine import DiscriminationReport, LoccSequentialScheme, validate_scheme
 from .errors import MatrixFileError
 from .linalg import BipartiteUnitary, validate_unitary
 from .templates import template_from_dict, template_to_dict
@@ -100,17 +100,21 @@ def scheme_to_dict(scheme: LoccSequentialScheme,
     return data
 
 
-def scheme_from_dict(data: dict) -> LoccSequentialScheme:
+def scheme_from_dict(data: dict, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
+    """Scheme record to a scheme; a malformed record raises MatrixFileError,
+    a malformed scheme the errors of validate_scheme."""
     try:
         template = template_from_dict(data["template"])
         input_a = _state_from_lists(data["input_a"], "input_a")
         input_b = _state_from_lists(data["input_b"], "input_b")
-        return LoccSequentialScheme(
+        scheme = LoccSequentialScheme(
             template, input_a, input_b,
             float(data["achieved_overlap"]), float(data["budget"]),
             list(data["case_trace"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"malformed scheme record: {exc}") from exc
+    validate_scheme(scheme, unitarity_tol)
+    return scheme
 
 
 def dumps_scheme(scheme: LoccSequentialScheme,
@@ -118,17 +122,17 @@ def dumps_scheme(scheme: LoccSequentialScheme,
     return json.dumps(scheme_to_dict(scheme, report), indent=2)
 
 
-def loads_scheme(text: str) -> LoccSequentialScheme:
+def loads_scheme(text: str, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
-    return scheme_from_dict(data)
+    return scheme_from_dict(data, unitarity_tol)
 
 
-def load_scheme_file(path: str) -> LoccSequentialScheme:
+def load_scheme_file(path: str, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scheme(fh.read())
+        return loads_scheme(fh.read(), unitarity_tol)
 
 
 def save_scheme_file(path: str, scheme: LoccSequentialScheme,

@@ -1,19 +1,29 @@
 """Sequential discrimination of two single-system unitaries.
 
 Given distinct U and V, builds interleavers w_1..w_N and an input state psi
-with U w_N U ... w_1 U |psi> orthogonal to the V-chain. The driver is
-stage-wise and greedy: it tracks the composites A, B built so far and picks
-a stage unitary w maximizing Theta((A w U)^dag (B w V)), stopping once the
-arc covers a half circle, where a zero-overlap input exists.
+with U w_N U ... w_1 U |psi> orthogonal to the V-chain, using exactly
+N + 1 = ceil(pi / Theta(U^dag V)) queries, the optimum (Acin, PRL 87,
+177901, 2001). Every stage is in closed form; nothing is searched.
 
-Two stage mechanisms cooperate:
+With A, B the chains built so far, T_c = A^dag B the current relative
+operator (arc theta_c), R and Q the arc-sorted eigenbases of T_c and of
+U^dag V (arc theta_0), a stage appends w = R S(t) Q^dag U^dag. The new
+relative operator (A w U)^dag (B w V) is then Q S(t)^dag D_c S(t) D_0 Q^dag
+with D_c, D_0 the diagonal phase matrices, and S(t) a rotation by t in the
+plane of the first and last (arc-endpoint) columns:
 
-* an aligned seed, built from the eigenbases of the current relative
-  operator and of U^dag V, which makes the eigenphase sums add coherently
-  and gains a full Theta(U^dag V) per stage whenever the sum stays below pi;
-* a smooth polish for the closing stage, jointly minimizing
-  |<psi| M(w) |psi>|^2 over w and psi, since the closing arc must hit pi
-  essentially exactly (for qubits the arc can never exceed pi).
+* while theta_c + theta_0 < pi, t = 0: the eigenphases add in matched
+  order and the stage gains exactly theta_0;
+* on the closing stage, with sigma = (theta_c + theta_0) / 2 and
+  Delta = (theta_c - theta_0) / 2, the endpoint block has trace
+  2 e^{i sigma} (cos^2 t cos sigma + sin^2 t cos Delta), which vanishes at
+  tan^2 t = -cos sigma / cos Delta. A solution exists because
+  sigma in [pi/2, pi) and |Delta| < pi/2, and the two endpoint eigenvalues
+  become exactly antipodal, so a zero-overlap input exists.
+
+This is the intermediate-value step behind the sequential scheme of Duan,
+Feng and Ying, "Entanglement is not necessary for perfect discrimination
+between unitary operations", PRL 98, 100503 (2007), made explicit.
 """
 
 from __future__ import annotations
@@ -22,13 +32,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .arcs import arc_of_phases, zero_overlap_state
 from .config import RunConfig
 from .errors import DimensionMismatch, Indistinguishable, StageStalled
-from .linalg import canonical_phases, eig_unitary, mat, phase_distance, random_unitary
-from .unitary_opt import hermitian_basis, n_params, unitary_and_tangents
+from .linalg import eig_unitary, mat, phase_distance
 
 PI = math.pi
 
@@ -57,186 +65,33 @@ def compose_sequential(X, interleavers) -> np.ndarray:
     return M
 
 
-def _theta_of(M, tol_angle: float) -> float:
-    return arc_of_phases(canonical_phases(np.linalg.eigvals(M)), tol_angle).theta
-
-
 def _circular_sorted_eig(M, tol_angle: float):
-    """Eigensystem sorted by phase measured from the arc start."""
+    """Arc length and eigenvectors sorted by phase measured from the arc start."""
     dec = eig_unitary(M)
     info = arc_of_phases(dec.phases, tol_angle)
     keys = np.mod(dec.phases - info.start_phase + tol_angle, 2 * PI)
     order = np.argsort(keys, kind="stable")
-    return dec.phases[order], dec.vectors[:, order]
+    return info.theta, dec.vectors[:, order]
 
 
-def _aligned_seed(T_c, U, V, tol_angle: float) -> np.ndarray:
-    """w making the stage eigenphases add coherently.
-
-    With R the arc-sorted eigenbasis of the current relative operator and Q
-    the arc-sorted eigenbasis of U^dag V, w = R (U Q)^dag conjugates the
-    relative operator into the U^dag V eigenbasis with matched ordering, so
-    the new relative operator has phases tau_j + delta_j.
-    """
-    _, R = _circular_sorted_eig(T_c, tol_angle)
-    _, Q = _circular_sorted_eig(mat(U).conj().T @ mat(V), tol_angle)
-    return R @ (mat(U) @ Q).conj().T
-
-
-def _stage_objective(A, B, U, V):
-    """Callable w -> relative operator (A w U)^dag (B w V)."""
-    Ad = mat(A).conj().T
-    Bm = mat(B)
-    Um, Vm = mat(U), mat(V)
-
-    def rel(w):
-        return Um.conj().T @ w.conj().T @ (Ad @ Bm) @ w @ Vm
-
-    return rel
-
-
-def _best_mix_state(M, tol_angle: float):
-    """Zero-overlap input for the relative operator, with its residual."""
-    try:
-        psi = zero_overlap_state(M, tol_angle)
-    except Exception:
-        return None, np.inf
-    resid = abs(np.vdot(psi, M @ psi))
-    return psi, float(resid)
-
-
-def _polish(T_c, U, V, w0: np.ndarray, psi0: np.ndarray, maxiter: int = 400):
-    """Jointly minimize |<psi|M(w)|psi>|^2 / <psi|psi>^2 from (w0, psi0).
-
-    Returns (w, psi, objective). The objective is smooth, so L-BFGS can
-    drive the residual overlap to float noise; the arc then covers a half
-    circle by the convexity of the numerical range of a normal operator.
-    """
-    d = mat(U).shape[0]
-    basis = hermitian_basis(d)
-    m = n_params(d)
-    T = mat(T_c)
-    Um, Vm = mat(U), mat(V)
-
-    # start w at w0 exactly: optimize w = w0 expm(i H(theta)) around theta=0
-    def split(x):
-        return x[:m], x[m:m + d] + 1j * x[m + d:]
-
-    def fun_and_grad(x):
-        theta, psi = split(x)
-        dw, tangents = unitary_and_tangents(theta, basis)
-        w = w0 @ dw
-        alpha = Um @ psi
-        beta = Vm @ psi
-        wa, wb = w @ alpha, w @ beta
-        q = np.vdot(wa, T @ wb)
-        nrm = float(np.real(np.vdot(psi, psi)))
-        J = (q * q.conjugate()).real / nrm ** 2
-
-        # w-direction derivatives: M(w) with w = w0 e^{iH}; tangent is w0 @ D_m
-        Twb = T @ wb
-        Thwa = T.conj().T @ wa
-        Da = np.einsum("mij,j->mi", tangents, alpha)
-        Db = np.einsum("mij,j->mi", tangents, beta)
-        dq_w = (np.einsum("mi,i->m", Da.conj(), w0.conj().T @ Twb)
-                + np.einsum("mi,i->m", Db, (w0.conj().T @ Thwa).conj()))
-        g_theta = 2.0 * np.real(q.conjugate() * dq_w) / nrm ** 2
-
-        M_psi = Um.conj().T @ (w.conj().T @ (T @ (w @ beta)))
-        Mh_psi = Vm.conj().T @ (w.conj().T @ (T.conj().T @ (w @ alpha)))
-        dq_du = M_psi + Mh_psi.conj()
-        dq_dv = 1j * (Mh_psi.conj() - M_psi)
-        dn_du = 2.0 * psi.real
-        dn_dv = 2.0 * psi.imag
-        qbar = q.conjugate()
-        g_u = 2.0 * np.real(qbar * dq_du) / nrm ** 2 - 2.0 * J / nrm * dn_du
-        g_v = 2.0 * np.real(qbar * dq_dv) / nrm ** 2 - 2.0 * J / nrm * dn_dv
-        return J, np.concatenate([g_theta, g_u, g_v])
-
-    x0 = np.concatenate([np.zeros(m), psi0.real, psi0.imag])
-    res = scipy.optimize.minimize(
-        fun_and_grad, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-18, "gtol": 1e-14},
-    )
-    theta, psi = split(res.x)
-    dw, _ = unitary_and_tangents(theta, basis)
-    nrm = np.linalg.norm(psi)
-    return w0 @ dw, psi / nrm, float(res.fun)
-
-
-def optimize_stage(A, B, U, V, cfg: RunConfig | None = None, stage_index: int = 0):
-    """Stage unitary w (approximately) maximizing Theta((AwU)^dag (BwV)).
-
-    Seeds: identity, the aligned seed, and cfg.restarts random unitaries;
-    ties resolve toward the earliest seed, so identity wins whenever it
-    already matches the best arc. When the stage can close the half circle
-    the smooth polish runs from the most promising seeds. Returns
-    (w, theta, psi_or_None); psi is the polished zero-overlap candidate.
-    """
-    cfg = cfg or RunConfig()
-    d = mat(U).shape[0]
-    rel = _stage_objective(A, B, U, V)
-    theta_c = _theta_of(mat(A).conj().T @ mat(B), cfg.tol_angle)
-    theta_0 = _theta_of(mat(U).conj().T @ mat(V), cfg.tol_angle)
-    can_finish = theta_c + theta_0 >= PI - cfg.tol_angle
-
-    seeds = [np.eye(d, dtype=complex),
-             _aligned_seed(mat(A).conj().T @ mat(B), U, V, cfg.tol_angle)]
-    rng = cfg.rng("stage-seeds", stage_index)
-    seeds += [random_unitary(d, rng) for _ in range(cfg.restarts)]
-
-    scored = []
-    for idx, w in enumerate(seeds):
-        scored.append((_theta_of(rel(w), cfg.tol_angle), idx, w))
-    scored.sort(key=lambda t: (-t[0], t[1]))
-
-    best_theta, _, best_w = scored[0]
-    best_psi = None
-
-    if can_finish and best_theta < PI - cfg.tol_angle:
-        # polish from the aligned seed first, then the leaders
-        order = [seeds[1]] + [w for _, _, w in scored[:3]]
-        for w_init in order:
-            Mw = rel(w_init)
-            psi0, _ = _best_mix_state(Mw, cfg.tol_angle)
-            if psi0 is None:
-                psi0 = eig_unitary(Mw).vectors[:, 0]
-            w_new, psi, J = _polish(mat(A).conj().T @ mat(B), U, V, w_init, psi0)
-            theta_new = _theta_of(rel(w_new), cfg.tol_angle)
-            if theta_new > best_theta:
-                best_theta, best_w, best_psi = theta_new, w_new, psi
-            if best_theta >= PI - cfg.tol_angle:
-                break
-
-    target = min(PI, theta_c + theta_0) - 1e-9
-    if best_theta < min(target, PI - cfg.tol_angle):
-        # derivative-free ascent as a fallback for rough landscapes
-        basis = hermitian_basis(d)
-
-        def neg_theta(x, w_ref):
-            dw, _ = unitary_and_tangents(x, basis)
-            return -_theta_of(rel(w_ref @ dw), cfg.tol_angle)
-
-        for _, _, w_ref in scored[:3]:
-            res = scipy.optimize.minimize(
-                neg_theta, np.zeros(n_params(d)), args=(w_ref,),
-                method="Powell", options={"maxiter": 200, "xtol": 1e-8, "ftol": 1e-12},
-            )
-            dw, _ = unitary_and_tangents(res.x, basis)
-            w_try = w_ref @ dw
-            theta_try = _theta_of(rel(w_try), cfg.tol_angle)
-            if theta_try > best_theta:
-                best_theta, best_w, best_psi = theta_try, w_try, None
-
-    return best_w, float(best_theta), best_psi
+def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
+    """S(t) on the first and last columns; t = 0 unless the stage closes."""
+    sigma = 0.5 * (theta_c + theta_0)
+    delta = 0.5 * (theta_c - theta_0)
+    t = math.atan2(math.sqrt(max(0.0, -math.cos(sigma))), math.sqrt(math.cos(delta)))
+    S = np.eye(d, dtype=complex)
+    c, s = math.cos(t), math.sin(t)
+    S[0, 0], S[0, -1], S[-1, 0], S[-1, -1] = c, -s, s, c
+    return S
 
 
 def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialScheme:
     """Interleavers and input state making the two chains orthogonal.
 
-    Greedy over stages with a nondecreasing arc trace; the query count stays
-    within ceil(pi / Theta(U^dag V)) + cfg.slack or StageStalled reports the
-    best trace found.
+    Uses exactly ceil(pi / Theta(U^dag V)) queries; theta_trace records the
+    arc of the relative operator after each query. StageStalled reports a
+    trace that did not close in time or a final overlap above
+    cfg.overlap_tol, which only numerical breakdown can cause.
     """
     cfg = cfg or RunConfig()
     Um, Vm = mat(U), mat(V)
@@ -245,47 +100,31 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialSch
     if phase_distance(Um, Vm) <= cfg.distinct_tol:
         raise Indistinguishable("operations agree up to a global phase")
 
-    theta_0 = _theta_of(Um.conj().T @ Vm, cfg.tol_angle)
+    theta_0, Q = _circular_sorted_eig(Um.conj().T @ Vm, cfg.tol_angle)
     if theta_0 <= cfg.tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
+    max_stages = max(1, math.ceil(PI / theta_0 - 1e-12)) - 1
+    q_u_dag = (Um @ Q).conj().T  # Q^dag U^dag, shared by every stage
 
-    n_parallel = max(1, math.ceil(PI / theta_0 - 1e-12))
-    max_stages = n_parallel - 1 + cfg.slack
-
-    A, B = Um.copy(), Vm.copy()
+    A, B = Um, Vm
     interleavers: list[np.ndarray] = []
     trace = [theta_0]
-    theta_c = theta_0
-    relaxed = False
-    polish_psi = None
-
+    theta_c, R = theta_0, Q
     while theta_c < PI - cfg.tol_angle:
         if len(interleavers) >= max_stages:
             raise StageStalled(
                 f"arc stuck at {theta_c:.6f} after {len(interleavers)} stages", trace)
-        w, theta_new, psi = optimize_stage(A, B, U, V, cfg, stage_index=len(interleavers))
-        gain = theta_new - theta_c
-        finished = theta_new >= PI - cfg.tol_angle
-        if not finished and gain < 0.5 * theta_0:
-            if not relaxed and gain >= 0.25 * theta_0:
-                relaxed = True
-            else:
-                raise StageStalled(
-                    f"stage gain {gain:.6f} below the relaxed floor", trace + [theta_new])
+        w = R @ _stage_rotation(theta_c, theta_0, Um.shape[0]) @ q_u_dag
         A = A @ w @ Um
         B = B @ w @ Vm
         interleavers.insert(0, w)
-        theta_c = theta_new
-        trace.append(theta_new)
-        polish_psi = psi
+        theta_c, R = _circular_sorted_eig(A.conj().T @ B, cfg.tol_angle)
+        trace.append(theta_c)
 
     M = A.conj().T @ B
-    psi, resid = _best_mix_state(M, cfg.tol_angle)
-    if polish_psi is not None:
-        r2 = abs(np.vdot(polish_psi, M @ polish_psi))
-        if psi is None or r2 < resid:
-            psi, resid = polish_psi, float(r2)
-    if psi is None or resid > cfg.overlap_tol:
+    psi = zero_overlap_state(M, cfg.tol_angle)
+    resid = float(abs(np.vdot(psi, M @ psi)))
+    if resid > cfg.overlap_tol:
         raise StageStalled(f"final overlap {resid:.3e} above tolerance", trace)
 
-    return SequentialScheme(interleavers, psi, len(interleavers) + 1, float(resid), trace)
+    return SequentialScheme(interleavers, psi, len(interleavers) + 1, resid, trace)

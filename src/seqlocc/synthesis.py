@@ -18,7 +18,7 @@ from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, mat, phase_distance
 from .structure import classify_primitive
-from .templates import CircuitTemplate, LocalLayer, QUERY, evaluate_template
+from .templates import CircuitTemplate, LocalLayer, QUERY
 from .unitary_opt import hermitian_basis, n_params, unitary_and_tangents
 
 
@@ -199,6 +199,3 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
         raise SynthesisFailed(delta, k)
     return SynthesisResult(problem.template(params), float(delta), k, seed_idx)
 
-
-def evaluate(result: SynthesisResult, X) -> np.ndarray:
-    return evaluate_template(result.template, X)

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
 
+import copy
+
 from seqlocc import (
+    CaseFailure,
     DimensionMismatch,
     Indistinguishable,
     LocalLayer,
+    MalformedScheme,
+    NotUnitary,
     Query,
     RunConfig,
     basis_state,
@@ -18,6 +23,7 @@ from seqlocc import (
     validate_unitary,
     verify_scheme,
 )
+from seqlocc import engine
 from seqlocc.engine import _controlled_form, _image_factors
 from seqlocc.io import dumps_scheme
 from seqlocc.templates import bare_query_template
@@ -234,3 +240,63 @@ def test_2x3_controlled_fast_path():
     scheme, report = _run(U, V, 2, 3)
     assert scheme.case_trace == ["ii-a"]
     assert report.passed
+
+
+def _first_local(scheme):
+    return next(layer for layer in scheme.template.layers if isinstance(layer, LocalLayer))
+
+
+def _zero_factor(scheme):
+    _first_local(scheme).factor_a = np.zeros((2, 2), dtype=complex)
+
+
+def _scaled_factor(scheme):
+    _first_local(scheme).factor_b = 2.0 * _first_local(scheme).factor_b
+
+
+def _nan_factor(scheme):
+    _first_local(scheme).factor_a = np.full((2, 2), np.nan, dtype=complex)
+
+
+def _zero_input(scheme):
+    scheme.input_a = np.zeros_like(scheme.input_a)
+
+
+def _scaled_input(scheme):
+    scheme.input_b = 1.5 * scheme.input_b
+
+
+def _long_input(scheme):
+    scheme.input_a = np.append(scheme.input_a, 0.0)
+
+
+FORGERIES = [(_zero_factor, NotUnitary), (_scaled_factor, NotUnitary), (_nan_factor, NotUnitary),
+             (_zero_input, MalformedScheme), (_scaled_input, MalformedScheme),
+             (_long_input, MalformedScheme)]
+
+
+@pytest.mark.parametrize("forge, error", FORGERIES)
+def test_verify_scheme_rejects_forged(forge, error):
+    U, V = np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2)
+    scheme, report = _run(U, V)
+    assert report.passed and report.query_count == 2
+    forged = copy.deepcopy(scheme)
+    forge(forged)
+    with pytest.raises(error):
+        verify_scheme(forged, _v(U), _v(V), CFG)
+
+
+def test_iii_a_budget_invariant_raises_case_failure(monkeypatch):
+    """A probe composite farther from the identity than the synthesis bound
+    allows is a typed failure carrying the case trace, not an assert."""
+    real = engine.op_distance_mod_phase
+
+    def inflated(A, B):
+        b = np.asarray(B)
+        return 1.0 if np.allclose(b, np.eye(b.shape[0])) else real(A, B)
+
+    monkeypatch.setattr(engine, "op_distance_mod_phase", inflated)
+    rng = np.random.default_rng(8)
+    with pytest.raises(CaseFailure) as err:
+        discriminate(exp_xx_form(1.0, 2, 2), _v(random_unitary(4, rng)), CFG)
+    assert err.value.case_trace == ["iii", "iii-a"]

@@ -5,7 +5,7 @@ import pytest
 
 from seqlocc import RunConfig, discriminate, random_unitary, swap_operator, validate_unitary
 from seqlocc.cli import main
-from seqlocc.errors import MatrixFileError
+from seqlocc.errors import MalformedScheme, MatrixFileError, NotUnitary
 from seqlocc.io import (
     dumps_matrix,
     dumps_scheme,
@@ -13,6 +13,7 @@ from seqlocc.io import (
     loads_matrix,
     loads_scheme,
     save_matrix_file,
+    scheme_from_dict,
 )
 
 from conftest import CNOT, CZ, HAD
@@ -146,3 +147,43 @@ def test_cli_deterministic_scheme_files(tmp_path):
     assert main(["discriminate", a, b, "--out", p1, "--seed", "0"]) == 0
     assert main(["discriminate", a, b, "--out", p2, "--seed", "0"]) == 0
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def _forged_records(text):
+    """A genuine scheme record and forgeries of it, with the expected error."""
+    data = json.loads(text)
+    local = next(i for i, r in enumerate(data["template"]["layers"]) if r["kind"] == "local")
+    zero_factor = json.loads(text)
+    zero_factor["template"]["layers"][local]["factor_a"] = [[[0.0, 0.0]] * 2] * 2
+    zero_input = json.loads(text)
+    zero_input["input_a"] = [[0.0, 0.0]] * 2
+    scaled_input = json.loads(text)
+    scaled_input["input_b"] = [[2 * re, 2 * im] for re, im in scaled_input["input_b"]]
+    short_input = json.loads(text)
+    short_input["input_b"] = short_input["input_b"][:1]
+    return data, [(zero_factor, NotUnitary), (zero_input, MalformedScheme),
+                  (scaled_input, MalformedScheme), (short_input, MalformedScheme)]
+
+
+def test_scheme_from_dict_rejects_forged():
+    U = validate_unitary(np.eye(4), 2, 2)
+    V = validate_unitary(np.kron(np.diag([1, 1j]), np.eye(2)), 2, 2)
+    scheme, _ = discriminate(U, V, RunConfig())
+    genuine, forged = _forged_records(dumps_scheme(scheme))
+    assert scheme_from_dict(genuine).template.query_count == 2
+    for record, error in forged:
+        with pytest.raises(error):
+            scheme_from_dict(record)
+
+
+def test_cli_verify_rejects_forged_scheme(tmp_path, capsys):
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "s.json", np.kron(np.diag([1, 1j]), np.eye(2)))
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["discriminate", a, b, "--out", str(scheme_path)]) == 0
+    _, forged = _forged_records(scheme_path.read_text())
+    for k, (record, _) in enumerate(forged):
+        path = tmp_path / f"forged{k}.json"
+        path.write_text(json.dumps(record))
+        assert main(["verify", str(path), a, b]) == 2
+        assert "error:" in capsys.readouterr().err

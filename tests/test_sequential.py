@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqlocc import (
     Indistinguishable,
@@ -7,10 +11,11 @@ from seqlocc import (
     build_sequential_scheme,
     compose_sequential,
     dagger,
-    optimize_stage,
+    parallel_query_count,
     random_unitary,
     smallest_arc,
 )
+from seqlocc.sequential import _stage_rotation
 
 CFG = RunConfig()
 
@@ -96,7 +101,7 @@ def test_query_counts_within_bounds():
         U, V = _pair_with_arc(theta, dim, rng)
         n = int(np.ceil(np.pi / theta - 1e-12))
         scheme = build_sequential_scheme(U, V, CFG)
-        assert n <= scheme.query_count <= n + CFG.slack
+        assert scheme.query_count == n
 
 
 def test_commuting_diagonal_exact_counts():
@@ -111,30 +116,91 @@ def test_commuting_diagonal_exact_counts():
         V = _dphases(phases)
         scheme = build_sequential_scheme(U, V, CFG)
         assert scheme.query_count == int(np.ceil(np.pi / theta - 1e-12))
-        assert _recompute_overlap(U, V, scheme) <= 1e-8
+        assert _recompute_overlap(U, V, scheme) <= 1e-12
 
 
-def test_optimize_stage_keeps_arc_when_done():
-    U = np.eye(2, dtype=complex)
-    V = np.diag([1, -1]).astype(complex)
-    w, theta, _ = optimize_stage(U, V, U, V, CFG)
-    assert theta >= np.pi - CFG.tol_angle
+def test_stage_wide_arc_adds_no_interleaver():
+    """An arc already past pi (three cube roots of unity, arc 4pi/3) needs
+    no stage: one query, and the trace holds only the starting arc."""
+    rng = np.random.default_rng(6)
+    U = random_unitary(3, rng)
+    Q = random_unitary(3, rng)
+    V = U @ Q @ _dphases([0.0, 2 * np.pi / 3, 4 * np.pi / 3]) @ Q.conj().T
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.interleavers == []
+    assert scheme.theta_trace == pytest.approx([4 * np.pi / 3], abs=1e-9)
+    assert _recompute_overlap(U, V, scheme) <= 1e-12
 
 
-def test_optimize_stage_gains_on_quarter_turn():
-    U = np.eye(2, dtype=complex)
-    V = np.diag([1, 1j]).astype(complex)
-    w, theta, _ = optimize_stage(U, V, U, V, CFG)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stage_closing_rotation_on_quarter_turn(dim):
+    """From pi/2 the only stage is the closing one: its rotation zeroes the
+    trace of the endpoint block, so the endpoints land exactly antipodal."""
+    rng = np.random.default_rng(7 + dim)
+    U = random_unitary(dim, rng)
+    Q = random_unitary(dim, rng)
+    phases = [0.0] * (dim - 1) + [np.pi / 2]
+    V = U @ Q @ _dphases(phases) @ Q.conj().T
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.query_count == 2
+    (w,) = scheme.interleavers
     rel = dagger(U @ w @ U) @ (V @ w @ V)
-    assert smallest_arc(rel).theta == pytest.approx(theta, abs=1e-9)
-    assert theta >= np.pi - CFG.tol_angle
+    assert smallest_arc(rel).theta == pytest.approx(np.pi, abs=1e-12)
+    assert _recompute_overlap(U, V, scheme) <= 1e-12
+    # the closed form itself: tan^2 t = -cos(sigma) / cos(Delta) zeroes the
+    # trace of the endpoint block for any closing pair of arcs
+    for theta_c, theta_0 in [(np.pi / 2, np.pi / 2), (2.0, 1.5), (3.0, 0.2), (1.2, 2.5)]:
+        S = _stage_rotation(theta_c, theta_0, 2)
+        block = S.conj().T @ _dphases([0.0, theta_c]) @ S @ _dphases([0.0, theta_0])
+        assert abs(np.trace(block)) <= 1e-15
 
 
-def test_optimize_stage_identity_for_commuting_pace():
-    """For diagonal pairs with a dense spectrum, plain phase addition meets
-    the pace, so the identity seed wins the tie."""
+def test_stage_commuting_pace_gains_full_arc():
+    """For a diagonal pair every non-closing stage is the identity and gains
+    exactly theta_0; only the closing stage rotates."""
     U = np.eye(4, dtype=complex)
     V = _dphases([0.0, 0.25, 0.5, 0.75])
-    w, theta, _ = optimize_stage(U, V, U, V, CFG)
-    assert np.allclose(w, np.eye(4))
-    assert theta == pytest.approx(1.5, abs=1e-9)
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.query_count == math.ceil(np.pi / 0.75)
+    trace = scheme.theta_trace
+    assert np.diff(trace[:-1]) == pytest.approx([0.75] * (len(trace) - 2), abs=1e-12)
+    assert trace[-1] >= np.pi - CFG.tol_angle
+    for w in scheme.interleavers[1:]:
+        assert np.allclose(w, np.eye(4), atol=1e-12)
+    assert not np.allclose(scheme.interleavers[0], np.eye(4))
+
+
+_EXACT_ARCS = [np.pi / k for k in range(2, 10)]
+
+
+@st.composite
+def _arc_pairs(draw):
+    """(U, V) with Theta(U^dag V) = theta in [pi/9, pi), d = 2..5; theta may
+    be pi/k exactly and inner eigenphases may repeat an arc endpoint."""
+    dim = draw(st.integers(2, 5))
+    theta = draw(st.one_of(
+        st.sampled_from(_EXACT_ARCS),
+        st.floats(np.pi / 9, np.pi, exclude_max=True, allow_nan=False)))
+    inner = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+                          min_size=dim - 2, max_size=dim - 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    U = random_unitary(dim, rng)
+    Q = random_unitary(dim, rng)
+    phases = [0.0] + [theta * x for x in inner] + [theta]
+    return U, U @ Q @ _dphases(phases) @ Q.conj().T
+
+
+@settings(max_examples=120, deadline=None)
+@given(_arc_pairs())
+def test_closed_form_engine_properties(pair):
+    U, V = pair
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.query_count == parallel_query_count(U, V)
+    assert _recompute_overlap(U, V, scheme) <= 1e-12
+    eye = np.eye(U.shape[0])
+    for w in scheme.interleavers:
+        assert np.linalg.norm(w.conj().T @ w - eye, 2) <= 1e-12
+    again = build_sequential_scheme(U, V, CFG)
+    assert len(again.interleavers) == len(scheme.interleavers)
+    assert all(np.array_equal(a, b) for a, b in zip(again.interleavers, scheme.interleavers))
+    assert np.array_equal(again.input_state, scheme.input_state)
