@@ -15,16 +15,10 @@ from .arcs import (
     smallest_arc,
     zero_overlap_state,
 )
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import RunConfig
 from .engine import (
     DiscriminationReport,
     LoccSequentialScheme,
-    case_both_imprimitive,
-    case_imprimitive_vs_product,
-    case_imprimitive_vs_swapproduct,
-    case_product_product,
-    case_product_swap,
-    case_swap_swap,
     discriminate,
     verify_scheme,
 )
@@ -50,18 +44,14 @@ from .errors import (
 from .linalg import (
     BipartiteUnitary,
     SpectralDecomposition,
-    apply,
     basis_state,
     dagger,
     eig_unitary,
     kron,
     mat,
-    multiply,
     normalize,
     op_distance_mod_phase,
-    overlap,
     phase_distance,
-    random_state,
     random_unitary,
     swap_operator,
     unitarity_defect,
@@ -82,7 +72,7 @@ from .structure import (
     symmetry_set_inverts,
     xx_generator,
 )
-from .synthesis import SynthesisResult, error_budget, synthesize
+from .synthesis import SynthesisResult, synthesize
 from .templates import (
     CircuitTemplate,
     LocalLayer,

@@ -51,33 +51,30 @@ def _emit(text: str, out: str | None):
             sys.stdout.write("\n")
 
 
+# RunConfig field -> flag; each subcommand takes only the fields it reads
+FLAGS = {
+    "unitarity_tol": "--tol-unitarity",
+    "distinct_tol": "--tol-distinct",
+    "overlap_tol": "--tol-overlap",
+    "epsilon": "--tol-epsilon",
+    "rank_tol": "--tol-rank",
+    "tol_angle": "--tol-angle",
+    "seed": "--seed",
+    "restarts": "--restarts",
+    "k_max": "--k-max",
+    "max_depth": "--max-depth",
+}
+
+
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        unitarity_tol=args.tol_unitarity,
-        distinct_tol=args.tol_distinct,
-        overlap_tol=args.tol_overlap,
-        epsilon=args.tol_epsilon,
-        rank_tol=args.tol_rank,
-        tol_angle=args.tol_angle,
-        seed=args.seed,
-        restarts=args.restarts,
-        k_max=args.k_max,
-        max_depth=args.max_depth,
-    )
+    return RunConfig(**{name: value for name, value in vars(args).items() if name in FLAGS})
 
 
-def _add_common(parser: argparse.ArgumentParser):
+def _add_options(parser: argparse.ArgumentParser, *names: str):
     cfg = RunConfig()
-    parser.add_argument("--tol-unitarity", type=float, default=cfg.unitarity_tol)
-    parser.add_argument("--tol-distinct", type=float, default=cfg.distinct_tol)
-    parser.add_argument("--tol-overlap", type=float, default=cfg.overlap_tol)
-    parser.add_argument("--tol-epsilon", type=float, default=cfg.epsilon)
-    parser.add_argument("--tol-rank", type=float, default=cfg.rank_tol)
-    parser.add_argument("--tol-angle", type=float, default=cfg.tol_angle)
-    parser.add_argument("--seed", type=int, default=cfg.seed)
-    parser.add_argument("--restarts", type=int, default=cfg.restarts)
-    parser.add_argument("--k-max", type=int, default=cfg.k_max)
-    parser.add_argument("--max-depth", type=int, default=cfg.max_depth)
+    for name in names:
+        default = getattr(cfg, name)
+        parser.add_argument(FLAGS[name], dest=name, type=type(default), default=default)
     parser.add_argument("--out", default=None, help="write the result here instead of stdout")
 
 
@@ -187,33 +184,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="primitivity classification of one operator")
     p.add_argument("matrix")
-    _add_common(p)
+    _add_options(p, "unitarity_tol", "rank_tol")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("theta", help="smallest eigenphase arc (of W, or of U^dag V)")
     p.add_argument("matrix")
     p.add_argument("matrix2", nargs="?", default=None)
     p.add_argument("--csv", default=None, help="write eigenphase rows here")
-    _add_common(p)
+    _add_options(p, "unitarity_tol", "distinct_tol", "tol_angle")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("discriminate", help="build a scheme for a pair of operators")
     p.add_argument("matrix_u")
     p.add_argument("matrix_v")
-    _add_common(p)
+    _add_options(p, *FLAGS)
     p.set_defaults(func=cmd_discriminate)
 
     p = sub.add_parser("verify", help="re-verify a scheme file against a pair")
     p.add_argument("scheme")
     p.add_argument("matrix_u")
     p.add_argument("matrix_v")
-    _add_common(p)
+    _add_options(p, "unitarity_tol")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("synth", help="compile a template for a target from a generator")
     p.add_argument("target")
     p.add_argument("generator")
-    _add_common(p)
+    _add_options(p, "unitarity_tol", "rank_tol", "epsilon", "seed", "restarts", "k_max")
     p.set_defaults(func=cmd_synth)
     return parser
 

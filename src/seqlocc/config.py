@@ -44,6 +44,3 @@ class RunConfig:
         """Deterministic generator for a named search, stable across runs."""
         tag = zlib.crc32(label.encode("utf-8"))
         return np.random.default_rng(np.random.SeedSequence((self.seed, tag, *indices)))
-
-
-DEFAULT_CONFIG = RunConfig()

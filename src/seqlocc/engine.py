@@ -9,6 +9,10 @@ the problem reduces to a simpler pair. The emitted scheme is always a flat
 template of product-form local layers and forward queries plus a product
 input state, with a budget dominating the residual overlap.
 
+Every case is one reduction step: a block template f turns the pair into a
+simpler pair (f(U), f(V)), solved on one side by the sequential engine
+(_one_side) or dispatched again (_over_block), and composed over f.
+
 Budgets are computed from the actual matrices: every time a synthesized
 block stands in for its ideal, the per-use operator-norm deviation (modulo
 a global phase) is measured and multiplied by the number of uses; levels of
@@ -17,10 +21,12 @@ recursion add their budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .arcs import arc_of_phases, parallel_query_count
 from .config import RunConfig
 from .errors import (
     BranchSelectionFailed,
@@ -36,18 +42,17 @@ from .linalg import (
     BipartiteUnitary,
     basis_state,
     dagger,
+    eig_unitary,
     mat,
     normalize,
     op_distance_mod_phase,
     orthogonal_state,
     phase_distance,
-    random_unitary,
     swap_operator,
     validate_unitary,
 )
 from .sequential import build_sequential_scheme
 from .structure import (
-    PrimitiveForm,
     build_symmetry_set,
     classify_primitive,
     exp_xx_form,
@@ -71,7 +76,12 @@ from .templates import (
 
 @dataclass
 class LoccSequentialScheme:
-    """Flat discrimination scheme: template, product input, and its budget."""
+    """Flat discrimination scheme: template, product input, and its budget.
+
+    achieved_overlap is |<phi_U|phi_V>| of the two outputs, as verify_scheme
+    measures it on the real operands; discriminate fills it in from its
+    report, and a loaded scheme carries the value recorded in its file.
+    """
 
     template: CircuitTemplate
     input_a: np.ndarray
@@ -106,23 +116,43 @@ class _Build:
         self.notes.append(text)
 
 
-def _lift_a(w: np.ndarray, d_b: int) -> LocalLayer:
-    return LocalLayer(np.asarray(w, dtype=complex), np.eye(d_b, dtype=complex))
-
-
-def _lift_b(w: np.ndarray, d_a: int) -> LocalLayer:
-    return LocalLayer(np.eye(d_a, dtype=complex), np.asarray(w, dtype=complex))
-
-
 def _finish(template: CircuitTemplate, input_a, input_b, budget: float,
-            build: _Build, U, V) -> LoccSequentialScheme:
-    """Assemble the scheme and record its recomputed overlap."""
-    inp = np.kron(normalize(input_a), normalize(input_b))
-    phi_u = evaluate_template(template, mat(U)) @ inp
-    phi_v = evaluate_template(template, mat(V)) @ inp
-    ov = float(abs(np.vdot(phi_u, phi_v)))
+            build: _Build) -> LoccSequentialScheme:
+    """Assemble the scheme; its overlap is measured once, by discriminate."""
     return LoccSequentialScheme(template, normalize(input_a), normalize(input_b),
-                                ov, float(budget), list(build.trace))
+                                math.nan, float(budget), list(build.trace))
+
+
+def _one_side(build: _Build, side: str, X_u, X_v, block: CircuitTemplate | None,
+              idle_input, deltas) -> LoccSequentialScheme:
+    """Sequential scheme for the block pair X_u (x) . against X_v (x) . acting
+    on `side` ("A" or "B"), composed over `block` (None: the query itself).
+
+    The other side idles in idle_input. deltas are the per-use deviations of
+    the real blocks from X_u and X_v; each costs uses * delta of budget.
+    """
+    seq = build_sequential_scheme(X_u, X_v, build.cfg)
+    build.theta_trace.extend(seq.theta_trace)
+    build.note(f"side {side}: {seq.query_count} block queries")
+    inputs = (seq.input_state, idle_input) if side == "A" else (idle_input, seq.input_state)
+    idle = np.eye(len(idle_input), dtype=complex)
+    outer = sequential_template(len(inputs[0]), len(inputs[1]), [
+        LocalLayer(w, idle.copy()) if side == "A" else LocalLayer(idle.copy(), w)
+        for w in seq.interleavers])
+    flat = outer if block is None else compose_templates(outer, block)
+    uses = seq.query_count
+    build.per_branch_error.extend(uses * delta for delta in deltas)
+    return _finish(flat, *inputs, seq.achieved_overlap + uses * sum(deltas), build)
+
+
+def _over_block(build: _Build, block: CircuitTemplate, inner: LoccSequentialScheme,
+                deltas) -> LoccSequentialScheme:
+    """Compose the scheme `inner` of a block pair over `block`; deltas are the
+    per-use deviations of the real blocks, each costing uses * delta."""
+    uses = inner.template.query_count
+    build.per_branch_error.extend(uses * delta for delta in deltas)
+    return _finish(compose_templates(inner.template, block), inner.input_a, inner.input_b,
+                   inner.budget + uses * sum(deltas), build)
 
 
 def _image_factors(template: CircuitTemplate, fa: np.ndarray, fb: np.ndarray,
@@ -184,23 +214,6 @@ def _controlled_form(M: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9):
     return groups, blocks
 
 
-def _controlled_target(d_a: int, d_b: int):
-    """|0><0| (x) I + P' (x) G with G = diag(1, exp(2 pi i / 3), 1, ...).
-
-    G is not a scalar multiple of I, so no single operand can be
-    phase-equivalent to both blocks; branch selection always succeeds.
-    """
-    G = np.eye(d_b, dtype=complex)
-    G[1, 1] = np.exp(2j * np.pi / 3)
-    C = np.zeros((d_a * d_b, d_a * d_b), dtype=complex)
-    C[:d_b, :d_b] = np.eye(d_b)
-    for a in range(1, d_a):
-        C[a * d_b:(a + 1) * d_b, a * d_b:(a + 1) * d_b] = G
-    groups = [[0], list(range(1, d_a))]
-    blocks = [np.eye(d_b, dtype=complex), G]
-    return C, groups, blocks
-
-
 def _controlled_template(U: BipartiteUnitary, build: _Build):
     """Template f with f(U) a two-block controlled unitary.
 
@@ -217,7 +230,14 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
         build.note("controlled fast path: operand already has two-block form")
         groups, blocks = ctrl
         return bare_query_template(d_a, d_b, 1), groups, blocks, 0.0
-    C, groups, blocks = _controlled_target(d_a, d_b)
+    # target |0><0| (x) I + P' (x) G with G = diag(1, exp(2 pi i / 3), 1, ...):
+    # G is not scalar, so no operand is phase-equivalent to both blocks and
+    # branch selection always succeeds
+    G = np.eye(d_b, dtype=complex)
+    G[1, 1] = np.exp(2j * np.pi / 3)
+    P0 = np.diag(basis_state(d_a, 0))
+    C = np.kron(P0, np.eye(d_b)) + np.kron(np.eye(d_a) - P0, G)
+    groups, blocks = [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G]
     res = synthesize(validate_unitary(C, d_a, d_b, tol=1e-12), U, cfg)
     build.note(f"controlled target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
     fU = evaluate_template(res.template, U.matrix)
@@ -227,229 +247,179 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
 
 # --- case (i): both primitive ----------------------------------------------
 
-def case_product_product(U_A, U_B, V_A, V_B, cfg: RunConfig | None = None,
-                         build: _Build | None = None) -> LoccSequentialScheme:
-    """Both operands are products: run the sequential engine on a side whose
-    factors differ beyond phase and idle the other side."""
-    build = build or _Build(cfg or RunConfig())
+def _case_product_product(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
+    """Both operands are products: run the sequential engine on the side
+    with the fewest predicted queries and idle the other side.
+
+    Ties go to the wider phase distance: factor extraction carries a little
+    noise, so a barely-nonzero side must not shadow a cleanly distinct one.
+    """
     cfg = build.cfg
     build.trace.append("i-a")
-    d_a = mat(U_A).shape[0]
-    d_b = mat(U_B).shape[0]
-    # the wider separation wins: factor extraction carries a little noise, so
-    # a barely-nonzero side must not shadow a cleanly distinct one
-    dist_a = phase_distance(U_A, V_A)
-    dist_b = phase_distance(U_B, V_B)
-    if max(dist_a, dist_b) <= cfg.distinct_tol:
-        raise Indistinguishable("both factor pairs agree up to phase")
-    if dist_a >= dist_b:
-        side = "A"
-        seq = build_sequential_scheme(U_A, V_A, cfg)
-        locals_between = [_lift_a(w, d_b) for w in seq.interleavers]
-        input_a, input_b = seq.input_state, basis_state(d_b, 0)
-    else:
-        side = "B"
-        seq = build_sequential_scheme(U_B, V_B, cfg)
-        locals_between = [_lift_b(w, d_a) for w in seq.interleavers]
-        input_a, input_b = basis_state(d_a, 0), seq.input_state
-    build.note(f"product pair: active side {side}, {seq.query_count} queries")
-    build.theta_trace.extend(seq.theta_trace)
-    build.per_branch_error.append(seq.achieved_overlap)
-    template = sequential_template(d_a, d_b, locals_between)
-    U = np.kron(mat(U_A), mat(U_B))
-    V = np.kron(mat(V_A), mat(V_B))
-    return _finish(template, input_a, input_b, seq.achieved_overlap, build, U, V)
+
+    sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
+             "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
+
+    def cost(side):
+        X_u, X_v, _ = sides[side]
+        try:
+            n = parallel_query_count(X_u, X_v, cfg.distinct_tol, cfg.tol_angle)
+        except Indistinguishable:
+            n = math.inf  # if both sides are, build_sequential_scheme raises it
+        return n, -phase_distance(X_u, X_v)
+
+    side = min(sides, key=cost)
+    X_u, X_v, idle = sides[side]
+    scheme = _one_side(build, side, X_u, X_v, None, idle, ())
+    build.per_branch_error.append(scheme.budget)
+    return scheme
 
 
-def case_product_swap(U_A, U_B, V_A, V_B, cfg: RunConfig | None = None,
-                      build: _Build | None = None) -> LoccSequentialScheme:
+def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
     """U = U_A (x) U_B against V = (V_A (x) V_B) P: one query suffices.
 
     With inputs |phi>_A and |psi>_B = V_A^dag U_A |phi_perp>, the overlap
     <phi| U_A^dag V_A |psi> <psi| U_B^dag V_B |phi> vanishes through its
     first factor.
     """
-    build = build or _Build(cfg or RunConfig())
     build.trace.append("i-b")
     d = mat(U_A).shape[0]
-    phi = basis_state(d, 0)
-    perp = basis_state(d, 1)
-    input_b = dagger(V_A) @ (mat(U_A) @ perp)
-    template = bare_query_template(d, d, 1)
-    U = np.kron(mat(U_A), mat(U_B))
-    V = np.kron(mat(V_A), mat(V_B)) @ swap_operator(d)
+    input_b = dagger(V_A) @ (mat(U_A) @ basis_state(d, 1))
     build.note("product vs swapped product: single query")
-    return _finish(template, phi, input_b, 0.0, build, U, V)
+    return _finish(bare_query_template(d, d, 1), basis_state(d, 0), input_b, 0.0, build)
 
 
-def case_swap_swap(U_A, U_B, V_A, V_B, cfg: RunConfig | None = None,
-                   build: _Build | None = None) -> LoccSequentialScheme:
-    """Both swapped products: f(X) = X (u (x) v) X turns them into plain
-    products f(U) = U_A v U_B (x) U_B u U_A, then the product case applies."""
-    build = build or _Build(cfg or RunConfig())
+def _mixing_rotation(M: np.ndarray, tol_angle: float) -> np.ndarray:
+    """Rotation v by pi/4 between the two arc-endpoint eigenvectors of a
+    non-scalar M, so that v is not phase-equivalent to M v M^dag (a pi/2
+    rotation is, -v, when the endpoint eigenvalues are antipodal)."""
+    dec = eig_unitary(M)
+    i, j = arc_of_phases(dec.phases, tol_angle).witness_phase_indices
+    E = dec.vectors[:, [i, j]]
+    c = math.sqrt(0.5)
+    return np.eye(M.shape[0], dtype=complex) + E @ np.array([[c - 1, -c], [c, c - 1]]) @ E.conj().T
+
+
+def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
+    """Both swapped products: f(X) = X (I (x) v) X turns them into plain
+    products f(U) = U_A v U_B (x) U_B U_A, then the product case applies.
+
+    v = I works unless U_A U_B ~ V_A V_B and U_B U_A ~ V_B V_A. Then
+    V_B ~ V_A^dag U_A U_B, so V_A v V_B ~ U_A M v M^dag U_B with
+    M = U_A^dag V_A, which is not scalar for a distinct pair, and any v not
+    commuting with M up to phase separates the images.
+    """
     cfg = build.cfg
     build.trace.append("i-c")
-    d = mat(U_A).shape[0]
-    u = np.eye(d, dtype=complex)
-    rng = cfg.rng("swap-swap-v")
-    candidates = [np.eye(d, dtype=complex)] + [random_unitary(d, rng)
-                                               for _ in range(cfg.restarts)]
-    chosen = None
-    for v in candidates:
-        fU_a, fU_b = mat(U_A) @ v @ mat(U_B), mat(U_B) @ u @ mat(U_A)
-        fV_a, fV_b = mat(V_A) @ v @ mat(V_B), mat(V_B) @ u @ mat(V_A)
-        if phase_distance(np.kron(fU_a, fU_b), np.kron(fV_a, fV_b)) > cfg.distinct_tol:
-            chosen = (v, fU_a, fU_b, fV_a, fV_b)
-            break
-    if chosen is None:
-        raise VSelectionFailed(f"no middle layer out of {len(candidates)} made the images distinct")
-    v, fU_a, fU_b, fV_a, fV_b = chosen
+    A, B, C, D = (mat(X) for X in (U_A, U_B, V_A, V_B))
+    d = A.shape[0]
+
+    def gap(v):
+        return phase_distance(np.kron(A @ v @ B, B @ A), np.kron(C @ v @ D, D @ C))
+
+    v = np.eye(d, dtype=complex)
+    if gap(v) <= cfg.distinct_tol:
+        v = _mixing_rotation(A.conj().T @ C, cfg.tol_angle)
+        if gap(v) <= cfg.distinct_tol:
+            raise VSelectionFailed("no middle layer made the images distinct")
     build.note("swapped pair: middle layer selected, reducing to the product case")
-    inner = case_product_product(fU_a, fU_b, fV_a, fV_b, build=build)
-    f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(u, v), QUERY])
-    flat = compose_templates(inner.template, f_template)
-    U = np.kron(mat(U_A), mat(U_B)) @ swap_operator(d)
-    V = np.kron(mat(V_A), mat(V_B)) @ swap_operator(d)
-    return _finish(flat, inner.input_a, inner.input_b, inner.budget, build, U, V)
+    f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(np.eye(d, dtype=complex), v), QUERY])
+    inner = _case_product_product(build, A @ v @ B, B @ A, C @ v @ D, D @ C)
+    return _over_block(build, f_template, inner, ())
 
 
 # --- case (ii): exactly one imprimitive -------------------------------------
 
-def _controlled_vs_product_tail(f_template, groups, blocks, delta_use,
-                                fV_a, fV_b, delta_v, U, V, build) -> LoccSequentialScheme:
-    """Shared tail of the controlled-vs-product reduction.
+def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary,
+                                   cls_v) -> LoccSequentialScheme:
+    """U imprimitive against V = (V_A (x) V_B) P^s, s = 0 (ii-a) or 1 (ii-b).
 
-    f(U) is (close to) a two-block controlled unitary and f(V) factors as
-    fV_a (x) fV_b exactly up to delta_v. Picks the control branch whose
-    block differs from fV_b beyond phase, anchors the A input there, and
-    runs the sequential engine on the B side.
+    A template f makes f(U) a two-block controlled unitary while f(V) stays
+    primitive. When the swaps cancel (s = 0, or an even query count) the
+    control branch whose block differs from the B factor of f(V) anchors
+    the A input and the sequential engine runs on the B side; otherwise a
+    single application of f with a B input orthogonal to fV_a^dag |alpha>
+    finishes the job.
     """
     cfg = build.cfg
-    d_a, d_b = f_template.d_a, f_template.d_b
+    swapped = cls_v.kind == "SwapProduct"
+    build.trace.append("ii-b" if swapped else "ii-a")
+    f_template, groups, blocks, delta_use = _controlled_template(U, build)
+    fV_a, fV_b, parity = _image_factors(f_template, cls_v.factor_a, cls_v.factor_b,
+                                        swaps=swapped)
+    fV_real = evaluate_template(f_template, V.matrix)
+    d_a = U.d_a
+    if parity:
+        delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b) @ swap_operator(d_a))
+        alpha = basis_state(d_a, min(groups[1]))
+        # <alpha| fV_a |phi> = 0 makes the first overlap factor vanish
+        phi = orthogonal_state(dagger(fV_a) @ alpha)
+        build.per_branch_error.extend([delta_use, delta_v])
+        build.note("swapped image: single application of the controlled template")
+        return _finish(f_template, alpha, phi, 1.0 * (delta_use + delta_v), build)
+    if swapped:
+        build.trace.append("ii-a")
+        build.note("swap parity cancelled; delegating to the product tail")
+    delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
     if phase_distance(blocks[1], fV_b) > cfg.distinct_tol:
         branch = 1
     elif phase_distance(blocks[0], fV_b) > cfg.distinct_tol:
         branch = 0
     else:
         raise BranchSelectionFailed("both controlled blocks phase-equivalent to the product image")
-    alpha = basis_state(d_a, min(groups[branch]))
-    seq = build_sequential_scheme(blocks[branch], fV_b, cfg)
-    build.note(f"controlled branch {branch}; B-side scheme with {seq.query_count} block queries")
-    build.theta_trace.extend(seq.theta_trace)
-    outer = sequential_template(d_a, d_b, [_lift_b(w, d_a) for w in seq.interleavers])
-    flat = compose_templates(outer, f_template)
-    uses = seq.query_count
-    budget = seq.achieved_overlap + uses * (delta_use + delta_v)
-    build.per_branch_error.extend([uses * delta_use, uses * delta_v])
-    return _finish(flat, alpha, seq.input_state, budget, build, U, V)
-
-
-def case_imprimitive_vs_product(U: BipartiteUnitary, V_A, V_B,
-                                cfg: RunConfig | None = None,
-                                build: _Build | None = None,
-                                V_ref=None) -> LoccSequentialScheme:
-    """U imprimitive against V = V_A (x) V_B."""
-    build = build or _Build(cfg or RunConfig())
-    build.trace.append("ii-a")
-    f_template, groups, blocks, delta_use = _controlled_template(U, build)
-    fV_a, fV_b, parity = _image_factors(f_template, mat(V_A), mat(V_B), swaps=False)
-    V = mat(V_ref) if V_ref is not None else np.kron(mat(V_A), mat(V_B))
-    fV_real = evaluate_template(f_template, V)
-    delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
-    return _controlled_vs_product_tail(f_template, groups, blocks, delta_use,
-                                       fV_a, fV_b, delta_v, U.matrix, V, build)
-
-
-def case_imprimitive_vs_swapproduct(U: BipartiteUnitary, V_A, V_B,
-                                    cfg: RunConfig | None = None,
-                                    build: _Build | None = None,
-                                    V_ref=None) -> LoccSequentialScheme:
-    """U imprimitive against V = (V_A (x) V_B) P.
-
-    The image f(V) is still primitive; if the swaps cancel (even query
-    count) the product tail applies, otherwise a single application of f
-    with a B input orthogonal to fV_a^dag |alpha> finishes the job.
-    """
-    build = build or _Build(cfg or RunConfig())
-    cfg = build.cfg
-    build.trace.append("ii-b")
-    d = U.d_a
-    f_template, groups, blocks, delta_use = _controlled_template(U, build)
-    fV_a, fV_b, parity = _image_factors(f_template, mat(V_A), mat(V_B), swaps=True)
-    V = mat(V_ref) if V_ref is not None else np.kron(mat(V_A), mat(V_B)) @ swap_operator(d)
-    fV_real = evaluate_template(f_template, V)
-    if parity == 0:
-        build.trace.append("ii-a")
-        build.note("swap parity cancelled; delegating to the product tail")
-        delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
-        return _controlled_vs_product_tail(f_template, groups, blocks, delta_use,
-                                           fV_a, fV_b, delta_v, U.matrix, V, build)
-    delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b) @ swap_operator(d))
-    alpha = basis_state(d, min(groups[1]))
-    # <alpha| fV_a |phi> = 0 makes the first overlap factor vanish
-    phi = orthogonal_state(dagger(fV_a) @ alpha)
-    budget = 1.0 * (delta_use + delta_v)
-    build.per_branch_error.extend([delta_use, delta_v])
-    build.note("swapped image: single application of the controlled template")
-    return _finish(f_template, alpha, phi, budget, build, U.matrix, V)
+    build.note(f"controlled branch {branch}")
+    return _one_side(build, "B", blocks[branch], fV_b, f_template,
+                     basis_state(d_a, min(groups[branch])), (delta_use, delta_v))
 
 
 # --- case (iii): both imprimitive -------------------------------------------
 
 def _xx_template(U: BipartiteUnitary, build: _Build):
-    """Template f with f(U) close to the canonical interaction exponential."""
-    cfg = build.cfg
+    """Template f with f(U) close to the canonical interaction exponential.
+
+    Returns (f, the real f(U), its deviation from that exponential).
+    """
     d_a, d_b = U.d_a, U.d_b
     target = exp_xx_form(1.0, d_a, d_b)
     if op_distance_mod_phase(U.matrix, target.matrix) <= 1e-9:
         build.note("interaction fast path: operand already the canonical exponential")
-        return bare_query_template(d_a, d_b, 1), 0.0
-    res = synthesize(target, U, cfg)
+        f_template = bare_query_template(d_a, d_b, 1)
+        return f_template, evaluate_template(f_template, U.matrix), 0.0
+    res = synthesize(target, U, build.cfg)
     build.note(f"interaction target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
     fU = evaluate_template(res.template, U.matrix)
-    return res.template, float(op_distance_mod_phase(fU, target.matrix))
+    return res.template, fU, float(op_distance_mod_phase(fU, target.matrix))
 
 
-def case_both_imprimitive(U: BipartiteUnitary, V: BipartiteUnitary,
-                          cfg: RunConfig | None = None,
-                          build: _Build | None = None,
-                          depth: int = 0) -> LoccSequentialScheme:
+def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary,
+                           depth: int) -> LoccSequentialScheme:
     """Both operands imprimitive: compile U toward exp(i u1 (x) u2) and
     dispatch on what the same template does to V."""
-    build = build or _Build(cfg or RunConfig())
     cfg = build.cfg
     build.trace.append("iii")
     d_a, d_b = U.d_a, U.d_b
-    f_template, delta_u = _xx_template(U, build)
-    fU_real = evaluate_template(f_template, U.matrix)
+    f_template, fU_real, delta_u = _xx_template(U, build)
     fV = evaluate_template(f_template, V.matrix)
     fV_bip = validate_unitary(fV, d_a, d_b, tol=1e-6)
-    target = exp_xx_form(1.0, d_a, d_b)
 
-    cls_v = classify_primitive(fV_bip, cfg.rank_tol)
-    if cls_v.kind != "Imprimitive":
-        build.note(f"image of V is {cls_v.kind}; descending to the mixed case")
-        inner = _dispatch_pair(target, (fV_bip, cls_v), build, depth + 1)
-        flat = compose_templates(inner.template, f_template)
-        uses = inner.template.query_count
-        budget = inner.budget + uses * delta_u
-        build.per_branch_error.append(uses * delta_u)
-        return _finish(flat, inner.input_a, inner.input_b, budget, build, U.matrix, V.matrix)
+    kind = classify_primitive(fV_bip, cfg.rank_tol).kind
+    if kind != "Imprimitive":
+        build.note(f"image of V is {kind}; descending to the mixed case")
+        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, depth + 1)
+        return _over_block(build, f_template, inner, (delta_u,))
 
     # coinciding images (the "x = 1" situation) are detected against the real
     # image of U, so synthesis inexactness cannot misroute the pair
-    if phase_distance(fV, fU_real) <= cfg.x_tol:
-        return _case_iii_b_same(U, V, f_template, fU_real, fV, delta_u, build, depth)
-    m = match_exp_xx_mod_phase(fV_bip, tol=max(1e-5, 10.0 * delta_u))
+    same = phase_distance(fV, fU_real) <= cfg.x_tol
+    m = None if same else match_exp_xx_mod_phase(fV_bip, tol=max(1e-5, 10.0 * delta_u))
+    if same or (m is not None and abs(m[0] - 1.0) <= cfg.x_tol):
+        return _case_iii_b_same(build, U, V, f_template, fU_real, depth)
     if m is None:
-        return _case_iii_a(U, V, f_template, fU_real, fV, delta_u, build, depth)
-    x, phase = m
-    if abs(x - 1.0) <= cfg.x_tol:
-        return _case_iii_b_same(U, V, f_template, fU_real, fV, delta_u, build, depth)
-    return _case_iii_b_scaled(U, V, f_template, fU_real, fV, delta_u, x, phase, build)
+        return _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth)
+    return _case_iii_b_scaled(build, U, f_template, fU_real, fV, *m)
 
 
-def _case_iii_a(U, V, f_template, fU_real, fV, delta_u, build, depth):
+def _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth):
     """Image of V is imprimitive but not an interaction exponential: probe
     with a symmetry element W so that F(X) = W f(X) W^dag f(X) maps U near
     the identity but V away from it, then recurse on (I, F(V))."""
@@ -471,7 +441,6 @@ def _case_iii_a(U, V, f_template, fU_real, fV, delta_u, build, depth):
     build.note(f"symmetry probe {label} selected")
     F_over_blocks = CircuitTemplate(d_a, d_b, [
         QUERY, LocalLayer(wa.conj().T, wb.conj().T), QUERY, LocalLayer(wa, wb)])
-    F_template = compose_templates(F_over_blocks, f_template)
     FU_real = W @ fU_real @ W.conj().T @ fU_real
     delta_u_block = op_distance_mod_phase(FU_real, identity)
     # the probe inverts the ideal image, so the real composite sits within
@@ -483,14 +452,11 @@ def _case_iii_a(U, V, f_template, fU_real, fV, delta_u, build, depth):
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=1e-12),
                            validate_unitary(FV, d_a, d_b, tol=1e-6),
                            build, depth + 1)
-    flat = compose_templates(inner.template, F_template)
-    uses = inner.template.query_count
-    budget = inner.budget + uses * delta_u_block
-    build.per_branch_error.append(uses * delta_u_block)
-    return _finish(flat, inner.input_a, inner.input_b, budget, build, U.matrix, V.matrix)
+    return _over_block(build, compose_templates(F_over_blocks, f_template), inner,
+                       (delta_u_block,))
 
 
-def _case_iii_b_same(U, V, f_template, fU_real, fV, delta_u, build, depth):
+def _case_iii_b_same(build, U, V, f_template, fU_real, depth):
     """Images coincide (x = 1): compile h with h(f(U)) = U^dag from forward
     blocks only, so X h(f(X)) maps U near the identity and V near V U^dag;
     recurse on that pair. The inverse appears only as a synthesized matrix,
@@ -502,92 +468,61 @@ def _case_iii_b_same(U, V, f_template, fU_real, fV, delta_u, build, depth):
     h = synthesize(validate_unitary(U.matrix.conj().T, d_a, d_b, tol=1e-12), gen, cfg)
     build.note(f"inverse synthesized from forward blocks with k={h.layer_count}, "
                f"delta={h.delta:.2e}")
-    hf = compose_templates(h.template, f_template)
-    block_template = append_query(hf)
+    block_template = append_query(compose_templates(h.template, f_template))
     VUd = V.matrix @ U.matrix.conj().T
-    real_u_block = evaluate_template(block_template, U.matrix)
-    real_v_block = evaluate_template(block_template, V.matrix)
     identity = np.eye(d_a * d_b, dtype=complex)
-    delta_bu = op_distance_mod_phase(real_u_block, identity)
-    delta_bv = op_distance_mod_phase(real_v_block, VUd)
+    delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
+    delta_bv = op_distance_mod_phase(evaluate_template(block_template, V.matrix), VUd)
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=1e-12),
                            validate_unitary(VUd, d_a, d_b, tol=1e-9),
                            build, depth + 1)
-    flat = compose_templates(inner.template, block_template)
-    uses = inner.template.query_count
-    budget = inner.budget + uses * (delta_bu + delta_bv)
-    build.per_branch_error.extend([uses * delta_bu, uses * delta_bv])
-    return _finish(flat, inner.input_a, inner.input_b, budget, build, U.matrix, V.matrix)
+    return _over_block(build, block_template, inner, (delta_bu, delta_bv))
 
 
-def _case_iii_b_scaled(U, V, f_template, fU_real, fV, delta_u, x, phase, build):
+def _case_iii_b_scaled(build, U, f_template, fU_real, fV, x, phase):
     """Images are interaction exponentials with different angles: feed the
     B side the +1 eigenvector of the interaction so the pair reduces to
     exp(i u1) against e^{i phase} exp(i x u1) on the A side alone."""
-    cfg = build.cfg
     build.trace.append("iii-b-xne1")
     d_a, d_b = U.d_a, U.d_b
-    alpha_plus = normalize(basis_state(d_b, 0) + basis_state(d_b, 1))
-    EA_U = block_exponential(1.0, d_a)
-    EA_V = np.exp(1j * phase) * block_exponential(x, d_a)
-    seq = build_sequential_scheme(EA_U, EA_V, cfg)
-    build.note(f"A-side reduction with x={x:.6f}; {seq.query_count} block queries")
-    build.theta_trace.extend(seq.theta_trace)
-    outer = sequential_template(d_a, d_b, [_lift_a(w, d_b) for w in seq.interleavers])
-    flat = compose_templates(outer, f_template)
-    uses = seq.query_count
-    target = exp_xx_form(1.0, d_a, d_b)
+    build.note(f"A-side reduction with x={x:.6f}")
     ideal_v = np.exp(1j * phase) * exp_xx_form(x, d_a, d_b).matrix
-    delta_bu = op_distance_mod_phase(fU_real, target.matrix)
+    delta_bu = op_distance_mod_phase(fU_real, exp_xx_form(1.0, d_a, d_b).matrix)
     delta_bv = op_distance_mod_phase(fV, ideal_v)
-    budget = seq.achieved_overlap + uses * (delta_bu + delta_bv)
-    build.per_branch_error.extend([uses * delta_bu, uses * delta_bv])
-    return _finish(flat, seq.input_state, alpha_plus, budget, build, U.matrix, V.matrix)
+    return _one_side(build, "A", block_exponential(1.0, d_a),
+                     np.exp(1j * phase) * block_exponential(x, d_a), f_template,
+                     normalize(basis_state(d_b, 0) + basis_state(d_b, 1)),
+                     (delta_bu, delta_bv))
 
 
 # --- dispatch ---------------------------------------------------------------
 
-def _dispatch_pair(U: BipartiteUnitary, V, build: _Build, depth: int) -> LoccSequentialScheme:
+def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
+                   depth: int) -> LoccSequentialScheme:
     cfg = build.cfg
     if depth > cfg.max_depth:
         raise RecursionDepthExceeded(f"case recursion exceeded depth {cfg.max_depth}")
-    if isinstance(V, tuple):
-        V, cls_v = V
-    else:
-        cls_v = classify_primitive(V, cfg.rank_tol)
     cls_u = classify_primitive(U, cfg.rank_tol)
+    cls_v = classify_primitive(V, cfg.rank_tol)
 
-    swapped_roles = False
-    if cls_u.kind == "Imprimitive" or cls_v.kind == "Imprimitive":
-        if cls_u.kind != "Imprimitive":
-            U, V = V, U
-            cls_u, cls_v = cls_v, cls_u
-            swapped_roles = True
-    elif cls_u.kind == "SwapProduct" and cls_v.kind == "Product":
-        U, V = V, U
-        cls_u, cls_v = cls_v, cls_u
-        swapped_roles = True
-    if swapped_roles:
+    # orthogonality is symmetric, so the operands may trade roles
+    if (cls_v.kind == "Imprimitive" and cls_u.kind != "Imprimitive"
+            or (cls_u.kind, cls_v.kind) == ("SwapProduct", "Product")):
+        U, V, cls_u, cls_v = V, U, cls_v, cls_u
         build.note("operand roles swapped for dispatch (orthogonality is symmetric)")
 
     kinds = (cls_u.kind, cls_v.kind)
+    factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
     try:
         if kinds == ("Product", "Product"):
-            return case_product_product(cls_u.factor_a, cls_u.factor_b,
-                                        cls_v.factor_a, cls_v.factor_b, build=build)
+            return _case_product_product(build, *factors)
         if kinds == ("Product", "SwapProduct"):
-            return case_product_swap(cls_u.factor_a, cls_u.factor_b,
-                                     cls_v.factor_a, cls_v.factor_b, build=build)
+            return _case_product_swap(build, *factors)
         if kinds == ("SwapProduct", "SwapProduct"):
-            return case_swap_swap(cls_u.factor_a, cls_u.factor_b,
-                                  cls_v.factor_a, cls_v.factor_b, build=build)
-        if kinds == ("Imprimitive", "Product"):
-            return case_imprimitive_vs_product(U, cls_v.factor_a, cls_v.factor_b,
-                                               build=build, V_ref=V)
-        if kinds == ("Imprimitive", "SwapProduct"):
-            return case_imprimitive_vs_swapproduct(U, cls_v.factor_a, cls_v.factor_b,
-                                                   build=build, V_ref=V)
-        return case_both_imprimitive(U, V, build=build, depth=depth)
+            return _case_swap_swap(build, *factors)
+        if kinds[1] != "Imprimitive":
+            return _case_imprimitive_vs_primitive(build, U, V, cls_v)
+        return _case_both_imprimitive(build, U, V, depth)
     except SeqloccError as exc:
         if isinstance(exc, (CaseFailure, RecursionDepthExceeded)):
             raise
@@ -611,6 +546,7 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     build = _Build(cfg)
     scheme = _dispatch_pair(U, V, build, depth=0)
     report = verify_scheme(scheme, U, V, cfg)
+    scheme.achieved_overlap = report.overlap
     report.theta_trace = list(build.theta_trace)
     report.per_branch_error = list(build.per_branch_error)
     report.wall_notes = "; ".join(build.notes)

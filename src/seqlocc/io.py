@@ -135,12 +135,6 @@ def load_scheme_file(path: str, unitarity_tol: float = 1e-9) -> LoccSequentialSc
         return loads_scheme(fh.read(), unitarity_tol)
 
 
-def save_scheme_file(path: str, scheme: LoccSequentialScheme,
-                     report: DiscriminationReport | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_scheme(scheme, report))
-
-
 def eigenphase_csv(rows) -> str:
     """CSV text for (index, phase, multiplicity) rows."""
     lines = ["index,phase,multiplicity"]

@@ -88,29 +88,6 @@ def kron(A, B) -> np.ndarray:
     return np.kron(mat(A), mat(B))
 
 
-def multiply(A, B) -> np.ndarray:
-    a, b = mat(A), mat(B)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def apply(U, psi) -> np.ndarray:
-    u = mat(U)
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if u.shape[1] != v.shape[0]:
-        raise DimensionMismatch(f"cannot apply {u.shape} to vector of length {v.shape[0]}")
-    return u @ v
-
-
-def overlap(psi, phi) -> complex:
-    a = np.asarray(psi, dtype=complex).reshape(-1)
-    b = np.asarray(phi, dtype=complex).reshape(-1)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"state lengths differ: {a.shape[0]} vs {b.shape[0]}")
-    return complex(np.vdot(a, b))
-
-
 def normalize(psi) -> np.ndarray:
     v = np.asarray(psi, dtype=complex).reshape(-1)
     n = np.linalg.norm(v)
@@ -214,11 +191,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(A)
     d = np.diag(R)
     return Q * (d / np.abs(d))
-
-
-def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return normalize(v)
 
 
 def orthogonal_state(psi) -> np.ndarray:

@@ -32,22 +32,6 @@ class SynthesisResult:
     seed: int
 
 
-def error_budget(uses) -> float:
-    """Sum of block_count * delta over all (block_count, delta) pairs.
-
-    Replacing an ideal block by a delta-close unitary moves any state by at
-    most delta per use (operator norm is unitarily invariant), so the final
-    overlap deviates from its ideal value by at most this sum across both
-    branches of a discrimination circuit.
-    """
-    total = 0.0
-    for count, delta in uses:
-        if delta < 0:
-            raise ValueError("deltas must be nonnegative")
-        total += count * delta
-    return float(total)
-
-
 class _LayerProblem:
     """Loss 1 - |tr(T^dag M)|^2 / D^2 over the local layers of a k-query
     template, with analytic gradients through expm."""

@@ -40,12 +40,6 @@ def params_to_hermitian(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.tensordot(np.asarray(theta, dtype=float), basis, axes=(0, 0))
 
 
-def expm_unitary(H: np.ndarray) -> np.ndarray:
-    """expm(i H) for Hermitian H via its eigendecomposition."""
-    lam, V = np.linalg.eigh(H)
-    return (V * np.exp(1j * lam)) @ V.conj().T
-
-
 def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray):
     """U = expm(i H(theta)) and dU/dtheta_m for every basis direction m.
 

@@ -290,5 +290,12 @@ def test_criterion_9_structure_and_determinism(corpus_schemes):
                "reruns with the same seed are byte-identical", ok, detail)
 
 
+def test_achieved_overlap_is_the_verified_overlap(corpus_schemes):
+    """Every route records the overlap verify_scheme measures on the real
+    operands, not one recomputed from the factors of a reduced pair."""
+    for label, _, U, V, scheme, report in corpus_schemes:
+        assert scheme.achieved_overlap == report.overlap, label
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-s", "-q"]))

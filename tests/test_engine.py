@@ -18,6 +18,7 @@ from seqlocc import (
     evaluate_template,
     exp_xx_form,
     operator_schmidt,
+    phase_distance,
     random_unitary,
     swap_operator,
     validate_unitary,
@@ -63,6 +64,48 @@ def test_swap_vs_swap_reduces_to_products():
     scheme, report = _run(swap_operator(2), np.kron(SZ, I2) @ swap_operator(2))
     assert scheme.case_trace == ["i-c", "i-a"]
     assert report.passed
+
+
+def test_product_side_chosen_by_query_count():
+    """Side A (Theta = pi, one query) wins although side B has the wider
+    phase distance (two queries)."""
+    V = np.kron(np.diag([1, 1, 1, -1]), np.diag([1, np.exp(0.7j * np.pi)]))
+    scheme, report = _run(np.eye(8), V, 4, 2)
+    assert scheme.case_trace == ["i-a"]
+    assert report.query_count == 1
+    assert report.overlap <= 1e-12
+
+
+def _clock(d):
+    return np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swap_vs_clock_swap_two_queries(d):
+    """At d = 2 the identity middle layer leaves the images equal, so the
+    closed-form rotation must separate them."""
+    P = swap_operator(d)
+    scheme, report = _run(P, np.kron(_clock(d), _clock(d)) @ P, d, d)
+    assert scheme.case_trace == ["i-c", "i-a"]
+    assert report.passed and report.overlap <= 1e-12
+    assert report.query_count == 2
+
+
+@pytest.mark.parametrize("d, seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
+def test_swap_swap_when_identity_middle_layer_fails(d, seed):
+    """A B ~ C D and B A ~ D C: with K = B A and M = A^dag C commuting,
+    C = A M, B = K A^dag, D = M^dag B."""
+    rng = np.random.default_rng(seed)
+    A, W = random_unitary(d, rng), random_unitary(d, rng)
+    K = W @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d))) @ W.conj().T
+    M = W @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d))) @ W.conj().T
+    B, C = K @ A.conj().T, A @ M
+    D = M.conj().T @ B
+    assert phase_distance(np.kron(A @ B, B @ A), np.kron(C @ D, D @ C)) <= CFG.distinct_tol
+    P = swap_operator(d)
+    scheme, report = _run(np.kron(A, B) @ P, np.kron(C, D) @ P, d, d)
+    assert scheme.case_trace == ["i-c", "i-a"]
+    assert report.passed and report.overlap <= 1e-10
 
 
 def test_cnot_vs_local_fast_path():

@@ -114,6 +114,18 @@ def test_cli_discriminate_verify_round_trip(tmp_path, capsys):
     assert "verified: pass" in out
 
 
+def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
+    scheme_path = str(tmp_path / "scheme.json")
+    assert main(["discriminate", a, b, "--out", scheme_path, "--restarts", "3"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", scheme_path, a, b, "--restarts", "3"])
+    assert exc.value.code == 2
+    assert "--restarts" in capsys.readouterr().err
+    assert main(["verify", scheme_path, a, b, "--tol-unitarity", "1e-8"]) == 0
+
+
 def test_cli_discriminate_phase_equivalent_exit3(tmp_path):
     a = _write(tmp_path, "a.json", CNOT)
     b = _write(tmp_path, "b.json", np.exp(0.2j) * CNOT)

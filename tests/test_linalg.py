@@ -5,13 +5,10 @@ from seqlocc import (
     BipartiteUnitary,
     DimensionMismatch,
     NotUnitary,
-    apply,
     basis_state,
     dagger,
     eig_unitary,
     kron,
-    multiply,
-    overlap,
     phase_distance,
     random_unitary,
     swap_operator,
@@ -109,19 +106,6 @@ def test_kron_associativity():
     rng = np.random.default_rng(12)
     A, B, C = (random_unitary(2, rng) for _ in range(3))
     assert np.linalg.norm(kron(kron(A, B), C) - kron(A, kron(B, C))) <= 1e-12
-
-
-def test_overlap_orthogonal_basis():
-    assert overlap(basis_state(2, 0), basis_state(2, 1)) == 0
-
-
-def test_multiply_and_apply_dimension_checks():
-    with pytest.raises(DimensionMismatch):
-        multiply(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionMismatch):
-        apply(np.eye(2), basis_state(3, 0))
-    with pytest.raises(DimensionMismatch):
-        overlap(basis_state(2, 0), basis_state(3, 0))
 
 
 def test_dagger_on_known_matrices():

@@ -4,7 +4,6 @@ import pytest
 from seqlocc import (
     GeneratorPrimitive,
     RunConfig,
-    error_budget,
     evaluate_template,
     exp_xx_form,
     phase_distance,
@@ -89,15 +88,6 @@ def test_gradient_matches_finite_differences():
         assert grad[i] == pytest.approx(fd, abs=1e-7)
 
 
-def test_error_budget_values():
-    assert error_budget([]) == 0.0
-    assert error_budget([(3, 0.0), (2, 0.0)]) == 0.0
-    assert error_budget([(3, 1e-4)]) == pytest.approx(3e-4)
-    assert error_budget([(3, 1e-4), (3, 2e-5)]) == pytest.approx(3.6e-4)
-    with pytest.raises(ValueError):
-        error_budget([(1, -0.1)])
-
-
 def test_error_budget_dominates_measured_deviation():
     """Replacing ideal blocks with delta-close ones in a chain moves the
     output overlap by at most uses * delta: checked over random trials."""
@@ -121,7 +111,7 @@ def test_error_budget_dominates_measured_deviation():
             chain_ideal = ideal @ chain_ideal
             chain_real = real @ chain_real
         moved = np.linalg.norm(chain_real - chain_ideal)
-        assert moved <= error_budget([(uses, delta)]) + 1e-12
+        assert moved <= uses * delta + 1e-12
 
 
 def test_monotone_best_delta_across_k():
