@@ -16,7 +16,7 @@ import numpy as np
 from . import io as sio
 from .arcs import eigenphase_rows, parallel_query_count, smallest_arc
 from .config import RunConfig
-from .engine import discriminate, verify_scheme
+from .engine import _overlap_report, discriminate
 from .errors import (
     CaseFailure,
     GeneratorPrimitive,
@@ -152,7 +152,8 @@ def cmd_verify(args) -> int:
     scheme = sio.load_scheme_file(args.scheme, cfg.unitarity_tol)
     U = _read_matrix(args.matrix_u, cfg.unitarity_tol)
     V = _read_matrix(args.matrix_v, cfg.unitarity_tol)
-    report = verify_scheme(scheme, U, V, cfg)
+    # load_scheme_file has already validated the scheme at cfg.unitarity_tol
+    report = _overlap_report(scheme, U, V)
     lines = [
         f"overlap: {report.overlap:.6e}",
         f"budget: {scheme.budget:.6e}",

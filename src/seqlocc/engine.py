@@ -573,6 +573,11 @@ def verify_scheme(scheme: LoccSequentialScheme, U, V,
     """Validate the scheme (see validate_scheme, at cfg.unitarity_tol), then
     recompute both outputs from scratch and compare against the budget."""
     validate_scheme(scheme, (cfg or RunConfig()).unitarity_tol)
+    return _overlap_report(scheme, U, V)
+
+
+def _overlap_report(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
+    """verify_scheme on a scheme that validate_scheme has already passed."""
     inp = np.kron(scheme.input_a, scheme.input_b)
     phi_u = evaluate_template(scheme.template, mat(U)) @ inp
     phi_v = evaluate_template(scheme.template, mat(V)) @ inp

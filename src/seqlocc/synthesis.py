@@ -19,7 +19,7 @@ from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, mat, phase_distance
 from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
-from .unitary_opt import hermitian_basis, n_params, unitary_and_tangents
+from .unitary_opt import hermitian_basis, unitary_and_tangents
 
 
 @dataclass
@@ -42,45 +42,36 @@ class _LayerProblem:
         self.d_a, self.d_b = d_a, d_b
         self.k = k
         self.D = d_a * d_b
-        self.basis_a = hermitian_basis(d_a)
-        self.basis_b = hermitian_basis(d_b)
-        self.na = n_params(d_a)
-        self.nb = n_params(d_b)
-        self.per_layer = self.na + self.nb
+        self.bases = [(b, 1j * b) for b in (hermitian_basis(d_a), hermitian_basis(d_b))]
+        self.na = d_a * d_a
+        self.per_layer = self.na + d_b * d_b
         self.n_total = (k + 1) * self.per_layer
 
     def _layers(self, x):
-        out = []
-        for i in range(self.k + 1):
-            base = i * self.per_layer
-            ta = x[base:base + self.na]
-            tb = x[base + self.na:base + self.per_layer]
-            A, dA = unitary_and_tangents(ta, self.basis_a)
-            B, dB = unitary_and_tangents(tb, self.basis_b)
-            out.append((A, B, dA, dB))
-        return out
-
-    def matrices(self, x):
-        return [np.kron(A, B) for A, B, _, _ in self._layers(x)]
+        """All k+1 layers A_i (x) B_i, stacked, with their factors A, B and
+        the factors' tangents: one batched call per side."""
+        rows = np.reshape(x, (self.k + 1, self.per_layer))
+        A, dA = unitary_and_tangents(rows[:, :self.na], *self.bases[0])
+        B, dB = unitary_and_tangents(rows[:, self.na:], *self.bases[1])
+        L = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(self.k + 1, self.D, self.D)
+        return L, A, B, dA, dB
 
     def template(self, x) -> CircuitTemplate:
-        layers: list = []
-        for i, (A, B, _, _) in enumerate(self._layers(x)):
-            if i > 0:
-                layers.append(QUERY)
-            layers.append(LocalLayer(A, B))
+        _, A, B, _, _ = self._layers(x)
+        layers: list = [LocalLayer(A[0], B[0])]
+        for i in range(1, self.k + 1):
+            layers += [QUERY, LocalLayer(A[i], B[i])]
         # application order: L_0 first, then X, then L_1, ...
         return CircuitTemplate(self.d_a, self.d_b, layers)
 
     def evaluate(self, x) -> np.ndarray:
         M = None
-        for i, L in enumerate(self.matrices(x)):
+        for i, L in enumerate(self._layers(x)[0]):
             M = L if i == 0 else L @ self.X @ M
         return M
 
     def value_and_grad(self, x):
-        layers = self._layers(x)
-        L = [np.kron(A, B) for A, B, _, _ in layers]
+        L, A, B, dA, dB = self._layers(x)
         k = self.k
         # prefix[i]: product applied before layer i; suffix[i]: applied after
         prefix = [np.eye(self.D, dtype=complex)]
@@ -95,13 +86,14 @@ class _LayerProblem:
 
         grad = np.empty(self.n_total)
         for i in range(k + 1):
-            A, B, dA, dB = layers[i]
             N = (prefix[i] @ self.Td @ suffix[i]).reshape(
                 self.d_a, self.d_b, self.d_a, self.d_b)
-            dc_dA = np.einsum("abcd,db->ca", N, B)
-            dc_dB = np.einsum("abcd,ca->db", N, A)
-            dc_a = np.einsum("mij,ij->m", dA, dc_dA)
-            dc_b = np.einsum("mij,ij->m", dB, dc_dB)
+            dc_dA = np.einsum("abcd,db->ca", N, B[i])
+            dc_dB = np.einsum("abcd,ca->db", N, A[i])
+            # per layer, not batched: its summation order follows the layout of
+            # dc_dA, and the last bit steers L-BFGS (hence every template)
+            dc_a = np.einsum("mij,ij->m", dA[i], dc_dA)
+            dc_b = np.einsum("mij,ij->m", dB[i], dc_dB)
             base = i * self.per_layer
             grad[base:base + self.na] = -2.0 * np.real(c.conjugate() * dc_a) / self.D ** 2
             grad[base + self.na:base + self.per_layer] = (

@@ -1,9 +1,10 @@
-"""Parametrization of the unitary group for local searches.
+"""Parametrization of the unitary group for template synthesis.
 
 A point is a real vector theta of length d*d mapped to U = expm(i H(theta))
 where H runs over an orthonormal Hermitian basis. Tangents (directional
 derivatives of U along every basis element) come from one eigendecomposition
-of H via divided differences, so gradient evaluations stay cheap.
+of H via divided differences; a stack of points shares one batched
+eigendecomposition, so gradient evaluations stay cheap.
 """
 
 from __future__ import annotations
@@ -32,35 +33,28 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
-def n_params(d: int) -> int:
-    return d * d
-
-
-def params_to_hermitian(theta: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return np.tensordot(np.asarray(theta, dtype=float), basis, axes=(0, 0))
-
-
-def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray):
-    """U = expm(i H(theta)) and dU/dtheta_m for every basis direction m.
+def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray, ibasis: np.ndarray):
+    """Stacked U_l = expm(i H(theta_l)) (L, d, d) and tangents dU_l/dtheta_lm
+    (L, n, d, d) for theta (L, n), basis (n, d, d) and ibasis = 1j * basis.
 
     Uses the standard divided-difference formula: with H = V diag(lam) V^dag,
     the derivative along direction E is V (Phi * (V^dag (iE) V)) V^dag where
     Phi_jk = (e^{i lam_j} - e^{i lam_k}) / (i lam_j - i lam_k).
     """
-    H = params_to_hermitian(theta, basis)
+    H = np.tensordot(np.asarray(theta, dtype=float), basis, axes=(1, 0))
     lam, V = np.linalg.eigh(H)
     e = np.exp(1j * lam)
-    U = (V * e) @ V.conj().T
+    Vh = V.conj().transpose(0, 2, 1)
+    U = (V * e[:, None, :]) @ Vh
 
-    diff = 1j * (lam[:, None] - lam[None, :])
-    num = e[:, None] - e[None, :]
+    diff = 1j * (lam[:, :, None] - lam[:, None, :])
+    num = e[:, :, None] - e[:, None, :]
     small = np.abs(diff) < 1e-12
     # Daleckii-Krein divided differences of exp(i x), written against i*E
     # directions; the degenerate limit of (e_j - e_k)/(i(lam_j - lam_k)) is e_j.
-    Phi = np.where(small, e[:, None] * np.ones_like(num),
+    Phi = np.where(small, e[:, :, None] * np.ones_like(num),
                    np.divide(num, np.where(small, 1.0, diff)))
 
-    Vh = V.conj().T
-    mid = Phi[None, :, :] * np.einsum("ab,mbc,cd->mad", Vh, 1j * basis, V)
-    tangents = np.einsum("ab,mbc,cd->mad", V, mid, Vh)
+    mid = Phi[:, None] * np.einsum("lab,mbc,lcd->lmad", Vh, ibasis, V)
+    tangents = np.einsum("lab,lmbc,lcd->lmad", V, mid, Vh)
     return U, tangents

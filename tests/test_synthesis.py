@@ -74,9 +74,11 @@ def test_random_su4_targets_from_cnot(seed):
     assert phase_distance(got, target.matrix) == pytest.approx(res.delta, abs=1e-12)
 
 
-def test_gradient_matches_finite_differences():
+@pytest.mark.parametrize("d_a,d_b,k", [(2, 2, 2), (2, 3, 0), (3, 2, 1), (3, 3, 3)])
+def test_gradient_matches_finite_differences(d_a, d_b, k):
     rng = np.random.default_rng(3)
-    problem = _LayerProblem(random_unitary(4, rng), random_unitary(4, rng), 2, 2, 2)
+    D = d_a * d_b
+    problem = _LayerProblem(random_unitary(D, rng), random_unitary(D, rng), d_a, d_b, k)
     x = rng.normal(size=problem.n_total)
     _, grad = problem.value_and_grad(x)
     eps = 1e-6
