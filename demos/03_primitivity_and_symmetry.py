@@ -15,6 +15,7 @@ import numpy as np
 from seqlocc import (
     build_symmetry_set,
     classify_primitive,
+    entangling_witness,
     exp_xx_form,
     match_exp_xx,
     operator_schmidt,
@@ -45,10 +46,11 @@ for name, M in [
     ("SWAP", swap_operator(2)),
     ("CNOT", CNOT),
 ]:
-    form = classify_primitive(validate_unitary(M, 2, 2))
+    U = validate_unitary(M, 2, 2)
+    form = classify_primitive(U)
     extra = ""
     if form.kind == "Imprimitive":
-        extra = f"; witness entangles to second coefficient {form.witness_coefficient:.3f}"
+        extra = f"; witness entangles to second coefficient {entangling_witness(U)[0]:.3f}"
     print(f"{name:8s}: {form.kind} (residual {form.residual:.1e}{extra})")
 
 print()

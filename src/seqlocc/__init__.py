@@ -65,6 +65,7 @@ from .structure import (
     build_symmetry_set,
     block_exponential,
     classify_primitive,
+    entangling_witness,
     exp_xx_form,
     match_exp_xx,
     operator_schmidt,

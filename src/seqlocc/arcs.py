@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
-from .linalg import TWO_PI, dagger, eig_unitary, mat, phase_distance
+from .linalg import TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance
 
-DEFAULT_TOL_ANGLE = 1e-8
+DEFAULT_TOL_ANGLE = RunConfig.tol_angle
 
 
 @dataclass
@@ -90,7 +90,12 @@ def single_query_distinguishable(U, V, tol_angle: float = DEFAULT_TOL_ANGLE) -> 
     return smallest_arc(dagger(a) @ b, tol_angle).theta >= math.pi - tol_angle
 
 
-def parallel_query_count(U, V, distinct_tol: float = 1e-9,
+def queries_for_arc(theta: float) -> int:
+    """ceil(pi / theta): queries that stretch a relative arc theta to pi."""
+    return max(1, math.ceil(math.pi / theta - 1e-12))
+
+
+def parallel_query_count(U, V, distinct_tol: float = RunConfig.distinct_tol,
                          tol_angle: float = DEFAULT_TOL_ANGLE) -> int:
     """N = ceil(pi / Theta(U^dag V)): parallel copies needed for orthogonality."""
     if phase_distance(U, V) <= distinct_tol:
@@ -98,7 +103,7 @@ def parallel_query_count(U, V, distinct_tol: float = 1e-9,
     theta = smallest_arc(dagger(U) @ mat(V), tol_angle).theta
     if theta <= tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    return max(1, math.ceil(math.pi / theta - 1e-12))
+    return queries_for_arc(theta)
 
 
 def min_achievable_overlap(theta: float) -> float:
@@ -110,82 +115,55 @@ def min_achievable_overlap(theta: float) -> float:
     return max(0.0, math.cos(theta / 2.0))
 
 
-def _pair_weights(z1: complex, z2: complex):
-    """Weights (p, 1-p) minimizing |p z1 + (1-p) z2| for unit-circle points."""
+def _pair_weight(z1: complex, z2: complex) -> float:
+    """p minimizing |p z1 + (1-p) z2| over [0, 1] for distinct points."""
     delta = z1 - z2
-    denom = abs(delta) ** 2
-    if denom < 1e-30:
-        return 0.5, abs(z1)
-    p = float(np.clip(-np.real(np.conj(delta) * z2) / denom, 0.0, 1.0))
-    return p, abs(p * z1 + (1 - p) * z2)
+    return float(np.clip(-np.real(np.conj(delta) * z2) / abs(delta) ** 2, 0.0, 1.0))
 
 
-def _triple_weights(z1: complex, z2: complex, z3: complex):
-    """Barycentric weights with p1 z1 + p2 z2 + p3 z3 = 0, sum 1, or None."""
-    A = np.array([[ (z1 - z3).real, (z2 - z3).real],
-                  [ (z1 - z3).imag, (z2 - z3).imag]])
-    rhs = np.array([-z3.real, -z3.imag])
-    try:
-        p12 = np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        return None
-    p = np.array([p12[0], p12[1], 1.0 - p12[0] - p12[1]])
-    if np.any(p < -1e-12):
-        return None
-    p = np.clip(p, 0.0, None)
-    s = p.sum()
-    if s <= 0:
-        return None
-    return p / s
+def _triple_weights(z) -> np.ndarray:
+    """Barycentric weights p >= 0, sum 1, with p @ z = 0, for three unit-circle
+    points whose circular gaps are all at most pi (0 is in their triangle)."""
+    A = np.array([[(z[0] - z[2]).real, (z[1] - z[2]).real],
+                  [(z[0] - z[2]).imag, (z[1] - z[2]).imag]])
+    p12 = np.linalg.solve(A, [-z[2].real, -z[2].imag])
+    p = np.clip([p12[0], p12[1], 1.0 - p12[0] - p12[1]], 0.0, None)
+    return p / p.sum()
 
 
-def zero_overlap_state(T, tol_angle: float = DEFAULT_TOL_ANGLE,
-                       residual_target: float = 1e-10) -> np.ndarray:
+def zero_overlap_state(T, tol_angle: float = DEFAULT_TOL_ANGLE) -> np.ndarray:
     """Unit state psi with <psi|T|psi> = 0, mixing at most 3 eigenvectors.
 
-    Requires Theta(T) >= pi - tol_angle. The weights come from a planar
-    convex-combination solve over eigenvalue pairs (near-antipodal) first,
-    then triples; among exact solutions the one maximizing the smallest
-    weight wins. If the arc is within tol_angle of pi but no exact
-    combination exists, weights are clamped and the small residual remains
-    in <psi|T|psi>; callers needing the achieved value should recompute it.
+    Requires Theta(T) >= pi - tol_angle; see zero_overlap_from_spectrum.
     """
     dec = eig_unitary(T)
-    info = arc_of_phases(dec.phases, tol_angle)
+    return zero_overlap_from_spectrum(dec, arc_of_phases(dec.phases, tol_angle), tol_angle)
+
+
+def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
+                               tol_angle: float) -> np.ndarray:
+    """zero_overlap_state from a decomposition and its arc, in closed form.
+
+    Up to pi + tol_angle the two arc-endpoint eigenvectors are mixed; an arc
+    short of pi by at most tol_angle leaves the optimal residual
+    cos(theta / 2). A wider arc adds the eigenvector nearest its middle: its
+    phase lies in [end - pi, start + pi], a window of length 2 pi - theta
+    that no gap inside the arc can skip (the outer gap is the widest), so
+    the three circular gaps are at most pi and the weights are nonnegative.
+    """
     if info.theta < math.pi - tol_angle:
         raise ArcTooSmall(info.theta, min_achievable_overlap(info.theta))
-
+    s, e = info.witness_phase_indices
     z = np.exp(1j * dec.phases)
-    n = z.size
-
-    exact = []     # (min_weight, indices, weights)
-    clamped = []   # (residual, min_weight, indices, weights)
-    for i, j in combinations(range(n), 2):
-        p, resid = _pair_weights(z[i], z[j])
+    if info.theta <= math.pi + tol_angle:
+        idx = sorted((s, e))
+        p = _pair_weight(*z[idx])
         w = np.array([p, 1.0 - p])
-        entry = (resid, float(w.min()), (i, j), w)
-        if resid <= residual_target:
-            exact.append(entry[1:])
-        else:
-            clamped.append(entry)
-    if not exact:
-        for i, j, k in combinations(range(n), 3):
-            w = _triple_weights(z[i], z[j], z[k])
-            if w is None:
-                continue
-            resid = abs(w @ z[[i, j, k]])
-            entry = (resid, float(w.min()), (i, j, k), w)
-            if resid <= residual_target:
-                exact.append(entry[1:])
-            else:
-                clamped.append(entry)
-
-    if exact:
-        _, idx, w = max(exact, key=lambda e: e[0])
     else:
-        # arc barely short of pi: keep the best-residual candidate
-        resid, _, idx, w = min(clamped, key=lambda e: (e[0], -e[1]))
-    psi = dec.vectors[:, list(idx)] @ np.sqrt(w).astype(complex)
+        offset = np.mod(dec.phases - info.start_phase, TWO_PI)
+        idx = [s, int(np.argmin(np.abs(offset - 0.5 * info.theta))), e]
+        w = _triple_weights(z[idx])
+    psi = dec.vectors[:, idx] @ np.sqrt(w).astype(complex)
     return psi / np.linalg.norm(psi)
 
 

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .arcs import eigenphase_rows, parallel_query_count, smallest_arc
+from .arcs import eigenphase_rows, queries_for_arc, smallest_arc
 from .config import RunConfig
 from .engine import _overlap_report, discriminate
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     SynthesisFailed,
 )
 from .linalg import dagger, mat, phase_distance
-from .structure import classify_primitive, operator_schmidt
+from .structure import classify_primitive, entangling_witness, operator_schmidt
 from .synthesis import synthesize
 from .templates import dumps_template
 
@@ -94,7 +94,7 @@ def cmd_classify(args) -> int:
         lines.extend("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row)
                      for row in form.factor_b)
     else:
-        lines.append(f"witness_second_coefficient: {form.witness_coefficient:.6g}")
+        lines.append(f"witness_second_coefficient: {entangling_witness(U)[0]:.6g}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -111,7 +111,7 @@ def cmd_theta(args) -> int:
         distinct = phase_distance(U.matrix, V.matrix) > cfg.distinct_tol
     else:
         W = U.matrix
-        distinct = smallest_arc(W, cfg.tol_angle).theta > cfg.tol_angle
+        distinct = True
     info = smallest_arc(W, cfg.tol_angle)
     lines = [
         f"theta: {info.theta!r}",
@@ -120,8 +120,7 @@ def cmd_theta(args) -> int:
         f"single_query_distinguishable: {info.theta >= np.pi - cfg.tol_angle}",
     ]
     if distinct and info.theta > cfg.tol_angle:
-        n = max(1, int(np.ceil(np.pi / info.theta - 1e-12)))
-        lines.append(f"parallel_query_count: {n}")
+        lines.append(f"parallel_query_count: {queries_for_arc(info.theta)}")
     else:
         lines.append("parallel_query_count: inf (operations phase-equivalent)")
     if args.csv:

@@ -218,10 +218,10 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     """Template f with f(U) a two-block controlled unitary.
 
     Uses U itself when it is already controlled in the computational basis
-    (one query, identity locals, zero deviation); otherwise synthesizes the
-    fixed controlled target. Returns (template, groups, blocks, delta_use)
-    where delta_use bounds the per-use operator-norm deviation of the real
-    f(U) from the ideal block structure.
+    (one query, identity locals); otherwise synthesizes the fixed controlled
+    target. Returns (template, groups, blocks, delta_use) where delta_use
+    bounds the per-use operator-norm deviation of the real f(U) from the
+    ideal block structure.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
@@ -229,7 +229,11 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     if ctrl is not None:
         build.note("controlled fast path: operand already has two-block form")
         groups, blocks = ctrl
-        return bare_query_template(d_a, d_b, 1), groups, blocks, 0.0
+        # the form is accepted at a tolerance, so U may sit off its blocks
+        ideal = sum(np.kron(np.diag(np.isin(np.arange(d_a), g).astype(complex)), W)
+                    for g, W in zip(groups, blocks))
+        return (bare_query_template(d_a, d_b, 1), groups, blocks,
+                op_distance_mod_phase(U.matrix, ideal))
     # target |0><0| (x) I + P' (x) G with G = diag(1, exp(2 pi i / 3), 1, ...):
     # G is not scalar, so no operand is phase-equivalent to both blocks and
     # branch selection always succeeds
@@ -381,10 +385,11 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
     """
     d_a, d_b = U.d_a, U.d_b
     target = exp_xx_form(1.0, d_a, d_b)
-    if op_distance_mod_phase(U.matrix, target.matrix) <= 1e-9:
+    delta = op_distance_mod_phase(U.matrix, target.matrix)
+    if delta <= 1e-9:
         build.note("interaction fast path: operand already the canonical exponential")
         f_template = bare_query_template(d_a, d_b, 1)
-        return f_template, evaluate_template(f_template, U.matrix), 0.0
+        return f_template, evaluate_template(f_template, U.matrix), delta
     res = synthesize(target, U, build.cfg)
     build.note(f"interaction target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
     fU = evaluate_template(res.template, U.matrix)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arcs import arc_of_phases, zero_overlap_state
+from .arcs import arc_of_phases, queries_for_arc, zero_overlap_from_spectrum
 from .config import RunConfig
 from .errors import DimensionMismatch, Indistinguishable, StageStalled
 from .linalg import eig_unitary, mat, phase_distance
@@ -66,12 +66,13 @@ def compose_sequential(X, interleavers) -> np.ndarray:
 
 
 def _circular_sorted_eig(M, tol_angle: float):
-    """Arc length and eigenvectors sorted by phase measured from the arc start."""
+    """Spectrum of M, its arc, and the eigenvectors sorted by phase measured
+    from the arc start."""
     dec = eig_unitary(M)
     info = arc_of_phases(dec.phases, tol_angle)
     keys = np.mod(dec.phases - info.start_phase + tol_angle, 2 * PI)
     order = np.argsort(keys, kind="stable")
-    return info.theta, dec.vectors[:, order]
+    return dec, info, dec.vectors[:, order]
 
 
 def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
@@ -100,29 +101,32 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialSch
     if phase_distance(Um, Vm) <= cfg.distinct_tol:
         raise Indistinguishable("operations agree up to a global phase")
 
-    theta_0, Q = _circular_sorted_eig(Um.conj().T @ Vm, cfg.tol_angle)
+    M = Um.conj().T @ Vm
+    dec, info, Q = _circular_sorted_eig(M, cfg.tol_angle)
+    theta_0 = info.theta
     if theta_0 <= cfg.tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    max_stages = max(1, math.ceil(PI / theta_0 - 1e-12)) - 1
+    max_stages = queries_for_arc(theta_0) - 1
     q_u_dag = (Um @ Q).conj().T  # Q^dag U^dag, shared by every stage
 
     A, B = Um, Vm
     interleavers: list[np.ndarray] = []
     trace = [theta_0]
-    theta_c, R = theta_0, Q
-    while theta_c < PI - cfg.tol_angle:
+    R = Q
+    while info.theta < PI - cfg.tol_angle:
         if len(interleavers) >= max_stages:
             raise StageStalled(
-                f"arc stuck at {theta_c:.6f} after {len(interleavers)} stages", trace)
-        w = R @ _stage_rotation(theta_c, theta_0, Um.shape[0]) @ q_u_dag
+                f"arc stuck at {info.theta:.6f} after {len(interleavers)} stages", trace)
+        w = R @ _stage_rotation(info.theta, theta_0, Um.shape[0]) @ q_u_dag
         A = A @ w @ Um
         B = B @ w @ Vm
         interleavers.insert(0, w)
-        theta_c, R = _circular_sorted_eig(A.conj().T @ B, cfg.tol_angle)
-        trace.append(theta_c)
+        M = A.conj().T @ B
+        dec, info, R = _circular_sorted_eig(M, cfg.tol_angle)
+        trace.append(info.theta)
 
-    M = A.conj().T @ B
-    psi = zero_overlap_state(M, cfg.tol_angle)
+    # the last decomposition is that of the final relative operator M
+    psi = zero_overlap_from_spectrum(dec, info, cfg.tol_angle)
     resid = float(abs(np.vdot(psi, M @ psi)))
     if resid > cfg.overlap_tol:
         raise StageStalled(f"final overlap {resid:.3e} above tolerance", trace)

@@ -49,16 +49,12 @@ class PrimitiveForm:
 
     residual is the phase-invariant distance to the classified form; for
     imprimitive operators it is the distance to the nearest primitive form.
-    witness_state / witness_coefficient document a product input that the
-    operator entangles (imprimitive case only).
     """
 
     kind: str  # "Product" | "SwapProduct" | "Imprimitive"
     factor_a: np.ndarray | None
     factor_b: np.ndarray | None
     residual: float
-    witness_state: np.ndarray | None = None
-    witness_coefficient: float = 0.0
 
 
 def realign(U, d_a: int, d_b: int) -> np.ndarray:
@@ -116,28 +112,25 @@ def _polish_product_factors(M: np.ndarray, fa: np.ndarray, fb: np.ndarray, sweep
     return fa, fb
 
 
-def _unitary_factors_from_rank1(c: float, A: np.ndarray, B: np.ndarray,
-                                M: np.ndarray | None = None):
-    """Rescale a rank-1 Schmidt term into unitary factors.
-
-    When the source operator M is supplied the factors are polished against
-    it before the phase convention is applied.
-    """
+def _unitary_factors_from_rank1(c: float, A: np.ndarray, B: np.ndarray, M: np.ndarray):
+    """Rescale a rank-1 Schmidt term of M into unitary factors, polished
+    against M before the phase convention is applied."""
     d_a = A.shape[0]
     fa = A * np.sqrt(d_a)
     fb = B * (c / np.sqrt(d_a))
     fa = _closest_unitary(fa)
     fb = _closest_unitary(fb)
-    if M is not None:
-        fa, fb = _polish_product_factors(M, fa, fb)
+    fa, fb = _polish_product_factors(M, fa, fb)
     return _apply_phase_convention(fa, fb)
 
 
-def _entangling_witness(U: BipartiteUnitary, grid_extent: int = 2):
-    """Product state from a small computational-basis grid that U entangles.
+def entangling_witness(U: BipartiteUnitary, grid_extent: int = 2):
+    """(coefficient, state): a product state from a small computational-basis
+    grid that U entangles, and the second Schmidt coefficient of its image.
 
     Candidates are basis states and two-term superpositions (+, -, +i); the
-    winner maximizes the second Schmidt coefficient of the output state.
+    winner maximizes that coefficient. The state is None when no candidate
+    is entangled at all (a primitive U).
     """
     d_a, d_b = U.d_a, U.d_b
 
@@ -196,14 +189,13 @@ def classify_primitive(U: BipartiteUnitary, rank_tol: float = 1e-7) -> Primitive
             M=U.matrix @ swap_operator(d_a))
         residual = phase_distance(U.matrix, kron(ga, gb) @ swap_operator(d_a))
         return PrimitiveForm("SwapProduct", ga, gb, float(residual))
-    coeff, witness = _entangling_witness(U)
     # distance to the nearest primitive form, from the truncation weight
     c = dec.coefficients
     residual = float(np.sqrt(max(0.0, 1.0 - c[0] ** 2 / (d_a * d_b))))
     if dec_p is not None:
         cp = dec_p.coefficients
         residual = min(residual, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / (d_a * d_b)))))
-    return PrimitiveForm("Imprimitive", None, None, residual, witness, coeff)
+    return PrimitiveForm("Imprimitive", None, None, residual)
 
 
 def _embedded_pauli(sigma: np.ndarray, d: int) -> np.ndarray:

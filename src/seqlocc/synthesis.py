@@ -29,7 +29,6 @@ class SynthesisResult:
     template: CircuitTemplate
     delta: float
     layer_count: int
-    seed: int
 
 
 class _LayerProblem:
@@ -129,7 +128,7 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
         raise GeneratorPrimitive("generator is primitive; it cannot generate")
 
     X = generator.matrix
-    best = None  # (delta, k, params, seed_index, problem)
+    best = None  # (delta, k, params, problem)
     prev_params: dict[int, np.ndarray] = {}
 
     for k in range(cfg.k_min, cfg.k_max + 1):
@@ -150,7 +149,7 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
                 options={"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12})
             delta = problem.delta(res.x)
             if k_best is None or delta < k_best[0] - 1e-15:
-                k_best = (delta, res.x, s_idx)
+                k_best = (delta, res.x)
             if delta <= cfg.epsilon:
                 break
             # seeds settle onto a common floor fast when k is infeasible
@@ -163,15 +162,15 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
                 options={"maxiter": 1500, "ftol": 1e-20, "gtol": 1e-16})
             delta = problem.delta(res.x)
             if delta < k_best[0]:
-                k_best = (delta, res.x, k_best[2])
+                k_best = (delta, res.x)
         prev_params[k] = k_best[1]
         if best is None or k_best[0] < best[0] - 1e-15:
-            best = (k_best[0], k, k_best[1], k_best[2], problem)
+            best = (k_best[0], k, k_best[1], problem)
         if best[0] <= cfg.epsilon:
             break
 
-    delta, k, params, seed_idx, problem = best
+    delta, k, params, problem = best
     if delta > cfg.epsilon:
         raise SynthesisFailed(delta, k)
-    return SynthesisResult(problem.template(params), float(delta), k, seed_idx)
+    return SynthesisResult(problem.template(params), float(delta), k)
 

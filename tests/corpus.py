@@ -16,6 +16,7 @@ import numpy as np
 from seqlocc import (
     RunConfig,
     classify_primitive,
+    entangling_witness,
     eig_unitary,
     exp_xx_form,
     phase_distance,
@@ -90,9 +91,12 @@ def _same_image_partner(U, locals_, min_witness=0.2):
     candidates = _forced_image_partners(U, locals_, fU)
     scored = []
     for V in candidates:
-        rel = classify_primitive(validate_unitary(V.matrix @ U.matrix.conj().T, 2, 2))
-        if rel.kind == "Imprimitive" and rel.witness_coefficient >= min_witness:
-            scored.append((rel.witness_coefficient, V))
+        rel = validate_unitary(V.matrix @ U.matrix.conj().T, 2, 2)
+        if classify_primitive(rel).kind != "Imprimitive":
+            continue
+        coeff = entangling_witness(rel)[0]
+        if coeff >= min_witness:
+            scored.append((coeff, V))
     if not scored:
         return None
     return max(scored, key=lambda t: t[0])[1]

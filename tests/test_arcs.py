@@ -4,12 +4,16 @@ import pytest
 from seqlocc import (
     ArcTooSmall,
     Indistinguishable,
+    RunConfig,
+    discriminate,
     eig_unitary,
     min_achievable_overlap,
     parallel_query_count,
+    phase_distance,
     random_unitary,
     single_query_distinguishable,
     smallest_arc,
+    validate_unitary,
     zero_overlap_state,
 )
 from seqlocc.arcs import arc_of_phases, eigenphase_rows
@@ -159,6 +163,61 @@ def test_zero_overlap_random_wide_arc(seed):
     psi = zero_overlap_state(T)
     assert abs(np.vdot(psi, T @ psi)) <= 1e-10
     assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_zero_overlap_arc_just_short_of_pi(dim):
+    """Within tol_angle short of pi no zero-overlap state exists; the
+    endpoint pair leaves the optimal residual cos(theta / 2)."""
+    rng = np.random.default_rng(dim)
+    theta = np.pi - 5e-9
+    phases = np.concatenate([[0.0], rng.uniform(0.5, 2.5, size=dim - 2), [theta]])
+    Q = random_unitary(dim, rng)
+    T = Q @ diag_phases(phases) @ Q.conj().T
+    psi = zero_overlap_state(T)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(psi, T @ psi)) == pytest.approx(
+        min_achievable_overlap(smallest_arc(T).theta), abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5])
+@pytest.mark.parametrize("seed", range(8))
+def test_zero_overlap_wide_arc_without_antipodal_pair(dim, seed):
+    """theta > pi with no eigenvalue pair antipodal: three eigenvectors with
+    nonnegative weights, one of them between the two arc endpoints."""
+    rng = np.random.default_rng(100 * dim + seed)
+    while True:
+        phases = rng.uniform(0.0, TWO_PI, size=dim)
+        sep = np.abs(np.mod(phases[:, None] - phases[None, :], TWO_PI) - np.pi)
+        if smallest_arc(diag_phases(phases)).theta > np.pi + 0.05 and sep.min() > 0.05:
+            break
+    Q = random_unitary(dim, rng)
+    T = Q @ diag_phases(phases) @ Q.conj().T
+    psi = zero_overlap_state(T)
+    assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(psi, T @ psi)) <= 1e-12
+    assert np.sum(np.abs(Q.conj().T @ psi) > 1e-9) == 3
+
+
+def test_zero_overlap_wide_arc_third_vector_from_window():
+    """Arc 3.6 from phase 0: only phases in [3.6 - pi, pi] give a third
+    vertex with nonnegative weights; 0.3 lies outside that window, 2.0 in it."""
+    T = diag_phases([0.0, 0.3, 2.0, 3.6])
+    psi = zero_overlap_state(T)
+    assert abs(np.vdot(psi, T @ psi)) <= 1e-12
+    assert abs(psi[1]) == 0 and abs(psi[2]) > 0.1
+
+
+def test_parallel_query_count_default_matches_run_config():
+    """Phase distance 7.1e-8 is below RunConfig.distinct_tol: the pair is
+    indistinguishable for the count as it is for discriminate."""
+    U = np.eye(4, dtype=complex)
+    V = np.diag(np.exp(1e-7j * np.array([1, -1, 1, -1])))
+    assert 0 < phase_distance(U, V) <= RunConfig().distinct_tol
+    with pytest.raises(Indistinguishable):
+        parallel_query_count(U, V)
+    with pytest.raises(Indistinguishable):
+        discriminate(validate_unitary(U, 2, 2), validate_unitary(V, 2, 2))
 
 
 def test_zero_overlap_rejects_small_arc():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import copy
 
@@ -17,6 +18,7 @@ from seqlocc import (
     discriminate,
     evaluate_template,
     exp_xx_form,
+    op_distance_mod_phase,
     operator_schmidt,
     phase_distance,
     random_unitary,
@@ -283,6 +285,31 @@ def test_2x3_controlled_fast_path():
     scheme, report = _run(U, V, 2, 3)
     assert scheme.case_trace == ["ii-a"]
     assert report.passed
+
+
+def _near(M, seed, scale=2e-10):
+    """M times expm(i scale H) for a random Hermitian H: inside the 1e-9
+    tolerance at which the fast paths accept an operand, but not exact."""
+    rng = np.random.default_rng(seed)
+    H = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+    return M @ scipy.linalg.expm(0.5j * scale * (H + H.conj().T))
+
+
+def test_controlled_fast_path_budget_covers_deviation():
+    C = np.kron(np.diag([1, 0]), I2) + np.kron(np.diag([0, 1]), np.diag([1, np.exp(0.3j)]))
+    rng = np.random.default_rng(5)
+    scheme, report = _run(_near(C, 5), np.kron(random_unitary(2, rng), random_unitary(2, rng)))
+    assert scheme.case_trace == ["ii-a"]
+    assert report.overlap > 1e-11  # the deviation is visible in the overlap
+    assert report.passed
+
+
+def test_interaction_fast_path_reports_deviation():
+    target = exp_xx_form(1.0, 2, 2).matrix
+    U = _v(_near(target, 7))
+    f_template, _, delta = engine._xx_template(U, engine._Build(CFG))
+    assert f_template.query_count == 1
+    assert delta == op_distance_mod_phase(U.matrix, target) > 0
 
 
 def _first_local(scheme):

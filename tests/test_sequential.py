@@ -11,10 +11,14 @@ from seqlocc import (
     build_sequential_scheme,
     compose_sequential,
     dagger,
+    eig_unitary,
     parallel_query_count,
     random_unitary,
     smallest_arc,
 )
+import seqlocc.arcs
+import seqlocc.sequential
+from seqlocc.arcs import queries_for_arc
 from seqlocc.sequential import _stage_rotation
 
 CFG = RunConfig()
@@ -102,6 +106,24 @@ def test_query_counts_within_bounds():
         n = int(np.ceil(np.pi / theta - 1e-12))
         scheme = build_sequential_scheme(U, V, CFG)
         assert scheme.query_count == n
+
+
+def test_one_eigendecomposition_per_query(monkeypatch):
+    """The zero-overlap input comes from the last stage's decomposition of
+    the final relative operator, which is not decomposed a second time."""
+    calls = []
+
+    def counting(M):
+        calls.append(1)
+        return eig_unitary(M)
+
+    for module in (seqlocc.sequential, seqlocc.arcs):
+        monkeypatch.setattr(module, "eig_unitary", counting)
+    rng = np.random.default_rng(8)
+    for theta in (0.5, 1.2, 2.0, np.pi + 0.3):
+        calls.clear()
+        scheme = build_sequential_scheme(*_pair_with_arc(theta, 3, rng), CFG)
+        assert len(calls) == scheme.query_count == queries_for_arc(theta)
 
 
 def test_commuting_diagonal_exact_counts():

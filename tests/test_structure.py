@@ -5,6 +5,7 @@ import scipy.linalg
 from seqlocc import (
     classify_primitive,
     build_symmetry_set,
+    entangling_witness,
     exp_xx_form,
     match_exp_xx,
     operator_schmidt,
@@ -83,13 +84,14 @@ def test_classify_swap():
 
 def test_classify_cnot_cz_imprimitive():
     for M in (CNOT, CZ):
-        form = classify_primitive(_wrap(M, 2, 2))
-        assert form.kind == "Imprimitive"
-        assert form.witness_coefficient > 0.5
+        U = _wrap(M, 2, 2)
+        assert classify_primitive(U).kind == "Imprimitive"
+        coeff, state = entangling_witness(U)
+        assert coeff > 0.5
         # the witness really is a product state that the operator entangles
-        out = M @ form.witness_state
+        out = M @ state
         s = np.linalg.svd(out.reshape(2, 2), compute_uv=False)
-        assert s[1] == pytest.approx(form.witness_coefficient, abs=1e-12)
+        assert s[1] == pytest.approx(coeff, abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -225,20 +227,20 @@ def test_random_imprimitives_fail_symmetry():
 
 
 def test_imprimitive_witness_entangles():
-    """Every Imprimitive classification carries a grid product state whose
-    image has a second Schmidt coefficient above the reporting floor."""
+    """Every Imprimitive operator has a grid product state whose image has a
+    second Schmidt coefficient above the reporting floor."""
     rng = np.random.default_rng(11)
     ops = [exp_xx_form(x, 2, 2) for x in (0.05, 0.4, 1.0, -2.0)]
     ops += [exp_xx_form(0.6, 2, 3), exp_xx_form(0.6, 3, 3)]
     ops += [_wrap(random_unitary(4, rng), 2, 2) for _ in range(5)]
     for U in ops:
-        form = classify_primitive(U)
-        assert form.kind == "Imprimitive"
-        assert form.witness_coefficient >= 1e-6
+        assert classify_primitive(U).kind == "Imprimitive"
+        coeff, state = entangling_witness(U)
+        assert coeff >= 1e-6
         d_a, d_b = U.d_a, U.d_b
-        out = U.matrix @ form.witness_state
+        out = U.matrix @ state
         s = np.linalg.svd(out.reshape(d_a, d_b), compute_uv=False)
-        assert s[1] == pytest.approx(form.witness_coefficient, abs=1e-12)
+        assert s[1] == pytest.approx(coeff, abs=1e-12)
 
 
 def test_block_exponential_matches_expm():
