@@ -168,7 +168,107 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
 
 
 def eigenphase_rows(U, tol_angle: float = DEFAULT_TOL_ANGLE):
-    """(index, phase, multiplicity) rows of the deduplicated spectrum."""
-    dec = eig_unitary(U)
+    """(index, phase, multiplicity) rows of the deduplicated spectrum of U,
+    or of a SpectralDecomposition already made of it."""
+    dec = U if isinstance(U, SpectralDecomposition) else eig_unitary(U)
     reps, _, counts = dedup_phases(dec.phases, tol_angle)
     return [(k, float(reps[k]), int(counts[k])) for k in range(reps.size)]
+
+
+# relative size of the rounding noise the closed forms below tolerate
+_ROUNDING = 1e-13
+# support angles of the numerical-range screen, and the accepted |phi^dag A phi|
+_ANGLES = 32
+_ZERO_TOL = 1e-12
+
+
+def _zero_of_2x2(A: np.ndarray) -> np.ndarray | None:
+    """Unit x in C^2 with x^dag A x = 0, in closed form; None when 0 lies
+    outside the numerical range F(A) by more than rounding.
+
+    A is first turned so that its eigenvalues, the foci of the ellipse
+    F(A), lie on a horizontal line: the Hermitian part then has its widest
+    spread, and a thin ellipse near a vertical segment stays well
+    conditioned. With the Hermitian part E diag(h0, h1) E^dag and
+    K = E^dag (A - A^dag) E / 2i, the vector x = E (cos t, e^{i beta} sin t)
+    has real part h0 cos^2 t + h1 sin^2 t, zero at cos^2 t = h1 / (h1 - h0),
+    and imaginary part c0 + 2 cos t sin t |K01| cos(beta + arg K01) with
+    c0 = K00 cos^2 t + K11 sin^2 t; over beta that covers the whole slice of
+    F(A) on the imaginary axis, so 0 is in F(A) iff h0 <= 0 <= h1 and
+    |c0| <= 2 cos t sin t |K01|.
+    """
+    mu = np.sqrt(0.25 * (A[0, 0] - A[1, 1]) ** 2 + A[0, 1] * A[1, 0])
+    if mu != 0:
+        A = A * (abs(mu) / mu)
+    slack = _ROUNDING * np.linalg.norm(A)
+    h, E = np.linalg.eigh(0.5 * (A + A.conj().T))
+    if h[0] > slack or h[1] < -slack:
+        return None
+    gap = h[1] - h[0]
+    c2 = 0.5 if gap == 0.0 else min(1.0, max(0.0, h[1] / gap))
+    c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
+    K = E.conj().T @ (A - A.conj().T) @ E / 2j
+    c0 = K[0, 0].real * c2 + K[1, 1].real * (1.0 - c2)
+    r = 2.0 * c * s * abs(K[0, 1])
+    if abs(c0) > r + slack:
+        return None
+    beta = 0.0 if r == 0.0 else math.acos(min(1.0, max(-1.0, -c0 / r))) - np.angle(K[0, 1])
+    return E @ np.array([c, np.exp(1j * beta) * s])
+
+
+def _hit(A: np.ndarray, X: np.ndarray, z: complex) -> np.ndarray | None:
+    """Unit v in the span of the two columns of X with v^dag A v = z, for a
+    z inside F of A compressed to that span (one column suffices when they
+    are parallel: the completed orthonormal basis still holds it)."""
+    Q = np.linalg.qr(X)[0]
+    c = _zero_of_2x2(Q.conj().T @ A @ Q - z * np.eye(2))
+    return None if c is None else Q @ c
+
+
+def numerical_range_zero(A) -> np.ndarray | None:
+    """Unit phi with |phi^dag A phi| <= 1e-12, or None when none is found.
+
+    0 lies in the numerical range F(A) iff the support function
+    lambda_max(Re(e^{i alpha} A)) is nonnegative at every alpha, so one
+    batched eigh at 32 equally spaced alpha screens out every A with a
+    separating line among them. The top eigenvectors x_k of those
+    Hermitian parts give boundary points p_k = x_k^dag A x_k of F(A); a fan
+    of triangles (p_0, p_j, p_j+1) locates 0, which is then reached by two
+    closed-form 2x2 inverse field-of-values solves (Carden, Inverse
+    Problems 25, 115019, 2009): the first hits the point z of
+    [p_j, p_j+1] on the ray from p_0 through 0, the second hits 0 on
+    [p_0, z]. None also when 0 lies in F(A) but outside the inscribed
+    polygon of the p_k, as when F(A) is a segment through 0. Triangles of
+    area within rounding of 0 are skipped: they cover no more than their
+    edges, which other triangles share.
+    """
+    A = np.asarray(A, dtype=complex)
+    rot = np.exp(1j * TWO_PI * np.arange(_ANGLES) / _ANGLES)[:, None, None]
+    h, X = np.linalg.eigh(0.5 * (rot * A + rot.conj() * A.conj().T))
+    if np.any(h[:, -1] < 0.0):
+        return None
+    x = X[:, :, -1]
+    p = np.einsum("ki,ij,kj->k", x.conj(), A, x)
+    if abs(p[0]) <= _ZERO_TOL:
+        return x[0]
+    p0, pj, pk = p[0], p[1:-1], p[2:]
+
+    def cross(a, b):
+        return (np.conj(a) * b).imag
+
+    # barycentric weights of 0 in (p0, pj, pk) are (w0, wj, wk) / area; the
+    # weight off p_0 is nonzero, since p_0 is not 0
+    w0, wj, wk = cross(pj, pk), cross(pk, p0), cross(p0, pj)
+    area = w0 + wj + wk
+    inside = ((np.abs(area) > _ROUNDING * np.abs(p).max() ** 2) & (wj + wk != 0.0)
+              & (w0 * area >= 0.0) & (wj * area >= 0.0) & (wk * area >= 0.0))
+    if not inside.any():
+        return None
+    j = int(np.argmax(inside))
+    z = (wj[j] * pj[j] + wk[j] * pk[j]) / (wj[j] + wk[j])
+    v = _hit(A, x[[j + 1, j + 2]].T, z)
+    phi = None if v is None else _hit(A, np.stack([x[0], v], axis=1), 0.0)
+    if phi is None:
+        return None
+    phi = phi / np.linalg.norm(phi)
+    return phi if abs(np.vdot(phi, A @ phi)) <= _ZERO_TOL else None

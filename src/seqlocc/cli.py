@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io as sio
-from .arcs import eigenphase_rows, queries_for_arc, smallest_arc
+from .arcs import arc_of_phases, eigenphase_rows, queries_for_arc
 from .config import RunConfig
 from .engine import _overlap_report, discriminate
 from .errors import (
@@ -24,7 +24,7 @@ from .errors import (
     SeqloccError,
     SynthesisFailed,
 )
-from .linalg import dagger, mat, phase_distance
+from .linalg import dagger, eig_unitary, mat, phase_distance
 from .structure import classify_primitive, entangling_witness, operator_schmidt
 from .synthesis import synthesize
 from .templates import dumps_template
@@ -112,7 +112,8 @@ def cmd_theta(args) -> int:
     else:
         W = U.matrix
         distinct = True
-    info = smallest_arc(W, cfg.tol_angle)
+    dec = eig_unitary(W)
+    info = arc_of_phases(dec.phases, cfg.tol_angle)
     lines = [
         f"theta: {info.theta!r}",
         f"arc_start: {info.start_phase!r}",
@@ -125,7 +126,7 @@ def cmd_theta(args) -> int:
         lines.append("parallel_query_count: inf (operations phase-equivalent)")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(sio.eigenphase_csv(eigenphase_rows(W, cfg.tol_angle)))
+            fh.write(sio.eigenphase_csv(eigenphase_rows(dec, cfg.tol_angle)))
         lines.append(f"eigenphases_csv: {args.csv}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK

@@ -1,13 +1,15 @@
 """Case engine assembling flat LOCC sequential discrimination schemes.
 
-Given two distinct bipartite unitaries, classifies both operands and routes
-through the matching construction: product pairs reduce to a one-sided
-sequential scheme; a swapped product against a product needs one query; an
-imprimitive operand is first compiled into a controlled unitary (or the
-canonical interaction exponential) by an inverse-free template, after which
-the problem reduces to a simpler pair. The emitted scheme is always a flat
-template of product-form local layers and forward queries plus a product
-input state, with a budget dominating the residual overlap.
+Given two distinct bipartite unitaries, classifies both operands and first
+tries a single query with a product input (the direct route, _direct, at
+every depth). Otherwise it routes through the matching construction:
+product pairs reduce to a one-sided sequential scheme; a swapped product
+against a product needs one query; an imprimitive operand is first compiled
+into a controlled unitary (or the canonical interaction exponential) by an
+inverse-free template, after which the problem reduces to a simpler pair.
+The emitted scheme is always a flat template of product-form local layers
+and forward queries plus a product input state, with a budget dominating
+the residual overlap.
 
 Every case is one reduction step: a block template f turns the pair into a
 simpler pair (f(U), f(V)), solved on one side by the sequential engine
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import arc_of_phases, parallel_query_count
+from .arcs import arc_of_phases, numerical_range_zero, parallel_query_count, smallest_arc
 from .config import RunConfig
 from .errors import (
     BranchSelectionFailed,
@@ -407,10 +409,10 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
     fV = evaluate_template(f_template, V.matrix)
     fV_bip = validate_unitary(fV, d_a, d_b, tol=1e-6)
 
-    kind = classify_primitive(fV_bip, cfg.rank_tol).kind
-    if kind != "Imprimitive":
-        build.note(f"image of V is {kind}; descending to the mixed case")
-        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, depth + 1)
+    cls_fv = classify_primitive(fV_bip, cfg.rank_tol)
+    if cls_fv.kind != "Imprimitive":
+        build.note(f"image of V is {cls_fv.kind}; descending to the mixed case")
+        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, depth + 1, cls_fv)
         return _over_block(build, f_template, inner, (delta_u,))
 
     # coinciding images (the "x = 1" situation) are detected against the real
@@ -500,15 +502,65 @@ def _case_iii_b_scaled(build, U, f_template, fU_real, fV, x, phase):
                      (delta_bu, delta_bv))
 
 
+# --- direct route -----------------------------------------------------------
+
+def _direct_candidates(d: int, cfg: RunConfig) -> list[np.ndarray]:
+    """Fixed list of probe states: the basis, the uniform superposition and
+    four seeded Haar draws."""
+    rng = cfg.rng("direct", d)
+    draws = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+    return ([basis_state(d, k) for k in range(d)] + [normalize(np.ones(d))]
+            + [normalize(z) for z in draws])
+
+
+def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
+    """One query with a product input |phi>|psi>, or None.
+
+    For fixed psi the overlap is <phi| W_psi |phi> with W = U^dag V and
+    W_psi = (I (x) <psi|) W (I (x) |psi>), so phi exists exactly when 0 lies
+    in the numerical range of W_psi (the union over psi is the product
+    numerical range of W). W is normal, so F(W) is the hull of its spectrum
+    and contains that union: an arc Theta(W) < pi rules every psi out.
+    Otherwise psi runs over _direct_candidates, on B first, then on A.
+    """
+    cfg = build.cfg
+    d_a, d_b = U.d_a, U.d_b
+    W = dagger(U) @ V.matrix
+    if smallest_arc(W, cfg.tol_angle).theta < math.pi - cfg.tol_angle:
+        return None
+    W4 = W.reshape(d_a, d_b, d_a, d_b)
+    for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
+        for k, psi in enumerate(_direct_candidates(d, cfg)):
+            phi = numerical_range_zero(np.einsum(pattern, W4, psi.conj(), psi))
+            if phi is None:
+                continue
+            inputs = (phi, psi) if side == "B" else (psi, phi)
+            inp = np.kron(*inputs)
+            residual = float(abs(np.vdot(U.matrix @ inp, V.matrix @ inp)))
+            if residual <= cfg.overlap_tol:
+                build.trace.append("direct")
+                build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
+                return LoccSequentialScheme(bare_query_template(d_a, d_b, 1), *inputs,
+                                            math.nan, residual, list(build.trace))
+    return None
+
+
 # --- dispatch ---------------------------------------------------------------
 
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
-                   depth: int) -> LoccSequentialScheme:
+                   depth: int, cls_v=None) -> LoccSequentialScheme:
+    """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
+
+    The direct route goes first, except for product against product or
+    swapped product: their overlap factorises, so the closed forms of i-a
+    and i-b are already optimal among product-input schemes.
+    """
     cfg = build.cfg
     if depth > cfg.max_depth:
         raise RecursionDepthExceeded(f"case recursion exceeded depth {cfg.max_depth}")
     cls_u = classify_primitive(U, cfg.rank_tol)
-    cls_v = classify_primitive(V, cfg.rank_tol)
+    if cls_v is None:
+        cls_v = classify_primitive(V, cfg.rank_tol)
 
     # orthogonality is symmetric, so the operands may trade roles
     if (cls_v.kind == "Imprimitive" and cls_u.kind != "Imprimitive"
@@ -519,6 +571,10 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     kinds = (cls_u.kind, cls_v.kind)
     factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
     try:
+        if cfg.direct and kinds not in (("Product", "Product"), ("Product", "SwapProduct")):
+            scheme = _direct(build, U, V)
+            if scheme is not None:
+                return scheme
         if kinds == ("Product", "Product"):
             return _case_product_product(build, *factors)
         if kinds == ("Product", "SwapProduct"):

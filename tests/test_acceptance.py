@@ -38,7 +38,7 @@ from seqlocc.io import dumps_scheme
 from conftest import CNOT, CZ, HAD
 from corpus import labeled_pairs
 
-CFG = RunConfig()
+CFG = RunConfig(direct=False)
 TWO_PI = 2 * np.pi
 
 

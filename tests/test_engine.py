@@ -33,7 +33,7 @@ from seqlocc.templates import bare_query_template
 
 from conftest import CNOT, CZ, HAD, I2, SZ
 
-CFG = RunConfig()
+CFG = RunConfig(direct=False)
 
 
 def _v(M, d_a=2, d_b=2):
@@ -217,7 +217,7 @@ def test_deterministic_bytes():
 
 
 def test_recursion_depth_cap():
-    cfg = RunConfig(max_depth=0)
+    cfg = RunConfig(max_depth=0, direct=False)
     with pytest.raises(Exception) as err:
         discriminate(_v(CNOT), _v(CZ), cfg)
     assert "depth" in str(err.value) or "Recursion" in type(err.value).__name__
@@ -273,6 +273,21 @@ def test_primitive_image_descends_to_mixed_case():
     scheme, report = discriminate(U, V, CFG)
     assert scheme.case_trace[:2] == ["iii", "ii-a"]
     assert report.passed
+
+
+def test_primitive_image_classified_once(monkeypatch):
+    """The mixed descent hands the image's classification to the dispatch:
+    U, V, f(V) and the interaction exponential, four calls."""
+    from corpus import _forced_image_partners, _interaction_base
+    U, locals_ = _interaction_base(1000)
+    V = _forced_image_partners(U, locals_, np.kron(HAD, HAD))[0]
+    calls = []
+    real = engine.classify_primitive
+    monkeypatch.setattr(engine, "classify_primitive",
+                        lambda X, tol: calls.append(X) or real(X, tol))
+    scheme, _ = discriminate(U, V, CFG)
+    assert scheme.case_trace[:2] == ["iii", "ii-a"]
+    assert len(calls) == 4
 
 
 def test_2x3_controlled_fast_path():

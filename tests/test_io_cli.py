@@ -87,6 +87,24 @@ def test_cli_theta_pair(tmp_path, capsys):
     assert len(text.splitlines()) == 3  # header + two distinct phases
 
 
+@pytest.mark.parametrize("operands", [1, 2])
+def test_cli_theta_csv_decomposes_once(tmp_path, monkeypatch, operands):
+    """The arc and the CSV rows come from one eigendecomposition of W."""
+    from seqlocc import arcs, cli
+    calls = []
+    real = arcs.eig_unitary
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(arcs, "eig_unitary", counting)
+    monkeypatch.setattr(cli, "eig_unitary", counting)
+    paths = [_write(tmp_path, "cnot.json", CNOT), _write(tmp_path, "cz.json", CZ)][:operands]
+    assert main(["theta", *paths, "--csv", str(tmp_path / "p.csv")]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_theta_single_cnot(tmp_path, capsys):
     path = _write(tmp_path, "cnot.json", CNOT)
     assert main(["theta", path]) == 0
