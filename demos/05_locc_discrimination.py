@@ -9,14 +9,16 @@ by local measurements and classical messages alone.
 Before the case analysis, the direct route looks for a single query with a
 product input |phi>|psi>: it exists when 0 lies in the numerical range of
 (I (x) <psi|) U^dag V (I (x) |psi>). The last section compares the query
-counts with and without it (RunConfig(direct=False) runs the engine alone).
+counts with and without it (patching engine._direct to return None leaves
+the case engine alone).
 """
 
 import time
+from unittest import mock
 
 import numpy as np
 
-from seqlocc import RunConfig, discriminate, random_unitary, swap_operator, validate_unitary, verify_scheme
+from seqlocc import RunConfig, discriminate, engine, random_unitary, swap_operator, validate_unitary, verify_scheme
 from seqlocc.io import dumps_scheme
 
 CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
@@ -65,7 +67,11 @@ for d_a, d_b in ((2, 2), (3, 3)):
     V = validate_unitary(random_unitary(d_a * d_b, rng), d_a, d_b)
     for direct in (True, False):
         start = time.perf_counter()
-        scheme, report = discriminate(U, V, RunConfig(direct=direct))
+        if direct:
+            scheme, report = discriminate(U, V, cfg)
+        else:
+            with mock.patch.object(engine, "_direct", lambda build, U, V: None):
+                scheme, report = discriminate(U, V, cfg)
         print(f"  {d_a}x{d_b} direct={direct!s:5}: {report.query_count:3d} queries, "
               f"trace {' -> '.join(scheme.case_trace)}, overlap {report.overlap:.1e}, "
               f"{time.perf_counter() - start:.2f} s, verified {'pass' if report.passed else 'FAIL'}")

@@ -10,7 +10,6 @@ from .arcs import (
     ArcInfo,
     eigenphase_rows,
     min_achievable_overlap,
-    numerical_range_zero,
     parallel_query_count,
     single_query_distinguishable,
     smallest_arc,

@@ -33,8 +33,6 @@ class RunConfig:
     k_min: int = 0
     k_max: int = 12
     max_depth: int = 4
-    # try one query with a product input before the case analysis
-    direct: bool = True
 
     def __post_init__(self):
         for f in fields(self):

@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import arc_of_phases, numerical_range_zero, parallel_query_count, smallest_arc
+from .arcs import (
+    arc_of_phases,
+    numerical_range_zero,
+    parallel_query_count,
+    single_query_distinguishable,
+)
 from .config import RunConfig
 from .errors import (
     BranchSelectionFailed,
@@ -525,9 +530,9 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
-    W = dagger(U) @ V.matrix
-    if smallest_arc(W, cfg.tol_angle).theta < math.pi - cfg.tol_angle:
+    if not single_query_distinguishable(U, V, cfg.tol_angle):
         return None
+    W = dagger(U) @ V.matrix
     W4 = W.reshape(d_a, d_b, d_a, d_b)
     for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
         for k, psi in enumerate(_direct_candidates(d, cfg)):
@@ -571,7 +576,7 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     kinds = (cls_u.kind, cls_v.kind)
     factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
     try:
-        if cfg.direct and kinds not in (("Product", "Product"), ("Product", "SwapProduct")):
+        if kinds not in (("Product", "Product"), ("Product", "SwapProduct")):
             scheme = _direct(build, U, V)
             if scheme is not None:
                 return scheme

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqlocc import validate_unitary
+from seqlocc import engine, validate_unitary
 
 I2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -23,3 +23,11 @@ def cnot():
 @pytest.fixture(scope="session")
 def cz():
     return validate_unitary(CZ, 2, 2)
+
+
+@pytest.fixture(scope="module")
+def engine_only():
+    """The direct route turned off, so the case engine answers every pair."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_direct", lambda build, U, V: None)
+        yield

@@ -29,7 +29,7 @@ from seqlocc.templates import LocalLayer
 
 from conftest import CNOT, CZ, HAD, I2, SZ
 
-CFG = RunConfig(direct=False)
+CFG = RunConfig()
 
 
 def _unitary_sqrt(Z, flips=()):

@@ -22,8 +22,16 @@ from seqlocc import engine
 from seqlocc.arcs import _zero_of_2x2, numerical_range_zero
 from seqlocc.io import dumps_scheme
 
+from corpus import labeled_pairs
+
 CFG = RunConfig()
-OFF = RunConfig(direct=False)
+
+
+def _engine_only(U, V):
+    """discriminate with the direct route turned off: the case engine alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_direct", lambda build, U, V: None)
+        return discriminate(U, V, CFG)
 
 
 def _complex(rng, *shape):
@@ -146,7 +154,7 @@ def test_pair_no_candidate_solves_falls_back():
     V = validate_unitary(np.diag(np.exp(1j * np.array([0.0, 1.0, 2.5, 4.4]))), 2, 2)
     assert smallest_arc(V.matrix).theta > np.pi
     scheme, report = discriminate(U, V, CFG)
-    engine_scheme, engine_report = discriminate(U, V, OFF)
+    engine_scheme, _ = _engine_only(U, V)
     assert scheme.case_trace == engine_scheme.case_trace == ["ii-a"]
     assert report.passed
     assert dumps_scheme(scheme) == dumps_scheme(engine_scheme)
@@ -181,4 +189,32 @@ def test_direct_route_properties(d_a, d_b, seed):
     again, again_report = discriminate(U, V, CFG)
     assert dumps_scheme(again, again_report) == dumps_scheme(scheme, report)
     if (d_a, d_b) == (2, 2):
-        assert report.query_count <= discriminate(U, V, OFF)[1].query_count
+        assert report.query_count <= _engine_only(U, V)[1].query_count
+
+
+def test_corpus_with_direct_route():
+    """Every acceptance-corpus pair under the default configuration: the
+    scheme verifies, a direct scheme's budget is its verified overlap within
+    overlap_tol, and no pair takes more queries than the case engine alone."""
+    direct = 0
+    for label, _, U, V in labeled_pairs():
+        scheme, report = discriminate(U, V, CFG)
+        assert report.passed, label
+        assert report.overlap <= scheme.budget + 1e-12, label
+        if scheme.case_trace == ["direct"]:
+            direct += 1
+            assert scheme.budget == report.overlap <= CFG.overlap_tol, label
+        assert report.query_count <= _engine_only(U, V)[1].query_count, label
+    assert direct > 0
+
+
+def test_direct_under_a_block():
+    """A Haar pair the route cannot answer at depth 0 reaches it on the
+    image pair of the iii-a block."""
+    rng = np.random.default_rng(29)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["iii", "iii-a", "direct"]
+    assert report.passed
+    assert report.overlap <= scheme.budget <= CFG.overlap_tol
+    assert report.query_count <= _engine_only(U, V)[1].query_count

@@ -33,7 +33,11 @@ from seqlocc.templates import bare_query_template
 
 from conftest import CNOT, CZ, HAD, I2, SZ
 
-CFG = RunConfig(direct=False)
+CFG = RunConfig()
+
+# these tests pin the case engine's routes; the direct route (tests/test_direct.py)
+# would answer many of their pairs with one query first
+pytestmark = pytest.mark.usefixtures("engine_only")
 
 
 def _v(M, d_a=2, d_b=2):
@@ -217,7 +221,7 @@ def test_deterministic_bytes():
 
 
 def test_recursion_depth_cap():
-    cfg = RunConfig(max_depth=0, direct=False)
+    cfg = RunConfig(max_depth=0)
     with pytest.raises(Exception) as err:
         discriminate(_v(CNOT), _v(CZ), cfg)
     assert "depth" in str(err.value) or "Recursion" in type(err.value).__name__
