@@ -25,7 +25,7 @@ from .errors import (
     SynthesisFailed,
 )
 from .linalg import dagger, eig_unitary, mat, phase_distance
-from .structure import classify_primitive, entangling_witness, operator_schmidt
+from .structure import classify_primitive, entangling_witness
 from .synthesis import synthesize
 from .templates import dumps_template
 
@@ -82,9 +82,8 @@ def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
     U = _read_matrix(args.matrix, cfg.unitarity_tol)
     form = classify_primitive(U, cfg.rank_tol)
-    dec = operator_schmidt(U)
     lines = [f"kind: {form.kind}", f"residual: {form.residual:.3e}"]
-    coeffs = ", ".join(f"{c:.12g}" for c in dec.coefficients)
+    coeffs = ", ".join(f"{c:.12g}" for c in form.schmidt_coefficients)
     lines.append(f"schmidt_coefficients: [{coeffs}]")
     if form.kind != "Imprimitive":
         lines.append("factor_a:")

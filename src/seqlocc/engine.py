@@ -78,6 +78,7 @@ from .templates import (
     compose_templates,
     evaluate_template,
     sequential_template,
+    template_outputs,
 )
 
 
@@ -264,12 +265,14 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialSc
 
     Ties go to the wider phase distance: factor extraction carries a little
     noise, so a barely-nonzero side must not shadow a cleanly distinct one.
+    A lone distinct side is taken unpriced, as the other one costs inf.
     """
     cfg = build.cfg
     build.trace.append("i-a")
 
     sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
              "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
+    gaps = {side: phase_distance(X_u, X_v) for side, (X_u, X_v, _) in sides.items()}
 
     def cost(side):
         X_u, X_v, _ = sides[side]
@@ -277,9 +280,10 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialSc
             n = parallel_query_count(X_u, X_v, cfg.distinct_tol, cfg.tol_angle)
         except Indistinguishable:
             n = math.inf  # if both sides are, build_sequential_scheme raises it
-        return n, -phase_distance(X_u, X_v)
+        return n, -gaps[side]
 
-    side = min(sides, key=cost)
+    distinct = [side for side in sides if gaps[side] > cfg.distinct_tol]
+    side = distinct[0] if len(distinct) == 1 else min(sides, key=cost)
     X_u, X_v, idle = sides[side]
     scheme = _one_side(build, side, X_u, X_v, None, idle, ())
     build.per_branch_error.append(scheme.budget)
@@ -643,10 +647,13 @@ def verify_scheme(scheme: LoccSequentialScheme, U, V,
 
 
 def _overlap_report(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
-    """verify_scheme on a scheme that validate_scheme has already passed."""
-    inp = np.kron(scheme.input_a, scheme.input_b)
-    phi_u = evaluate_template(scheme.template, mat(U)) @ inp
-    phi_v = evaluate_template(scheme.template, mat(V)) @ inp
+    """verify_scheme on a scheme that validate_scheme has already passed:
+    both outputs in one pass of the product input through the template."""
+    u, v = mat(U), mat(V)
+    if u.shape != v.shape:
+        raise DimensionMismatch(f"operands differ in shape: {u.shape} vs {v.shape}")
+    phi_u, phi_v = template_outputs(scheme.template, np.stack([u, v]),
+                                    scheme.input_a, scheme.input_b)
     ov = float(abs(np.vdot(phi_u, phi_v)))
     return DiscriminationReport(
         overlap=ov,

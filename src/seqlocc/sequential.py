@@ -66,13 +66,20 @@ def compose_sequential(X, interleavers) -> np.ndarray:
 
 
 def _circular_sorted_eig(M, tol_angle: float):
-    """Spectrum of M, its arc, and the eigenvectors sorted by phase measured
-    from the arc start."""
+    """Spectrum of M, its arc, the arc of its raw phases, and the
+    eigenvectors sorted by phase measured from the start of the latter.
+
+    The arc merges phases closer than tol_angle into their cluster's first
+    member, so a near-degenerate member can lie beyond an endpoint, or a tie
+    of equal gaps can put the arc on the other half circle. The stage
+    rotation and the input act on the extreme eigenvectors, so they take the
+    raw arc (tol_angle 0); without such members both arcs are the same floats.
+    """
     dec = eig_unitary(M)
-    info = arc_of_phases(dec.phases, tol_angle)
-    keys = np.mod(dec.phases - info.start_phase + tol_angle, 2 * PI)
+    ends = arc_of_phases(dec.phases, 0.0)
+    keys = np.mod(dec.phases - ends.start_phase + tol_angle, 2 * PI)
     order = np.argsort(keys, kind="stable")
-    return dec, info, dec.vectors[:, order]
+    return dec, arc_of_phases(dec.phases, tol_angle), ends, dec.vectors[:, order]
 
 
 def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
@@ -102,7 +109,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialSch
         raise Indistinguishable("operations agree up to a global phase")
 
     M = Um.conj().T @ Vm
-    dec, info, Q = _circular_sorted_eig(M, cfg.tol_angle)
+    dec, info, ends_0, Q = _circular_sorted_eig(M, cfg.tol_angle)
     theta_0 = info.theta
     if theta_0 <= cfg.tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
@@ -112,21 +119,21 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialSch
     A, B = Um, Vm
     interleavers: list[np.ndarray] = []
     trace = [theta_0]
-    R = Q
+    ends, R = ends_0, Q
     while info.theta < PI - cfg.tol_angle:
         if len(interleavers) >= max_stages:
             raise StageStalled(
                 f"arc stuck at {info.theta:.6f} after {len(interleavers)} stages", trace)
-        w = R @ _stage_rotation(info.theta, theta_0, Um.shape[0]) @ q_u_dag
+        w = R @ _stage_rotation(ends.theta, ends_0.theta, Um.shape[0]) @ q_u_dag
         A = A @ w @ Um
         B = B @ w @ Vm
         interleavers.insert(0, w)
         M = A.conj().T @ B
-        dec, info, R = _circular_sorted_eig(M, cfg.tol_angle)
+        dec, info, ends, R = _circular_sorted_eig(M, cfg.tol_angle)
         trace.append(info.theta)
 
     # the last decomposition is that of the final relative operator M
-    psi = zero_overlap_from_spectrum(dec, info, cfg.tol_angle)
+    psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
     resid = float(abs(np.vdot(psi, M @ psi)))
     if resid > cfg.overlap_tol:
         raise StageStalled(f"final overlap {resid:.3e} above tolerance", trace)

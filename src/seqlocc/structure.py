@@ -49,12 +49,14 @@ class PrimitiveForm:
 
     residual is the phase-invariant distance to the classified form; for
     imprimitive operators it is the distance to the nearest primitive form.
+    schmidt_coefficients are those of the plain (unswapped) realignment.
     """
 
     kind: str  # "Product" | "SwapProduct" | "Imprimitive"
     factor_a: np.ndarray | None
     factor_b: np.ndarray | None
     residual: float
+    schmidt_coefficients: np.ndarray
 
 
 def realign(U, d_a: int, d_b: int) -> np.ndarray:
@@ -182,20 +184,20 @@ def classify_primitive(U: BipartiteUnitary, rank_tol: float = 1e-7) -> Primitive
         fa, fb = _unitary_factors_from_rank1(
             dec.coefficients[0], dec.left_ops[0], dec.right_ops[0], M=U.matrix)
         return PrimitiveForm("Product", fa, fb,
-                             float(phase_distance(U.matrix, kron(fa, fb))))
+                             float(phase_distance(U.matrix, kron(fa, fb))), dec.coefficients)
     if is_swap:
         ga, gb = _unitary_factors_from_rank1(
             dec_p.coefficients[0], dec_p.left_ops[0], dec_p.right_ops[0],
             M=U.matrix @ swap_operator(d_a))
         residual = phase_distance(U.matrix, kron(ga, gb) @ swap_operator(d_a))
-        return PrimitiveForm("SwapProduct", ga, gb, float(residual))
+        return PrimitiveForm("SwapProduct", ga, gb, float(residual), dec.coefficients)
     # distance to the nearest primitive form, from the truncation weight
     c = dec.coefficients
     residual = float(np.sqrt(max(0.0, 1.0 - c[0] ** 2 / (d_a * d_b))))
     if dec_p is not None:
         cp = dec_p.coefficients
         residual = min(residual, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / (d_a * d_b)))))
-    return PrimitiveForm("Imprimitive", None, None, residual)
+    return PrimitiveForm("Imprimitive", None, None, residual, dec.coefficients)
 
 
 def _embedded_pauli(sigma: np.ndarray, d: int) -> np.ndarray:

@@ -145,6 +145,30 @@ def evaluate_template(t: CircuitTemplate, X) -> np.ndarray:
     return M
 
 
+def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
+    """Output states of the template on input_a (x) input_b, one row per
+    operand of the (m, n, n) stack X.
+
+    The state propagates as an (m, d_a, d_b) array: a local layer acts as
+    fa @ psi @ fb^T and a query as one batched mat-vec, so no Kronecker
+    product and no n x n layer product is formed.
+    """
+    d_a, d_b, n = t.d_a, t.d_b, t.dim
+    x = np.asarray(X)
+    if x.ndim != 3 or x.shape[1:] != (n, n):
+        raise DimensionMismatch(f"expected a stack of {n}x{n} queries, got {x.shape}")
+    a, b = np.asarray(input_a), np.asarray(input_b)
+    if a.shape != (d_a,) or b.shape != (d_b,):
+        raise DimensionMismatch(f"inputs {a.shape}/{b.shape} do not fit ({d_a}, {d_b})")
+    psi = np.broadcast_to(np.outer(a, b), (len(x), d_a, d_b))
+    for layer in t.layers:
+        if isinstance(layer, Query):
+            psi = (x @ psi.reshape(-1, n, 1)).reshape(-1, d_a, d_b)
+        else:
+            psi = layer.factor_a @ psi @ layer.factor_b.T
+    return psi.reshape(-1, n)
+
+
 def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> CircuitTemplate:
     """Substitute `inner` at every query slot of `outer` and flatten.
 

@@ -301,5 +301,19 @@ def test_achieved_overlap_is_the_verified_overlap(corpus_schemes):
         assert scheme.achieved_overlap == report.overlap, label
 
 
+def test_propagated_outputs_match_the_matrix_path(corpus_schemes):
+    """verify_scheme propagates the product input through the template; the
+    overlap agrees with the n x n matrices of the template to 1e-14 and the
+    verdict is the same."""
+    for label, _, U, V, scheme, report in corpus_schemes:
+        rep = verify_scheme(scheme, U, V)
+        inp = np.kron(scheme.input_a, scheme.input_b)
+        phi_u = evaluate_template(scheme.template, U.matrix) @ inp
+        phi_v = evaluate_template(scheme.template, V.matrix) @ inp
+        ov = float(abs(np.vdot(phi_u, phi_v)))
+        assert abs(rep.overlap - ov) <= 1e-14, label
+        assert rep.passed == (ov <= scheme.budget + 1e-12), label
+
+
 if __name__ == "__main__":
     raise SystemExit(pytest.main([__file__, "-s", "-q"]))

@@ -187,6 +187,39 @@ def test_verify_detects_tampering():
     assert not rep.passed
 
 
+def test_verify_scheme_dimension_mismatch_is_typed():
+    """Operands that do not fit the template, or differ from each other,
+    raise DimensionMismatch rather than a numpy error."""
+    U, V = np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2)
+    scheme, _ = _run(U, V)
+    big = _v(np.eye(6, dtype=complex), 2, 3)
+    for u, v in ((big, _v(V)), (_v(U), big), (big, big)):
+        with pytest.raises(DimensionMismatch):
+            verify_scheme(scheme, u, v, CFG)
+
+
+def test_lone_distinct_product_side_decomposed_once_per_query(monkeypatch):
+    """A product pair distinct on one side only takes that side unpriced:
+    the sequential engine's one eig_unitary per query is all it costs."""
+    from seqlocc import arcs, sequential
+    calls = []
+    real = sequential.eig_unitary
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    for module in (arcs, sequential, engine):
+        monkeypatch.setattr(module, "eig_unitary", counting)
+    rng = np.random.default_rng(5)
+    Q = random_unitary(2, rng)
+    VA = Q @ np.diag([1, np.exp(1.1j)]) @ Q.conj().T
+    scheme, report = _run(np.kron(I2, HAD), np.kron(VA, HAD))
+    assert scheme.case_trace == ["i-a"]
+    assert report.query_count == 3
+    assert len(calls) == report.query_count
+
+
 def test_scheme_locc_legality():
     scheme, _ = _run(CNOT, CZ)
     for layer in scheme.template.layers:

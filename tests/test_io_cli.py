@@ -68,6 +68,26 @@ def test_cli_classify_swap(tmp_path, capsys):
     assert "SwapProduct" in capsys.readouterr().out
 
 
+def test_cli_classify_decomposes_each_realignment_once(tmp_path, monkeypatch, capsys):
+    """The printed coefficients are the ones classify_primitive computed:
+    one operator_schmidt for the plain realignment, one for the swapped."""
+    from seqlocc import cli, structure
+    calls = []
+    real = structure.operator_schmidt
+
+    def counting(U):
+        calls.append(U)
+        return real(U)
+
+    monkeypatch.setattr(structure, "operator_schmidt", counting)
+    # a direct call from cli counts too, should it import the function again
+    monkeypatch.setattr(cli, "operator_schmidt", counting, raising=False)
+    path = _write(tmp_path, "cz.json", CZ)
+    assert main(["classify", path]) == 0
+    assert "schmidt_coefficients: [1.41421356237, 1.41421356237" in capsys.readouterr().out
+    assert len(calls) == 2
+
+
 def test_cli_classify_malformed(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"d_a": 2, "d_b": 2, "entries": [[1, 0]]}')
@@ -130,6 +150,18 @@ def test_cli_discriminate_verify_round_trip(tmp_path, capsys):
     assert main(["verify", scheme_path, a, b]) == 0
     out = capsys.readouterr().out
     assert "verified: pass" in out
+
+
+def test_cli_verify_dimension_mismatch_exit2(tmp_path, capsys):
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
+    scheme_path = str(tmp_path / "scheme.json")
+    assert main(["discriminate", a, b, "--out", scheme_path]) == 0
+    rng = np.random.default_rng(3)
+    u3, v3 = (_write(tmp_path, f"{n}3.json", random_unitary(9, rng), 3, 3) for n in "uv")
+    capsys.readouterr()
+    assert main(["verify", scheme_path, u3, v3]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):

@@ -192,6 +192,23 @@ def test_stage_commuting_pace_gains_full_arc():
     assert not np.allclose(scheme.interleavers[0], np.eye(4))
 
 
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("phases", [[0.0, 1.0 - 1e-12, 1.0], [0.0, 0.8 - 3e-12, 0.8],
+                                    [0.0, 3.5e-13, np.pi / 9]])
+def test_near_degenerate_arc_endpoint_closes_exactly(phases, seed):
+    """A phase within 1e-12 of an arc endpoint joins that endpoint's cluster,
+    whose representative need not be the extreme member. The closing
+    rotation and the input must still use the extreme eigenvectors, or the
+    endpoints miss antipodality by the cluster width (overlap about 1e-12
+    instead of 1e-15)."""
+    rng = np.random.default_rng(seed)
+    U, Q = random_unitary(3, rng), random_unitary(3, rng)
+    V = U @ Q @ _dphases(phases) @ Q.conj().T
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.query_count == queries_for_arc(phases[-1])
+    assert _recompute_overlap(U, V, scheme) <= 1e-13
+
+
 _EXACT_ARCS = [np.pi / k for k in range(2, 10)]
 
 

@@ -17,7 +17,7 @@ from seqlocc import (
     unitarity_defect,
 )
 from seqlocc.errors import DimensionMismatch
-from seqlocc.templates import append_query, identity_local
+from seqlocc.templates import append_query, identity_local, template_outputs
 
 from conftest import CNOT, HAD, SX, SZ
 
@@ -159,3 +159,36 @@ def test_dimension_checks():
         compose_templates(t, bare_query_template(2, 3, 1))
     with pytest.raises(DimensionMismatch):
         CircuitTemplate(2, 2, [LocalLayer(np.eye(3), np.eye(2))])
+    t23 = bare_query_template(2, 3, 2)
+    a, b = np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3)
+    for X in (np.eye(6), np.eye(4)[None], np.eye(6)[None, :5]):
+        with pytest.raises(DimensionMismatch):
+            template_outputs(t23, X, a, b)
+    with pytest.raises(DimensionMismatch):
+        template_outputs(t23, np.eye(6)[None], b, a)
+
+
+def _random_template(rng, d_a, d_b, k):
+    layers = [_local(rng, d_a, d_b)]
+    for _ in range(k):
+        layers += [QUERY, _local(rng, d_a, d_b)]
+    return CircuitTemplate(d_a, d_b, layers)
+
+
+def _random_state(rng, d):
+    z = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return z / np.linalg.norm(z)
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+@pytest.mark.parametrize("k", range(5))
+def test_outputs_agree_with_the_matrix_path(d_a, d_b, k):
+    rng = np.random.default_rng([d_a, d_b, k])
+    t = _random_template(rng, d_a, d_b, k)
+    X = np.stack([random_unitary(d_a * d_b, rng) for _ in range(3)])
+    a, b = _random_state(rng, d_a), _random_state(rng, d_b)
+    out = template_outputs(t, X, a, b)
+    assert out.shape == (3, d_a * d_b)
+    for row, x in zip(out, X):
+        assert np.allclose(row, evaluate_template(t, x) @ np.kron(a, b), rtol=0, atol=1e-12)
+        assert np.array_equal(row, template_outputs(t, x[None], a, b)[0])
