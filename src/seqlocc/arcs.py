@@ -17,7 +17,8 @@ from .config import RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
 from .linalg import TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance
 
-DEFAULT_TOL_ANGLE = RunConfig.tol_angle
+# an arc that divides pi to within rounding needs no extra query
+_CEIL_SLACK = 1e-12
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ArcInfo:
     witness_phase_indices: tuple[int, int]
 
 
-def dedup_phases(phases, tol_angle: float = DEFAULT_TOL_ANGLE):
+def dedup_phases(phases, tol_angle: float = RunConfig.tol_angle):
     """Cluster sorted phases circularly at tol_angle.
 
     Returns (representatives, member_index) where member_index[j] is the
@@ -61,7 +62,7 @@ def dedup_phases(phases, tol_angle: float = DEFAULT_TOL_ANGLE):
     return np.asarray(reps), first, counts
 
 
-def arc_of_phases(phases, tol_angle: float = DEFAULT_TOL_ANGLE) -> ArcInfo:
+def arc_of_phases(phases, tol_angle: float = RunConfig.tol_angle) -> ArcInfo:
     """Smallest covering arc of a set of phases in [0, 2pi)."""
     reps, first, _ = dedup_phases(phases, tol_angle)
     m = reps.size
@@ -76,13 +77,13 @@ def arc_of_phases(phases, tol_angle: float = DEFAULT_TOL_ANGLE) -> ArcInfo:
     return ArcInfo(theta, float(reps[start]), float(reps[j]), (first[start], first[j]))
 
 
-def smallest_arc(U, tol_angle: float = DEFAULT_TOL_ANGLE) -> ArcInfo:
+def smallest_arc(U, tol_angle: float = RunConfig.tol_angle) -> ArcInfo:
     """Theta(U) with endpoints, from the sorted deduplicated eigenphases."""
     dec = eig_unitary(U)
     return arc_of_phases(dec.phases, tol_angle)
 
 
-def single_query_distinguishable(U, V, tol_angle: float = DEFAULT_TOL_ANGLE) -> bool:
+def single_query_distinguishable(U, V, tol_angle: float = RunConfig.tol_angle) -> bool:
     """True when Theta(U^dag V) >= pi (within tol_angle)."""
     a, b = mat(U), mat(V)
     if a.shape != b.shape:
@@ -92,11 +93,11 @@ def single_query_distinguishable(U, V, tol_angle: float = DEFAULT_TOL_ANGLE) -> 
 
 def queries_for_arc(theta: float) -> int:
     """ceil(pi / theta): queries that stretch a relative arc theta to pi."""
-    return max(1, math.ceil(math.pi / theta - 1e-12))
+    return max(1, math.ceil(math.pi / theta - _CEIL_SLACK))
 
 
 def parallel_query_count(U, V, distinct_tol: float = RunConfig.distinct_tol,
-                         tol_angle: float = DEFAULT_TOL_ANGLE) -> int:
+                         tol_angle: float = RunConfig.tol_angle) -> int:
     """N = ceil(pi / Theta(U^dag V)): parallel copies needed for orthogonality."""
     if phase_distance(U, V) <= distinct_tol:
         raise Indistinguishable("operations agree up to a global phase")
@@ -131,7 +132,7 @@ def _triple_weights(z) -> np.ndarray:
     return p / p.sum()
 
 
-def zero_overlap_state(T, tol_angle: float = DEFAULT_TOL_ANGLE) -> np.ndarray:
+def zero_overlap_state(T, tol_angle: float = RunConfig.tol_angle) -> np.ndarray:
     """Unit state psi with <psi|T|psi> = 0, mixing at most 3 eigenvectors.
 
     Requires Theta(T) >= pi - tol_angle; see zero_overlap_from_spectrum.
@@ -167,7 +168,7 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
     return psi / np.linalg.norm(psi)
 
 
-def eigenphase_rows(U, tol_angle: float = DEFAULT_TOL_ANGLE):
+def eigenphase_rows(U, tol_angle: float = RunConfig.tol_angle):
     """(index, phase, multiplicity) rows of the deduplicated spectrum of U,
     or of a SpectralDecomposition already made of it."""
     dec = U if isinstance(U, SpectralDecomposition) else eig_unitary(U)
@@ -226,11 +227,11 @@ def _hit(A: np.ndarray, X: np.ndarray, z: complex) -> np.ndarray | None:
 
 
 def numerical_range_zero(A) -> np.ndarray | None:
-    """Unit phi with |phi^dag A phi| <= 1e-12, or None when none is found.
+    """Unit phi with |phi^dag A phi| <= _ZERO_TOL, or None when none is found.
 
     0 lies in the numerical range F(A) iff the support function
     lambda_max(Re(e^{i alpha} A)) is nonnegative at every alpha, so one
-    batched eigh at 32 equally spaced alpha screens out every A with a
+    batched eigh at _ANGLES equally spaced alpha screens out every A with a
     separating line among them. The top eigenvectors x_k of those
     Hermitian parts give boundary points p_k = x_k^dag A x_k of F(A); a fan
     of triangles (p_0, p_j, p_j+1) locates 0, which is then reached by two

@@ -1,9 +1,14 @@
-"""Run-wide configuration: tolerances, seeds, and search budgets."""
+"""Run-wide configuration: tolerances, seeds, and search budgets.
+
+RunConfig holds every value a caller can set. The fixed thresholds that more
+than one module reads are named below it; a threshold that one module alone
+reads is named at the top of that module.
+"""
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -12,7 +17,8 @@ import numpy as np
 class RunConfig:
     """Tolerances and budgets shared by the discrimination machinery.
 
-    All tolerances are positive; the seed makes every search deterministic.
+    All tolerances are positive and all budgets nonnegative; the seed makes
+    every search deterministic.
     """
 
     # tolerances
@@ -24,13 +30,10 @@ class RunConfig:
     epsilon: float = 1e-4            # synthesis target (phase-invariant distance)
     rank_tol: float = 1e-7           # Schmidt coefficient cutoff, relative to largest
     tol_angle: float = 1e-8          # eigenphase dedup / arc comparison tolerance
-    identity_tol: float = 1e-6       # "differs from identity" threshold for symmetry probes
-    x_tol: float = 1e-6              # routing threshold between the x=1 and x!=1 branches
 
     # search budgets
     seed: int = 0
     restarts: int = 16
-    k_min: int = 0
     k_max: int = 12
     max_depth: int = 4
 
@@ -39,8 +42,23 @@ class RunConfig:
             if f.name.endswith(("_tol", "_angle")) or f.name == "epsilon":
                 if getattr(self, f.name) <= 0:
                     raise ValueError(f"{f.name} must be positive")
+        for name in ("restarts", "k_max", "max_depth"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
 
     def rng(self, label: str, *indices: int) -> np.random.Generator:
         """Deterministic generator for a named search, stable across runs."""
         tag = zlib.crc32(label.encode("utf-8"))
         return np.random.default_rng(np.random.SeedSequence((self.seed, tag, *indices)))
+
+
+# Unitarity of a matrix built in closed form from exact entries (identities,
+# controlled targets, interaction exponentials): only float rounding, a few
+# eps times the dimension, separates it from unitary.
+CLOSED_FORM_TOL = 1e-12
+
+# Operator-norm threshold at which an operand counts as already having a
+# structural form (two-block controlled, an interaction exponential, the
+# symmetry of the probes): a fast path taken at this threshold charges the
+# deviation it measured to the budget.
+MATCH_TOL = 1e-9

@@ -34,7 +34,7 @@ from .arcs import (
     parallel_query_count,
     single_query_distinguishable,
 )
-from .config import RunConfig
+from .config import CLOSED_FORM_TOL, MATCH_TOL, RunConfig
 from .errors import (
     BranchSelectionFailed,
     CaseFailure,
@@ -80,6 +80,16 @@ from .templates import (
     sequential_template,
     template_outputs,
 )
+
+# a symmetry-probe composite within this of the identity separates nothing
+_IDENTITY_TOL = 1e-6
+# routing threshold between the x = 1 and x != 1 branches of case iii
+_X_TOL = 1e-6
+# least tolerance at which an image of V is matched to an interaction
+# exponential; a synthesized image may sit up to 10 delta_u off its ideal
+_ROUTING_FLOOR = 1e-5
+# rounding slack by which a verified overlap may exceed its budget
+_VERIFY_SLACK = 1e-12
 
 
 @dataclass
@@ -190,8 +200,9 @@ def _image_factors(template: CircuitTemplate, fa: np.ndarray, fb: np.ndarray,
     return MA, MB, s
 
 
-def _controlled_form(M: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9):
-    """Two-block controlled structure of M in the computational A-basis.
+def _controlled_form(M: np.ndarray, d_a: int, d_b: int):
+    """Two-block controlled structure of M in the computational A-basis, to
+    MATCH_TOL.
 
     Returns (groups, blocks) where groups are the two index sets of the
     control projectors and blocks the two distinct controlled unitaries, or
@@ -204,14 +215,14 @@ def _controlled_form(M: np.ndarray, d_a: int, d_b: int, tol: float = 1e-9):
         for ap in range(d_a):
             if a != ap:
                 off = max(off, float(np.linalg.norm(M4[a, :, ap, :])))
-    if off > tol:
+    if off > MATCH_TOL:
         return None
     diag = [M4[a, :, a, :] for a in range(d_a)]
     groups: list[list[int]] = []
     blocks: list[np.ndarray] = []
     for a, W in enumerate(diag):
         for g, ref in enumerate(blocks):
-            if np.linalg.norm(W - ref, 2) <= tol:
+            if np.linalg.norm(W - ref, 2) <= MATCH_TOL:
                 groups[g].append(a)
                 break
         else:
@@ -233,7 +244,7 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
-    ctrl = _controlled_form(U.matrix, d_a, d_b, tol=1e-9)
+    ctrl = _controlled_form(U.matrix, d_a, d_b)
     if ctrl is not None:
         build.note("controlled fast path: operand already has two-block form")
         groups, blocks = ctrl
@@ -250,7 +261,7 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     P0 = np.diag(basis_state(d_a, 0))
     C = np.kron(P0, np.eye(d_b)) + np.kron(np.eye(d_a) - P0, G)
     groups, blocks = [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G]
-    res = synthesize(validate_unitary(C, d_a, d_b, tol=1e-12), U, cfg)
+    res = synthesize(validate_unitary(C, d_a, d_b, tol=CLOSED_FORM_TOL), U, cfg)
     build.note(f"controlled target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
     fU = evaluate_template(res.template, U.matrix)
     delta_use = op_distance_mod_phase(fU, C)
@@ -259,9 +270,11 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
 
 # --- case (i): both primitive ----------------------------------------------
 
-def _case_product_product(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
+def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
+                          deltas=()) -> LoccSequentialScheme:
     """Both operands are products: run the sequential engine on the side
-    with the fewest predicted queries and idle the other side.
+    with the fewest predicted queries and idle the other side. deltas are
+    the per-use deviations of U and V from those products.
 
     Ties go to the wider phase distance: factor extraction carries a little
     noise, so a barely-nonzero side must not shadow a cleanly distinct one.
@@ -285,12 +298,12 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialSc
     distinct = [side for side in sides if gaps[side] > cfg.distinct_tol]
     side = distinct[0] if len(distinct) == 1 else min(sides, key=cost)
     X_u, X_v, idle = sides[side]
-    scheme = _one_side(build, side, X_u, X_v, None, idle, ())
+    scheme = _one_side(build, side, X_u, X_v, None, idle, deltas)
     build.per_branch_error.append(scheme.budget)
     return scheme
 
 
-def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
+def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
     """U = U_A (x) U_B against V = (V_A (x) V_B) P: one query suffices.
 
     With inputs |phi>_A and |psi>_B = V_A^dag U_A |phi_perp>, the overlap
@@ -301,7 +314,8 @@ def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialSchem
     d = mat(U_A).shape[0]
     input_b = dagger(V_A) @ (mat(U_A) @ basis_state(d, 1))
     build.note("product vs swapped product: single query")
-    return _finish(bare_query_template(d, d, 1), basis_state(d, 0), input_b, 0.0, build)
+    build.per_branch_error.extend(deltas)
+    return _finish(bare_query_template(d, d, 1), basis_state(d, 0), input_b, sum(deltas), build)
 
 
 def _mixing_rotation(M: np.ndarray, tol_angle: float) -> np.ndarray:
@@ -315,9 +329,10 @@ def _mixing_rotation(M: np.ndarray, tol_angle: float) -> np.ndarray:
     return np.eye(M.shape[0], dtype=complex) + E @ np.array([[c - 1, -c], [c, c - 1]]) @ E.conj().T
 
 
-def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
+def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
     """Both swapped products: f(X) = X (I (x) v) X turns them into plain
-    products f(U) = U_A v U_B (x) U_B U_A, then the product case applies.
+    products f(U) = U_A v U_B (x) U_B U_A, then the product case applies;
+    with two queries, f(U) and f(V) deviate by twice those of U and V.
 
     v = I works unless U_A U_B ~ V_A V_B and U_B U_A ~ V_B V_A. Then
     V_B ~ V_A^dag U_A U_B, so V_A v V_B ~ U_A M v M^dag U_B with
@@ -340,7 +355,7 @@ def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B) -> LoccSequentialScheme:
     build.note("swapped pair: middle layer selected, reducing to the product case")
     f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(np.eye(d, dtype=complex), v), QUERY])
     inner = _case_product_product(build, A @ v @ B, B @ A, C @ v @ D, D @ C)
-    return _over_block(build, f_template, inner, ())
+    return _over_block(build, f_template, inner, tuple(2.0 * delta for delta in deltas))
 
 
 # --- case (ii): exactly one imprimitive -------------------------------------
@@ -389,6 +404,14 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
 
 # --- case (iii): both imprimitive -------------------------------------------
 
+def _validated_product(M: np.ndarray, d_a: int, d_b: int, uses: int,
+                       cfg: RunConfig) -> BipartiteUnitary:
+    """Wrap M, a product of exact unitaries and `uses` factors of operands
+    accepted at cfg.unitarity_tol: defects add over a product, so M is
+    validated at uses times that, plus rounding."""
+    return validate_unitary(M, d_a, d_b, tol=uses * cfg.unitarity_tol + CLOSED_FORM_TOL)
+
+
 def _xx_template(U: BipartiteUnitary, build: _Build):
     """Template f with f(U) close to the canonical interaction exponential.
 
@@ -397,7 +420,7 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
     d_a, d_b = U.d_a, U.d_b
     target = exp_xx_form(1.0, d_a, d_b)
     delta = op_distance_mod_phase(U.matrix, target.matrix)
-    if delta <= 1e-9:
+    if delta <= MATCH_TOL:
         build.note("interaction fast path: operand already the canonical exponential")
         f_template = bare_query_template(d_a, d_b, 1)
         return f_template, evaluate_template(f_template, U.matrix), delta
@@ -416,7 +439,7 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
     d_a, d_b = U.d_a, U.d_b
     f_template, fU_real, delta_u = _xx_template(U, build)
     fV = evaluate_template(f_template, V.matrix)
-    fV_bip = validate_unitary(fV, d_a, d_b, tol=1e-6)
+    fV_bip = _validated_product(fV, d_a, d_b, f_template.query_count, cfg)
 
     cls_fv = classify_primitive(fV_bip, cfg.rank_tol)
     if cls_fv.kind != "Imprimitive":
@@ -426,9 +449,9 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
 
     # coinciding images (the "x = 1" situation) are detected against the real
     # image of U, so synthesis inexactness cannot misroute the pair
-    same = phase_distance(fV, fU_real) <= cfg.x_tol
-    m = None if same else match_exp_xx_mod_phase(fV_bip, tol=max(1e-5, 10.0 * delta_u))
-    if same or (m is not None and abs(m[0] - 1.0) <= cfg.x_tol):
+    same = phase_distance(fV, fU_real) <= _X_TOL
+    m = None if same else match_exp_xx_mod_phase(fV_bip, tol=max(_ROUTING_FLOOR, 10.0 * delta_u))
+    if same or (m is not None and abs(m[0] - 1.0) <= _X_TOL):
         return _case_iii_b_same(build, U, V, f_template, fU_real, depth)
     if m is None:
         return _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth)
@@ -450,7 +473,7 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth):
         FV = W @ fV @ W.conj().T @ fV
         scored.append((phase_distance(FV, identity), -i, wa, wb, W, FV, label))
     sep, _, wa, wb, W, FV, label = max(scored)
-    if (np.linalg.norm(FV - identity, 2) <= cfg.identity_tol
+    if (np.linalg.norm(FV - identity, 2) <= _IDENTITY_TOL
             or sep <= max(cfg.distinct_tol, 2.0 * delta_u)):
         raise CaseFailure(build.trace, SeqloccError(
             "no symmetry element separated the image of V from the identity"))
@@ -461,12 +484,12 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth):
     delta_u_block = op_distance_mod_phase(FU_real, identity)
     # the probe inverts the ideal image, so the real composite sits within
     # twice the synthesis deviation of the identity
-    if not delta_u_block <= 2.0 * delta_u + 4.0 * delta_u ** 2 + 1e-9:
+    if not delta_u_block <= 2.0 * delta_u + 4.0 * delta_u ** 2 + MATCH_TOL:
         raise CaseFailure(build.trace, SeqloccError(
             f"probe composite deviates {delta_u_block:.3e} from the identity, "
             f"beyond twice the synthesis deviation {delta_u:.3e}"))
-    inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=1e-12),
-                           validate_unitary(FV, d_a, d_b, tol=1e-6),
+    inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
+                           _validated_product(FV, d_a, d_b, 2 * f_template.query_count, cfg),
                            build, depth + 1)
     return _over_block(build, compose_templates(F_over_blocks, f_template), inner,
                        (delta_u_block,))
@@ -480,8 +503,8 @@ def _case_iii_b_same(build, U, V, f_template, fU_real, depth):
     cfg = build.cfg
     build.trace.append("iii-b-x1")
     d_a, d_b = U.d_a, U.d_b
-    gen = validate_unitary(fU_real, d_a, d_b, tol=1e-8)
-    h = synthesize(validate_unitary(U.matrix.conj().T, d_a, d_b, tol=1e-12), gen, cfg)
+    gen = _validated_product(fU_real, d_a, d_b, f_template.query_count, cfg)
+    h = synthesize(_validated_product(U.matrix.conj().T, d_a, d_b, 1, cfg), gen, cfg)
     build.note(f"inverse synthesized from forward blocks with k={h.layer_count}, "
                f"delta={h.delta:.2e}")
     block_template = append_query(compose_templates(h.template, f_template))
@@ -489,8 +512,8 @@ def _case_iii_b_same(build, U, V, f_template, fU_real, depth):
     identity = np.eye(d_a * d_b, dtype=complex)
     delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
     delta_bv = op_distance_mod_phase(evaluate_template(block_template, V.matrix), VUd)
-    inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=1e-12),
-                           validate_unitary(VUd, d_a, d_b, tol=1e-9),
+    inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
+                           _validated_product(VUd, d_a, d_b, 2, cfg),
                            build, depth + 1)
     return _over_block(build, block_template, inner, (delta_bu, delta_bv))
 
@@ -556,6 +579,16 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
 
 # --- dispatch ---------------------------------------------------------------
 
+def _form_deviation(X: BipartiteUnitary, cls) -> float:
+    """Distance mod phase of X from the (swapped) product of its classified
+    factors, in the Frobenius norm: a bound on the operator norm, no SVD."""
+    M = np.kron(cls.factor_a, cls.factor_b)
+    if cls.kind == "SwapProduct":
+        M = M @ swap_operator(X.d_a)
+    t = np.vdot(M, X.matrix)  # tr(M^dag X), of modulus about dim
+    return float(np.linalg.norm(X.matrix - t / abs(t) * M))
+
+
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
                    depth: int, cls_v=None) -> LoccSequentialScheme:
     """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
@@ -584,12 +617,15 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
             scheme = _direct(build, U, V)
             if scheme is not None:
                 return scheme
-        if kinds == ("Product", "Product"):
-            return _case_product_product(build, *factors)
-        if kinds == ("Product", "SwapProduct"):
-            return _case_product_swap(build, *factors)
-        if kinds == ("SwapProduct", "SwapProduct"):
-            return _case_swap_swap(build, *factors)
+        if kinds[0] != "Imprimitive":
+            # both primitive: i-a, i-b and i-c build on the extracted factors,
+            # so each use of an operand costs its distance from its form
+            deltas = (_form_deviation(U, cls_u), _form_deviation(V, cls_v))
+            if kinds == ("Product", "Product"):
+                return _case_product_product(build, *factors, deltas)
+            if kinds == ("Product", "SwapProduct"):
+                return _case_product_swap(build, *factors, deltas)
+            return _case_swap_swap(build, *factors, deltas)
         if kinds[1] != "Imprimitive":
             return _case_imprimitive_vs_primitive(build, U, V, cls_v)
         return _case_both_imprimitive(build, U, V, depth)
@@ -623,7 +659,7 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     return scheme, report
 
 
-def validate_scheme(scheme: LoccSequentialScheme, tol: float = 1e-9) -> None:
+def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
     off unitarity by more than tol, MalformedScheme for an input that is not
     a unit vector (to tol) of length d_a or d_b."""
@@ -658,6 +694,6 @@ def _overlap_report(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
     return DiscriminationReport(
         overlap=ov,
         query_count=scheme.template.query_count,
-        passed=ov <= scheme.budget + 1e-12,
+        passed=ov <= scheme.budget + _VERIFY_SLACK,
         case_trace=list(scheme.case_trace),
     )

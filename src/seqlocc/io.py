@@ -13,6 +13,7 @@ import json
 
 import numpy as np
 
+from .config import RunConfig
 from .engine import DiscriminationReport, LoccSequentialScheme, validate_scheme
 from .errors import MatrixFileError
 from .linalg import BipartiteUnitary, validate_unitary
@@ -28,7 +29,8 @@ def matrix_to_dict(U: BipartiteUnitary) -> dict:
     }
 
 
-def matrix_from_dict(data: dict, unitarity_tol: float = 1e-9) -> BipartiteUnitary:
+def matrix_from_dict(data: dict,
+                     unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
     try:
         d_a = int(data["d_a"])
         d_b = int(data["d_b"])
@@ -48,7 +50,7 @@ def dumps_matrix(U: BipartiteUnitary) -> str:
     return json.dumps(matrix_to_dict(U), indent=2)
 
 
-def loads_matrix(text: str, unitarity_tol: float = 1e-9) -> BipartiteUnitary:
+def loads_matrix(text: str, unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -56,7 +58,8 @@ def loads_matrix(text: str, unitarity_tol: float = 1e-9) -> BipartiteUnitary:
     return matrix_from_dict(data, unitarity_tol)
 
 
-def load_matrix_file(path: str, unitarity_tol: float = 1e-9) -> BipartiteUnitary:
+def load_matrix_file(path: str,
+                     unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_matrix(fh.read(), unitarity_tol)
 
@@ -100,7 +103,8 @@ def scheme_to_dict(scheme: LoccSequentialScheme,
     return data
 
 
-def scheme_from_dict(data: dict, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
+def scheme_from_dict(data: dict,
+                     unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
     """Scheme record to a scheme; a malformed record raises MatrixFileError,
     a malformed scheme the errors of validate_scheme."""
     try:
@@ -122,7 +126,8 @@ def dumps_scheme(scheme: LoccSequentialScheme,
     return json.dumps(scheme_to_dict(scheme, report), indent=2)
 
 
-def loads_scheme(text: str, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
+def loads_scheme(text: str,
+                 unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,7 +135,8 @@ def loads_scheme(text: str, unitarity_tol: float = 1e-9) -> LoccSequentialScheme
     return scheme_from_dict(data, unitarity_tol)
 
 
-def load_scheme_file(path: str, unitarity_tol: float = 1e-9) -> LoccSequentialScheme:
+def load_scheme_file(path: str,
+                     unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_scheme(fh.read(), unitarity_tol)
 

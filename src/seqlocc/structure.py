@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import CLOSED_FORM_TOL, MATCH_TOL, RunConfig
 from .errors import AmbiguousClassification, DimensionMismatch, DimensionTooSmall
 from .linalg import (
     BipartiteUnitary,
@@ -38,7 +39,7 @@ class OperatorSchmidtDecomposition:
     left_ops: list[np.ndarray]
     right_ops: list[np.ndarray]
 
-    def rank(self, rank_tol: float = 1e-7) -> int:
+    def rank(self, rank_tol: float = RunConfig.rank_tol) -> int:
         c = self.coefficients
         return int(np.sum(c > rank_tol * c[0]))
 
@@ -97,8 +98,8 @@ def _closest_unitary(M: np.ndarray) -> np.ndarray:
     return X @ Yh
 
 
-def _polish_product_factors(M: np.ndarray, fa: np.ndarray, fb: np.ndarray, sweeps: int = 3):
-    """Alternating polar refinement of fa (x) fb toward M.
+def _polish_product_factors(M: np.ndarray, fa: np.ndarray, fb: np.ndarray):
+    """Three sweeps of alternating polar refinement of fa (x) fb toward M.
 
     Each half-step maximizes Re tr((fa (x) fb)^dag M) exactly over one
     unitary factor, so a genuinely product M is recovered to the last bit
@@ -106,7 +107,7 @@ def _polish_product_factors(M: np.ndarray, fa: np.ndarray, fb: np.ndarray, sweep
     """
     d_a, d_b = fa.shape[0], fb.shape[0]
     M4 = M.reshape(d_a, d_b, d_a, d_b)
-    for _ in range(sweeps):
+    for _ in range(3):
         Ma = np.einsum("abcd,bd->ac", M4, fb.conj())
         fa = _closest_unitary(Ma)
         Mb = np.einsum("abcd,ac->bd", M4, fa.conj())
@@ -126,20 +127,20 @@ def _unitary_factors_from_rank1(c: float, A: np.ndarray, B: np.ndarray, M: np.nd
     return _apply_phase_convention(fa, fb)
 
 
-def entangling_witness(U: BipartiteUnitary, grid_extent: int = 2):
+def entangling_witness(U: BipartiteUnitary):
     """(coefficient, state): a product state from a small computational-basis
     grid that U entangles, and the second Schmidt coefficient of its image.
 
-    Candidates are basis states and two-term superpositions (+, -, +i); the
-    winner maximizes that coefficient. The state is None when no candidate
-    is entangled at all (a primitive U).
+    Candidates are basis states and two-term superpositions (+, -, +i) of
+    the first three levels; the winner maximizes that coefficient. The
+    state is None when no candidate is entangled at all (a primitive U).
     """
     d_a, d_b = U.d_a, U.d_b
 
     def side_states(d):
         states = [basis_state(d, k) for k in range(d)]
-        for j in range(min(d, grid_extent + 1)):
-            for k in range(j + 1, min(d, grid_extent + 1)):
+        for j in range(min(d, 3)):
+            for k in range(j + 1, min(d, 3)):
                 e_j, e_k = basis_state(d, j), basis_state(d, k)
                 states.append(normalize(e_j + e_k))
                 states.append(normalize(e_j - e_k))
@@ -156,7 +157,8 @@ def entangling_witness(U: BipartiteUnitary, grid_extent: int = 2):
     return best
 
 
-def classify_primitive(U: BipartiteUnitary, rank_tol: float = 1e-7) -> PrimitiveForm:
+def classify_primitive(U: BipartiteUnitary,
+                       rank_tol: float = RunConfig.rank_tol) -> PrimitiveForm:
     """Product / SwapProduct / Imprimitive, with factors where applicable.
 
     The decision is by operator Schmidt rank at rank_tol (second coefficient
@@ -233,12 +235,12 @@ def build_symmetry_set(d_a: int, d_b: int) -> SymmetrySet:
     return SymmetrySet([np.kron(a, b) for a, b in pairs], labels, pairs)
 
 
-def symmetry_set_inverts(U: BipartiteUnitary, tol: float = 1e-9) -> bool:
-    """True when U^dag = W U W^dag holds (in operator norm) for all four
-    probes W. Literal equality is demanded, not phase equivalence."""
+def symmetry_set_inverts(U: BipartiteUnitary) -> bool:
+    """True when U^dag = W U W^dag holds (in operator norm, to MATCH_TOL) for
+    all four probes W. Literal equality is demanded, not phase equivalence."""
     Ud = U.matrix.conj().T
     for W in build_symmetry_set(U.d_a, U.d_b).elements:
-        if np.linalg.norm(Ud - W @ U.matrix @ W.conj().T, 2) > tol:
+        if np.linalg.norm(Ud - W @ U.matrix @ W.conj().T, 2) > MATCH_TOL:
             return False
     return True
 
@@ -265,7 +267,7 @@ def exp_xx_form(x: float, d_a: int, d_b: int) -> BipartiteUnitary:
     G = xx_generator(d_a, d_b)
     proj = G @ G
     M = np.eye(d_a * d_b, dtype=complex) + (np.cos(x) - 1.0) * proj + 1j * np.sin(x) * G
-    return validate_unitary(M, d_a, d_b, tol=1e-12)
+    return validate_unitary(M, d_a, d_b, tol=CLOSED_FORM_TOL)
 
 
 def block_exponential(x: float, d: int) -> np.ndarray:
@@ -282,7 +284,7 @@ def _wrap_angle(x: float) -> float:
     return np.pi if y == -np.pi else float(y)
 
 
-def match_exp_xx(U: BipartiteUnitary, tol: float = 1e-9):
+def match_exp_xx(U: BipartiteUnitary, tol: float = MATCH_TOL):
     """x in (-pi, pi] with ||U - exp_xx_form(x)|| <= tol, or None.
 
     The candidate angle is read from the interaction block: the diagonal
@@ -304,7 +306,7 @@ def match_exp_xx(U: BipartiteUnitary, tol: float = 1e-9):
     return None
 
 
-def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = 1e-9):
+def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = MATCH_TOL):
     """(x, phase) with U = e^{i phase} exp_xx_form(x) within tol, or None.
 
     Routing helper for the case engine: the discrimination logic treats a

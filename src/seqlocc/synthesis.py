@@ -21,6 +21,16 @@ from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
 from .unitary_opt import hermitian_basis, unitary_and_tangents
 
+# L-BFGS-B options: a short run per seed, and a long polish of the winner
+_SEARCH_OPTIONS = {"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12}
+_POLISH_OPTIONS = {"maxiter": 1500, "ftol": 1e-20, "gtol": 1e-16}
+# a new best must beat the old one by more than the float noise of delta
+_IMPROVEMENT = 1e-15
+# seeds settle onto a common floor fast when k is infeasible: after seed
+# _FLOOR_SEEDS a best above _FLOOR_FACTOR * epsilon ends the search at this k
+_FLOOR_SEEDS = 7
+_FLOOR_FACTOR = 10.0
+
 
 @dataclass
 class SynthesisResult:
@@ -112,7 +122,7 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
                cfg: RunConfig | None = None) -> SynthesisResult:
     """Template over the generator approximating the target within epsilon.
 
-    Escalates k from cfg.k_min to cfg.k_max; at each k the local layers are
+    Escalates k from 0 to cfg.k_max; at each k the local layers are
     optimized by L-BFGS from identity, warm-started (previous best padded
     with an identity local on either end), and random seeds. The reported
     delta is the best found over all k tried so far, so it is nonincreasing
@@ -131,7 +141,7 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
     best = None  # (delta, k, params, problem)
     prev_params: dict[int, np.ndarray] = {}
 
-    for k in range(cfg.k_min, cfg.k_max + 1):
+    for k in range(cfg.k_max + 1):
         problem = _LayerProblem(target.matrix, X, target.d_a, target.d_b, k)
         seeds: list[np.ndarray] = []
         if k - 1 in prev_params:
@@ -145,26 +155,24 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
         k_best = None
         for s_idx, x0 in enumerate(seeds):
             res = scipy.optimize.minimize(
-                problem.value_and_grad, x0, jac=True, method="L-BFGS-B",
-                options={"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12})
+                problem.value_and_grad, x0, jac=True, method="L-BFGS-B", options=_SEARCH_OPTIONS)
             delta = problem.delta(res.x)
-            if k_best is None or delta < k_best[0] - 1e-15:
+            if k_best is None or delta < k_best[0] - _IMPROVEMENT:
                 k_best = (delta, res.x)
             if delta <= cfg.epsilon:
                 break
-            # seeds settle onto a common floor fast when k is infeasible
-            if s_idx >= 7 and k_best[0] > 10.0 * cfg.epsilon:
+            if s_idx >= _FLOOR_SEEDS and k_best[0] > _FLOOR_FACTOR * cfg.epsilon:
                 break
         if k_best[0] <= cfg.epsilon:
             # polish the winner: downstream error budgets scale with delta
             res = scipy.optimize.minimize(
                 problem.value_and_grad, k_best[1], jac=True, method="L-BFGS-B",
-                options={"maxiter": 1500, "ftol": 1e-20, "gtol": 1e-16})
+                options=_POLISH_OPTIONS)
             delta = problem.delta(res.x)
             if delta < k_best[0]:
                 k_best = (delta, res.x)
         prev_params[k] = k_best[1]
-        if best is None or k_best[0] < best[0] - 1e-15:
+        if best is None or k_best[0] < best[0] - _IMPROVEMENT:
             best = (k_best[0], k, k_best[1], problem)
         if best[0] <= cfg.epsilon:
             break

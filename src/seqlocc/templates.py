@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import RunConfig
 from .errors import DimensionMismatch, MatrixFileError, NotUnitary
 from .linalg import mat
 
@@ -103,7 +104,7 @@ def _normalize_layers(d_a: int, d_b: int, layers) -> list:
     return out
 
 
-def check_local_unitarity(t: CircuitTemplate, tol: float = 1e-9) -> None:
+def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise NotUnitary if any local factor drifted from unitarity.
 
     The factors of each side are stacked and checked with one einsum. The

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# eigenvalue gaps below this take the degenerate limit of the divided difference
+_DEGENERATE_GAP = 1e-12
+
 
 def hermitian_basis(d: int) -> np.ndarray:
     """Orthonormal (Hilbert-Schmidt) basis of d x d Hermitian matrices."""
@@ -49,7 +52,7 @@ def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray, ibasis: np.ndarra
 
     diff = 1j * (lam[:, :, None] - lam[:, None, :])
     num = e[:, :, None] - e[:, None, :]
-    small = np.abs(diff) < 1e-12
+    small = np.abs(diff) < _DEGENERATE_GAP
     # Daleckii-Krein divided differences of exp(i x), written against i*E
     # directions; the degenerate limit of (e_j - e_k)/(i(lam_j - lam_k)) is e_j.
     Phi = np.where(small, e[:, :, None] * np.ones_like(num),

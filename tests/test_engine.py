@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import copy
 
@@ -29,7 +31,7 @@ from seqlocc import (
 from seqlocc import engine
 from seqlocc.engine import _controlled_form, _image_factors
 from seqlocc.io import dumps_scheme
-from seqlocc.templates import bare_query_template
+from seqlocc.templates import bare_query_template, check_local_unitarity
 
 from conftest import CNOT, CZ, HAD, I2, SZ
 
@@ -422,3 +424,97 @@ def test_iii_a_budget_invariant_raises_case_failure(monkeypatch):
     with pytest.raises(CaseFailure) as err:
         discriminate(exp_xx_form(1.0, 2, 2), _v(random_unitary(4, rng)), CFG)
     assert err.value.case_trace == ["iii", "iii-a"]
+
+
+# --- primitive operands within rank_tol of their form -------------------------
+
+def _near_product(rng, d_a, d_b, eps, swapped=False):
+    """(A (x) B) P^swapped exp(i eps G) for the interaction generator G:
+    exactly unitary, and within rank_tol of its classified form for these eps."""
+    M = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+    if swapped:
+        M = M @ swap_operator(d_a)
+    return M @ exp_xx_form(eps, d_a, d_b).matrix
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 5e-8])
+@pytest.mark.parametrize("d_a, d_b, swapped_v, label", [
+    (2, 2, False, "i-a"), (2, 3, False, "i-a"), (2, 2, True, "i-b"), (3, 3, True, "i-b")])
+def test_near_product_deviation_charged(eps, d_a, d_b, swapped_v, label):
+    """i-a and i-b build on the extracted factors; the operand's distance from
+    them is charged per use, so the verified overlap stays within budget."""
+    rng = np.random.default_rng(int(eps * 1e10) + d_b)
+    U = _near_product(rng, d_a, d_b, eps)
+    V = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+    if swapped_v:
+        V = V @ swap_operator(d_a)
+    assert classify_primitive(_v(U, d_a, d_b)).kind == "Product"
+    scheme, report = _run(U, V, d_a, d_b)
+    assert scheme.case_trace == [label]
+    assert report.passed
+    assert scheme.budget >= eps * report.query_count
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 5e-8])
+def test_near_swap_product_deviation_charged_twice_per_block(eps):
+    rng = np.random.default_rng(int(eps * 1e10))
+    U = _near_product(rng, 2, 2, eps, swapped=True)
+    V = np.kron(random_unitary(2, rng), random_unitary(2, rng)) @ swap_operator(2)
+    scheme, report = _run(U, V)
+    assert scheme.case_trace == ["i-c", "i-a"]
+    assert report.passed
+    assert scheme.budget >= eps * report.query_count
+
+
+# --- engine properties beyond 2x2 -------------------------------------------
+
+ENGINE_PROPERTIES = settings(
+    max_examples=3, deadline=None, derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+
+
+def _two_block_controlled(rng, d_a, d_b):
+    """sum_a |a><a| (x) W_g(a) with two distinct blocks, both groups nonempty."""
+    blocks = [random_unitary(d_b, rng) for _ in range(2)]
+    groups = rng.permutation([0, 1] + list(rng.integers(0, 2, size=d_a - 2)))
+    return sum(np.kron(np.diag(np.eye(d_a)[a]), blocks[g]) for a, g in enumerate(groups))
+
+
+def _check_engine_scheme(U, V, d_a, d_b, label):
+    scheme, report = _run(U, V, d_a, d_b)
+    assert label in scheme.case_trace
+    assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
+    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    for v, d in ((scheme.input_a, d_a), (scheme.input_b, d_b)):
+        assert v.shape == (d,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
+    assert report.passed and report.overlap <= scheme.budget + 1e-12
+    again, again_report = _run(U, V, d_a, d_b)
+    assert dumps_scheme(again, again_report) == dumps_scheme(scheme, report)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (3, 3)])
+@ENGINE_PROPERTIES
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_controlled_vs_product_properties(d_a, d_b, seed):
+    rng = np.random.default_rng(seed)
+    U = _two_block_controlled(rng, d_a, d_b)
+    V = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+    _check_engine_scheme(U, V, d_a, d_b, "ii-a")
+
+
+@ENGINE_PROPERTIES
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_controlled_vs_swapped_product_properties(seed):
+    rng = np.random.default_rng(seed)
+    U = _two_block_controlled(rng, 3, 3)
+    V = np.kron(random_unitary(3, rng), random_unitary(3, rng)) @ swap_operator(3)
+    _check_engine_scheme(U, V, 3, 3, "ii-b")
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 3), (3, 2), (3, 3)])
+@ENGINE_PROPERTIES
+@given(x=st.floats(1.2, 2.8), phase=st.floats(-np.pi, np.pi))
+def test_interaction_exponentials_properties(d_a, d_b, x, phase):
+    """exp_xx(1) against e^{i phase} exp_xx(x), x away from 1 mod pi."""
+    V = np.exp(1j * phase) * exp_xx_form(x, d_a, d_b).matrix
+    _check_engine_scheme(exp_xx_form(1.0, d_a, d_b).matrix, V, d_a, d_b, "iii-b-xne1")

@@ -1,0 +1,105 @@
+"""The tolerance contract: every operand validate_unitary accepts at
+RunConfig.unitarity_tol gets a scheme, a matrix far from unitary is still
+refused, and RunConfig rejects settings no search can run with."""
+
+from dataclasses import fields
+
+import numpy as np
+import pytest
+
+from seqlocc import (
+    NumericalFailure,
+    RunConfig,
+    dagger,
+    discriminate,
+    eig_unitary,
+    random_unitary,
+    smallest_arc,
+    validate_unitary,
+)
+from seqlocc import engine
+from seqlocc.cli import FLAGS, main
+from seqlocc.io import save_matrix_file
+
+from conftest import CNOT, CZ
+
+CFG = RunConfig()
+
+
+def _nudged(M, defect, rng):
+    """M (I + t H) for a random Hermitian H with top eigenvalue 1, t chosen so
+    the unitarity defect of a unitary M is exactly `defect`."""
+    n = M.shape[0]
+    H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = H + H.conj().T
+    lam = np.linalg.eigvalsh(H)
+    H = H / lam[np.argmax(np.abs(lam))]
+    return M @ (np.eye(n) + (np.sqrt(1.0 + defect) - 1.0) * H)
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["2x2", "3x3"])
+def nudged_pair(request):
+    d = request.param
+    rng = np.random.default_rng(11)
+    U, V = (validate_unitary(_nudged(random_unitary(d * d, rng), 0.9 * CFG.unitarity_tol, rng),
+                             d, d) for _ in range(2))
+    for X in (U, V):
+        assert 0.8 * CFG.unitarity_tol < X.unitarity_defect <= CFG.unitarity_tol
+    return d, U, V
+
+
+def test_nudged_pair_has_an_arc(nudged_pair):
+    _, U, V = nudged_pair
+    assert smallest_arc(dagger(U) @ V.matrix).theta > 0
+
+
+@pytest.mark.parametrize("direct", [True, False], ids=["direct", "engine"])
+def test_nudged_pair_discriminates(nudged_pair, direct, monkeypatch):
+    _, U, V = nudged_pair
+    if not direct:
+        monkeypatch.setattr(engine, "_direct", lambda build, U, V: None)
+    scheme, report = discriminate(U, V, CFG)
+    assert report.passed
+    assert (scheme.case_trace == ["direct"]) == direct
+
+
+def test_nudged_pair_cli(nudged_pair, tmp_path, capsys):
+    d, U, V = nudged_pair
+    u, v, s = (str(tmp_path / name) for name in ("u.json", "v.json", "scheme.json"))
+    save_matrix_file(u, U)
+    save_matrix_file(v, V)
+    assert main(["theta", u, v]) == 0
+    assert main(["discriminate", u, v, "--out", s]) == 0
+    capsys.readouterr()
+    assert main(["verify", s, u, v]) == 0
+    assert "verified: pass" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("decompose", [eig_unitary, smallest_arc])
+def test_far_from_unitary_still_refused(decompose):
+    with pytest.raises(NumericalFailure):
+        decompose(np.diag([1.0, 2.0]).astype(complex))
+
+
+def test_every_setting_has_a_flag():
+    assert sorted(f.name for f in fields(RunConfig)) == sorted(FLAGS)
+
+
+@pytest.mark.parametrize("name", ["restarts", "k_max", "max_depth"])
+def test_negative_budget_rejected(name):
+    assert getattr(RunConfig(**{name: 0}), name) == 0
+    with pytest.raises(ValueError, match=name):
+        RunConfig(**{name: -1})
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "t.json", "g.json", "--k-max", "-1"],
+    ["synth", "t.json", "g.json", "--restarts", "-3"],
+    ["discriminate", "u.json", "v.json", "--max-depth", "-1"],
+])
+def test_cli_negative_budget_exit2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, M in (("t.json", CZ), ("g.json", CNOT), ("u.json", CNOT), ("v.json", CZ)):
+        save_matrix_file(name, validate_unitary(M, 2, 2))
+    assert main(argv) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
