@@ -45,6 +45,9 @@ class RunConfig:
         for name in ("restarts", "k_max", "max_depth"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
+        if self.unitarity_tol > EIG_MAX_DEFECT:
+            raise ValueError(f"unitarity_tol must be at most {EIG_MAX_DEFECT:.0e}, the largest "
+                             "unitarity defect eig_unitary decomposes")
 
     def rng(self, label: str, *indices: int) -> np.random.Generator:
         """Deterministic generator for a named search, stable across runs."""
@@ -56,6 +59,15 @@ class RunConfig:
 # controlled targets, interaction exponentials): only float rounding, a few
 # eps times the dimension, separates it from unitary.
 CLOSED_FORM_TOL = 1e-12
+
+# Largest unitarity defect of a matrix eig_unitary decomposes: the eigenvalues
+# of a matrix with defect d lie within about d / 2 of those of its nearest
+# unitary (Bauer-Fike), so past tol_angle its eigenphases move by more than the
+# arcs compare them at. unitarity_tol may not exceed it, or a run would accept
+# operands it cannot decompose. At the default unitarity_tol, products of the
+# few validated operands that reach an eigendecomposition stay below it:
+# 3.2e-9 at most, measured with operands at defect 9.5e-10.
+EIG_MAX_DEFECT = RunConfig.tol_angle
 
 # Operator-norm threshold at which an operand counts as already having a
 # structural form (two-block controlled, an interaction exponential, the

@@ -9,9 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .config import RunConfig
+from .config import EIG_MAX_DEFECT, RunConfig
 from .errors import DimensionMismatch, NotUnitary, NumericalFailure
 
 TWO_PI = 2.0 * np.pi
@@ -21,12 +20,6 @@ _TINY = 1e-300
 # relative Frobenius residual of the Schur reconstruction of an exactly
 # unitary matrix: float rounding keeps it orders of magnitude below this
 _EIG_FLOOR = 1e-10
-# the eigenvalues of a matrix with unitarity defect d lie within about d / 2
-# of those of its nearest unitary (Bauer-Fike), so past tol_angle its
-# eigenphases move by more than the arcs compare them at. Products of the
-# few validated operands that reach an eigendecomposition stay below: 3.2e-9
-# at most, measured with operands at defect 9.5e-10.
-_EIG_MAX_DEFECT = RunConfig.tol_angle
 # a residual norm above this keeps the Gram-Schmidt step well conditioned
 _ORTHO_MIN = 1e-8
 
@@ -184,8 +177,12 @@ def eig_unitary(U) -> SpectralDecomposition:
     Schur keeps the eigenvector matrix exactly unitary, so degenerate
     clusters come out orthonormal. The relative Frobenius residual of the
     reconstruction is at most about d / sqrt(2) for a unitarity defect d, so
-    it is verified to d + _EIG_FLOOR, with d up to _EIG_MAX_DEFECT.
+    it is verified to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT.
     """
+    # imported here: loading scipy.linalg takes longer than the rest of the
+    # package, and importing seqlocc or verifying a scheme never decomposes
+    import scipy.linalg
+
     A = mat(U)
     try:
         T, Z = scipy.linalg.schur(A, output="complex")
@@ -199,10 +196,10 @@ def eig_unitary(U) -> SpectralDecomposition:
     residual = np.linalg.norm(recon - A) / max(np.linalg.norm(A), _TINY)
     if residual > _EIG_FLOOR:
         defect = unitarity_defect(A)
-        if not (defect <= _EIG_MAX_DEFECT and residual <= defect + _EIG_FLOOR):
+        if not (defect <= EIG_MAX_DEFECT and residual <= defect + _EIG_FLOOR):
             raise NumericalFailure(
                 f"eigendecomposition residual {residual:.3e} with unitarity defect "
-                f"{defect:.3e} (accepted up to {_EIG_MAX_DEFECT:.0e})")
+                f"{defect:.3e} (accepted up to {EIG_MAX_DEFECT:.0e})")
     return SpectralDecomposition(phases, vectors)
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, mat, phase_distance
 from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
-from .unitary_opt import hermitian_basis, unitary_and_tangents
+from .unitary_opt import hermitian_basis, unitaries, unitary_and_tangents
 
 # L-BFGS-B options: a short run per seed, and a long polish of the winner
 _SEARCH_OPTIONS = {"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12}
@@ -56,17 +55,22 @@ class _LayerProblem:
         self.per_layer = self.na + d_b * d_b
         self.n_total = (k + 1) * self.per_layer
 
-    def _layers(self, x):
-        """All k+1 layers A_i (x) B_i, stacked, with their factors A, B and
-        the factors' tangents: one batched call per side."""
+    def _sides(self, x):
+        """Parameter rows of the A and B factors of all k+1 layers."""
         rows = np.reshape(x, (self.k + 1, self.per_layer))
-        A, dA = unitary_and_tangents(rows[:, :self.na], *self.bases[0])
-        B, dB = unitary_and_tangents(rows[:, self.na:], *self.bases[1])
-        L = (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(self.k + 1, self.D, self.D)
-        return L, A, B, dA, dB
+        return rows[:, :self.na], rows[:, self.na:]
+
+    def _factors(self, x):
+        """Local factors A_i, B_i of all k+1 layers: one batched call per side."""
+        xa, xb = self._sides(x)
+        return unitaries(xa, self.bases[0][0])[0], unitaries(xb, self.bases[1][0])[0]
+
+    def _layers(self, A, B) -> np.ndarray:
+        """All k+1 layers A_i (x) B_i, stacked."""
+        return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(self.k + 1, self.D, self.D)
 
     def template(self, x) -> CircuitTemplate:
-        _, A, B, _, _ = self._layers(x)
+        A, B = self._factors(x)
         layers: list = [LocalLayer(A[0], B[0])]
         for i in range(1, self.k + 1):
             layers += [QUERY, LocalLayer(A[i], B[i])]
@@ -75,12 +79,15 @@ class _LayerProblem:
 
     def evaluate(self, x) -> np.ndarray:
         M = None
-        for i, L in enumerate(self._layers(x)[0]):
+        for i, L in enumerate(self._layers(*self._factors(x))):
             M = L if i == 0 else L @ self.X @ M
         return M
 
     def value_and_grad(self, x):
-        L, A, B, dA, dB = self._layers(x)
+        xa, xb = self._sides(x)
+        A, dA = unitary_and_tangents(xa, *self.bases[0])
+        B, dB = unitary_and_tangents(xb, *self.bases[1])
+        L = self._layers(A, B)
         k = self.k
         # prefix[i]: product applied before layer i; suffix[i]: applied after
         prefix = [np.eye(self.D, dtype=complex)]
@@ -136,6 +143,10 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
             f"({generator.d_a}, {generator.d_b})")
     if classify_primitive(generator, cfg.rank_tol).kind != "Imprimitive":
         raise GeneratorPrimitive("generator is primitive; it cannot generate")
+    # imported here: loading scipy.optimize takes as long as the rest of the
+    # package, and only synthesis runs L-BFGS. minimize stays a lookup on the
+    # module at each call, so a wrapper set on scipy.optimize sees every run.
+    import scipy.optimize
 
     X = generator.matrix
     best = None  # (delta, k, params, problem)

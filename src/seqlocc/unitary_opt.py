@@ -36,6 +36,17 @@ def hermitian_basis(d: int) -> np.ndarray:
     return np.array(basis)
 
 
+def unitaries(theta: np.ndarray, basis: np.ndarray):
+    """Stacked U_l = expm(i H(theta_l)) (L, d, d) for theta (L, n) and basis
+    (n, d, d), with the spectral data (lam, e^{i lam}, V, V^dag) of every
+    H_l = V diag(lam) V^dag that the tangents are built from."""
+    H = np.tensordot(np.asarray(theta, dtype=float), basis, axes=(1, 0))
+    lam, V = np.linalg.eigh(H)
+    e = np.exp(1j * lam)
+    Vh = V.conj().transpose(0, 2, 1)
+    return (V * e[:, None, :]) @ Vh, (lam, e, V, Vh)
+
+
 def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray, ibasis: np.ndarray):
     """Stacked U_l = expm(i H(theta_l)) (L, d, d) and tangents dU_l/dtheta_lm
     (L, n, d, d) for theta (L, n), basis (n, d, d) and ibasis = 1j * basis.
@@ -44,12 +55,7 @@ def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray, ibasis: np.ndarra
     the derivative along direction E is V (Phi * (V^dag (iE) V)) V^dag where
     Phi_jk = (e^{i lam_j} - e^{i lam_k}) / (i lam_j - i lam_k).
     """
-    H = np.tensordot(np.asarray(theta, dtype=float), basis, axes=(1, 0))
-    lam, V = np.linalg.eigh(H)
-    e = np.exp(1j * lam)
-    Vh = V.conj().transpose(0, 2, 1)
-    U = (V * e[:, None, :]) @ Vh
-
+    U, (lam, e, V, Vh) = unitaries(theta, basis)
     diff = 1j * (lam[:, :, None] - lam[:, None, :])
     num = e[:, :, None] - e[:, None, :]
     small = np.abs(diff) < _DEGENERATE_GAP

@@ -80,7 +80,10 @@ def test_gradient_matches_finite_differences(d_a, d_b, k):
     D = d_a * d_b
     problem = _LayerProblem(random_unitary(D, rng), random_unitary(D, rng), d_a, d_b, k)
     x = rng.normal(size=problem.n_total)
-    _, grad = problem.value_and_grad(x)
+    loss, grad = problem.value_and_grad(x)
+    # evaluate builds the layers without tangents; both paths give one loss
+    overlap = np.trace(problem.Td @ problem.evaluate(x))
+    assert loss == pytest.approx(1.0 - abs(overlap) ** 2 / D ** 2, abs=1e-12)
     eps = 1e-6
     for i in range(0, problem.n_total, 5):
         xp, xm = x.copy(), x.copy()

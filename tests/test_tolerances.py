@@ -19,6 +19,7 @@ from seqlocc import (
 )
 from seqlocc import engine
 from seqlocc.cli import FLAGS, main
+from seqlocc.config import EIG_MAX_DEFECT
 from seqlocc.io import save_matrix_file
 
 from conftest import CNOT, CZ
@@ -103,3 +104,22 @@ def test_cli_negative_budget_exit2(argv, tmp_path, monkeypatch, capsys):
         save_matrix_file(name, validate_unitary(M, 2, 2))
     assert main(argv) == 2
     assert "must be nonnegative" in capsys.readouterr().err
+
+
+def test_unitarity_tol_capped_at_eig_max_defect():
+    assert RunConfig(unitarity_tol=EIG_MAX_DEFECT).unitarity_tol == EIG_MAX_DEFECT
+    with pytest.raises(ValueError, match="unitarity_tol must be at most 1e-08"):
+        RunConfig(unitarity_tol=2 * EIG_MAX_DEFECT)
+
+
+@pytest.mark.parametrize("command", ["theta", "discriminate"])
+def test_cli_unitarity_tol_above_cap_exit2(command, tmp_path, capsys):
+    # operands at a defect eig_unitary cannot decompose, read at a tolerance
+    # that accepts them: refused before any decomposition, not late in one
+    rng = np.random.default_rng(11)
+    u, v = (str(tmp_path / f"{n}.json") for n in "uv")
+    for path in (u, v):
+        save_matrix_file(path, validate_unitary(_nudged(random_unitary(4, rng), 5e-8, rng),
+                                                2, 2, tol=1e-7))
+    assert main([command, u, v, "--tol-unitarity", "1e-7"]) == 2
+    assert "unitarity_tol must be at most 1e-08" in capsys.readouterr().err

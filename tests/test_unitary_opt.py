@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from seqlocc import random_unitary
-from seqlocc.unitary_opt import hermitian_basis, unitary_and_tangents
+from seqlocc.unitary_opt import hermitian_basis, unitaries, unitary_and_tangents
 
 
 def _stack(d, rng):
@@ -26,6 +26,7 @@ def test_stacked_rows_equal_single_rows(d):
     U, dU = unitary_and_tangents(theta, basis, 1j * basis)
     assert U.shape == (len(theta), d, d)
     assert dU.shape == (len(theta), d * d, d, d)
+    assert (unitaries(theta, basis)[0] == U).all()
     for i in range(len(theta)):
         U1, dU1 = unitary_and_tangents(theta[i:i + 1], basis, 1j * basis)
         assert (U1[0] == U[i]).all()
