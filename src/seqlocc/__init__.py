@@ -35,12 +35,12 @@ from .errors import (
     MatrixFileError,
     NotUnitary,
     NumericalFailure,
-    RecursionDepthExceeded,
     SeqloccError,
     StageStalled,
     SynthesisFailed,
     VSelectionFailed,
 )
+from .io import dumps_template, loads_template
 from .linalg import (
     BipartiteUnitary,
     SpectralDecomposition,
@@ -81,9 +81,7 @@ from .templates import (
     QUERY,
     bare_query_template,
     compose_templates,
-    dumps_template,
     evaluate_template,
-    loads_template,
     sequential_template,
 )
 

@@ -27,7 +27,6 @@ from .errors import (
 from .linalg import dagger, eig_unitary, mat, phase_distance
 from .structure import classify_primitive, entangling_witness
 from .synthesis import synthesize
-from .templates import dumps_template
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -62,7 +61,6 @@ FLAGS = {
     "seed": "--seed",
     "restarts": "--restarts",
     "k_max": "--k-max",
-    "max_depth": "--max-depth",
 }
 
 
@@ -168,7 +166,7 @@ def cmd_synth(args) -> int:
     target = _read_matrix(args.target, cfg.unitarity_tol)
     generator = _read_matrix(args.generator, cfg.unitarity_tol)
     result = synthesize(target, generator, cfg)
-    _emit(dumps_template(result.template) + "\n", args.out)
+    _emit(sio.dumps_template(result.template) + "\n", args.out)
     print(f"query_count: {result.template.query_count}\ndelta: {result.delta:.6e}",
           file=sys.stderr)
     return EXIT_OK

@@ -7,6 +7,7 @@ reads is named at the top of that module.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass, fields
 
@@ -17,8 +18,8 @@ import numpy as np
 class RunConfig:
     """Tolerances and budgets shared by the discrimination machinery.
 
-    All tolerances are positive and all budgets nonnegative; the seed makes
-    every search deterministic.
+    All tolerances are positive and finite and all budgets nonnegative; the
+    seed makes every search deterministic.
     """
 
     # tolerances
@@ -35,19 +36,23 @@ class RunConfig:
     seed: int = 0
     restarts: int = 16
     k_max: int = 12
-    max_depth: int = 4
 
     def __post_init__(self):
         for f in fields(self):
             if f.name.endswith(("_tol", "_angle")) or f.name == "epsilon":
-                if getattr(self, f.name) <= 0:
-                    raise ValueError(f"{f.name} must be positive")
-        for name in ("restarts", "k_max", "max_depth"):
+                if not 0 < getattr(self, f.name) < math.inf:
+                    raise ValueError(f"{f.name} must be positive and finite")
+        for name in ("restarts", "k_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if self.unitarity_tol > EIG_MAX_DEFECT:
-            raise ValueError(f"unitarity_tol must be at most {EIG_MAX_DEFECT:.0e}, the largest "
-                             "unitarity defect eig_unitary decomposes")
+        if self.unitarity_tol > MAX_UNITARITY_TOL:
+            raise ValueError(f"unitarity_tol must be at most {MAX_UNITARITY_TOL:.2g}, a quarter "
+                             "of the largest unitarity defect eig_unitary decomposes")
+        # in this range the identity is a product, which bounds the case
+        # engine's recursion (engine._dispatch_pair): below it rounding gives
+        # the identity a second Schmidt coefficient, from 1 up none counts
+        if not CLOSED_FORM_TOL <= self.rank_tol < 1:
+            raise ValueError(f"rank_tol must be in [{CLOSED_FORM_TOL:.0e}, 1)")
 
     def rng(self, label: str, *indices: int) -> np.random.Generator:
         """Deterministic generator for a named search, stable across runs."""
@@ -63,11 +68,14 @@ CLOSED_FORM_TOL = 1e-12
 # Largest unitarity defect of a matrix eig_unitary decomposes: the eigenvalues
 # of a matrix with defect d lie within about d / 2 of those of its nearest
 # unitary (Bauer-Fike), so past tol_angle its eigenphases move by more than the
-# arcs compare them at. unitarity_tol may not exceed it, or a run would accept
-# operands it cannot decompose. At the default unitarity_tol, products of the
-# few validated operands that reach an eigendecomposition stay below it:
-# 3.2e-9 at most, measured with operands at defect 9.5e-10.
+# arcs compare them at.
 EIG_MAX_DEFECT = RunConfig.tol_angle
+
+# Largest unitarity_tol a run accepts: U^dag V and the other products of
+# validated operands that reach an eigendecomposition carry up to 3.4 times
+# the operands' defect (measured with operands at 9.5e-10), so operands must
+# stay well below EIG_MAX_DEFECT for those products to be decomposable.
+MAX_UNITARITY_TOL = EIG_MAX_DEFECT / 4
 
 # Operator-norm threshold at which an operand counts as already having a
 # structural form (two-block controlled, an interaction exponential, the

@@ -1,12 +1,13 @@
 """Case engine assembling flat LOCC sequential discrimination schemes.
 
 Given two distinct bipartite unitaries, classifies both operands and first
-tries a single query with a product input (the direct route, _direct, at
-every depth). Otherwise it routes through the matching construction:
-product pairs reduce to a one-sided sequential scheme; a swapped product
-against a product needs one query; an imprimitive operand is first compiled
-into a controlled unitary (or the canonical interaction exponential) by an
-inverse-free template, after which the problem reduces to a simpler pair.
+tries a single query with a product input (the direct route, _direct, on
+the operand pair and on the one inner pair of case iii). Otherwise it
+routes through the matching construction: product pairs reduce to a
+one-sided sequential scheme; a swapped product against a product needs one
+query; an imprimitive operand is first compiled into a controlled unitary
+(or the canonical interaction exponential) by an inverse-free template,
+after which the problem reduces to a simpler pair.
 The emitted scheme is always a flat template of product-form local layers
 and forward queries plus a product input state, with a budget dominating
 the residual overlap.
@@ -41,7 +42,6 @@ from .errors import (
     DimensionMismatch,
     Indistinguishable,
     MalformedScheme,
-    RecursionDepthExceeded,
     SeqloccError,
     VSelectionFailed,
 )
@@ -430,8 +430,8 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
     return res.template, fU, float(op_distance_mod_phase(fU, target.matrix))
 
 
-def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary,
-                           depth: int) -> LoccSequentialScheme:
+def _case_both_imprimitive(build: _Build, U: BipartiteUnitary,
+                           V: BipartiteUnitary) -> LoccSequentialScheme:
     """Both operands imprimitive: compile U toward exp(i u1 (x) u2) and
     dispatch on what the same template does to V."""
     cfg = build.cfg
@@ -444,7 +444,7 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
     cls_fv = classify_primitive(fV_bip, cfg.rank_tol)
     if cls_fv.kind != "Imprimitive":
         build.note(f"image of V is {cls_fv.kind}; descending to the mixed case")
-        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, depth + 1, cls_fv)
+        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, cls_fv)
         return _over_block(build, f_template, inner, (delta_u,))
 
     # coinciding images (the "x = 1" situation) are detected against the real
@@ -452,13 +452,13 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
     same = phase_distance(fV, fU_real) <= _X_TOL
     m = None if same else match_exp_xx_mod_phase(fV_bip, tol=max(_ROUTING_FLOOR, 10.0 * delta_u))
     if same or (m is not None and abs(m[0] - 1.0) <= _X_TOL):
-        return _case_iii_b_same(build, U, V, f_template, fU_real, depth)
+        return _case_iii_b_same(build, U, V, f_template, fU_real)
     if m is None:
-        return _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth)
+        return _case_iii_a(build, U, f_template, fU_real, fV, delta_u)
     return _case_iii_b_scaled(build, U, f_template, fU_real, fV, *m)
 
 
-def _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth):
+def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
     """Image of V is imprimitive but not an interaction exponential: probe
     with a symmetry element W so that F(X) = W f(X) W^dag f(X) maps U near
     the identity but V away from it, then recurse on (I, F(V))."""
@@ -490,12 +490,12 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u, depth):
             f"beyond twice the synthesis deviation {delta_u:.3e}"))
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
                            _validated_product(FV, d_a, d_b, 2 * f_template.query_count, cfg),
-                           build, depth + 1)
+                           build)
     return _over_block(build, compose_templates(F_over_blocks, f_template), inner,
                        (delta_u_block,))
 
 
-def _case_iii_b_same(build, U, V, f_template, fU_real, depth):
+def _case_iii_b_same(build, U, V, f_template, fU_real):
     """Images coincide (x = 1): compile h with h(f(U)) = U^dag from forward
     blocks only, so X h(f(X)) maps U near the identity and V near V U^dag;
     recurse on that pair. The inverse appears only as a synthesized matrix,
@@ -513,8 +513,7 @@ def _case_iii_b_same(build, U, V, f_template, fU_real, depth):
     delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
     delta_bv = op_distance_mod_phase(evaluate_template(block_template, V.matrix), VUd)
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
-                           _validated_product(VUd, d_a, d_b, 2, cfg),
-                           build, depth + 1)
+                           _validated_product(VUd, d_a, d_b, 2, cfg), build)
     return _over_block(build, block_template, inner, (delta_bu, delta_bv))
 
 
@@ -590,16 +589,20 @@ def _form_deviation(X: BipartiteUnitary, cls) -> float:
 
 
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
-                   depth: int, cls_v=None) -> LoccSequentialScheme:
+                   cls_v=None) -> LoccSequentialScheme:
     """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
 
     The direct route goes first, except for product against product or
     swapped product: their overlap factorises, so the closed forms of i-a
     and i-b are already optimal among product-input schemes.
+
+    Only case iii dispatches again, and always on a pair with a primitive
+    operand: the identity (iii-a, iii-b-x1), a product at every rank_tol
+    RunConfig accepts, or the primitive image f(V) (the mixed descent).
+    Such a pair goes to case i or ii, which do not dispatch, so a call nests
+    at most once.
     """
     cfg = build.cfg
-    if depth > cfg.max_depth:
-        raise RecursionDepthExceeded(f"case recursion exceeded depth {cfg.max_depth}")
     cls_u = classify_primitive(U, cfg.rank_tol)
     if cls_v is None:
         cls_v = classify_primitive(V, cfg.rank_tol)
@@ -628,9 +631,9 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
             return _case_swap_swap(build, *factors, deltas)
         if kinds[1] != "Imprimitive":
             return _case_imprimitive_vs_primitive(build, U, V, cls_v)
-        return _case_both_imprimitive(build, U, V, depth)
+        return _case_both_imprimitive(build, U, V)
     except SeqloccError as exc:
-        if isinstance(exc, (CaseFailure, RecursionDepthExceeded)):
+        if isinstance(exc, CaseFailure):
             raise
         raise CaseFailure(build.trace, exc) from exc
 
@@ -650,7 +653,7 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     if phase_distance(U.matrix, V.matrix) <= cfg.distinct_tol:
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
-    scheme = _dispatch_pair(U, V, build, depth=0)
+    scheme = _dispatch_pair(U, V, build)
     report = verify_scheme(scheme, U, V, cfg)
     scheme.achieved_overlap = report.overlap
     report.theta_trace = list(build.theta_trace)

@@ -75,10 +75,6 @@ class BranchSelectionFailed(SeqloccError):
     """Both control branches were phase-equivalent to the product image."""
 
 
-class RecursionDepthExceeded(SeqloccError):
-    """Case analysis descended past the configured depth cap."""
-
-
 class CaseFailure(SeqloccError):
     """Wraps a downstream error with the case label where it occurred."""
 

@@ -1,10 +1,11 @@
-"""File formats: matrices, schemes, and eigenphase CSV export.
+"""File formats: matrices, templates, schemes, and eigenphase CSV export.
 
-Matrix files are JSON documents with fields d_a, d_b, and a row-major
-"entries" array of [real, imaginary] pairs; parsing is strict, a wrong
-entry count is an error. Scheme files bundle the flat template, the two
-input state vectors, and the report block, with a stable field order so
-identical runs produce byte-identical files.
+Every complex array is written as nested [real, imaginary] pairs. Matrix
+files are JSON documents with fields d_a, d_b, and a row-major "entries"
+array of such pairs; parsing is strict, a wrong entry count is an error.
+Template files list the layers in application order. Scheme files bundle
+the flat template, the two input state vectors, and the report block, with
+a stable field order so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,16 +18,34 @@ from .config import RunConfig
 from .engine import DiscriminationReport, LoccSequentialScheme, validate_scheme
 from .errors import MatrixFileError
 from .linalg import BipartiteUnitary, validate_unitary
-from .templates import template_from_dict, template_to_dict
+from .templates import QUERY, CircuitTemplate, LocalLayer, Query
+
+
+def _to_lists(a) -> list:
+    """Nested [re, im] lists of a complex array."""
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _from_lists(rows, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of the given shape from nested [re, im] lists, in one
+    conversion: for a stack of factors, that is most of reading a scheme."""
+    arr = np.asarray(rows, dtype=float)
+    if arr.shape != (*shape, 2):
+        raise MatrixFileError(f"{what}: expected [re, im] pairs of shape {shape}, "
+                              f"got shape {arr.shape}")
+    return arr[..., 0] + 1j * arr[..., 1]
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise MatrixFileError(f"invalid JSON: {exc}") from exc
 
 
 def matrix_to_dict(U: BipartiteUnitary) -> dict:
-    flat = U.matrix.reshape(-1)
-    return {
-        "d_a": U.d_a,
-        "d_b": U.d_b,
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"d_a": U.d_a, "d_b": U.d_b, "entries": _to_lists(U.matrix.reshape(-1))}
 
 
 def matrix_from_dict(data: dict,
@@ -38,11 +57,7 @@ def matrix_from_dict(data: dict,
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"matrix record needs d_a, d_b, entries: {exc}") from exc
     n = d_a * d_b
-    arr = np.asarray(entries, dtype=float)
-    if arr.shape != (n * n, 2):
-        raise MatrixFileError(
-            f"expected {n * n} [re, im] entries for ({d_a}, {d_b}), got shape {arr.shape}")
-    M = (arr[:, 0] + 1j * arr[:, 1]).reshape(n, n)
+    M = _from_lists(entries, (n * n,), f"entries for ({d_a}, {d_b})").reshape(n, n)
     return validate_unitary(M, d_a, d_b, tol=unitarity_tol)
 
 
@@ -51,11 +66,7 @@ def dumps_matrix(U: BipartiteUnitary) -> str:
 
 
 def loads_matrix(text: str, unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"invalid JSON: {exc}") from exc
-    return matrix_from_dict(data, unitarity_tol)
+    return matrix_from_dict(_parse(text), unitarity_tol)
 
 
 def load_matrix_file(path: str,
@@ -69,23 +80,53 @@ def save_matrix_file(path: str, U: BipartiteUnitary) -> None:
         fh.write(dumps_matrix(U))
 
 
-def _state_to_lists(psi: np.ndarray):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(psi).reshape(-1)]
+def template_to_dict(t: CircuitTemplate) -> dict:
+    records = []
+    for layer in t.layers:
+        if isinstance(layer, Query):
+            records.append({"kind": "query"})
+        else:
+            records.append({
+                "kind": "local",
+                "factor_a": _to_lists(layer.factor_a),
+                "factor_b": _to_lists(layer.factor_b),
+            })
+    return {"d_a": t.d_a, "d_b": t.d_b, "layers": records}
 
 
-def _state_from_lists(rows, what: str) -> np.ndarray:
-    arr = np.asarray(rows, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2:
-        raise MatrixFileError(f"{what}: expected [re, im] pairs")
-    return arr[:, 0] + 1j * arr[:, 1]
+def template_from_dict(data: dict) -> CircuitTemplate:
+    try:
+        d_a = int(data["d_a"])
+        d_b = int(data["d_b"])
+        records = data["layers"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MatrixFileError(f"malformed template record: {exc}") from exc
+    kinds = [rec.get("kind") for rec in records]
+    for kind in kinds:
+        if kind not in ("query", "local"):
+            raise MatrixFileError(f"unknown layer kind {kind!r}")
+    local_records = [rec for rec, kind in zip(records, kinds) if kind == "local"]
+    n = len(local_records)
+    factors = zip(*(_from_lists([rec[side] for rec in local_records], (n, d, d), side)
+                    for side, d in (("factor_a", d_a), ("factor_b", d_b)))) if n else None
+    layers = [QUERY if kind == "query" else LocalLayer(*next(factors)) for kind in kinds]
+    return CircuitTemplate(d_a, d_b, layers)
+
+
+def dumps_template(t: CircuitTemplate) -> str:
+    return json.dumps(template_to_dict(t), indent=2)
+
+
+def loads_template(text: str) -> CircuitTemplate:
+    return template_from_dict(_parse(text))
 
 
 def scheme_to_dict(scheme: LoccSequentialScheme,
                    report: DiscriminationReport | None = None) -> dict:
     data = {
         "template": template_to_dict(scheme.template),
-        "input_a": _state_to_lists(scheme.input_a),
-        "input_b": _state_to_lists(scheme.input_b),
+        "input_a": _to_lists(scheme.input_a),
+        "input_b": _to_lists(scheme.input_b),
         "achieved_overlap": float(scheme.achieved_overlap),
         "budget": float(scheme.budget),
         "case_trace": list(scheme.case_trace),
@@ -109,8 +150,9 @@ def scheme_from_dict(data: dict,
     a malformed scheme the errors of validate_scheme."""
     try:
         template = template_from_dict(data["template"])
-        input_a = _state_from_lists(data["input_a"], "input_a")
-        input_b = _state_from_lists(data["input_b"], "input_b")
+        # the length of an input is validate_scheme's to check
+        input_a, input_b = (_from_lists(data[name], (len(data[name]),), name)
+                            for name in ("input_a", "input_b"))
         scheme = LoccSequentialScheme(
             template, input_a, input_b,
             float(data["achieved_overlap"]), float(data["budget"]),
@@ -128,11 +170,7 @@ def dumps_scheme(scheme: LoccSequentialScheme,
 
 def loads_scheme(text: str,
                  unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"invalid JSON: {exc}") from exc
-    return scheme_from_dict(data, unitarity_tol)
+    return scheme_from_dict(_parse(text), unitarity_tol)
 
 
 def load_scheme_file(path: str,

@@ -9,13 +9,12 @@ enters forward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import DimensionMismatch, MatrixFileError, NotUnitary
+from .errors import DimensionMismatch, NotUnitary
 from .linalg import mat
 
 
@@ -208,64 +207,3 @@ def sequential_template(d_a: int, d_b: int, locals_between: list[LocalLayer]) ->
         layers.append(QUERY)
     return CircuitTemplate(d_a, d_b, layers)
 
-
-# --- serialization ---------------------------------------------------------
-
-def _matrix_to_lists(M: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in M]
-
-
-def _matrices_from_lists(stack, d: int, what: str) -> np.ndarray:
-    """(n, d, d) complex array from n nested [re, im] matrix records; one
-    conversion for all n, which is most of the cost of reading a scheme."""
-    if not stack:
-        return np.empty((0, d, d), dtype=complex)
-    arr = np.asarray(stack, dtype=float)
-    if arr.shape != (len(stack), d, d, 2):
-        raise MatrixFileError(f"{what}: expected {len(stack)} matrices of shape ({d}, {d}, 2)")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
-def template_to_dict(t: CircuitTemplate) -> dict:
-    records = []
-    for layer in t.layers:
-        if isinstance(layer, Query):
-            records.append({"kind": "query"})
-        else:
-            records.append({
-                "kind": "local",
-                "factor_a": _matrix_to_lists(layer.factor_a),
-                "factor_b": _matrix_to_lists(layer.factor_b),
-            })
-    return {"d_a": t.d_a, "d_b": t.d_b, "layers": records}
-
-
-def template_from_dict(data: dict) -> CircuitTemplate:
-    try:
-        d_a = int(data["d_a"])
-        d_b = int(data["d_b"])
-        records = data["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MatrixFileError(f"malformed template record: {exc}") from exc
-    kinds = [rec.get("kind") for rec in records]
-    for kind in kinds:
-        if kind not in ("query", "local"):
-            raise MatrixFileError(f"unknown layer kind {kind!r}")
-    local_records = [rec for rec, kind in zip(records, kinds) if kind == "local"]
-    factors = zip(
-        _matrices_from_lists([rec["factor_a"] for rec in local_records], d_a, "factor_a"),
-        _matrices_from_lists([rec["factor_b"] for rec in local_records], d_b, "factor_b"))
-    layers = [QUERY if kind == "query" else LocalLayer(*next(factors)) for kind in kinds]
-    return CircuitTemplate(d_a, d_b, layers)
-
-
-def dumps_template(t: CircuitTemplate) -> str:
-    return json.dumps(template_to_dict(t), indent=2)
-
-
-def loads_template(text: str) -> CircuitTemplate:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"invalid JSON: {exc}") from exc
-    return template_from_dict(data)

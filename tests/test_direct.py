@@ -192,20 +192,57 @@ def test_direct_route_properties(d_a, d_b, seed):
         assert report.query_count <= _engine_only(U, V)[1].query_count
 
 
-def test_corpus_with_direct_route():
+def _nesting(run, *args):
+    """run(*args) with engine._dispatch_pair wrapped, and the nesting level
+    of every dispatch it made (0 for the operand pair)."""
+    levels, open_calls = [], [0]
+    real = engine._dispatch_pair
+
+    def counted(*a, **kw):
+        levels.append(open_calls[0])
+        open_calls[0] += 1
+        try:
+            return real(*a, **kw)
+        finally:
+            open_calls[0] -= 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_dispatch_pair", counted)
+        return run(*args), levels
+
+
+@pytest.fixture(scope="module")
+def corpus_runs():
+    """Each acceptance-corpus pair under the default configuration and with
+    the case engine alone: (label, ((scheme, report), levels) with the route,
+    the same without it)."""
+    return [(label, _nesting(discriminate, U, V, CFG), _nesting(_engine_only, U, V))
+            for label, _, U, V in labeled_pairs()]
+
+
+def test_corpus_with_direct_route(corpus_runs):
     """Every acceptance-corpus pair under the default configuration: the
     scheme verifies, a direct scheme's budget is its verified overlap within
     overlap_tol, and no pair takes more queries than the case engine alone."""
     direct = 0
-    for label, _, U, V in labeled_pairs():
-        scheme, report = discriminate(U, V, CFG)
+    for label, ((scheme, report), _), ((_, engine_report), _) in corpus_runs:
         assert report.passed, label
         assert report.overlap <= scheme.budget + 1e-12, label
         if scheme.case_trace == ["direct"]:
             direct += 1
             assert scheme.budget == report.overlap <= CFG.overlap_tol, label
-        assert report.query_count <= _engine_only(U, V)[1].query_count, label
+        assert report.query_count <= engine_report.query_count, label
     assert direct > 0
+
+
+def test_dispatch_nests_at_most_once(corpus_runs):
+    """Only case iii dispatches again, and on a pair that the direct route or
+    cases i and ii answer: over the corpus, with the route on and off, no
+    dispatch nests inside a nested one."""
+    for mode, column in (("route on", 1), ("engine only", 2)):
+        levels = [level for run in corpus_runs for level in run[column][1]]
+        assert levels.count(0) == len(corpus_runs), mode
+        assert max(levels) == 1, mode
 
 
 def test_direct_under_a_block():

@@ -255,13 +255,6 @@ def test_deterministic_bytes():
     assert dumps_scheme(a) == dumps_scheme(b)
 
 
-def test_recursion_depth_cap():
-    cfg = RunConfig(max_depth=0)
-    with pytest.raises(Exception) as err:
-        discriminate(_v(CNOT), _v(CZ), cfg)
-    assert "depth" in str(err.value) or "Recursion" in type(err.value).__name__
-
-
 def test_controlled_form_extraction():
     got = _controlled_form(CNOT, 2, 2)
     assert got is not None
@@ -297,7 +290,8 @@ def test_generic_entangling_pair_descends_and_verifies():
     V = validate_unitary(random_unitary(4, rng), 2, 2)
     scheme, report = discriminate(U, V, CFG)
     assert report.passed
-    assert len(scheme.case_trace) <= CFG.max_depth
+    # the case iii label and subcase, then the label of the one inner pair
+    assert len(scheme.case_trace) <= 3
     # recorded per-branch deviations never exceed the total budget
     assert all(e <= scheme.budget + 1e-12 for e in report.per_branch_error)
 

@@ -173,7 +173,7 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
         main(["verify", scheme_path, a, b, "--restarts", "3"])
     assert exc.value.code == 2
     assert "--restarts" in capsys.readouterr().err
-    assert main(["verify", scheme_path, a, b, "--tol-unitarity", "1e-8"]) == 0
+    assert main(["verify", scheme_path, a, b, "--tol-unitarity", "2.5e-9"]) == 0
 
 
 def test_cli_discriminate_phase_equivalent_exit3(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from seqlocc import (
     NumericalFailure,
     RunConfig,
+    classify_primitive,
     dagger,
     discriminate,
     eig_unitary,
@@ -19,7 +20,7 @@ from seqlocc import (
 )
 from seqlocc import engine
 from seqlocc.cli import FLAGS, main
-from seqlocc.config import EIG_MAX_DEFECT
+from seqlocc.config import CLOSED_FORM_TOL, EIG_MAX_DEFECT, MAX_UNITARITY_TOL
 from seqlocc.io import save_matrix_file
 
 from conftest import CNOT, CZ
@@ -86,7 +87,7 @@ def test_every_setting_has_a_flag():
     assert sorted(f.name for f in fields(RunConfig)) == sorted(FLAGS)
 
 
-@pytest.mark.parametrize("name", ["restarts", "k_max", "max_depth"])
+@pytest.mark.parametrize("name", ["restarts", "k_max"])
 def test_negative_budget_rejected(name):
     assert getattr(RunConfig(**{name: 0}), name) == 0
     with pytest.raises(ValueError, match=name):
@@ -96,7 +97,7 @@ def test_negative_budget_rejected(name):
 @pytest.mark.parametrize("argv", [
     ["synth", "t.json", "g.json", "--k-max", "-1"],
     ["synth", "t.json", "g.json", "--restarts", "-3"],
-    ["discriminate", "u.json", "v.json", "--max-depth", "-1"],
+    ["discriminate", "u.json", "v.json", "--restarts", "-1"],
 ])
 def test_cli_negative_budget_exit2(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
@@ -106,10 +107,76 @@ def test_cli_negative_budget_exit2(argv, tmp_path, monkeypatch, capsys):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+def test_max_depth_flag_is_gone(tmp_path, monkeypatch):
+    # the case engine nests at most once by construction, so no setting bounds it
+    monkeypatch.chdir(tmp_path)
+    for name, M in (("u.json", CNOT), ("v.json", CZ)):
+        save_matrix_file(name, validate_unitary(M, 2, 2))
+    with pytest.raises(SystemExit) as exc:
+        main(["discriminate", "u.json", "v.json", "--max-depth", "4"])
+    assert exc.value.code == 2
+
+
+TOLERANCES = ["unitarity_tol", "distinct_tol", "overlap_tol", "epsilon", "rank_tol", "tol_angle"]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", TOLERANCES)
+def test_nonfinite_tolerance_rejected(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        RunConfig(**{name: value})
+
+
+def test_cli_nan_tolerance_exit2(tmp_path, capsys):
+    # a NaN tolerance passes every "defect <= tol" check as False and every
+    # "defect > tol" check as False too: refused before anything is read
+    u = str(tmp_path / "u.json")
+    save_matrix_file(u, validate_unitary(CNOT, 2, 2))
+    assert main(["theta", u, "--tol-unitarity", "nan"]) == 2
+    assert "unitarity_tol must be positive and finite" in capsys.readouterr().err
+
+
+def test_rank_tol_range():
+    for value in (CLOSED_FORM_TOL, CFG.rank_tol, 0.5):
+        assert RunConfig(rank_tol=value).rank_tol == value
+    for value in (1e-20, 1.0, 2.0):
+        with pytest.raises(ValueError, match="rank_tol must be in"):
+            RunConfig(rank_tol=value)
+
+
+def test_cli_rank_tol_out_of_range_exit2(tmp_path, capsys):
+    u = str(tmp_path / "u.json")
+    save_matrix_file(u, validate_unitary(CNOT, 2, 2))
+    assert main(["classify", u, "--tol-rank", "1"]) == 2
+    assert "rank_tol must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rank_tol", [CLOSED_FORM_TOL, 0.999])
+def test_identity_is_a_product_at_every_accepted_rank_tol(rank_tol):
+    # the one-level bound of the case engine rests on this (engine._dispatch_pair)
+    for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 6), (6, 6)):
+        identity = validate_unitary(np.eye(d_a * d_b), d_a, d_b)
+        assert classify_primitive(identity, rank_tol).kind == "Product", (d_a, d_b)
+
+
 def test_unitarity_tol_capped_at_eig_max_defect():
-    assert RunConfig(unitarity_tol=EIG_MAX_DEFECT).unitarity_tol == EIG_MAX_DEFECT
-    with pytest.raises(ValueError, match="unitarity_tol must be at most 1e-08"):
-        RunConfig(unitarity_tol=2 * EIG_MAX_DEFECT)
+    assert MAX_UNITARITY_TOL == EIG_MAX_DEFECT / 4
+    assert RunConfig(unitarity_tol=MAX_UNITARITY_TOL).unitarity_tol == MAX_UNITARITY_TOL
+    with pytest.raises(ValueError, match="unitarity_tol must be at most 2.5e-09"):
+        RunConfig(unitarity_tol=2 * MAX_UNITARITY_TOL)
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_discriminate_at_the_unitarity_tol_cap(d, seed):
+    """Operands just inside the largest unitarity_tol a run accepts still get
+    a scheme: U^dag V, with more defect than either, stays decomposable."""
+    cfg = RunConfig(unitarity_tol=MAX_UNITARITY_TOL)
+    rng = np.random.default_rng(seed)
+    U, V = (validate_unitary(_nudged(random_unitary(d * d, rng), 0.95 * MAX_UNITARITY_TOL, rng),
+                             d, d, tol=MAX_UNITARITY_TOL) for _ in range(2))
+    scheme, report = discriminate(U, V, cfg)
+    assert report.passed
 
 
 @pytest.mark.parametrize("command", ["theta", "discriminate"])
@@ -122,4 +189,4 @@ def test_cli_unitarity_tol_above_cap_exit2(command, tmp_path, capsys):
         save_matrix_file(path, validate_unitary(_nudged(random_unitary(4, rng), 5e-8, rng),
                                                 2, 2, tol=1e-7))
     assert main([command, u, v, "--tol-unitarity", "1e-7"]) == 2
-    assert "unitarity_tol must be at most 1e-08" in capsys.readouterr().err
+    assert "unitarity_tol must be at most 2.5e-09" in capsys.readouterr().err
