@@ -38,7 +38,6 @@ from .errors import (
     SeqloccError,
     StageStalled,
     SynthesisFailed,
-    VSelectionFailed,
 )
 from .io import dumps_template, loads_template
 from .linalg import (

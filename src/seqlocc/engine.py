@@ -1,11 +1,13 @@
 """Case engine assembling flat LOCC sequential discrimination schemes.
 
-Given two distinct bipartite unitaries, classifies both operands and first
-tries a single query with a product input (the direct route, _direct, on
-the operand pair and on the one inner pair of case iii). Otherwise it
+Given two distinct bipartite unitaries, classifies both operands and
 routes through the matching construction: product pairs reduce to a
 one-sided sequential scheme; a swapped product against a product needs one
-query; an imprimitive operand is first compiled into a controlled unitary
+query; two swapped products need one query, or blocks of two around a
+middle layer built from their two factor arcs. When an operand is
+imprimitive, a single query with a product input is tried first (the
+direct route, _direct, on the operand pair and on the one inner pair of
+case iii); otherwise that operand is compiled into a controlled unitary
 (or the canonical interaction exponential) by an inverse-free template,
 after which the problem reduces to a simpler pair.
 The emitted scheme is always a flat template of product-form local layers
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arcs import (
-    arc_of_phases,
     numerical_range_zero,
     parallel_query_count,
     single_query_distinguishable,
+    zero_overlap_from_spectrum,
 )
 from .config import CLOSED_FORM_TOL, MATCH_TOL, RunConfig
 from .errors import (
@@ -43,13 +45,11 @@ from .errors import (
     Indistinguishable,
     MalformedScheme,
     SeqloccError,
-    VSelectionFailed,
 )
 from .linalg import (
     BipartiteUnitary,
     basis_state,
     dagger,
-    eig_unitary,
     mat,
     normalize,
     op_distance_mod_phase,
@@ -58,7 +58,7 @@ from .linalg import (
     swap_operator,
     validate_unitary,
 )
-from .sequential import build_sequential_scheme
+from .sequential import _circular_sorted_eig, _stage_rotation, build_sequential_scheme
 from .structure import (
     build_symmetry_set,
     classify_primitive,
@@ -318,41 +318,41 @@ def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequent
     return _finish(bare_query_template(d, d, 1), basis_state(d, 0), input_b, sum(deltas), build)
 
 
-def _mixing_rotation(M: np.ndarray, tol_angle: float) -> np.ndarray:
-    """Rotation v by pi/4 between the two arc-endpoint eigenvectors of a
-    non-scalar M, so that v is not phase-equivalent to M v M^dag (a pi/2
-    rotation is, -v, when the endpoint eigenvalues are antipodal)."""
-    dec = eig_unitary(M)
-    i, j = arc_of_phases(dec.phases, tol_angle).witness_phase_indices
-    E = dec.vectors[:, [i, j]]
-    c = math.sqrt(0.5)
-    return np.eye(M.shape[0], dtype=complex) + E @ np.array([[c - 1, -c], [c, c - 1]]) @ E.conj().T
-
-
 def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
-    """Both swapped products: f(X) = X (I (x) v) X turns them into plain
-    products f(U) = U_A v U_B (x) U_B U_A, then the product case applies;
-    with two queries, f(U) and f(V) deviate by twice those of U and V.
+    """Both swapped products, U = (A (x) B) P and V = (C (x) D) P.
 
-    v = I works unless U_A U_B ~ V_A V_B and U_B U_A ~ V_B V_A. Then
-    V_B ~ V_A^dag U_A U_B, so V_A v V_B ~ U_A M v M^dag U_B with
-    M = U_A^dag V_A, which is not scalar for a distinct pair, and any v not
-    commuting with M up to phase separates the images.
+    With input |a>|b> one query leaves the overlap <b|M1|b> <a|B^dag D|a>,
+    M1 = A^dag C and B^dag D = B^dag M2 B with M2 = D B^dag. When either
+    arc reaches pi, that factor's zero-overlap state answers in one query.
+    Otherwise f(X) = X (I (x) v) X turns both into plain products
+    f(U) = A v B (x) B A, whose side-A relative operator is similar to
+    v^dag M1 v M2. With v = E1 S E2^dag, E1 and E2 the arc-sorted
+    eigenbases and S the sequential engine's stage rotation, the two arcs
+    add (and close to antipodal endpoints past pi), so the product case
+    needs 2 ceil(pi / (Theta1 + Theta2)) queries; f(U) and f(V) deviate by
+    twice those of U and V.
     """
     cfg = build.cfg
     build.trace.append("i-c")
     A, B, C, D = (mat(X) for X in (U_A, U_B, V_A, V_B))
     d = A.shape[0]
-
-    def gap(v):
-        return phase_distance(np.kron(A @ v @ B, B @ A), np.kron(C @ v @ D, D @ C))
-
-    v = np.eye(d, dtype=complex)
-    if gap(v) <= cfg.distinct_tol:
-        v = _mixing_rotation(A.conj().T @ C, cfg.tol_angle)
-        if gap(v) <= cfg.distinct_tol:
-            raise VSelectionFailed("no middle layer made the images distinct")
-    build.note("swapped pair: middle layer selected, reducing to the product case")
+    M1, M2 = dagger(A) @ C, D @ dagger(B)
+    (dec1, info1, ends1, E1), (dec2, info2, ends2, E2) = (
+        _circular_sorted_eig(M, cfg.tol_angle) for M in (M1, M2))
+    theta = max(info1.theta, info2.theta)
+    if theta >= math.pi - cfg.tol_angle:
+        on_b = info1.theta == theta
+        dec, ends, M = (dec1, ends1, M1) if on_b else (dec2, ends2, M2)
+        psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
+        idle = basis_state(d, 0)
+        build.theta_trace.append(theta)
+        build.note(f"swapped pair: single query on the arc of {'A^dag C' if on_b else 'B^dag D'}")
+        build.per_branch_error.extend(deltas)
+        inputs = (idle, psi) if on_b else (dagger(B) @ psi, idle)
+        return _finish(bare_query_template(d, d, 1), *inputs,
+                       abs(np.vdot(psi, M @ psi)) + sum(deltas), build)
+    v = E1 @ _stage_rotation(ends1.theta, ends2.theta, d) @ dagger(E2)
+    build.note("swapped pair: middle layer from the two arcs, reducing to the product case")
     f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(np.eye(d, dtype=complex), v), QUERY])
     inner = _case_product_product(build, A @ v @ B, B @ A, C @ v @ D, D @ C)
     return _over_block(build, f_template, inner, tuple(2.0 * delta for delta in deltas))
@@ -592,9 +592,10 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
                    cls_v=None) -> LoccSequentialScheme:
     """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
 
-    The direct route goes first, except for product against product or
-    swapped product: their overlap factorises, so the closed forms of i-a
-    and i-b are already optimal among product-input schemes.
+    The direct route runs only when an operand is imprimitive. Between
+    primitive operands the one-query overlap of a product input factorises,
+    so the closed forms of i-a, i-b and i-c find a one-query scheme
+    whenever one exists.
 
     Only case iii dispatches again, and always on a pair with a primitive
     operand: the identity (iii-a, iii-b-x1), a product at every rank_tol
@@ -616,10 +617,6 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     kinds = (cls_u.kind, cls_v.kind)
     factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
     try:
-        if kinds not in (("Product", "Product"), ("Product", "SwapProduct")):
-            scheme = _direct(build, U, V)
-            if scheme is not None:
-                return scheme
         if kinds[0] != "Imprimitive":
             # both primitive: i-a, i-b and i-c build on the extracted factors,
             # so each use of an operand costs its distance from its form
@@ -629,6 +626,9 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
             if kinds == ("Product", "SwapProduct"):
                 return _case_product_swap(build, *factors, deltas)
             return _case_swap_swap(build, *factors, deltas)
+        scheme = _direct(build, U, V)
+        if scheme is not None:
+            return scheme
         if kinds[1] != "Imprimitive":
             return _case_imprimitive_vs_primitive(build, U, V, cls_v)
         return _case_both_imprimitive(build, U, V)

@@ -67,10 +67,6 @@ class GeneratorPrimitive(SeqloccError):
     """Synthesis generator is a product (or swapped product); it cannot generate."""
 
 
-class VSelectionFailed(SeqloccError):
-    """No middle layer made the two swapped-product images distinct."""
-
-
 class BranchSelectionFailed(SeqloccError):
     """Both control branches were phase-equivalent to the product image."""
 

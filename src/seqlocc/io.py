@@ -30,7 +30,10 @@ def _to_lists(a) -> list:
 def _from_lists(rows, shape: tuple, what: str) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] lists, in one
     conversion: for a stack of factors, that is most of reading a scheme."""
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise MatrixFileError(f"{what}: not an array of numbers: {exc}") from exc
     if arr.shape != (*shape, 2):
         raise MatrixFileError(f"{what}: expected [re, im] pairs of shape {shape}, "
                               f"got shape {arr.shape}")
@@ -99,15 +102,16 @@ def template_from_dict(data: dict) -> CircuitTemplate:
         d_a = int(data["d_a"])
         d_b = int(data["d_b"])
         records = data["layers"]
-    except (KeyError, TypeError, ValueError) as exc:
+        kinds = [rec.get("kind") for rec in records]
+        local_records = [rec for rec, kind in zip(records, kinds) if kind == "local"]
+        rows = {side: [rec[side] for rec in local_records] for side in ("factor_a", "factor_b")}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"malformed template record: {exc}") from exc
-    kinds = [rec.get("kind") for rec in records]
     for kind in kinds:
         if kind not in ("query", "local"):
             raise MatrixFileError(f"unknown layer kind {kind!r}")
-    local_records = [rec for rec, kind in zip(records, kinds) if kind == "local"]
     n = len(local_records)
-    factors = zip(*(_from_lists([rec[side] for rec in local_records], (n, d, d), side)
+    factors = zip(*(_from_lists(rows[side], (n, d, d), side)
                     for side, d in (("factor_a", d_a), ("factor_b", d_b)))) if n else None
     layers = [QUERY if kind == "query" else LocalLayer(*next(factors)) for kind in kinds]
     return CircuitTemplate(d_a, d_b, layers)

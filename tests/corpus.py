@@ -143,7 +143,7 @@ def labeled_pairs():
         pairs.append(("i-b", ["i-b"], _rand_product(rng), _rand_swap_product(rng)))
 
     # (i-c) both swapped products
-    pairs.append(("i-c", ["i-c", "i-a"], v22(P2), v22(np.kron(SZ, I2) @ P2)))
+    pairs.append(("i-c", ["i-c"], v22(P2), v22(np.kron(SZ, I2) @ P2)))
     for _ in range(2):
         pairs.append(("i-c", ["i-c", "i-a"], _rand_swap_product(rng), _rand_swap_product(rng)))
 

@@ -146,6 +146,25 @@ def test_product_pairs_skip_the_route(monkeypatch, swapped):
     assert calls == []
 
 
+def test_swapped_pairs_skip_the_route(monkeypatch):
+    """Two swapped products keep the closed form of i-c: their overlap
+    factorises too, so the route is never visited."""
+    def refuse(*args):
+        raise AssertionError("direct route visited on a swapped pair")
+
+    monkeypatch.setattr(engine, "_direct", refuse)
+    pairs = [(U, V) for label, _, U, V in labeled_pairs() if label == "i-c"]
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4):
+        U, V = (validate_unitary(np.kron(random_unitary(d, rng), random_unitary(d, rng))
+                                 @ swap_operator(d), d, d) for _ in range(2))
+        pairs.append((U, V))
+    for U, V in pairs:
+        scheme, report = discriminate(U, V, CFG)
+        assert scheme.case_trace[0] == "i-c"
+        assert report.passed
+
+
 def test_pair_no_candidate_solves_falls_back():
     """A diagonal W = U^dag V makes every W_psi diagonal, so F(W_psi) is a
     segment that the candidates do not put through 0, although

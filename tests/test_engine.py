@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -24,6 +26,7 @@ from seqlocc import (
     operator_schmidt,
     phase_distance,
     random_unitary,
+    smallest_arc,
     swap_operator,
     validate_unitary,
     verify_scheme,
@@ -34,6 +37,7 @@ from seqlocc.io import dumps_scheme
 from seqlocc.templates import bare_query_template, check_local_unitarity
 
 from conftest import CNOT, CZ, HAD, I2, SZ
+from corpus import labeled_pairs
 
 CFG = RunConfig()
 
@@ -69,9 +73,10 @@ def test_product_vs_swap_single_query():
 
 
 def test_swap_vs_swap_reduces_to_products():
+    """A^dag C = Z has arc pi: its zero-overlap state on B answers at once."""
     scheme, report = _run(swap_operator(2), np.kron(SZ, I2) @ swap_operator(2))
-    assert scheme.case_trace == ["i-c", "i-a"]
-    assert report.passed
+    assert scheme.case_trace == ["i-c"]
+    assert report.passed and report.query_count == 1
 
 
 def test_product_side_chosen_by_query_count():
@@ -89,31 +94,89 @@ def _clock(d):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_swap_vs_clock_swap_two_queries(d):
-    """At d = 2 the identity middle layer leaves the images equal, so the
-    closed-form rotation must separate them."""
+def test_swap_vs_clock_swap_one_query(d):
+    """The clock's arc 2 pi (d - 1) / d is at least pi, so one query does;
+    at d = 2 the identity middle layer would leave the two images equal."""
     P = swap_operator(d)
     scheme, report = _run(P, np.kron(_clock(d), _clock(d)) @ P, d, d)
-    assert scheme.case_trace == ["i-c", "i-a"]
+    assert scheme.case_trace == ["i-c"]
     assert report.passed and report.overlap <= 1e-12
-    assert report.query_count == 2
+    assert report.query_count == 1
 
 
-@pytest.mark.parametrize("d, seed", [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)])
-def test_swap_swap_when_identity_middle_layer_fails(d, seed):
-    """A B ~ C D and B A ~ D C: with K = B A and M = A^dag C commuting,
-    C = A M, B = K A^dag, D = M^dag B."""
+IDENTITY_LAYER_FAILS = [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)]
+
+
+def _identity_layer_fails(d, seed):
+    """Factors with A B ~ C D and B A ~ D C: with K = B A and M = A^dag C
+    commuting, C = A M, B = K A^dag, D = M^dag B."""
     rng = np.random.default_rng(seed)
     A, W = random_unitary(d, rng), random_unitary(d, rng)
     K = W @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d))) @ W.conj().T
     M = W @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, d))) @ W.conj().T
     B, C = K @ A.conj().T, A @ M
-    D = M.conj().T @ B
-    assert phase_distance(np.kron(A @ B, B @ A), np.kron(C @ D, D @ C)) <= CFG.distinct_tol
+    return A, B, C, M.conj().T @ B
+
+
+def _run_swapped(A, B, C, D):
+    d = A.shape[0]
     P = swap_operator(d)
-    scheme, report = _run(np.kron(A, B) @ P, np.kron(C, D) @ P, d, d)
-    assert scheme.case_trace == ["i-c", "i-a"]
+    return _run(np.kron(A, B) @ P, np.kron(C, D) @ P, d, d)
+
+
+@pytest.mark.parametrize("d, seed", IDENTITY_LAYER_FAILS)
+def test_swap_swap_when_identity_middle_layer_fails(d, seed):
+    """The identity middle layer leaves the two images equal; the (4, 4)
+    draw has an arc of at least pi and takes one query."""
+    A, B, C, D = _identity_layer_fails(d, seed)
+    assert phase_distance(np.kron(A @ B, B @ A), np.kron(C @ D, D @ C)) <= CFG.distinct_tol
+    scheme, report = _run_swapped(A, B, C, D)
+    assert scheme.case_trace == (["i-c"] if (d, seed) == (4, 4) else ["i-c", "i-a"])
     assert report.passed and report.overlap <= 1e-10
+
+
+def _check_swap_swap_queries(A, B, C, D):
+    """One query when Theta(A^dag C) or Theta(B^dag D) reaches pi, else
+    2 ceil(pi / (Theta(A^dag C) + Theta(B^dag D))); the scheme verifies
+    with overlap <= budget <= overlap_tol. Returns the query count."""
+    scheme, report = _run_swapped(A, B, C, D)
+    t1, t2 = (smallest_arc(M).theta for M in (A.conj().T @ C, B.conj().T @ D))
+    expected = 1 if max(t1, t2) >= np.pi else 2 * math.ceil(np.pi / (t1 + t2))
+    assert scheme.case_trace == (["i-c"] if expected == 1 else ["i-c", "i-a"])
+    assert report.query_count == expected
+    assert report.passed and report.overlap <= scheme.budget <= CFG.overlap_tol
+    return expected
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_swap_swap_queries_from_the_two_arcs(d):
+    """Haar swapped products at d = 2, 3, 4 and the engineered family."""
+    counts = [_check_swap_swap_queries(*(random_unitary(d, rng) for _ in range(4)))
+              for rng in (np.random.default_rng([d, seed]) for seed in range(12))]
+    counts += [_check_swap_swap_queries(*_identity_layer_fails(d_f, seed))
+               for d_f, seed in IDENTITY_LAYER_FAILS if d_f == d]
+    # a 2x2 arc reaches pi only at antipodal eigenvalues; at d = 3 the
+    # draws take both branches
+    if d == 3:
+        assert min(counts) == 1 < max(counts)
+
+
+def test_swap_swap_arcs_summing_past_pi_take_two_queries():
+    """Arcs 0.6 pi and 0.55 pi at d = 2: the closing rotation of the middle
+    layer makes the endpoints antipodal, where matched order alone would
+    wrap to an arc of 0.85 pi and take four queries."""
+    rng = np.random.default_rng(31)
+    A, B, Q, R = (random_unitary(2, rng) for _ in range(4))
+    C = A @ Q @ np.diag([1, np.exp(0.6j * np.pi)]) @ Q.conj().T
+    D = B @ R @ np.diag([1, np.exp(0.55j * np.pi)]) @ R.conj().T
+    assert _check_swap_swap_queries(A, B, C, D) == 2
+
+
+def test_corpus_swapped_pair_takes_two_queries():
+    label, _, U, V = labeled_pairs()[9]
+    scheme, report = discriminate(U, V, CFG)
+    assert label == "i-c" and scheme.case_trace == ["i-c", "i-a"]
+    assert report.passed and report.query_count == 2
 
 
 def test_cnot_vs_local_fast_path():
@@ -211,7 +274,7 @@ def test_lone_distinct_product_side_decomposed_once_per_query(monkeypatch):
         calls.append(M)
         return real(M)
 
-    for module in (arcs, sequential, engine):
+    for module in (arcs, sequential):
         monkeypatch.setattr(module, "eig_unitary", counting)
     rng = np.random.default_rng(5)
     Q = random_unitary(2, rng)

@@ -12,6 +12,7 @@ from seqlocc.io import (
     load_matrix_file,
     loads_matrix,
     loads_scheme,
+    loads_template,
     save_matrix_file,
     scheme_from_dict,
 )
@@ -39,6 +40,35 @@ def test_matrix_parse_strictness():
         loads_matrix('{"d_a": 2, "entries": []}')
     with pytest.raises(MatrixFileError):
         loads_matrix("not json")
+
+
+TEMPLATE_RECORDS = {
+    "layer not an object": [1],
+    "layer a string": ["query"],
+    "local layer without factor_a": [{"kind": "local", "factor_b": [[[1, 0], [0, 0]],
+                                                                     [[0, 0], [1, 0]]]}],
+    "factor not numbers": [{"kind": "local", "factor_a": [["x", "y"], ["z", "w"]],
+                            "factor_b": [["x", "y"], ["z", "w"]]}],
+}
+
+
+@pytest.mark.parametrize("name", TEMPLATE_RECORDS)
+def test_malformed_template_layers_are_file_errors(name):
+    with pytest.raises(MatrixFileError):
+        loads_template(json.dumps({"d_a": 2, "d_b": 2, "layers": TEMPLATE_RECORDS[name]}))
+
+
+@pytest.mark.parametrize("name", TEMPLATE_RECORDS)
+def test_cli_verify_malformed_template_layers_exit2(tmp_path, capsys, name):
+    a = _write(tmp_path, "u.json", CNOT)
+    b = _write(tmp_path, "v.json", np.kron(HAD, HAD))
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["discriminate", a, b, "--out", str(scheme_path)]) == 0
+    data = json.loads(scheme_path.read_text())
+    data["template"]["layers"] = TEMPLATE_RECORDS[name]
+    scheme_path.write_text(json.dumps(data))
+    assert main(["verify", str(scheme_path), a, b]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_scheme_round_trip():
