@@ -4,11 +4,17 @@ Subcommands: classify, theta, discriminate, verify, synth. Matrix operands
 are JSON files (or "-" for standard input); results print to standard
 output unless --out redirects them. Exit codes: 0 ok, 2 input error,
 3 indistinguishable pair, 4 construction failure.
+
+main(argv) runs one subcommand in process and returns its exit code; the
+parser is built at the first call only, not at import. verify rejects
+operands split otherwise than the scheme, and a budget that is negative or
+not finite (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -172,7 +178,10 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and shared by every main call, so
+    callers must not mutate it; each cmd_* handler is bound at that build."""
     parser = argparse.ArgumentParser(
         prog="seqlocc",
         description="Construct and verify sequential LOCC discrimination "

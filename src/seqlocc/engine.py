@@ -665,9 +665,12 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
 def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
     off unitarity by more than tol, MalformedScheme for an input that is not
-    a unit vector (to tol) of length d_a or d_b."""
+    a unit vector (to tol) of length d_a or d_b, or for a budget that is
+    negative or not finite."""
     t = scheme.template
     check_local_unitarity(t, tol)
+    if not 0 <= scheme.budget < np.inf:
+        raise MalformedScheme(f"budget {scheme.budget!r} is not a finite non-negative number")
     for name, v, d in (("input_a", scheme.input_a, t.d_a), ("input_b", scheme.input_b, t.d_b)):
         v = np.asarray(v)
         if v.shape != (d,):
@@ -688,15 +691,19 @@ def verify_scheme(scheme: LoccSequentialScheme, U, V,
 def _overlap_report(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
     """verify_scheme on a scheme that validate_scheme has already passed:
     both outputs in one pass of the product input through the template."""
+    t = scheme.template
+    for X in (U, V):
+        if isinstance(X, BipartiteUnitary) and (X.d_a, X.d_b) != (t.d_a, t.d_b):
+            raise DimensionMismatch(f"operand is ({X.d_a}, {X.d_b}), scheme ({t.d_a}, {t.d_b})")
     u, v = mat(U), mat(V)
     if u.shape != v.shape:
         raise DimensionMismatch(f"operands differ in shape: {u.shape} vs {v.shape}")
-    phi_u, phi_v = template_outputs(scheme.template, np.stack([u, v]),
+    phi_u, phi_v = template_outputs(t, np.stack([u, v]),
                                     scheme.input_a, scheme.input_b)
     ov = float(abs(np.vdot(phi_u, phi_v)))
     return DiscriminationReport(
         overlap=ov,
-        query_count=scheme.template.query_count,
+        query_count=t.query_count,
         passed=ov <= scheme.budget + _VERIFY_SLACK,
         case_trace=list(scheme.case_trace),
     )

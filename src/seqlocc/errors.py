@@ -85,4 +85,5 @@ class MatrixFileError(SeqloccError):
 
 
 class MalformedScheme(SeqloccError):
-    """A scheme's input states are not unit vectors of the template's dimensions."""
+    """A scheme's input states are not unit vectors of the template's
+    dimensions, or its budget is negative or not finite."""

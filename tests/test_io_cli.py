@@ -1,11 +1,22 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from seqlocc import RunConfig, discriminate, random_unitary, swap_operator, validate_unitary
-from seqlocc.cli import main
-from seqlocc.errors import MalformedScheme, MatrixFileError, NotUnitary
+from seqlocc import (
+    RunConfig,
+    discriminate,
+    random_unitary,
+    swap_operator,
+    validate_unitary,
+    verify_scheme,
+)
+from seqlocc.cli import build_parser, main
+from seqlocc.errors import DimensionMismatch, MalformedScheme, MatrixFileError, NotUnitary
 from seqlocc.io import (
     dumps_matrix,
     dumps_scheme,
@@ -194,6 +205,27 @@ def test_cli_verify_dimension_mismatch_exit2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_verify_rejects_operands_split_otherwise(tmp_path, capsys):
+    """A 2x3 scheme checked against the same matrices declared 3x2: its layers
+    are not local and its input not a product state under that split."""
+    rng = np.random.default_rng(5)
+    M = [random_unitary(6, rng) for _ in range(2)]
+    U, V = (validate_unitary(m, 2, 3) for m in M)
+    U32, V32 = (validate_unitary(m, 3, 2) for m in M)
+    scheme, _ = discriminate(U, V)
+    assert verify_scheme(scheme, U, V).passed
+    for pair in ((U32, V32), (U, V32)):
+        with pytest.raises(DimensionMismatch):
+            verify_scheme(scheme, *pair)
+    u, v = _write(tmp_path, "u.json", M[0], 2, 3), _write(tmp_path, "v.json", M[1], 2, 3)
+    u32, v32 = (_write(tmp_path, f"{n}32.json", m, 3, 2) for n, m in zip("uv", M))
+    scheme_path = str(tmp_path / "scheme.json")
+    assert main(["discriminate", u, v, "--out", scheme_path]) == 0
+    capsys.readouterr()
+    assert main(["verify", scheme_path, u32, v32]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
     a = _write(tmp_path, "i.json", np.eye(4))
     b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
@@ -241,6 +273,56 @@ def test_cli_deterministic_scheme_files(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_cli_builds_the_parser_once(tmp_path):
+    path = _write(tmp_path, "cnot.json", CNOT)
+    build_parser.cache_clear()
+    for _ in range(5):
+        assert main(["theta", path]) == 0
+    info = build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
+
+
+def test_import_builds_no_parser():
+    probe = "import seqlocc.cli; print(seqlocc.cli.build_parser.cache_info().currsize)"
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_cli_flags_do_not_leak_between_calls(tmp_path, capsys):
+    """The parser is shared, but every call starts from the defaults."""
+    # a Haar pair whose direct-route probes, hence scheme bytes, depend on the seed
+    rng = np.random.default_rng(28)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    a, b = (_write(tmp_path, f"{n}.json", X.matrix) for n, X in zip("uv", (U, V)))
+    seeded, plain, after_error = (tmp_path / f"{n}.json" for n in ("s5", "s", "e"))
+    expected = dumps_scheme(*discriminate(U, V, RunConfig())) + "\n"
+    assert main(["discriminate", a, b, "--out", str(seeded), "--seed", "5"]) == 0
+    assert main(["discriminate", a, b, "--out", str(plain)]) == 0
+    assert seeded.read_text() != expected == plain.read_text()
+    with pytest.raises(SystemExit) as exc:
+        main(["discriminate", a, b, "--seed", "5", "--tol-rank", "x"])
+    assert exc.value.code == 2
+    assert main(["discriminate", a, b, "--out", str(after_error)]) == 0
+    assert after_error.read_text() == expected
+
+    assert main(["verify", str(plain), a, b, "--tol-unitarity", "2.5e-9"]) == 0
+    assert main(["verify", str(plain), a, b]) == 0
+    # operands 1.5e-9 off unitarity pass at 2.5e-9 only, not at the default 1e-9
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H += H.conj().T
+    nudge = np.eye(4) + (np.sqrt(1 + 1.5e-9) - 1) * H / np.abs(np.linalg.eigvalsh(H)).max()
+    na, nb = (str(tmp_path / f"n{n}.json") for n in "uv")
+    for path, X in ((na, U), (nb, V)):
+        save_matrix_file(path, validate_unitary(X.matrix @ nudge, 2, 2, tol=2.5e-9))
+    nudged = str(tmp_path / "n.json")
+    assert main(["discriminate", na, nb, "--out", nudged, "--tol-unitarity", "2.5e-9"]) == 0
+    assert main(["verify", nudged, na, nb, "--tol-unitarity", "2.5e-9"]) == 0
+    assert main(["verify", nudged, na, nb]) == 2
+    assert "exceeds tolerance 1.000e-09" in capsys.readouterr().err
+
+
 def _forged_records(text):
     """A genuine scheme record and forgeries of it, with the expected error."""
     data = json.loads(text)
@@ -253,8 +335,10 @@ def _forged_records(text):
     scaled_input["input_b"] = [[2 * re, 2 * im] for re, im in scaled_input["input_b"]]
     short_input = json.loads(text)
     short_input["input_b"] = short_input["input_b"][:1]
+    bad_budgets = [{**json.loads(text), "budget": b} for b in (float("inf"), float("nan"), -1.0)]
     return data, [(zero_factor, NotUnitary), (zero_input, MalformedScheme),
-                  (scaled_input, MalformedScheme), (short_input, MalformedScheme)]
+                  (scaled_input, MalformedScheme), (short_input, MalformedScheme),
+                  *((record, MalformedScheme) for record in bad_budgets)]
 
 
 def test_scheme_from_dict_rejects_forged():
