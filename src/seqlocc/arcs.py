@@ -17,8 +17,10 @@ from .config import RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
 from .linalg import TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance
 
-# an arc that divides pi to within rounding needs no extra query
+# queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
+# zero_overlap_from_spectrum also takes an arc short of pi - tol_angle by that
 _CEIL_SLACK = 1e-12
+_ARC_ROUNDING = 1e-11
 
 
 @dataclass
@@ -91,20 +93,20 @@ def single_query_distinguishable(U, V, tol_angle: float = RunConfig.tol_angle) -
     return smallest_arc(dagger(a) @ b, tol_angle).theta >= math.pi - tol_angle
 
 
-def queries_for_arc(theta: float) -> int:
-    """ceil(pi / theta): queries that stretch a relative arc theta to pi."""
-    return max(1, math.ceil(math.pi / theta - _CEIL_SLACK))
+def queries_for_arc(theta: float, tol_angle: float = RunConfig.tol_angle) -> int:
+    """Fewest n with n theta >= pi - tol_angle: queries stretching arc theta to pi."""
+    return max(1, math.ceil((math.pi - tol_angle) / theta - _CEIL_SLACK))
 
 
 def parallel_query_count(U, V, distinct_tol: float = RunConfig.distinct_tol,
                          tol_angle: float = RunConfig.tol_angle) -> int:
-    """N = ceil(pi / Theta(U^dag V)): parallel copies needed for orthogonality."""
+    """queries_for_arc(Theta(U^dag V)): parallel copies needed for orthogonality."""
     if phase_distance(U, V) <= distinct_tol:
         raise Indistinguishable("operations agree up to a global phase")
     theta = smallest_arc(dagger(U) @ mat(V), tol_angle).theta
     if theta <= tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    return queries_for_arc(theta)
+    return queries_for_arc(theta, tol_angle)
 
 
 def min_achievable_overlap(theta: float) -> float:
@@ -152,7 +154,7 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
     that no gap inside the arc can skip (the outer gap is the widest), so
     the three circular gaps are at most pi and the weights are nonnegative.
     """
-    if info.theta < math.pi - tol_angle:
+    if info.theta < math.pi - tol_angle - _ARC_ROUNDING:
         raise ArcTooSmall(info.theta, min_achievable_overlap(info.theta))
     s, e = info.witness_phase_indices
     z = np.exp(1j * dec.phases)

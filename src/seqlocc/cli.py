@@ -124,7 +124,7 @@ def cmd_theta(args) -> int:
         f"single_query_distinguishable: {info.theta >= np.pi - cfg.tol_angle}",
     ]
     if distinct and info.theta > cfg.tol_angle:
-        lines.append(f"parallel_query_count: {queries_for_arc(info.theta)}")
+        lines.append(f"parallel_query_count: {queries_for_arc(info.theta, cfg.tol_angle)}")
     else:
         lines.append("parallel_query_count: inf (operations phase-equivalent)")
     if args.csv:

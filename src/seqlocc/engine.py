@@ -33,7 +33,7 @@ import numpy as np
 
 from .arcs import (
     numerical_range_zero,
-    parallel_query_count,
+    queries_for_arc,
     single_query_distinguishable,
     zero_overlap_from_spectrum,
 )
@@ -50,6 +50,7 @@ from .linalg import (
     BipartiteUnitary,
     basis_state,
     dagger,
+    kron,
     mat,
     normalize,
     op_distance_mod_phase,
@@ -142,14 +143,15 @@ def _finish(template: CircuitTemplate, input_a, input_b, budget: float,
 
 
 def _one_side(build: _Build, side: str, X_u, X_v, block: CircuitTemplate | None,
-              idle_input, deltas) -> LoccSequentialScheme:
+              idle_input, deltas, relative=None) -> LoccSequentialScheme:
     """Sequential scheme for the block pair X_u (x) . against X_v (x) . acting
     on `side` ("A" or "B"), composed over `block` (None: the query itself).
 
     The other side idles in idle_input. deltas are the per-use deviations of
     the real blocks from X_u and X_v; each costs uses * delta of budget.
+    relative is the decomposition of X_u^dag X_v, when already made.
     """
-    seq = build_sequential_scheme(X_u, X_v, build.cfg)
+    seq = build_sequential_scheme(X_u, X_v, build.cfg, _relative=relative)
     build.theta_trace.extend(seq.theta_trace)
     build.note(f"side {side}: {seq.query_count} block queries")
     inputs = (seq.input_state, idle_input) if side == "A" else (idle_input, seq.input_state)
@@ -278,7 +280,8 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
 
     Ties go to the wider phase distance: factor extraction carries a little
     noise, so a barely-nonzero side must not shadow a cleanly distinct one.
-    A lone distinct side is taken unpriced, as the other one costs inf.
+    A lone distinct side is taken unpriced, as the other one costs inf;
+    else each side's U^dag V is decomposed once, and the taken one reused.
     """
     cfg = build.cfg
     build.trace.append("i-a")
@@ -286,19 +289,20 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
     sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
              "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
     gaps = {side: phase_distance(X_u, X_v) for side, (X_u, X_v, _) in sides.items()}
+    distinct = [side for side in sides if gaps[side] > cfg.distinct_tol]
+    spectra = {}
+    if len(distinct) == 2:
+        spectra = {side: _circular_sorted_eig(dagger(X_u) @ mat(X_v), cfg.tol_angle)
+                   for side, (X_u, X_v, _) in sides.items()}
 
     def cost(side):
-        X_u, X_v, _ = sides[side]
-        try:
-            n = parallel_query_count(X_u, X_v, cfg.distinct_tol, cfg.tol_angle)
-        except Indistinguishable:
-            n = math.inf  # if both sides are, build_sequential_scheme raises it
+        theta = spectra[side][1].theta if side in spectra else 0.0
+        n = queries_for_arc(theta, cfg.tol_angle) if theta > cfg.tol_angle else math.inf
         return n, -gaps[side]
 
-    distinct = [side for side in sides if gaps[side] > cfg.distinct_tol]
     side = distinct[0] if len(distinct) == 1 else min(sides, key=cost)
     X_u, X_v, idle = sides[side]
-    scheme = _one_side(build, side, X_u, X_v, None, idle, deltas)
+    scheme = _one_side(build, side, X_u, X_v, None, idle, deltas, spectra.get(side))
     build.per_branch_error.append(scheme.budget)
     return scheme
 
@@ -581,7 +585,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
 def _form_deviation(X: BipartiteUnitary, cls) -> float:
     """Distance mod phase of X from the (swapped) product of its classified
     factors, in the Frobenius norm: a bound on the operator norm, no SVD."""
-    M = np.kron(cls.factor_a, cls.factor_b)
+    M = kron(cls.factor_a, cls.factor_b)
     if cls.kind == "SwapProduct":
         M = M @ swap_operator(X.d_a)
     t = np.vdot(M, X.matrix)  # tr(M^dag X), of modulus about dim

@@ -94,7 +94,9 @@ def dagger(U) -> np.ndarray:
 
 
 def kron(A, B) -> np.ndarray:
-    return np.kron(mat(A), mat(B))
+    """np.kron of two matrices as one broadcast product: the same bits, faster."""
+    a, b = mat(A), mat(B)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
 
 
 def normalize(psi) -> np.ndarray:

@@ -3,7 +3,8 @@
 Given distinct U and V, builds interleavers w_1..w_N and an input state psi
 with U w_N U ... w_1 U |psi> orthogonal to the V-chain, using exactly
 N + 1 = ceil(pi / Theta(U^dag V)) queries, the optimum (Acin, PRL 87,
-177901, 2001). Every stage is in closed form; nothing is searched.
+177901, 2001). Every stage is in closed form; nothing is searched, and
+only U^dag V and the final relative operator are decomposed.
 
 With A, B the chains built so far, T_c = A^dag B the current relative
 operator (arc theta_c), R and Q the arc-sorted eigenbases of T_c and of
@@ -13,7 +14,10 @@ with D_c, D_0 the diagonal phase matrices, and S(t) a rotation by t in the
 plane of the first and last (arc-endpoint) columns:
 
 * while theta_c + theta_0 < pi, t = 0: the eigenphases add in matched
-  order and the stage gains exactly theta_0;
+  order and the stage gains exactly theta_0. From U^dag V = Q D_0 Q^dag,
+  the relative operator after k queries is Q D_0^k Q^dag, so R is Q, the
+  arc is k theta_0 and w is Q Q^dag U^dag = U^dag: no such stage needs a
+  decomposition;
 * on the closing stage, with sigma = (theta_c + theta_0) / 2 and
   Delta = (theta_c - theta_0) / 2, the endpoint block has trace
   2 e^{i sigma} (cos^2 t cos sigma + sin^2 t cos Delta), which vanishes at
@@ -35,7 +39,7 @@ import numpy as np
 
 from .arcs import arc_of_phases, queries_for_arc, zero_overlap_from_spectrum
 from .config import RunConfig
-from .errors import DimensionMismatch, Indistinguishable, StageStalled
+from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled
 from .linalg import eig_unitary, mat, phase_distance
 
 PI = math.pi
@@ -93,13 +97,18 @@ def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
     return S
 
 
-def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialScheme:
+def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
+                            _relative=None) -> SequentialScheme:
     """Interleavers and input state making the two chains orthogonal.
 
-    Uses exactly ceil(pi / Theta(U^dag V)) queries; theta_trace records the
-    arc of the relative operator after each query. StageStalled reports a
-    trace that did not close in time or a final overlap above
-    cfg.overlap_tol, which only numerical breakdown can cause.
+    Uses exactly n = queries_for_arc(Theta(U^dag V)) queries: pacing stages
+    w = U^dag, then the closing stage at the closed-form arc (n - 1) theta_0.
+    Decomposed are U^dag V (unless _relative, the caller's
+    _circular_sorted_eig of it, is given) and the final relative operator
+    A^dag B of the explicit chains, whose spectrum gives the input; the
+    overlap is measured on it. theta_trace holds k theta_0 after query k,
+    then the measured final arc. StageStalled reports a final arc short of
+    pi or an overlap above cfg.overlap_tol: only numerical breakdown.
     """
     cfg = cfg or RunConfig()
     Um, Vm = mat(U), mat(V)
@@ -109,33 +118,26 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None) -> SequentialSch
         raise Indistinguishable("operations agree up to a global phase")
 
     M = Um.conj().T @ Vm
-    dec, info, ends_0, Q = _circular_sorted_eig(M, cfg.tol_angle)
+    dec, info, ends, Q = _relative or _circular_sorted_eig(M, cfg.tol_angle)
     theta_0 = info.theta
     if theta_0 <= cfg.tol_angle:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    max_stages = queries_for_arc(theta_0) - 1
-    q_u_dag = (Um @ Q).conj().T  # Q^dag U^dag, shared by every stage
-
-    A, B = Um, Vm
+    n = queries_for_arc(theta_0, cfg.tol_angle)
+    trace = [k * theta_0 for k in range(1, n)]
     interleavers: list[np.ndarray] = []
-    trace = [theta_0]
-    ends, R = ends_0, Q
-    while info.theta < PI - cfg.tol_angle:
-        if len(interleavers) >= max_stages:
-            raise StageStalled(
-                f"arc stuck at {info.theta:.6f} after {len(interleavers)} stages", trace)
-        w = R @ _stage_rotation(ends.theta, ends_0.theta, Um.shape[0]) @ q_u_dag
-        A = A @ w @ Um
-        B = B @ w @ Vm
-        interleavers.insert(0, w)
-        M = A.conj().T @ B
-        dec, info, ends, R = _circular_sorted_eig(M, cfg.tol_angle)
-        trace.append(info.theta)
+    if n > 1:
+        S = _stage_rotation((n - 1) * ends.theta, ends.theta, Um.shape[0])
+        interleavers = [Q @ S @ (Um @ Q).conj().T] + [Um.conj().T] * (n - 2)
+        M = compose_sequential(Um, interleavers).conj().T @ compose_sequential(Vm, interleavers)
+        dec, info, ends, _ = _circular_sorted_eig(M, cfg.tol_angle)
+    trace.append(info.theta)
 
-    # the last decomposition is that of the final relative operator M
-    psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
+    try:
+        psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
+    except ArcTooSmall as exc:
+        raise StageStalled(f"arc {ends.theta:.6f} short of pi after {n} queries", trace) from exc
     resid = float(abs(np.vdot(psi, M @ psi)))
     if resid > cfg.overlap_tol:
         raise StageStalled(f"final overlap {resid:.3e} above tolerance", trace)
 
-    return SequentialScheme(interleavers, psi, len(interleavers) + 1, resid, trace)
+    return SequentialScheme(interleavers, psi, n, resid, trace)

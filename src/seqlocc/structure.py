@@ -98,33 +98,26 @@ def _closest_unitary(M: np.ndarray) -> np.ndarray:
     return X @ Yh
 
 
-def _polish_product_factors(M: np.ndarray, fa: np.ndarray, fb: np.ndarray):
-    """Three sweeps of alternating polar refinement of fa (x) fb toward M.
+def _polish_product_factors(M: np.ndarray, fb: np.ndarray):
+    """One sweep of alternating polar refinement of fa (x) fb toward M.
 
     Each half-step maximizes Re tr((fa (x) fb)^dag M) exactly over one
-    unitary factor, so a genuinely product M is recovered to the last bit
-    the trace metric can see.
+    unitary factor. For a product M = a (x) b, fb is b up to a phase, so one
+    sweep returns a and b to the last bit the trace metric can see; for M
+    eps off a product, fb starts O(eps) off the best fit, where the fit is
+    stationary, so more sweeps would move the residual only at O(eps^2).
     """
-    d_a, d_b = fa.shape[0], fb.shape[0]
+    d_a, d_b = M.shape[0] // fb.shape[0], fb.shape[0]
     M4 = M.reshape(d_a, d_b, d_a, d_b)
-    for _ in range(3):
-        Ma = np.einsum("abcd,bd->ac", M4, fb.conj())
-        fa = _closest_unitary(Ma)
-        Mb = np.einsum("abcd,ac->bd", M4, fa.conj())
-        fb = _closest_unitary(Mb)
+    fa = _closest_unitary(np.einsum("abcd,bd->ac", M4, fb.conj()))
+    fb = _closest_unitary(np.einsum("abcd,ac->bd", M4, fa.conj()))
     return fa, fb
 
 
-def _unitary_factors_from_rank1(c: float, A: np.ndarray, B: np.ndarray, M: np.ndarray):
-    """Rescale a rank-1 Schmidt term of M into unitary factors, polished
-    against M before the phase convention is applied."""
-    d_a = A.shape[0]
-    fa = A * np.sqrt(d_a)
-    fb = B * (c / np.sqrt(d_a))
-    fa = _closest_unitary(fa)
-    fb = _closest_unitary(fb)
-    fa, fb = _polish_product_factors(M, fa, fb)
-    return _apply_phase_convention(fa, fb)
+def _unitary_factors_from_rank1(B: np.ndarray, M: np.ndarray):
+    """Unitary factors of M from the B operator of its rank-1 Schmidt term,
+    polished against M before the phase convention is applied."""
+    return _apply_phase_convention(*_polish_product_factors(M, _closest_unitary(B)))
 
 
 def entangling_witness(U: BipartiteUnitary):
@@ -183,14 +176,11 @@ def classify_primitive(U: BipartiteUnitary,
         raise AmbiguousClassification(
             "both the plain and the swapped realignment look rank one")
     if is_product:
-        fa, fb = _unitary_factors_from_rank1(
-            dec.coefficients[0], dec.left_ops[0], dec.right_ops[0], M=U.matrix)
+        fa, fb = _unitary_factors_from_rank1(dec.right_ops[0], U.matrix)
         return PrimitiveForm("Product", fa, fb,
                              float(phase_distance(U.matrix, kron(fa, fb))), dec.coefficients)
     if is_swap:
-        ga, gb = _unitary_factors_from_rank1(
-            dec_p.coefficients[0], dec_p.left_ops[0], dec_p.right_ops[0],
-            M=U.matrix @ swap_operator(d_a))
+        ga, gb = _unitary_factors_from_rank1(dec_p.right_ops[0], U.matrix @ swap_operator(d_a))
         residual = phase_distance(U.matrix, kron(ga, gb) @ swap_operator(d_a))
         return PrimitiveForm("SwapProduct", ga, gb, float(residual), dec.coefficients)
     # distance to the nearest primitive form, from the truncation weight

@@ -263,9 +263,8 @@ def test_verify_scheme_dimension_mismatch_is_typed():
             verify_scheme(scheme, u, v, CFG)
 
 
-def test_lone_distinct_product_side_decomposed_once_per_query(monkeypatch):
-    """A product pair distinct on one side only takes that side unpriced:
-    the sequential engine's one eig_unitary per query is all it costs."""
+def _count_decompositions(monkeypatch):
+    """Matrices handed to eig_unitary from here on."""
     from seqlocc import arcs, sequential
     calls = []
     real = sequential.eig_unitary
@@ -276,13 +275,52 @@ def test_lone_distinct_product_side_decomposed_once_per_query(monkeypatch):
 
     for module in (arcs, sequential):
         monkeypatch.setattr(module, "eig_unitary", counting)
+    return calls
+
+
+def test_lone_distinct_product_side_decomposed_twice(monkeypatch):
+    """A product pair distinct on one side only takes that side unpriced:
+    the sequential engine's two decompositions are all it costs."""
+    calls = _count_decompositions(monkeypatch)
     rng = np.random.default_rng(5)
     Q = random_unitary(2, rng)
     VA = Q @ np.diag([1, np.exp(1.1j)]) @ Q.conj().T
     scheme, report = _run(np.kron(I2, HAD), np.kron(VA, HAD))
     assert scheme.case_trace == ["i-a"]
     assert report.query_count == 3
-    assert len(calls) == report.query_count
+    assert len(calls) == 2
+
+
+def test_both_distinct_product_sides_decomposed_once_each(monkeypatch):
+    """Pricing decomposes each side's U^dag V once, and the sequential
+    engine starts from the side taken instead of decomposing it again."""
+    calls = _count_decompositions(monkeypatch)
+    rng = np.random.default_rng(6)
+    UA, UB = random_unitary(3, rng), random_unitary(2, rng)
+    QA, QB = random_unitary(3, rng), random_unitary(2, rng)
+    VA = UA @ QA @ np.diag(np.exp([0, 0.2j, 0.4j])) @ QA.conj().T
+    VB = UB @ QB @ np.diag(np.exp([0, 0.9j])) @ QB.conj().T
+    scheme, report = _run(np.kron(UA, UB), np.kron(VA, VB), 3, 2)
+    assert scheme.case_trace == ["i-a"]
+    assert report.query_count == 4 and report.passed
+    for X_u, X_v in ((UA, VA), (UB, VB)):
+        # the extracted factors carry a phase each, so W is matched up to one
+        W = X_u.conj().T @ X_v
+        assert sum(M.shape == W.shape and op_distance_mod_phase(M, W) <= 1e-9
+                   for M in calls) == 1
+    assert len(calls) == 3
+
+
+def test_product_sides_priced_at_tol_angle():
+    """Side A's arc pi/2 - 5e-9 closes in 2 queries, since 2 theta reaches
+    pi - tol_angle; pricing it at 3, like side B (arc 1.347), sent the pair
+    to B and spent a query more."""
+    VA = np.diag(np.exp(1j * np.array([0, 0, 0, 0, np.pi / 2 - 5e-9])))
+    VB = np.diag([1, np.exp(1.347j)])
+    scheme, report = _run(np.eye(10), np.kron(VA, VB), 5, 2)
+    assert scheme.case_trace == ["i-a"]
+    assert report.query_count == 2 and report.passed
+    assert scheme.input_b == pytest.approx(basis_state(2, 0))
 
 
 def test_scheme_locc_legality():

@@ -114,3 +114,20 @@ def test_dagger_on_known_matrices():
     assert np.allclose(dagger(U) @ U, np.eye(3), atol=1e-13)
     wrapped = BipartiteUnitary(U, 3, 1, 0.0)
     assert np.allclose(dagger(wrapped), U.conj().T)
+
+
+@pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 3), (4, 1)),
+                                    ((1, 5), (3, 2)), ((4, 4), (4, 4))])
+def test_kron_same_bits_as_numpy(shapes):
+    """The broadcast product forms each entry as np.kron does, so every bit
+    agrees, the sign of every zero included."""
+    rng = np.random.default_rng(13)
+    (m, n), (p, q) = shapes
+    A = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    B = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
+    A.flat[0], B.flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    A.flat[-1] = -1.0
+    got, want = kron(A, B), np.kron(A, B)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.signbit(got.real).any() and np.signbit(got.imag).any()

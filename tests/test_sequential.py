@@ -108,9 +108,10 @@ def test_query_counts_within_bounds():
         assert scheme.query_count == n
 
 
-def test_one_eigendecomposition_per_query(monkeypatch):
-    """The zero-overlap input comes from the last stage's decomposition of
-    the final relative operator, which is not decomposed a second time."""
+def test_two_eigendecompositions_per_scheme(monkeypatch):
+    """U^dag V and the final relative operator are decomposed, nothing in
+    between: one decomposition when the arc already reaches pi, two
+    otherwise, for schemes of 1 up to 96 queries."""
     calls = []
 
     def counting(M):
@@ -120,10 +121,46 @@ def test_one_eigendecomposition_per_query(monkeypatch):
     for module in (seqlocc.sequential, seqlocc.arcs):
         monkeypatch.setattr(module, "eig_unitary", counting)
     rng = np.random.default_rng(8)
-    for theta in (0.5, 1.2, 2.0, np.pi + 0.3):
+    for theta in (np.pi / 95.5, 0.1, 0.5, 1.2, 2.0, np.pi - 0.01, np.pi + 0.3):
         calls.clear()
-        scheme = build_sequential_scheme(*_pair_with_arc(theta, 3, rng), CFG)
-        assert len(calls) == scheme.query_count == queries_for_arc(theta)
+        U, V = _pair_with_arc(theta, 3, rng)
+        scheme = build_sequential_scheme(U, V, CFG)
+        assert scheme.query_count == queries_for_arc(theta)
+        assert len(calls) == (1 if theta >= np.pi else 2)
+        assert _recompute_overlap(U, V, scheme) <= 1e-12
+    assert scheme.query_count == 1 and queries_for_arc(np.pi / 95.5) == 96
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_pacing_interleavers_are_u_dagger(dim):
+    """Every stage but the closing one (interleavers[0], the last built) is
+    Q Q^dag U^dag, which is U^dag."""
+    rng = np.random.default_rng(20 + dim)
+    for theta in (0.3, 0.7, 1.3):
+        U, V = _pair_with_arc(theta, dim, rng)
+        scheme = build_sequential_scheme(U, V, CFG)
+        assert scheme.query_count == queries_for_arc(theta) >= 3
+        for w in scheme.interleavers[1:]:
+            assert np.abs(w - dagger(U)).max() <= 1e-12
+        assert np.abs(scheme.interleavers[0] - dagger(U)).max() > 1e-3
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_query_count_agrees_with_parallel_count_at_tol_angle(k):
+    """An arc within a few tol_angle of pi / k: the count and the engine
+    read one rule, the fewest n with n theta >= pi - tol_angle, so they
+    agree, and the scheme closes below overlap_tol. At theta exactly
+    (pi - tol_angle) / k the measured arcs sit within rounding of that rule
+    on either side, and k queries must still close."""
+    rng = np.random.default_rng(40 + k)
+    boundary = (np.pi - CFG.tol_angle) / k
+    for theta in [np.pi / k + d for d in (-2e-8, -5e-9, 0.0, 5e-9, 2e-8)] + [boundary] * 8:
+        U, Q = random_unitary(3, rng), random_unitary(3, rng)
+        V = U @ Q @ _dphases([0.0, theta / 2, theta]) @ Q.conj().T
+        scheme = build_sequential_scheme(U, V, CFG)
+        assert scheme.query_count == parallel_query_count(U, V)
+        assert scheme.query_count in ((k,) if theta == boundary else (k, k + 1))
+        assert _recompute_overlap(U, V, scheme) <= CFG.overlap_tol
 
 
 def test_commuting_diagonal_exact_counts():

@@ -17,7 +17,11 @@ from seqlocc import (
     xx_generator,
 )
 from seqlocc.errors import DimensionTooSmall
-from seqlocc.structure import block_exponential, match_exp_xx_mod_phase
+from seqlocc.structure import (
+    _unitary_factors_from_rank1,
+    block_exponential,
+    match_exp_xx_mod_phase,
+)
 
 from conftest import CNOT, CZ, HAD, SX
 
@@ -65,6 +69,55 @@ def test_schmidt_coefficients_local_invariance():
     conj = _wrap(np.kron(a, b) @ U.matrix @ np.kron(c, d), 2, 2)
     assert np.allclose(operator_schmidt(U).coefficients,
                        operator_schmidt(conj).coefficients, atol=1e-9)
+
+
+def _fit(M, fa, fb):
+    """Frobenius distance of M from the closest phase times fa (x) fb."""
+    K = np.kron(fa, fb)
+    t = np.vdot(K, M)
+    return np.linalg.norm(M - t / abs(t) * K)
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 5), (4, 3), (5, 3), (5, 5)])
+def test_one_sweep_recovers_exact_product(d_a, d_b):
+    rng = np.random.default_rng([d_a, d_b])
+    a, b = random_unitary(d_a, rng), random_unitary(d_b, rng)
+    M = np.exp(0.4j) * np.kron(a, b)
+    fa, fb = _unitary_factors_from_rank1(operator_schmidt(_wrap(M, d_a, d_b)).right_ops[0], M)
+    assert np.abs(np.kron(fa, fb) - M).max() <= 1e-14
+    for f in (fa, fb):
+        assert np.abs(f.conj().T @ f - np.eye(len(f))).max() <= 1e-14
+
+
+def _three_sweep_factors(M, B, d_a, d_b):
+    """Reference: the alternating polar refinement run three times."""
+    def polar(X):
+        u, _, vh = np.linalg.svd(X)
+        return u @ vh
+
+    M4 = M.reshape(d_a, d_b, d_a, d_b)
+    fb = polar(B)
+    for _ in range(3):
+        fa = polar(np.einsum("abcd,bd->ac", M4, fb.conj()))
+        fb = polar(np.einsum("abcd,ac->bd", M4, fa.conj()))
+    return fa, fb
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_one_sweep_fits_near_product_like_three(eps):
+    """Off a product by eps, the one sweep fits M as well as three sweeps do,
+    to a relative 1e-6: later sweeps move the fit only at O(eps^2)."""
+    rng = np.random.default_rng(int(-np.log10(eps)))
+    for d_a, d_b in [(2, 2), (2, 3), (3, 3), (4, 2)]:
+        n = d_a * d_b
+        G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        M = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng)) @ scipy.linalg.expm(
+            1j * eps * (G + G.conj().T))
+        B = operator_schmidt(_wrap(M, d_a, d_b)).right_ops[0]
+        one = _fit(M, *_unitary_factors_from_rank1(B, M))
+        three = _fit(M, *_three_sweep_factors(M, B, d_a, d_b))
+        assert three > 0.1 * eps
+        assert abs(one - three) <= 1e-6 * three
 
 
 def test_classify_product_with_factor_recovery():
