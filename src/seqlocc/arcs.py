@@ -4,6 +4,12 @@ Theta(W) is the length of the smallest arc on the unit circle containing all
 eigenvalues of W. A pair (U, V) is perfectly distinguishable with one query
 exactly when Theta(U^dag V) >= pi, equivalently when 0 lies in the convex
 hull of the eigenvalues of U^dag V.
+
+Two zero-finders stay, as neither covers the other's inputs: the closed
+form zero_overlap_from_spectrum accepts the arcs queries_for_arc closes, up
+to TOL_ANGLE plus _ARC_ROUNDING short of pi, and the antipodal two-point
+spectrum; numerical_range_zero skips that spectrum's segment as zero-area,
+and its _ZERO_TOL would reject the residual of those short arcs.
 """
 
 from __future__ import annotations
@@ -13,12 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import DISTINCT_TOL, TOL_ANGLE
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
 from .linalg import TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance
 
 # queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
-# zero_overlap_from_spectrum also takes an arc short of pi - tol_angle by that
+# zero_overlap_from_spectrum also takes an arc short of pi - TOL_ANGLE by that
 _CEIL_SLACK = 1e-12
 _ARC_ROUNDING = 1e-11
 
@@ -37,7 +43,7 @@ class ArcInfo:
     witness_phase_indices: tuple[int, int]
 
 
-def dedup_phases(phases, tol_angle: float = RunConfig.tol_angle):
+def dedup_phases(phases, tol_angle: float = TOL_ANGLE):
     """Cluster sorted phases circularly at tol_angle.
 
     Returns (representatives, member_index) where member_index[j] is the
@@ -64,7 +70,7 @@ def dedup_phases(phases, tol_angle: float = RunConfig.tol_angle):
     return np.asarray(reps), first, counts
 
 
-def arc_of_phases(phases, tol_angle: float = RunConfig.tol_angle) -> ArcInfo:
+def arc_of_phases(phases, tol_angle: float = TOL_ANGLE) -> ArcInfo:
     """Smallest covering arc of a set of phases in [0, 2pi)."""
     reps, first, _ = dedup_phases(phases, tol_angle)
     m = reps.size
@@ -79,34 +85,35 @@ def arc_of_phases(phases, tol_angle: float = RunConfig.tol_angle) -> ArcInfo:
     return ArcInfo(theta, float(reps[start]), float(reps[j]), (first[start], first[j]))
 
 
-def smallest_arc(U, tol_angle: float = RunConfig.tol_angle) -> ArcInfo:
+def smallest_arc(U) -> ArcInfo:
     """Theta(U) with endpoints, from the sorted deduplicated eigenphases."""
-    dec = eig_unitary(U)
-    return arc_of_phases(dec.phases, tol_angle)
+    return arc_of_phases(eig_unitary(U).phases)
 
 
-def single_query_distinguishable(U, V, tol_angle: float = RunConfig.tol_angle) -> bool:
-    """True when Theta(U^dag V) >= pi (within tol_angle)."""
+def single_query_distinguishable(U, V) -> bool:
+    """True when one query reaches orthogonality: queries_for_arc(Theta(U^dag V)) == 1."""
     a, b = mat(U), mat(V)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return smallest_arc(dagger(a) @ b, tol_angle).theta >= math.pi - tol_angle
+    return queries_for_arc(smallest_arc(dagger(a) @ b).theta) == 1
 
 
-def queries_for_arc(theta: float, tol_angle: float = RunConfig.tol_angle) -> int:
-    """Fewest n with n theta >= pi - tol_angle: queries stretching arc theta to pi."""
-    return max(1, math.ceil((math.pi - tol_angle) / theta - _CEIL_SLACK))
+def queries_for_arc(theta: float) -> int | float:
+    """Fewest n with n theta >= pi - TOL_ANGLE: queries stretching arc theta
+    to pi; math.inf for an arc of at most TOL_ANGLE, a single eigenvalue."""
+    if theta <= TOL_ANGLE:
+        return math.inf
+    return max(1, math.ceil((math.pi - TOL_ANGLE) / theta - _CEIL_SLACK))
 
 
-def parallel_query_count(U, V, distinct_tol: float = RunConfig.distinct_tol,
-                         tol_angle: float = RunConfig.tol_angle) -> int:
+def parallel_query_count(U, V) -> int:
     """queries_for_arc(Theta(U^dag V)): parallel copies needed for orthogonality."""
-    if phase_distance(U, V) <= distinct_tol:
+    if phase_distance(U, V) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
-    theta = smallest_arc(dagger(U) @ mat(V), tol_angle).theta
-    if theta <= tol_angle:
+    n = queries_for_arc(smallest_arc(dagger(U) @ mat(V)).theta)
+    if n == math.inf:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    return queries_for_arc(theta, tol_angle)
+    return n
 
 
 def min_achievable_overlap(theta: float) -> float:
@@ -134,31 +141,30 @@ def _triple_weights(z) -> np.ndarray:
     return p / p.sum()
 
 
-def zero_overlap_state(T, tol_angle: float = RunConfig.tol_angle) -> np.ndarray:
+def zero_overlap_state(T) -> np.ndarray:
     """Unit state psi with <psi|T|psi> = 0, mixing at most 3 eigenvectors.
 
-    Requires Theta(T) >= pi - tol_angle; see zero_overlap_from_spectrum.
+    Requires Theta(T) >= pi - TOL_ANGLE; see zero_overlap_from_spectrum.
     """
     dec = eig_unitary(T)
-    return zero_overlap_from_spectrum(dec, arc_of_phases(dec.phases, tol_angle), tol_angle)
+    return zero_overlap_from_spectrum(dec, arc_of_phases(dec.phases))
 
 
-def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
-                               tol_angle: float) -> np.ndarray:
+def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.ndarray:
     """zero_overlap_state from a decomposition and its arc, in closed form.
 
-    Up to pi + tol_angle the two arc-endpoint eigenvectors are mixed; an arc
-    short of pi by at most tol_angle leaves the optimal residual
+    Up to pi + TOL_ANGLE the two arc-endpoint eigenvectors are mixed; an arc
+    short of pi by at most TOL_ANGLE leaves the optimal residual
     cos(theta / 2). A wider arc adds the eigenvector nearest its middle: its
     phase lies in [end - pi, start + pi], a window of length 2 pi - theta
     that no gap inside the arc can skip (the outer gap is the widest), so
     the three circular gaps are at most pi and the weights are nonnegative.
     """
-    if info.theta < math.pi - tol_angle - _ARC_ROUNDING:
+    if info.theta < math.pi - TOL_ANGLE - _ARC_ROUNDING:
         raise ArcTooSmall(info.theta, min_achievable_overlap(info.theta))
     s, e = info.witness_phase_indices
     z = np.exp(1j * dec.phases)
-    if info.theta <= math.pi + tol_angle:
+    if info.theta <= math.pi + TOL_ANGLE:
         idx = sorted((s, e))
         p = _pair_weight(*z[idx])
         w = np.array([p, 1.0 - p])
@@ -170,11 +176,11 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo,
     return psi / np.linalg.norm(psi)
 
 
-def eigenphase_rows(U, tol_angle: float = RunConfig.tol_angle):
+def eigenphase_rows(U):
     """(index, phase, multiplicity) rows of the deduplicated spectrum of U,
     or of a SpectralDecomposition already made of it."""
     dec = U if isinstance(U, SpectralDecomposition) else eig_unitary(U)
-    reps, _, counts = dedup_phases(dec.phases, tol_angle)
+    reps, _, counts = dedup_phases(dec.phases)
     return [(k, float(reps[k]), int(counts[k])) for k in range(reps.size)]
 
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
-
-import numpy as np
 
 from . import io as sio
 from .arcs import arc_of_phases, eigenphase_rows, queries_for_arc
-from .config import RunConfig
+from .config import DISTINCT_TOL, RunConfig
 from .engine import _overlap_report, discriminate
 from .errors import (
     CaseFailure,
@@ -59,11 +58,8 @@ def _emit(text: str, out: str | None):
 # RunConfig field -> flag; each subcommand takes only the fields it reads
 FLAGS = {
     "unitarity_tol": "--tol-unitarity",
-    "distinct_tol": "--tol-distinct",
     "overlap_tol": "--tol-overlap",
     "epsilon": "--tol-epsilon",
-    "rank_tol": "--tol-rank",
-    "tol_angle": "--tol-angle",
     "seed": "--seed",
     "restarts": "--restarts",
     "k_max": "--k-max",
@@ -85,7 +81,7 @@ def _add_options(parser: argparse.ArgumentParser, *names: str):
 def cmd_classify(args) -> int:
     cfg = _config_from_args(args)
     U = _read_matrix(args.matrix, cfg.unitarity_tol)
-    form = classify_primitive(U, cfg.rank_tol)
+    form = classify_primitive(U)
     lines = [f"kind: {form.kind}", f"residual: {form.residual:.3e}"]
     coeffs = ", ".join(f"{c:.12g}" for c in form.schmidt_coefficients)
     lines.append(f"schmidt_coefficients: [{coeffs}]")
@@ -111,25 +107,24 @@ def cmd_theta(args) -> int:
             raise SeqloccError(
                 f"dimension mismatch: ({U.d_a}, {U.d_b}) vs ({V.d_a}, {V.d_b})")
         W = dagger(U) @ mat(V)
-        distinct = phase_distance(U.matrix, V.matrix) > cfg.distinct_tol
+        distinct = phase_distance(U.matrix, V.matrix) > DISTINCT_TOL
     else:
         W = U.matrix
         distinct = True
     dec = eig_unitary(W)
-    info = arc_of_phases(dec.phases, cfg.tol_angle)
+    info = arc_of_phases(dec.phases)
+    n = queries_for_arc(info.theta)
     lines = [
         f"theta: {info.theta!r}",
         f"arc_start: {info.start_phase!r}",
         f"arc_end: {info.end_phase!r}",
-        f"single_query_distinguishable: {info.theta >= np.pi - cfg.tol_angle}",
+        f"single_query_distinguishable: {n == 1}",
     ]
-    if distinct and info.theta > cfg.tol_angle:
-        lines.append(f"parallel_query_count: {queries_for_arc(info.theta, cfg.tol_angle)}")
-    else:
-        lines.append("parallel_query_count: inf (operations phase-equivalent)")
+    lines.append(f"parallel_query_count: {n}" if distinct and n < math.inf
+                 else "parallel_query_count: inf (operations phase-equivalent)")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(sio.eigenphase_csv(eigenphase_rows(dec, cfg.tol_angle)))
+            fh.write(sio.eigenphase_csv(eigenphase_rows(dec)))
         lines.append(f"eigenphases_csv: {args.csv}")
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -191,14 +186,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="primitivity classification of one operator")
     p.add_argument("matrix")
-    _add_options(p, "unitarity_tol", "rank_tol")
+    _add_options(p, "unitarity_tol")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("theta", help="smallest eigenphase arc (of W, or of U^dag V)")
     p.add_argument("matrix")
     p.add_argument("matrix2", nargs="?", default=None)
     p.add_argument("--csv", default=None, help="write eigenphase rows here")
-    _add_options(p, "unitarity_tol", "distinct_tol", "tol_angle")
+    _add_options(p, "unitarity_tol")
     p.set_defaults(func=cmd_theta)
 
     p = sub.add_parser("discriminate", help="build a scheme for a pair of operators")
@@ -217,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="compile a template for a target from a generator")
     p.add_argument("target")
     p.add_argument("generator")
-    _add_options(p, "unitarity_tol", "rank_tol", "epsilon", "seed", "restarts", "k_max")
+    _add_options(p, "unitarity_tol", "epsilon", "seed", "restarts", "k_max")
     p.set_defaults(func=cmd_synth)
     return parser
 

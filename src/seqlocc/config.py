@@ -1,8 +1,8 @@
 """Run-wide configuration: tolerances, seeds, and search budgets.
 
-RunConfig holds every value a caller can set. The fixed thresholds that more
-than one module reads are named below it; a threshold that one module alone
-reads is named at the top of that module.
+RunConfig holds what a caller trades against time or accuracy. The fixed
+thresholds and rounding floors that more than one module reads are named
+below it; one that a single module reads is named at the top of that module.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ class RunConfig:
 
     # tolerances
     unitarity_tol: float = 1e-9      # operator norm of M^dag M - I
-    # the sqrt in phase_distance turns the ~1e-15 float noise of |tr|/dim
-    # into ~3e-8, so the "same operation" threshold sits above that floor
-    distinct_tol: float = 1e-7
     overlap_tol: float = 1e-6        # accepted residual overlap of a finished scheme
     epsilon: float = 1e-4            # synthesis target (phase-invariant distance)
-    rank_tol: float = 1e-7           # Schmidt coefficient cutoff, relative to largest
-    tol_angle: float = 1e-8          # eigenphase dedup / arc comparison tolerance
 
     # search budgets
     seed: int = 0
@@ -39,7 +34,7 @@ class RunConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if f.name.endswith(("_tol", "_angle")) or f.name == "epsilon":
+            if f.name.endswith("_tol") or f.name == "epsilon":
                 if not 0 < getattr(self, f.name) < math.inf:
                     raise ValueError(f"{f.name} must be positive and finite")
         for name in ("restarts", "k_max"):
@@ -48,17 +43,32 @@ class RunConfig:
         if self.unitarity_tol > MAX_UNITARITY_TOL:
             raise ValueError(f"unitarity_tol must be at most {MAX_UNITARITY_TOL:.2g}, a quarter "
                              "of the largest unitarity defect eig_unitary decomposes")
-        # in this range the identity is a product, which bounds the case
-        # engine's recursion (engine._dispatch_pair): below it rounding gives
-        # the identity a second Schmidt coefficient, from 1 up none counts
-        if not CLOSED_FORM_TOL <= self.rank_tol < 1:
-            raise ValueError(f"rank_tol must be in [{CLOSED_FORM_TOL:.0e}, 1)")
+        if self.overlap_tol < MIN_OVERLAP_TOL:
+            raise ValueError(f"overlap_tol must be at least {MIN_OVERLAP_TOL:.2g}")
 
     def rng(self, label: str, *indices: int) -> np.random.Generator:
         """Deterministic generator for a named search, stable across runs."""
         tag = zlib.crc32(label.encode("utf-8"))
         return np.random.default_rng(np.random.SeedSequence((self.seed, tag, *indices)))
 
+
+# Eigenphase dedup and arc comparison tolerance: phases closer than this are
+# one eigenvalue, and an arc within it of pi counts as reaching pi.
+TOL_ANGLE = 1e-8
+
+# Phase distance up to which two operations are the same: it sits above the
+# ~3e-8 that the sqrt in phase_distance makes of the ~1e-15 noise of |tr|/dim.
+DISTINCT_TOL = 1e-7
+
+# Schmidt coefficient cutoff, relative to the largest. At every cutoff in
+# [CLOSED_FORM_TOL, 1) the identity is a product, which bounds the recursion
+# of engine._dispatch_pair; below, rounding gives it a second coefficient.
+RANK_TOL = 1e-7
+
+# Smallest overlap_tol a run accepts, twice the overlap sin(TOL_ANGLE / 2)
+# that an arc left TOL_ANGLE short of pi by queries_for_arc keeps: below it
+# schemes with the fewest queries would be refused.
+MIN_OVERLAP_TOL = TOL_ANGLE
 
 # Unitarity of a matrix built in closed form from exact entries (identities,
 # controlled targets, interaction exponentials): only float rounding, a few
@@ -67,9 +77,9 @@ CLOSED_FORM_TOL = 1e-12
 
 # Largest unitarity defect of a matrix eig_unitary decomposes: the eigenvalues
 # of a matrix with defect d lie within about d / 2 of those of its nearest
-# unitary (Bauer-Fike), so past tol_angle its eigenphases move by more than the
+# unitary (Bauer-Fike), so past TOL_ANGLE its eigenphases move by more than the
 # arcs compare them at.
-EIG_MAX_DEFECT = RunConfig.tol_angle
+EIG_MAX_DEFECT = TOL_ANGLE
 
 # Largest unitarity_tol a run accepts: U^dag V and the other products of
 # validated operands that reach an eigendecomposition carry up to 3.4 times

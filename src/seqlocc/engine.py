@@ -31,13 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import (
-    numerical_range_zero,
-    queries_for_arc,
-    single_query_distinguishable,
-    zero_overlap_from_spectrum,
-)
-from .config import CLOSED_FORM_TOL, MATCH_TOL, RunConfig
+from .arcs import numerical_range_zero, queries_for_arc, smallest_arc, zero_overlap_from_spectrum
+from .config import CLOSED_FORM_TOL, DISTINCT_TOL, MATCH_TOL, RunConfig
 from .errors import (
     BranchSelectionFailed,
     CaseFailure,
@@ -283,22 +278,17 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
     A lone distinct side is taken unpriced, as the other one costs inf;
     else each side's U^dag V is decomposed once, and the taken one reused.
     """
-    cfg = build.cfg
     build.trace.append("i-a")
 
     sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
              "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
     gaps = {side: phase_distance(X_u, X_v) for side, (X_u, X_v, _) in sides.items()}
-    distinct = [side for side in sides if gaps[side] > cfg.distinct_tol]
-    spectra = {}
-    if len(distinct) == 2:
-        spectra = {side: _circular_sorted_eig(dagger(X_u) @ mat(X_v), cfg.tol_angle)
-                   for side, (X_u, X_v, _) in sides.items()}
+    distinct = [side for side in sides if gaps[side] > DISTINCT_TOL]
+    spectra = {side: _circular_sorted_eig(dagger(X_u) @ mat(X_v))
+               for side, (X_u, X_v, _) in sides.items() if len(distinct) == 2}
 
     def cost(side):
-        theta = spectra[side][1].theta if side in spectra else 0.0
-        n = queries_for_arc(theta, cfg.tol_angle) if theta > cfg.tol_angle else math.inf
-        return n, -gaps[side]
+        return queries_for_arc(spectra[side][1].theta) if spectra else math.inf, -gaps[side]
 
     side = distinct[0] if len(distinct) == 1 else min(sides, key=cost)
     X_u, X_v, idle = sides[side]
@@ -336,18 +326,17 @@ def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequential
     needs 2 ceil(pi / (Theta1 + Theta2)) queries; f(U) and f(V) deviate by
     twice those of U and V.
     """
-    cfg = build.cfg
     build.trace.append("i-c")
     A, B, C, D = (mat(X) for X in (U_A, U_B, V_A, V_B))
     d = A.shape[0]
     M1, M2 = dagger(A) @ C, D @ dagger(B)
     (dec1, info1, ends1, E1), (dec2, info2, ends2, E2) = (
-        _circular_sorted_eig(M, cfg.tol_angle) for M in (M1, M2))
+        _circular_sorted_eig(M) for M in (M1, M2))
     theta = max(info1.theta, info2.theta)
-    if theta >= math.pi - cfg.tol_angle:
+    if queries_for_arc(theta) == 1:
         on_b = info1.theta == theta
         dec, ends, M = (dec1, ends1, M1) if on_b else (dec2, ends2, M2)
-        psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
+        psi = zero_overlap_from_spectrum(dec, ends)
         idle = basis_state(d, 0)
         build.theta_trace.append(theta)
         build.note(f"swapped pair: single query on the arc of {'A^dag C' if on_b else 'B^dag D'}")
@@ -375,7 +364,6 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
     single application of f with a B input orthogonal to fV_a^dag |alpha>
     finishes the job.
     """
-    cfg = build.cfg
     swapped = cls_v.kind == "SwapProduct"
     build.trace.append("ii-b" if swapped else "ii-a")
     f_template, groups, blocks, delta_use = _controlled_template(U, build)
@@ -395,9 +383,9 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
         build.trace.append("ii-a")
         build.note("swap parity cancelled; delegating to the product tail")
     delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
-    if phase_distance(blocks[1], fV_b) > cfg.distinct_tol:
+    if phase_distance(blocks[1], fV_b) > DISTINCT_TOL:
         branch = 1
-    elif phase_distance(blocks[0], fV_b) > cfg.distinct_tol:
+    elif phase_distance(blocks[0], fV_b) > DISTINCT_TOL:
         branch = 0
     else:
         raise BranchSelectionFailed("both controlled blocks phase-equivalent to the product image")
@@ -445,7 +433,7 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary,
     fV = evaluate_template(f_template, V.matrix)
     fV_bip = _validated_product(fV, d_a, d_b, f_template.query_count, cfg)
 
-    cls_fv = classify_primitive(fV_bip, cfg.rank_tol)
+    cls_fv = classify_primitive(fV_bip)
     if cls_fv.kind != "Imprimitive":
         build.note(f"image of V is {cls_fv.kind}; descending to the mixed case")
         inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, cls_fv)
@@ -478,7 +466,7 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
         scored.append((phase_distance(FV, identity), -i, wa, wb, W, FV, label))
     sep, _, wa, wb, W, FV, label = max(scored)
     if (np.linalg.norm(FV - identity, 2) <= _IDENTITY_TOL
-            or sep <= max(cfg.distinct_tol, 2.0 * delta_u)):
+            or sep <= max(DISTINCT_TOL, 2.0 * delta_u)):
         raise CaseFailure(build.trace, SeqloccError(
             "no symmetry element separated the image of V from the identity"))
     build.note(f"symmetry probe {label} selected")
@@ -555,14 +543,14 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     W_psi = (I (x) <psi|) W (I (x) |psi>), so phi exists exactly when 0 lies
     in the numerical range of W_psi (the union over psi is the product
     numerical range of W). W is normal, so F(W) is the hull of its spectrum
-    and contains that union: an arc Theta(W) < pi rules every psi out.
-    Otherwise psi runs over _direct_candidates, on B first, then on A.
+    and contains that union: unless queries_for_arc(Theta(W)) is 1, no psi
+    works. Otherwise psi runs over _direct_candidates, on B first, then on A.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
-    if not single_query_distinguishable(U, V, cfg.tol_angle):
-        return None
     W = dagger(U) @ V.matrix
+    if queries_for_arc(smallest_arc(W).theta) != 1:
+        return None
     W4 = W.reshape(d_a, d_b, d_a, d_b)
     for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
         for k, psi in enumerate(_direct_candidates(d, cfg)):
@@ -602,15 +590,14 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     whenever one exists.
 
     Only case iii dispatches again, and always on a pair with a primitive
-    operand: the identity (iii-a, iii-b-x1), a product at every rank_tol
-    RunConfig accepts, or the primitive image f(V) (the mixed descent).
+    operand: the identity (iii-a, iii-b-x1), a product at RANK_TOL (see
+    config.py), or the primitive image f(V) (the mixed descent).
     Such a pair goes to case i or ii, which do not dispatch, so a call nests
     at most once.
     """
-    cfg = build.cfg
-    cls_u = classify_primitive(U, cfg.rank_tol)
+    cls_u = classify_primitive(U)
     if cls_v is None:
-        cls_v = classify_primitive(V, cfg.rank_tol)
+        cls_v = classify_primitive(V)
 
     # orthogonality is symmetric, so the operands may trade roles
     if (cls_v.kind == "Imprimitive" and cls_u.kind != "Imprimitive"
@@ -654,7 +641,7 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     if (U.d_a, U.d_b) != (V.d_a, V.d_b):
         raise DimensionMismatch(
             f"operands live on different systems: ({U.d_a}, {U.d_b}) vs ({V.d_a}, {V.d_b})")
-    if phase_distance(U.matrix, V.matrix) <= cfg.distinct_tol:
+    if phase_distance(U.matrix, V.matrix) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
     scheme = _dispatch_pair(U, V, build)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import arc_of_phases, queries_for_arc, zero_overlap_from_spectrum
-from .config import RunConfig
+from .config import DISTINCT_TOL, TOL_ANGLE, RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled
 from .linalg import eig_unitary, mat, phase_distance
 
@@ -69,11 +69,11 @@ def compose_sequential(X, interleavers) -> np.ndarray:
     return M
 
 
-def _circular_sorted_eig(M, tol_angle: float):
+def _circular_sorted_eig(M):
     """Spectrum of M, its arc, the arc of its raw phases, and the
     eigenvectors sorted by phase measured from the start of the latter.
 
-    The arc merges phases closer than tol_angle into their cluster's first
+    The arc merges phases closer than TOL_ANGLE into their cluster's first
     member, so a near-degenerate member can lie beyond an endpoint, or a tie
     of equal gaps can put the arc on the other half circle. The stage
     rotation and the input act on the extreme eigenvectors, so they take the
@@ -81,9 +81,9 @@ def _circular_sorted_eig(M, tol_angle: float):
     """
     dec = eig_unitary(M)
     ends = arc_of_phases(dec.phases, 0.0)
-    keys = np.mod(dec.phases - ends.start_phase + tol_angle, 2 * PI)
+    keys = np.mod(dec.phases - ends.start_phase + TOL_ANGLE, 2 * PI)
     order = np.argsort(keys, kind="stable")
-    return dec, arc_of_phases(dec.phases, tol_angle), ends, dec.vectors[:, order]
+    return dec, arc_of_phases(dec.phases), ends, dec.vectors[:, order]
 
 
 def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
@@ -114,26 +114,26 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     Um, Vm = mat(U), mat(V)
     if Um.shape != Vm.shape:
         raise DimensionMismatch(f"shapes differ: {Um.shape} vs {Vm.shape}")
-    if phase_distance(Um, Vm) <= cfg.distinct_tol:
+    if phase_distance(Um, Vm) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
 
     M = Um.conj().T @ Vm
-    dec, info, ends, Q = _relative or _circular_sorted_eig(M, cfg.tol_angle)
+    dec, info, ends, Q = _relative or _circular_sorted_eig(M)
     theta_0 = info.theta
-    if theta_0 <= cfg.tol_angle:
+    n = queries_for_arc(theta_0)
+    if n == math.inf:
         raise Indistinguishable("relative operation has a single eigenvalue")
-    n = queries_for_arc(theta_0, cfg.tol_angle)
     trace = [k * theta_0 for k in range(1, n)]
     interleavers: list[np.ndarray] = []
     if n > 1:
         S = _stage_rotation((n - 1) * ends.theta, ends.theta, Um.shape[0])
         interleavers = [Q @ S @ (Um @ Q).conj().T] + [Um.conj().T] * (n - 2)
         M = compose_sequential(Um, interleavers).conj().T @ compose_sequential(Vm, interleavers)
-        dec, info, ends, _ = _circular_sorted_eig(M, cfg.tol_angle)
+        dec, info, ends, _ = _circular_sorted_eig(M)
     trace.append(info.theta)
 
     try:
-        psi = zero_overlap_from_spectrum(dec, ends, cfg.tol_angle)
+        psi = zero_overlap_from_spectrum(dec, ends)
     except ArcTooSmall as exc:
         raise StageStalled(f"arc {ends.theta:.6f} short of pi after {n} queries", trace) from exc
     resid = float(abs(np.vdot(psi, M @ psi)))

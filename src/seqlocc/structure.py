@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import CLOSED_FORM_TOL, MATCH_TOL, RunConfig
+from .config import CLOSED_FORM_TOL, MATCH_TOL, RANK_TOL
 from .errors import AmbiguousClassification, DimensionMismatch, DimensionTooSmall
 from .linalg import (
     BipartiteUnitary,
@@ -39,7 +39,7 @@ class OperatorSchmidtDecomposition:
     left_ops: list[np.ndarray]
     right_ops: list[np.ndarray]
 
-    def rank(self, rank_tol: float = RunConfig.rank_tol) -> int:
+    def rank(self, rank_tol: float = RANK_TOL) -> int:
         c = self.coefficients
         return int(np.sum(c > rank_tol * c[0]))
 
@@ -150,11 +150,10 @@ def entangling_witness(U: BipartiteUnitary):
     return best
 
 
-def classify_primitive(U: BipartiteUnitary,
-                       rank_tol: float = RunConfig.rank_tol) -> PrimitiveForm:
+def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     """Product / SwapProduct / Imprimitive, with factors where applicable.
 
-    The decision is by operator Schmidt rank at rank_tol (second coefficient
+    The decision is by operator Schmidt rank at RANK_TOL (second coefficient
     relative to the first), which is robust at float precision; the
     phase-invariant residual to the classified form is recorded alongside.
     The product form is tested first, then the swapped product (only when
@@ -163,14 +162,14 @@ def classify_primitive(U: BipartiteUnitary,
     """
     d_a, d_b = U.d_a, U.d_b
     dec = operator_schmidt(U)
-    is_product = dec.rank(rank_tol) == 1
+    is_product = dec.rank() == 1
 
     dec_p = None
     is_swap = False
     if d_a == d_b:
         UP = BipartiteUnitary(U.matrix @ swap_operator(d_a), d_a, d_b, U.unitarity_defect)
         dec_p = operator_schmidt(UP)
-        is_swap = dec_p.rank(rank_tol) == 1
+        is_swap = dec_p.rank() == 1
 
     if is_product and is_swap:
         raise AmbiguousClassification(

@@ -141,7 +141,7 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
         raise DimensionMismatch(
             f"target dims ({target.d_a}, {target.d_b}) != generator "
             f"({generator.d_a}, {generator.d_b})")
-    if classify_primitive(generator, cfg.rank_tol).kind != "Imprimitive":
+    if classify_primitive(generator).kind != "Imprimitive":
         raise GeneratorPrimitive("generator is primitive; it cannot generate")
     # imported here: loading scipy.optimize takes as long as the rest of the
     # package, and only synthesis runs L-BFGS. minimize stays a lookup on the

@@ -163,7 +163,7 @@ def test_criterion_5_primitivity():
         d_a, d_b = int(rng.integers(2, 4)), int(rng.integers(2, 4))
         U = validate_unitary(np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng)),
                              d_a, d_b)
-        form = classify_primitive(U, CFG.rank_tol)
+        form = classify_primitive(U)
         recovery = phase_distance(np.kron(form.factor_a, form.factor_b), U.matrix) \
             if form.kind == "Product" else np.inf
         if form.kind != "Product" or recovery > 1e-8:
@@ -177,7 +177,7 @@ def test_criterion_5_primitivity():
             (CZ, 2, 2, "Imprimitive"),
         ]
         for M, d_a, d_b, expected in checks:
-            got = classify_primitive(validate_unitary(M, d_a, d_b), CFG.rank_tol).kind
+            got = classify_primitive(validate_unitary(M, d_a, d_b)).kind
             if got != expected:
                 ok = False
                 detail = f"expected {expected}, got {got}"
@@ -207,7 +207,7 @@ def test_criterion_6_symmetry_equivalence():
         count = 0
         while count < 100:
             U = validate_unitary(random_unitary(4, rng), 2, 2)
-            if classify_primitive(U, CFG.rank_tol).kind != "Imprimitive":
+            if classify_primitive(U).kind != "Imprimitive":
                 continue
             count += 1
             if symmetry_set_inverts(U):

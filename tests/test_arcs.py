@@ -1,10 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from seqlocc import (
     ArcTooSmall,
     Indistinguishable,
-    RunConfig,
     discriminate,
     eig_unitary,
     min_achievable_overlap,
@@ -16,7 +17,8 @@ from seqlocc import (
     validate_unitary,
     zero_overlap_state,
 )
-from seqlocc.arcs import arc_of_phases, eigenphase_rows
+from seqlocc.arcs import arc_of_phases, eigenphase_rows, queries_for_arc
+from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 
 TWO_PI = 2 * np.pi
 
@@ -108,6 +110,20 @@ def test_single_query_criterion():
     assert not single_query_distinguishable(U, np.exp(0.3j) * U)
 
 
+def test_single_query_criterion_is_the_count():
+    """Arcs within 2e-11 of pi - TOL_ANGLE: one query exactly when the
+    count says one, also inside its quotient slack."""
+    for theta in np.pi - TOL_ANGLE + np.linspace(-2e-11, 2e-11, 41):
+        U, V = np.eye(4), np.kron(np.diag([1, np.exp(1j * theta)]), np.eye(2))
+        assert single_query_distinguishable(U, V) == (parallel_query_count(U, V) == 1), theta
+
+
+def test_queries_for_arc_owns_the_zero_arc():
+    assert queries_for_arc(0.0) == queries_for_arc(TOL_ANGLE) == math.inf
+    assert queries_for_arc(2 * TOL_ANGLE) == math.ceil((np.pi - TOL_ANGLE) / (2 * TOL_ANGLE))
+    assert queries_for_arc(np.pi) == queries_for_arc(np.pi - TOL_ANGLE) == 1
+
+
 def test_parallel_query_count_values():
     assert parallel_query_count(np.eye(2), np.diag([1, -1])) == 1
     assert parallel_query_count(np.eye(2), np.diag([1, 1j])) == 2
@@ -167,7 +183,7 @@ def test_zero_overlap_random_wide_arc(seed):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_zero_overlap_arc_just_short_of_pi(dim):
-    """Within tol_angle short of pi no zero-overlap state exists; the
+    """Within TOL_ANGLE short of pi no zero-overlap state exists; the
     endpoint pair leaves the optimal residual cos(theta / 2)."""
     rng = np.random.default_rng(dim)
     theta = np.pi - 5e-9
@@ -209,11 +225,11 @@ def test_zero_overlap_wide_arc_third_vector_from_window():
 
 
 def test_parallel_query_count_default_matches_run_config():
-    """Phase distance 7.1e-8 is below RunConfig.distinct_tol: the pair is
+    """Phase distance 7.1e-8 is below DISTINCT_TOL: the pair is
     indistinguishable for the count as it is for discriminate."""
     U = np.eye(4, dtype=complex)
     V = np.diag(np.exp(1e-7j * np.array([1, -1, 1, -1])))
-    assert 0 < phase_distance(U, V) <= RunConfig().distinct_tol
+    assert 0 < phase_distance(U, V) <= DISTINCT_TOL
     with pytest.raises(Indistinguishable):
         parallel_query_count(U, V)
     with pytest.raises(Indistinguishable):

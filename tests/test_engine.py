@@ -32,6 +32,7 @@ from seqlocc import (
     verify_scheme,
 )
 from seqlocc import engine
+from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 from seqlocc.engine import _controlled_form, _image_factors
 from seqlocc.io import dumps_scheme
 from seqlocc.templates import bare_query_template, check_local_unitarity
@@ -129,7 +130,7 @@ def test_swap_swap_when_identity_middle_layer_fails(d, seed):
     """The identity middle layer leaves the two images equal; the (4, 4)
     draw has an arc of at least pi and takes one query."""
     A, B, C, D = _identity_layer_fails(d, seed)
-    assert phase_distance(np.kron(A @ B, B @ A), np.kron(C @ D, D @ C)) <= CFG.distinct_tol
+    assert phase_distance(np.kron(A @ B, B @ A), np.kron(C @ D, D @ C)) <= DISTINCT_TOL
     scheme, report = _run_swapped(A, B, C, D)
     assert scheme.case_trace == (["i-c"] if (d, seed) == (4, 4) else ["i-c", "i-a"])
     assert report.passed and report.overlap <= 1e-10
@@ -170,6 +171,16 @@ def test_swap_swap_arcs_summing_past_pi_take_two_queries():
     C = A @ Q @ np.diag([1, np.exp(0.6j * np.pi)]) @ Q.conj().T
     D = B @ R @ np.diag([1, np.exp(0.55j * np.pi)]) @ R.conj().T
     assert _check_swap_swap_queries(A, B, C, D) == 2
+
+
+def test_swap_swap_arc_within_count_slack_of_pi_takes_one_query():
+    """An arc a few 1e-12 below pi - TOL_ANGLE, where queries_for_arc says
+    one query: i-c answers on that arc instead of through the middle layer."""
+    theta = (np.pi - TOL_ANGLE) * (1 - 2e-13)
+    P = swap_operator(2)
+    scheme, report = _run(P, np.kron(np.diag([1, np.exp(1j * theta)]), I2) @ P)
+    assert scheme.case_trace == ["i-c"]
+    assert report.passed and report.query_count == 1
 
 
 def test_corpus_swapped_pair_takes_two_queries():
@@ -313,7 +324,7 @@ def test_both_distinct_product_sides_decomposed_once_each(monkeypatch):
 
 def test_product_sides_priced_at_tol_angle():
     """Side A's arc pi/2 - 5e-9 closes in 2 queries, since 2 theta reaches
-    pi - tol_angle; pricing it at 3, like side B (arc 1.347), sent the pair
+    pi - TOL_ANGLE; pricing it at 3, like side B (arc 1.347), sent the pair
     to B and spent a query more."""
     VA = np.diag(np.exp(1j * np.array([0, 0, 0, 0, np.pi / 2 - 5e-9])))
     VB = np.diag([1, np.exp(1.347j)])
@@ -418,7 +429,7 @@ def test_primitive_image_classified_once(monkeypatch):
     calls = []
     real = engine.classify_primitive
     monkeypatch.setattr(engine, "classify_primitive",
-                        lambda X, tol: calls.append(X) or real(X, tol))
+                        lambda X: calls.append(X) or real(X))
     scheme, _ = discriminate(U, V, CFG)
     assert scheme.case_trace[:2] == ["iii", "ii-a"]
     assert len(calls) == 4
@@ -521,11 +532,11 @@ def test_iii_a_budget_invariant_raises_case_failure(monkeypatch):
     assert err.value.case_trace == ["iii", "iii-a"]
 
 
-# --- primitive operands within rank_tol of their form -------------------------
+# --- primitive operands within RANK_TOL of their form -------------------------
 
 def _near_product(rng, d_a, d_b, eps, swapped=False):
     """(A (x) B) P^swapped exp(i eps G) for the interaction generator G:
-    exactly unitary, and within rank_tol of its classified form for these eps."""
+    exactly unitary, and within RANK_TOL of its classified form for these eps."""
     M = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
     if swapped:
         M = M @ swap_operator(d_a)

@@ -16,6 +16,7 @@ from seqlocc import (
     verify_scheme,
 )
 from seqlocc.cli import build_parser, main
+from seqlocc.config import TOL_ANGLE
 from seqlocc.errors import DimensionMismatch, MalformedScheme, MatrixFileError, NotUnitary
 from seqlocc.io import (
     dumps_matrix,
@@ -146,6 +147,18 @@ def test_cli_theta_pair(tmp_path, capsys):
     text = csv.read_text()
     assert text.splitlines()[0] == "index,phase,multiplicity"
     assert len(text.splitlines()) == 3  # header + two distinct phases
+
+
+def test_cli_theta_reaches_pi_as_one_predicate(tmp_path, capsys):
+    """An arc a few 1e-12 below pi - TOL_ANGLE, inside the quotient slack of
+    queries_for_arc: the reaches-pi line reads the same rule as the count."""
+    theta = (np.pi - TOL_ANGLE) * (1 - 2e-13)
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "v.json", np.kron(np.diag([1, np.exp(1j * theta)]), np.eye(2)))
+    assert main(["theta", a, b]) == 0
+    out = capsys.readouterr().out
+    assert "single_query_distinguishable: True" in out
+    assert "parallel_query_count: 1" in out
 
 
 @pytest.mark.parametrize("operands", [1, 2])
@@ -302,7 +315,7 @@ def test_cli_flags_do_not_leak_between_calls(tmp_path, capsys):
     assert main(["discriminate", a, b, "--out", str(plain)]) == 0
     assert seeded.read_text() != expected == plain.read_text()
     with pytest.raises(SystemExit) as exc:
-        main(["discriminate", a, b, "--seed", "5", "--tol-rank", "x"])
+        main(["discriminate", a, b, "--seed", "5", "--restarts", "x"])
     assert exc.value.code == 2
     assert main(["discriminate", a, b, "--out", str(after_error)]) == 0
     assert after_error.read_text() == expected

@@ -19,6 +19,7 @@ from seqlocc import (
 import seqlocc.arcs
 import seqlocc.sequential
 from seqlocc.arcs import queries_for_arc
+from seqlocc.config import TOL_ANGLE
 from seqlocc.sequential import _stage_rotation
 
 CFG = RunConfig()
@@ -147,13 +148,13 @@ def test_pacing_interleavers_are_u_dagger(dim):
 
 @pytest.mark.parametrize("k", range(1, 8))
 def test_query_count_agrees_with_parallel_count_at_tol_angle(k):
-    """An arc within a few tol_angle of pi / k: the count and the engine
-    read one rule, the fewest n with n theta >= pi - tol_angle, so they
+    """An arc within a few TOL_ANGLE of pi / k: the count and the engine
+    read one rule, the fewest n with n theta >= pi - TOL_ANGLE, so they
     agree, and the scheme closes below overlap_tol. At theta exactly
-    (pi - tol_angle) / k the measured arcs sit within rounding of that rule
+    (pi - TOL_ANGLE) / k the measured arcs sit within rounding of that rule
     on either side, and k queries must still close."""
     rng = np.random.default_rng(40 + k)
-    boundary = (np.pi - CFG.tol_angle) / k
+    boundary = (np.pi - TOL_ANGLE) / k
     for theta in [np.pi / k + d for d in (-2e-8, -5e-9, 0.0, 5e-9, 2e-8)] + [boundary] * 8:
         U, Q = random_unitary(3, rng), random_unitary(3, rng)
         V = U @ Q @ _dphases([0.0, theta / 2, theta]) @ Q.conj().T
@@ -223,7 +224,7 @@ def test_stage_commuting_pace_gains_full_arc():
     assert scheme.query_count == math.ceil(np.pi / 0.75)
     trace = scheme.theta_trace
     assert np.diff(trace[:-1]) == pytest.approx([0.75] * (len(trace) - 2), abs=1e-12)
-    assert trace[-1] >= np.pi - CFG.tol_angle
+    assert trace[-1] >= np.pi - TOL_ANGLE
     for w in scheme.interleavers[1:]:
         assert np.allclose(w, np.eye(4), atol=1e-12)
     assert not np.allclose(scheme.interleavers[0], np.eye(4))

@@ -1,6 +1,7 @@
 """The tolerance contract: every operand validate_unitary accepts at
 RunConfig.unitarity_tol gets a scheme, a matrix far from unitary is still
-refused, and RunConfig rejects settings no search can run with."""
+refused, RunConfig rejects settings no search can run with, and the
+rounding floors of config.py are constants, not settings."""
 
 from dataclasses import fields
 
@@ -14,13 +15,21 @@ from seqlocc import (
     dagger,
     discriminate,
     eig_unitary,
+    operator_schmidt,
     random_unitary,
     smallest_arc,
     validate_unitary,
 )
 from seqlocc import engine
 from seqlocc.cli import FLAGS, main
-from seqlocc.config import CLOSED_FORM_TOL, EIG_MAX_DEFECT, MAX_UNITARITY_TOL
+from seqlocc.config import (
+    CLOSED_FORM_TOL,
+    EIG_MAX_DEFECT,
+    MAX_UNITARITY_TOL,
+    MIN_OVERLAP_TOL,
+    RANK_TOL,
+    TOL_ANGLE,
+)
 from seqlocc.io import save_matrix_file
 
 from conftest import CNOT, CZ
@@ -87,6 +96,32 @@ def test_every_setting_has_a_flag():
     assert sorted(f.name for f in fields(RunConfig)) == sorted(FLAGS)
 
 
+def test_run_config_holds_targets_and_budgets_only():
+    assert [f.name for f in fields(RunConfig)] == [
+        "unitarity_tol", "overlap_tol", "epsilon", "seed", "restarts", "k_max"]
+
+
+@pytest.mark.parametrize("name", ["distinct_tol", "rank_tol", "tol_angle"])
+def test_rounding_floors_are_not_settings(name):
+    with pytest.raises(TypeError):
+        RunConfig(**{name: 1e-6})
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("classify", "--tol-rank"), ("theta", "--tol-distinct"), ("theta", "--tol-angle"),
+    ("discriminate", "--tol-distinct"), ("discriminate", "--tol-rank"),
+    ("discriminate", "--tol-angle"), ("synth", "--tol-rank")])
+def test_removed_flag_exit2(command, flag, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, M in (("u.json", CNOT), ("v.json", CZ)):
+        save_matrix_file(name, validate_unitary(M, 2, 2))
+    argv = [command, "u.json"] + ([] if command == "classify" else ["v.json"])
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [flag, "1e-6"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("name", ["restarts", "k_max"])
 def test_negative_budget_rejected(name):
     assert getattr(RunConfig(**{name: 0}), name) == 0
@@ -117,7 +152,7 @@ def test_max_depth_flag_is_gone(tmp_path, monkeypatch):
     assert exc.value.code == 2
 
 
-TOLERANCES = ["unitarity_tol", "distinct_tol", "overlap_tol", "epsilon", "rank_tol", "tol_angle"]
+TOLERANCES = ["unitarity_tol", "overlap_tol", "epsilon"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
@@ -136,27 +171,46 @@ def test_cli_nan_tolerance_exit2(tmp_path, capsys):
     assert "unitarity_tol must be positive and finite" in capsys.readouterr().err
 
 
-def test_rank_tol_range():
-    for value in (CLOSED_FORM_TOL, CFG.rank_tol, 0.5):
-        assert RunConfig(rank_tol=value).rank_tol == value
-    for value in (1e-20, 1.0, 2.0):
-        with pytest.raises(ValueError, match="rank_tol must be in"):
-            RunConfig(rank_tol=value)
-
-
-def test_cli_rank_tol_out_of_range_exit2(tmp_path, capsys):
-    u = str(tmp_path / "u.json")
-    save_matrix_file(u, validate_unitary(CNOT, 2, 2))
-    assert main(["classify", u, "--tol-rank", "1"]) == 2
-    assert "rank_tol must be in" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("rank_tol", [CLOSED_FORM_TOL, 0.999])
 def test_identity_is_a_product_at_every_accepted_rank_tol(rank_tol):
-    # the one-level bound of the case engine rests on this (engine._dispatch_pair)
+    # the one-level bound of the case engine rests on this (engine._dispatch_pair):
+    # classify_primitive cuts at RANK_TOL, inside the range of cutoffs that hold it
+    assert CLOSED_FORM_TOL <= RANK_TOL < 0.999
     for d_a, d_b in ((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 6), (6, 6)):
         identity = validate_unitary(np.eye(d_a * d_b), d_a, d_b)
-        assert classify_primitive(identity, rank_tol).kind == "Product", (d_a, d_b)
+        assert operator_schmidt(identity).rank(rank_tol) == 1, (d_a, d_b)
+        assert classify_primitive(identity).kind == "Product", (d_a, d_b)
+
+
+def _arc_pair(theta):
+    """I against diag(1, e^{i theta}) (x) I_2: a product pair with arc theta."""
+    return (validate_unitary(np.eye(4), 2, 2),
+            validate_unitary(np.kron(np.diag([1, np.exp(1j * theta)]), np.eye(2)), 2, 2))
+
+
+def test_overlap_tol_floor():
+    # k queries close the arc (pi - TOL_ANGLE) / k at overlap sin(TOL_ANGLE / 2)
+    assert MIN_OVERLAP_TOL == pytest.approx(2 * np.sin(TOL_ANGLE / 2))
+    assert RunConfig(overlap_tol=MIN_OVERLAP_TOL).overlap_tol == MIN_OVERLAP_TOL
+    for value in (1e-10, 0.5 * MIN_OVERLAP_TOL):
+        with pytest.raises(ValueError, match="overlap_tol must be at least 1e-08"):
+            RunConfig(overlap_tol=value)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_arc_closed_short_of_pi_at_the_overlap_tol_floor(k):
+    scheme, report = discriminate(*_arc_pair((np.pi - TOL_ANGLE) / k),
+                                  RunConfig(overlap_tol=MIN_OVERLAP_TOL))
+    assert report.passed and report.query_count == k
+    assert report.overlap == pytest.approx(np.sin(TOL_ANGLE / 2), rel=1e-3)
+
+
+def test_cli_overlap_tol_below_floor_exit2(tmp_path, capsys):
+    u, v = (str(tmp_path / f"{n}.json") for n in "uv")
+    for path, X in zip((u, v), _arc_pair(np.pi - TOL_ANGLE)):
+        save_matrix_file(path, X)
+    assert main(["discriminate", u, v, "--tol-overlap", "1e-10"]) == 2
+    assert "overlap_tol must be at least 1e-08" in capsys.readouterr().err
 
 
 def test_unitarity_tol_capped_at_eig_max_defect():
