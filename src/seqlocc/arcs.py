@@ -5,11 +5,11 @@ eigenvalues of W. A pair (U, V) is perfectly distinguishable with one query
 exactly when Theta(U^dag V) >= pi, equivalently when 0 lies in the convex
 hull of the eigenvalues of U^dag V.
 
-Two zero-finders stay, as neither covers the other's inputs: the closed
-form zero_overlap_from_spectrum accepts the arcs queries_for_arc closes, up
-to TOL_ANGLE plus _ARC_ROUNDING short of pi, and the antipodal two-point
-spectrum; numerical_range_zero skips that spectrum's segment as zero-area,
-and its _ZERO_TOL would reject the residual of those short arcs.
+Two zero-finders stay: zero_overlap_from_spectrum takes the arcs that
+queries_for_arc closes, up to TOL_ANGLE plus _ARC_ROUNDING short of pi,
+whose residual the _ZERO_TOL of numerical_range_zero rejects. The latter
+decides a 2x2 matrix in closed form, a segment through 0 included; from
+3x3 on, its fan skips a segment as zero-area.
 """
 
 from __future__ import annotations
@@ -237,10 +237,12 @@ def _hit(A: np.ndarray, X: np.ndarray, z: complex) -> np.ndarray | None:
 def numerical_range_zero(A) -> np.ndarray | None:
     """Unit phi with |phi^dag A phi| <= _ZERO_TOL, or None when none is found.
 
-    0 lies in the numerical range F(A) iff the support function
-    lambda_max(Re(e^{i alpha} A)) is nonnegative at every alpha, so one
-    batched eigh at _ANGLES equally spaced alpha screens out every A with a
-    separating line among them. The top eigenvectors x_k of those
+    A 2x2 A is decided exactly by _zero_of_2x2: F(A) is an ellipse, a
+    segment or a point, and 0 is found whenever it lies in F(A). For a
+    larger A there is no closed form. 0 lies in F(A) iff the support
+    function lambda_max(Re(e^{i alpha} A)) is nonnegative at every alpha,
+    so one batched eigh at _ANGLES equally spaced alpha screens out every A
+    with a separating line among them. The top eigenvectors x_k of those
     Hermitian parts give boundary points p_k = x_k^dag A x_k of F(A); a fan
     of triangles (p_0, p_j, p_j+1) locates 0, which is then reached by two
     closed-form 2x2 inverse field-of-values solves (Carden, Inverse
@@ -252,6 +254,9 @@ def numerical_range_zero(A) -> np.ndarray | None:
     edges, which other triangles share.
     """
     A = np.asarray(A, dtype=complex)
+    if A.shape == (2, 2):
+        phi = _zero_of_2x2(A)
+        return phi if phi is not None and abs(np.vdot(phi, A @ phi)) <= _ZERO_TOL else None
     rot = np.exp(1j * TWO_PI * np.arange(_ANGLES) / _ANGLES)[:, None, None]
     h, X = np.linalg.eigh(0.5 * (rot * A + rot.conj() * A.conj().T))
     if np.any(h[:, -1] < 0.0):

@@ -27,6 +27,7 @@ recursion add their budgets.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -527,13 +528,14 @@ def _case_iii_b_scaled(build, U, f_template, fU_real, fV, x, phase):
 
 # --- direct route -----------------------------------------------------------
 
-def _direct_candidates(d: int, cfg: RunConfig) -> list[np.ndarray]:
-    """Fixed list of probe states: the basis, the uniform superposition and
-    four seeded Haar draws."""
+def _direct_candidates(d: int, cfg: RunConfig) -> Iterator[np.ndarray]:
+    """Probe states in a fixed order: the basis, the uniform superposition
+    and four seeded Haar draws, drawn only when the caller reaches them."""
+    yield from (basis_state(d, k) for k in range(d))
+    yield normalize(np.ones(d))
     rng = cfg.rng("direct", d)
     draws = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
-    return ([basis_state(d, k) for k in range(d)] + [normalize(np.ones(d))]
-            + [normalize(z) for z in draws])
+    yield from (normalize(z) for z in draws)
 
 
 def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):

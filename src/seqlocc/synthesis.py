@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
-from .linalg import BipartiteUnitary, mat, phase_distance
+from .linalg import BipartiteUnitary, phase_distance
 from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
 from .unitary_opt import hermitian_basis, unitaries, unitary_and_tangents

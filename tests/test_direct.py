@@ -67,6 +67,35 @@ def test_zero_of_2x2_none_for_definite_hermitian_part():
             assert _zero_of_2x2(sign * P + 1j * S) is None
 
 
+def test_numerical_range_zero_solves_every_2x2():
+    """A 2x2 A is decided in closed form, so every draw with 0 in F(A) is
+    solved, not only those the inscribed polygon of a fan would cover."""
+    rng = np.random.default_rng(2)
+    for _ in range(200):
+        A = _with_zero_in_range(rng, 2)
+        phi = numerical_range_zero(A)
+        assert phi is not None
+        assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14
+        assert abs(np.vdot(phi, A @ phi)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.3, np.pi / 2, 2.0, np.pi])
+def test_numerical_range_zero_on_a_2x2_segment(alpha):
+    """F(e^{i alpha} H) for a Hermitian H of indefinite sign is a segment
+    through 0, which has no interior for a fan of triangles to locate."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        Q = random_unitary(2, rng)
+        h = np.array([-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)])
+        A = np.exp(1j * alpha) * (Q * h) @ Q.conj().T
+        phi = numerical_range_zero(A)
+        assert phi is not None
+        assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14
+        assert abs(np.vdot(phi, A @ phi)) <= 1e-14
+    # a definite H puts the segment off 0
+    assert numerical_range_zero(np.exp(1j * alpha) * np.diag([0.5, 2.0])) is None
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_numerical_range_zero_on_general_matrices(d):
     rng = np.random.default_rng(d)
@@ -114,7 +143,15 @@ def test_normal_matrix_agrees_with_arc_criterion(d):
         if phi is not None:
             assert abs(np.vdot(phi, A @ phi)) <= 1e-14
         checked[spectral] += 1
-    assert checked[False] > 0 and (d == 2 or checked[True] > 0)
+    if d == 2:
+        # exactly antipodal: F(A) is a diameter of the unit disc
+        Q = random_unitary(2, np.random.default_rng([d, 60]))
+        A = Q @ np.diag(np.exp(0.7j) * np.array([1.0, -1.0])) @ Q.conj().T
+        zero_overlap_state(A)
+        phi = numerical_range_zero(A)
+        assert phi is not None and abs(np.vdot(phi, A @ phi)) <= 1e-14
+        checked[True] += 1
+    assert checked[False] > 0 and checked[True] > 0
 
 
 def test_precheck_skips_iii_b_xne1(monkeypatch):
@@ -254,6 +291,21 @@ def test_corpus_with_direct_route(corpus_runs):
     assert direct > 0
 
 
+def test_hermitian_relative_operation_is_direct(corpus_runs):
+    """Corpus pairs 24 and 25 have a Hermitian U^dag V (eigenvalues 1 and
+    -1), so every compression W_psi is Hermitian and F(W_psi) a segment:
+    the route answers both in one query, where the case engine takes 20."""
+    pairs = labeled_pairs()
+    for index in (24, 25):
+        *_, U, V = pairs[index]
+        W = U.matrix.conj().T @ V.matrix
+        assert np.abs(W - W.conj().T).max() <= 1e-12
+        label, ((scheme, report), _), ((_, engine_report), _) = corpus_runs[index]
+        assert scheme.case_trace == ["direct"], label
+        assert report.query_count == 1 < engine_report.query_count, label
+        assert scheme.budget == report.overlap <= CFG.overlap_tol, label
+
+
 def test_dispatch_nests_at_most_once(corpus_runs):
     """Only case iii dispatches again, and on a pair that the direct route or
     cases i and ii answer: over the corpus, with the route on and off, no
@@ -274,3 +326,63 @@ def test_direct_under_a_block():
     assert report.passed
     assert report.overlap <= scheme.budget <= CFG.overlap_tol
     assert report.query_count <= _engine_only(U, V)[1].query_count
+
+
+def test_direct_candidates_order():
+    """Basis states, the uniform superposition, then four draws from
+    cfg.rng("direct", d), in that order."""
+    for d in (2, 3, 5):
+        rng = CFG.rng("direct", d)
+        draws = rng.normal(size=(4, d)) + 1j * rng.normal(size=(4, d))
+        expected = (list(np.eye(d)) + [np.ones(d) / np.sqrt(d)]
+                    + [z / np.linalg.norm(z) for z in draws])
+        probes = list(engine._direct_candidates(d, CFG))
+        assert len(probes) == len(expected) == d + 5
+        for probe, want in zip(probes, expected):
+            assert np.array_equal(probe, want)
+
+
+def _counting_rng(monkeypatch):
+    calls = []
+    real = RunConfig.rng
+
+    def counted(self, label, *indices):
+        calls.append((label, *indices))
+        return real(self, label, *indices)
+
+    monkeypatch.setattr(RunConfig, "rng", counted)
+    return calls
+
+
+def test_direct_candidates_draw_only_when_reached(monkeypatch):
+    calls = _counting_rng(monkeypatch)
+    probes = engine._direct_candidates(3, CFG)
+    for _ in range(4):
+        next(probes)
+    assert calls == []
+    next(probes)
+    assert calls == [("direct", 3)]
+
+
+def test_early_probe_seeds_no_generator(monkeypatch):
+    """A pair answered by a basis probe never seeds the probe generator,
+    and its scheme does not depend on the seed."""
+    rng = np.random.default_rng(28)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    calls = _counting_rng(monkeypatch)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["direct"]
+    assert "probe 0 on B" in report.wall_notes
+    assert calls == []
+    other = discriminate(U, V, RunConfig(seed=5))
+    assert dumps_scheme(*other) == dumps_scheme(scheme, report)
+
+
+@pytest.mark.parametrize("seed", [28, 33])
+def test_direct_reruns_are_byte_identical(seed):
+    """Answered by a basis probe (28) or a seeded draw (33): two runs give
+    the same scheme record."""
+    rng = np.random.default_rng(seed)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    first, again = (dumps_scheme(*discriminate(U, V, CFG)) for _ in range(2))
+    assert first == again

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,12 +306,17 @@ def test_import_builds_no_parser():
 
 def test_cli_flags_do_not_leak_between_calls(tmp_path, capsys):
     """The parser is shared, but every call starts from the defaults."""
-    # a Haar pair whose direct-route probes, hence scheme bytes, depend on the seed
-    rng = np.random.default_rng(28)
+    # a Haar pair that the direct route answers with a seeded draw (probe
+    # k >= d + 1 follows the d basis states and the uniform superposition),
+    # so its scheme bytes depend on the seed
+    rng = np.random.default_rng(33)
     U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
     a, b = (_write(tmp_path, f"{n}.json", X.matrix) for n, X in zip("uv", (U, V)))
     seeded, plain, after_error = (tmp_path / f"{n}.json" for n in ("s5", "s", "e"))
-    expected = dumps_scheme(*discriminate(U, V, RunConfig())) + "\n"
+    scheme, report = discriminate(U, V, RunConfig())
+    probe = re.search(r"direct: one query, probe (\d+) on B", report.wall_notes)
+    assert probe is not None and int(probe.group(1)) >= 3
+    expected = dumps_scheme(scheme, report) + "\n"
     assert main(["discriminate", a, b, "--out", str(seeded), "--seed", "5"]) == 0
     assert main(["discriminate", a, b, "--out", str(plain)]) == 0
     assert seeded.read_text() != expected == plain.read_text()
