@@ -248,10 +248,10 @@ def numerical_range_zero(A) -> np.ndarray | None:
     closed-form 2x2 inverse field-of-values solves (Carden, Inverse
     Problems 25, 115019, 2009): the first hits the point z of
     [p_j, p_j+1] on the ray from p_0 through 0, the second hits 0 on
-    [p_0, z]. None also when 0 lies in F(A) but outside the inscribed
-    polygon of the p_k, as when F(A) is a segment through 0. Triangles of
-    area within rounding of 0 are skipped: they cover no more than their
-    edges, which other triangles share.
+    [p_0, z]. Triangles of area within rounding of 0 are skipped: they
+    cover no more than their edges, which other triangles share. When no
+    triangle holds 0, as when F(A) is a segment through it, 0 is sought on
+    the chords between opposite support points p_k and p_k+_ANGLES/2.
     """
     A = np.asarray(A, dtype=complex)
     if A.shape == (2, 2):
@@ -276,12 +276,17 @@ def numerical_range_zero(A) -> np.ndarray | None:
     area = w0 + wj + wk
     inside = ((np.abs(area) > _ROUNDING * np.abs(p).max() ** 2) & (wj + wk != 0.0)
               & (w0 * area >= 0.0) & (wj * area >= 0.0) & (wk * area >= 0.0))
-    if not inside.any():
-        return None
-    j = int(np.argmax(inside))
-    z = (wj[j] * pj[j] + wk[j] * pk[j]) / (wj[j] + wk[j])
-    v = _hit(A, x[[j + 1, j + 2]].T, z)
-    phi = None if v is None else _hit(A, np.stack([x[0], v], axis=1), 0.0)
+    if inside.any():
+        j = int(np.argmax(inside))
+        z = (wj[j] * pj[j] + wk[j] * pk[j]) / (wj[j] + wk[j])
+        v = _hit(A, x[[j + 1, j + 2]].T, z)
+        phi = None if v is None else _hit(A, np.stack([x[0], v], axis=1), 0.0)
+    else:
+        half = _ANGLES // 2
+        for k in range(half):
+            phi = _hit(A, x[[k, k + half]].T, 0.0)
+            if phi is not None:
+                break
     if phi is None:
         return None
     phi = phi / np.linalg.norm(phi)

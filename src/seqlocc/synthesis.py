@@ -18,7 +18,7 @@ from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, phase_distance
 from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
-from .unitary_opt import hermitian_basis, unitaries, unitary_and_tangents
+from .unitary_opt import hermitian_basis, pullback, unitaries
 
 # L-BFGS-B options: a short run per seed, and a long polish of the winner
 _SEARCH_OPTIONS = {"maxiter": 150, "ftol": 1e-18, "gtol": 1e-12}
@@ -50,7 +50,7 @@ class _LayerProblem:
         self.d_a, self.d_b = d_a, d_b
         self.k = k
         self.D = d_a * d_b
-        self.bases = [(b, 1j * b) for b in (hermitian_basis(d_a), hermitian_basis(d_b))]
+        self.bases = (hermitian_basis(d_a), hermitian_basis(d_b))
         self.na = d_a * d_a
         self.per_layer = self.na + d_b * d_b
         self.n_total = (k + 1) * self.per_layer
@@ -63,7 +63,7 @@ class _LayerProblem:
     def _factors(self, x):
         """Local factors A_i, B_i of all k+1 layers: one batched call per side."""
         xa, xb = self._sides(x)
-        return unitaries(xa, self.bases[0][0])[0], unitaries(xb, self.bases[1][0])[0]
+        return unitaries(xa, self.bases[0])[0], unitaries(xb, self.bases[1])[0]
 
     def _layers(self, A, B) -> np.ndarray:
         """All k+1 layers A_i (x) B_i, stacked."""
@@ -85,36 +85,28 @@ class _LayerProblem:
 
     def value_and_grad(self, x):
         xa, xb = self._sides(x)
-        A, dA = unitary_and_tangents(xa, *self.bases[0])
-        B, dB = unitary_and_tangents(xb, *self.bases[1])
+        A, spec_a = unitaries(xa, self.bases[0])
+        B, spec_b = unitaries(xb, self.bases[1])
         L = self._layers(A, B)
         k = self.k
         # prefix[i]: product applied before layer i; suffix[i]: applied after
         prefix = [np.eye(self.D, dtype=complex)]
         for i in range(k):
-            prefix.append(self.X @ L[i] @ prefix[i] if i > 0 else self.X @ L[0])
-        suffix = [None] * (k + 1)
-        suffix[k] = np.eye(self.D, dtype=complex)
-        for i in range(k - 1, -1, -1):
-            suffix[i] = suffix[i + 1] @ L[i + 1] @ self.X
-        c = np.trace(self.Td @ suffix[0] @ L[0] @ prefix[0])
+            prefix.append(self.X @ L[i] @ prefix[i])
+        suffix = [np.eye(self.D, dtype=complex)]
+        for i in range(k, 0, -1):
+            suffix.insert(0, suffix[0] @ L[i] @ self.X)
+        c = np.trace(self.Td @ suffix[0] @ L[0])
         loss = 1.0 - (c * c.conjugate()).real / self.D ** 2
 
-        grad = np.empty(self.n_total)
-        for i in range(k + 1):
-            N = (prefix[i] @ self.Td @ suffix[i]).reshape(
-                self.d_a, self.d_b, self.d_a, self.d_b)
-            dc_dA = np.einsum("abcd,db->ca", N, B[i])
-            dc_dB = np.einsum("abcd,ca->db", N, A[i])
-            # per layer, not batched: its summation order follows the layout of
-            # dc_dA, and the last bit steers L-BFGS (hence every template)
-            dc_a = np.einsum("mij,ij->m", dA[i], dc_dA)
-            dc_b = np.einsum("mij,ij->m", dB[i], dc_dB)
-            base = i * self.per_layer
-            grad[base:base + self.na] = -2.0 * np.real(c.conjugate() * dc_a) / self.D ** 2
-            grad[base + self.na:base + self.per_layer] = (
-                -2.0 * np.real(c.conjugate() * dc_b) / self.D ** 2)
-        return loss, grad
+        # dc/dL_i is N_i^T with N_i = prefix[i] T^dag suffix[i]; contracted
+        # with the other factor of L_i = A_i (x) B_i it is dc/dA_i and dc/dB_i
+        N = (np.stack(prefix) @ self.Td @ np.stack(suffix)).reshape(
+            k + 1, self.d_a, self.d_b, self.d_a, self.d_b)
+        dc_a = pullback(spec_a, np.einsum("iabcd,idb->ica", N, B), self.bases[0])
+        dc_b = pullback(spec_b, np.einsum("iabcd,ica->idb", N, A), self.bases[1])
+        dc = np.concatenate([dc_a, dc_b], axis=1).ravel()
+        return loss, -2.0 * np.real(c.conjugate() * dc) / self.D ** 2
 
     def delta(self, x) -> float:
         return phase_distance(self.evaluate(x), self.Td.conj().T)

@@ -133,26 +133,33 @@ def bare_query_template(d_a: int, d_b: int, queries: int = 1) -> CircuitTemplate
     return CircuitTemplate(d_a, d_b, layers)
 
 
+def _propagate(t: CircuitTemplate, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(m, n) outputs of t on the (m, d_a, d_b) states psi, the m-th against
+    the query x[m]: a local layer acts as fa @ psi @ fb^T and a query as one
+    batched mat-vec, so no Kronecker or n x n layer product is formed."""
+    d_a, d_b, n = t.d_a, t.d_b, t.dim
+    for layer in t.layers:
+        if isinstance(layer, Query):
+            psi = (x @ psi.reshape(-1, n, 1)).reshape(-1, d_a, d_b)
+        else:
+            psi = layer.factor_a @ psi @ layer.factor_b.T
+    return psi.reshape(-1, n)
+
+
 def evaluate_template(t: CircuitTemplate, X) -> np.ndarray:
-    """Matrix of the template with X substituted at every query slot."""
+    """Matrix of the template with X substituted at every query slot: the
+    images of the n basis inputs, propagated factor-wise as columns."""
     x = mat(X)
     n = t.dim
     if x.shape != (n, n):
         raise DimensionMismatch(f"expected {n}x{n} query, got {x.shape}")
-    M = np.eye(n, dtype=complex)
-    for layer in t.layers:
-        M = (x if isinstance(layer, Query) else layer.matrix()) @ M
-    return M
+    basis = np.eye(n, dtype=complex).reshape(n, t.d_a, t.d_b)
+    return _propagate(t, np.broadcast_to(x, (n, n, n)), basis).T
 
 
 def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
     """Output states of the template on input_a (x) input_b, one row per
-    operand of the (m, n, n) stack X.
-
-    The state propagates as an (m, d_a, d_b) array: a local layer acts as
-    fa @ psi @ fb^T and a query as one batched mat-vec, so no Kronecker
-    product and no n x n layer product is formed.
-    """
+    operand of the (m, n, n) stack X."""
     d_a, d_b, n = t.d_a, t.d_b, t.dim
     x = np.asarray(X)
     if x.ndim != 3 or x.shape[1:] != (n, n):
@@ -160,13 +167,7 @@ def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
     a, b = np.asarray(input_a), np.asarray(input_b)
     if a.shape != (d_a,) or b.shape != (d_b,):
         raise DimensionMismatch(f"inputs {a.shape}/{b.shape} do not fit ({d_a}, {d_b})")
-    psi = np.broadcast_to(np.outer(a, b), (len(x), d_a, d_b))
-    for layer in t.layers:
-        if isinstance(layer, Query):
-            psi = (x @ psi.reshape(-1, n, 1)).reshape(-1, d_a, d_b)
-        else:
-            psi = layer.factor_a @ psi @ layer.factor_b.T
-    return psi.reshape(-1, n)
+    return _propagate(t, x, np.broadcast_to(np.outer(a, b), (len(x), d_a, d_b)))
 
 
 def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> CircuitTemplate:

@@ -1,10 +1,10 @@
 """Parametrization of the unitary group for template synthesis.
 
 A point is a real vector theta of length d*d mapped to U = expm(i H(theta))
-where H runs over an orthonormal Hermitian basis. Tangents (directional
-derivatives of U along every basis element) come from one eigendecomposition
-of H via divided differences; a stack of points shares one batched
-eigendecomposition, so gradient evaluations stay cheap.
+where H runs over an orthonormal Hermitian basis. A stack of points shares
+one batched eigendecomposition of H, and the same spectral data pull a
+matrix gradient dc/dU back to dc/dtheta through divided differences, so no
+tangent of U is ever formed.
 """
 
 from __future__ import annotations
@@ -38,32 +38,31 @@ def hermitian_basis(d: int) -> np.ndarray:
 
 def unitaries(theta: np.ndarray, basis: np.ndarray):
     """Stacked U_l = expm(i H(theta_l)) (L, d, d) for theta (L, n) and basis
-    (n, d, d), with the spectral data (lam, e^{i lam}, V, V^dag) of every
-    H_l = V diag(lam) V^dag that the tangents are built from."""
+    (n, d, d), with the spectral data (lam, e^{i lam}, V) of every
+    H_l = V diag(lam) V^dag that pullback needs."""
     H = np.tensordot(np.asarray(theta, dtype=float), basis, axes=(1, 0))
     lam, V = np.linalg.eigh(H)
     e = np.exp(1j * lam)
-    Vh = V.conj().transpose(0, 2, 1)
-    return (V * e[:, None, :]) @ Vh, (lam, e, V, Vh)
+    return (V * e[:, None, :]) @ V.conj().transpose(0, 2, 1), (lam, e, V)
 
 
-def unitary_and_tangents(theta: np.ndarray, basis: np.ndarray, ibasis: np.ndarray):
-    """Stacked U_l = expm(i H(theta_l)) (L, d, d) and tangents dU_l/dtheta_lm
-    (L, n, d, d) for theta (L, n), basis (n, d, d) and ibasis = 1j * basis.
+def pullback(spec, G: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """dc/dtheta_lm (L, n) of c = sum_ij G_lij U_lij + const, for the
+    spectral data spec of unitaries(theta, basis) and G (L, d, d).
 
-    Uses the standard divided-difference formula: with H = V diag(lam) V^dag,
-    the derivative along direction E is V (Phi * (V^dag (iE) V)) V^dag where
-    Phi_jk = (e^{i lam_j} - e^{i lam_k}) / (i lam_j - i lam_k).
+    With H = V diag(lam) V^dag, the derivative of U along i E is
+    V (Phi * (V^dag (i E) V)) V^dag, where Phi_jk is the divided difference
+    (e^{i lam_j} - e^{i lam_k}) / (i lam_j - i lam_k) (Daleckii-Krein).
+    Contracted with G it is sum_ij (i E)_ij P_ij, where
+    P = conj(V) (Phi * (V^T G conj(V))) V^T: one projection of P onto the
+    basis per point.
     """
-    U, (lam, e, V, Vh) = unitaries(theta, basis)
+    lam, e, V = spec
     diff = 1j * (lam[:, :, None] - lam[:, None, :])
     num = e[:, :, None] - e[:, None, :]
     small = np.abs(diff) < _DEGENERATE_GAP
-    # Daleckii-Krein divided differences of exp(i x), written against i*E
-    # directions; the degenerate limit of (e_j - e_k)/(i(lam_j - lam_k)) is e_j.
-    Phi = np.where(small, e[:, :, None] * np.ones_like(num),
-                   np.divide(num, np.where(small, 1.0, diff)))
-
-    mid = Phi[:, None] * np.einsum("lab,mbc,lcd->lmad", Vh, ibasis, V)
-    tangents = np.einsum("lab,lmbc,lcd->lmad", V, mid, Vh)
-    return U, tangents
+    # the degenerate limit of (e_j - e_k)/(i(lam_j - lam_k)) is e_j
+    Phi = np.where(small, e[:, :, None], num / np.where(small, 1.0, diff))
+    Vt = V.transpose(0, 2, 1)
+    P = V.conj() @ (Phi * (Vt @ G @ V.conj())) @ Vt
+    return 1j * np.einsum("mij,lij->lm", basis, P)

@@ -21,6 +21,7 @@ from seqlocc import (
 from seqlocc import engine
 from seqlocc.arcs import _zero_of_2x2, numerical_range_zero
 from seqlocc.io import dumps_scheme
+from seqlocc.templates import check_local_unitarity
 
 from corpus import labeled_pairs
 
@@ -94,6 +95,29 @@ def test_numerical_range_zero_on_a_2x2_segment(alpha):
         assert abs(np.vdot(phi, A @ phi)) <= 1e-14
     # a definite H puts the segment off 0
     assert numerical_range_zero(np.exp(1j * alpha) * np.diag([0.5, 2.0])) is None
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7, np.pi / 2, 2.0, np.pi])
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_numerical_range_zero_on_a_segment_beyond_2x2(d, alpha):
+    """A segment through 0 at d >= 3 holds no triangle of the fan; the
+    chords between opposite support points reach 0 instead."""
+    rng = np.random.default_rng([d, 9])
+    for _ in range(20):
+        Q = random_unitary(d, rng)
+        h = np.concatenate([[-rng.uniform(0.1, 2.0), rng.uniform(0.1, 2.0)],
+                            rng.uniform(-2.0, 2.0, d - 2)])
+        A = np.exp(1j * alpha) * (Q * h) @ Q.conj().T
+        phi = numerical_range_zero(A)
+        assert phi is not None
+        assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14
+        assert abs(np.vdot(phi, A @ phi)) <= 1e-14
+    Q = random_unitary(d, rng)
+    A = np.exp(1j * alpha) * (Q * np.linspace(-1.0, 2.0, d)) @ Q.conj().T
+    assert numerical_range_zero(A) is not None
+    # a definite H puts the segment off 0
+    H = (Q * np.linspace(0.5, 2.0, d)) @ Q.conj().T
+    assert numerical_range_zero(np.exp(1j * alpha) * H) is None
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -326,6 +350,37 @@ def test_direct_under_a_block():
     assert report.passed
     assert report.overlap <= scheme.budget <= CFG.overlap_tol
     assert report.query_count <= _engine_only(U, V)[1].query_count
+
+
+def _near_pair(rng, d_a, d_b, theta):
+    """V = U Q diag(e^{i phi}) Q^dag with U, Q Haar and
+    phi = (0, theta, theta u^(D-2)), u uniform: the arc of U^dag V is theta."""
+    D = d_a * d_b
+    U, Q = random_unitary(D, rng), random_unitary(D, rng)
+    phi = np.concatenate([[0.0, theta], theta * rng.uniform(size=D - 2)])
+    V = U @ (Q * np.exp(1j * phi)) @ Q.conj().T
+    return validate_unitary(U, d_a, d_b), validate_unitary(V, d_a, d_b)
+
+
+@pytest.fixture(scope="module")
+def near_pairs_2x3():
+    """2x3 near pairs at theta = 0.9, 0.6 and 0.45 pi, drawn in that order."""
+    rng = np.random.default_rng(2023)
+    return [_near_pair(rng, 2, 3, theta * np.pi) for theta in (0.9, 0.6, 0.45)]
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_iii_a_on_near_pairs_beyond_2x2(near_pairs_2x3, index):
+    """Entangling 2x3 pairs with a relative arc below pi reach case iii-a
+    (then the direct route at 0.6 pi, ii-a at 0.45 pi): the scheme is
+    forward-only, its layers are products of unitary factors, and it
+    verifies within its budget."""
+    U, V = near_pairs_2x3[index]
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace[:2] == ["iii", "iii-a"]
+    assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
+    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    assert report.passed and report.overlap <= scheme.budget
 
 
 def test_direct_candidates_order():

@@ -81,7 +81,8 @@ def test_gradient_matches_finite_differences(d_a, d_b, k):
     problem = _LayerProblem(random_unitary(D, rng), random_unitary(D, rng), d_a, d_b, k)
     x = rng.normal(size=problem.n_total)
     loss, grad = problem.value_and_grad(x)
-    # evaluate builds the layers without tangents; both paths give one loss
+    # evaluate multiplies out the layer stack, value_and_grad reads the loss
+    # off its prefix and suffix products: both paths give one loss
     overlap = np.trace(problem.Td @ problem.evaluate(x))
     assert loss == pytest.approx(1.0 - abs(overlap) ** 2 / D ** 2, abs=1e-12)
     eps = 1e-6

@@ -192,3 +192,15 @@ def test_outputs_agree_with_the_matrix_path(d_a, d_b, k):
     for row, x in zip(out, X):
         assert np.allclose(row, evaluate_template(t, x) @ np.kron(a, b), rtol=0, atol=1e-12)
         assert np.array_equal(row, template_outputs(t, x[None], a, b)[0])
+
+
+@pytest.mark.parametrize("d_a,d_b", [(2, 2), (2, 3), (3, 3)])
+def test_matrix_columns_are_the_propagated_basis_inputs(d_a, d_b):
+    """evaluate_template pushes the n basis inputs through the same
+    factor-wise loop as template_outputs, so the two agree bit for bit."""
+    rng = np.random.default_rng([d_a, d_b, 7])
+    t = _random_template(rng, d_a, d_b, 3)
+    X = random_unitary(d_a * d_b, rng)
+    columns = [template_outputs(t, X[None], ea, eb)[0]
+               for ea in np.eye(d_a, dtype=complex) for eb in np.eye(d_b, dtype=complex)]
+    assert np.array_equal(evaluate_template(t, X), np.stack(columns, axis=1))
