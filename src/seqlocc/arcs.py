@@ -8,12 +8,14 @@ hull of the eigenvalues of U^dag V.
 Two zero-finders stay: zero_overlap_from_spectrum takes the arcs that
 queries_for_arc closes, up to TOL_ANGLE plus _ARC_ROUNDING short of pi,
 whose residual the _ZERO_TOL of numerical_range_zero rejects. The latter
-decides a 2x2 matrix in closed form, a segment through 0 included; from
-3x3 on, its fan skips a segment as zero-area.
+decides a 2x2 matrix in closed form, in scalar arithmetic, a segment
+through 0 included; from 3x3 on, a segment through 0 holds no triangle of
+its fan and is solved on the chords between opposite support points.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -205,24 +207,43 @@ def _zero_of_2x2(A: np.ndarray) -> np.ndarray | None:
     c0 = K00 cos^2 t + K11 sin^2 t; over beta that covers the whole slice of
     F(A) on the imaginary axis, so 0 is in F(A) iff h0 <= 0 <= h1 and
     |c0| <= 2 cos t sin t |K01|.
+
+    All of it is scalar arithmetic on the four entries: the Hermitian part
+    [[p, h], [h*, q]] has h0, h1 = m -/+ hypot((p - q) / 2, |h|) with
+    eigenvectors E = [[-sin w e^{i arg h}, cos w], [cos w, sin w e^{-i arg h}]],
+    w = atan2(|h|, (p - q) / 2) / 2.
     """
-    mu = np.sqrt(0.25 * (A[0, 0] - A[1, 1]) ** 2 + A[0, 1] * A[1, 0])
+    (a, b), (c, d) = A.tolist()
+    mu = cmath.sqrt(0.25 * (a - d) ** 2 + b * c)
     if mu != 0:
-        A = A * (abs(mu) / mu)
-    slack = _ROUNDING * np.linalg.norm(A)
-    h, E = np.linalg.eigh(0.5 * (A + A.conj().T))
-    if h[0] > slack or h[1] < -slack:
+        turn = abs(mu) / mu
+        a, b, c, d = a * turn, b * turn, c * turn, d * turn
+    slack = _ROUNDING * math.sqrt(abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2)
+    # off-diagonal entries of the Hermitian part and of (A - A^dag) / 2i
+    h, k = 0.5 * (b + c.conjugate()), -0.5j * (b - c.conjugate())
+    m, half = 0.5 * (a.real + d.real), 0.5 * (a.real - d.real)
+    spread = math.hypot(half, abs(h))
+    if m - spread > slack or m + spread < -slack:
         return None
-    gap = h[1] - h[0]
-    c2 = 0.5 if gap == 0.0 else min(1.0, max(0.0, h[1] / gap))
-    c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
-    K = E.conj().T @ (A - A.conj().T) @ E / 2j
-    c0 = K[0, 0].real * c2 + K[1, 1].real * (1.0 - c2)
-    r = 2.0 * c * s * abs(K[0, 1])
+    w = 0.5 * math.atan2(abs(h), half)
+    u = math.sin(w) * cmath.exp(1j * cmath.phase(h))
+    E = ((-u, complex(math.cos(w))), (complex(math.cos(w)), u.conjugate()))
+
+    def K(i, j):
+        """Entry (i, j) of K = E^dag ((A - A^dag) / 2i) E."""
+        (x0, x1), (y0, y1) = E[i], E[j]
+        return (x0.conjugate() * (a.imag * y0 + k * y1)
+                + x1.conjugate() * (k.conjugate() * y0 + d.imag * y1))
+
+    c2 = 0.5 if spread == 0.0 else min(1.0, max(0.0, (m + spread) / (2.0 * spread)))
+    cos_t, sin_t = math.sqrt(c2), math.sqrt(1.0 - c2)
+    c0 = K(0, 0).real * c2 + K(1, 1).real * (1.0 - c2)
+    r = 2.0 * cos_t * sin_t * abs(K(0, 1))
     if abs(c0) > r + slack:
         return None
-    beta = 0.0 if r == 0.0 else math.acos(min(1.0, max(-1.0, -c0 / r))) - np.angle(K[0, 1])
-    return E @ np.array([c, np.exp(1j * beta) * s])
+    beta = 0.0 if r == 0.0 else math.acos(min(1.0, max(-1.0, -c0 / r))) - cmath.phase(K(0, 1))
+    y = cmath.exp(1j * beta) * sin_t
+    return np.array([cos_t * E[0][0] + y * E[1][0], cos_t * E[0][1] + y * E[1][1]])
 
 
 def _hit(A: np.ndarray, X: np.ndarray, z: complex) -> np.ndarray | None:

@@ -1,15 +1,17 @@
 """Case engine assembling flat LOCC sequential discrimination schemes.
 
-Given two distinct bipartite unitaries, classifies both operands and
+Given two distinct bipartite unitaries, classifies the operands and
 routes through the matching construction: product pairs reduce to a
 one-sided sequential scheme; a swapped product against a product needs one
 query; two swapped products need one query, or blocks of two around a
 middle layer built from their two factor arcs. When an operand is
 imprimitive, a single query with a product input is tried first (the
 direct route, _direct, on the operand pair and on the one inner pair of
-case iii); otherwise that operand is compiled into a controlled unitary
-(or the canonical interaction exponential) by an inverse-free template,
-after which the problem reduces to a simpler pair.
+case iii); against an imprimitive U it runs before V is classified, and V
+is classified only when it misses. Otherwise the imprimitive operand is
+compiled into a controlled unitary (or the canonical interaction
+exponential) by an inverse-free template, after which the problem reduces
+to a simpler pair.
 The emitted scheme is always a flat template of product-form local layers
 and forward queries plus a product input state, with a budget dominating
 the residual overlap.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -560,7 +563,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
             if phi is None:
                 continue
             inputs = (phi, psi) if side == "B" else (psi, phi)
-            inp = np.kron(*inputs)
+            inp = np.outer(*inputs).ravel()  # the bits of np.kron, without its overhead
             residual = float(abs(np.vdot(U.matrix @ inp, V.matrix @ inp)))
             if residual <= cfg.overlap_tol:
                 build.trace.append("direct")
@@ -582,11 +585,26 @@ def _form_deviation(X: BipartiteUnitary, cls) -> float:
     return float(np.linalg.norm(X.matrix - t / abs(t) * M))
 
 
+@contextmanager
+def _case_failure(build: _Build):
+    """Re-raise a SeqloccError from a construction step as a CaseFailure
+    carrying the case trace."""
+    try:
+        yield
+    except CaseFailure:
+        raise
+    except SeqloccError as exc:
+        raise CaseFailure(build.trace, exc) from exc
+
+
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
                    cls_v=None) -> LoccSequentialScheme:
     """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
 
-    The direct route runs only when an operand is imprimitive. Between
+    The direct route runs only when an operand is imprimitive. It runs
+    whatever V is, so against an imprimitive U it is tried first and V is
+    classified only when it misses; classification stays outside the
+    CaseFailure wrapper, so its errors keep their types. Between
     primitive operands the one-query overlap of a product input factorises,
     so the closed forms of i-a, i-b and i-c find a one-query scheme
     whenever one exists.
@@ -598,18 +616,24 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     at most once.
     """
     cls_u = classify_primitive(U)
-    if cls_v is None:
-        cls_v = classify_primitive(V)
-
-    # orthogonality is symmetric, so the operands may trade roles
-    if (cls_v.kind == "Imprimitive" and cls_u.kind != "Imprimitive"
-            or (cls_u.kind, cls_v.kind) == ("SwapProduct", "Product")):
-        U, V, cls_u, cls_v = V, U, cls_v, cls_u
-        build.note("operand roles swapped for dispatch (orthogonality is symmetric)")
+    if cls_u.kind != "Imprimitive":
+        if cls_v is None:
+            cls_v = classify_primitive(V)
+        # orthogonality is symmetric, so the operands may trade roles
+        if cls_v.kind == "Imprimitive" or (cls_u.kind, cls_v.kind) == ("SwapProduct", "Product"):
+            U, V, cls_u, cls_v = V, U, cls_v, cls_u
+            build.note("operand roles swapped for dispatch (orthogonality is symmetric)")
+    if cls_u.kind == "Imprimitive":
+        with _case_failure(build):
+            scheme = _direct(build, U, V)
+        if scheme is not None:
+            return scheme
+        if cls_v is None:
+            cls_v = classify_primitive(V)
 
     kinds = (cls_u.kind, cls_v.kind)
     factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
-    try:
+    with _case_failure(build):
         if kinds[0] != "Imprimitive":
             # both primitive: i-a, i-b and i-c build on the extracted factors,
             # so each use of an operand costs its distance from its form
@@ -619,16 +643,9 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
             if kinds == ("Product", "SwapProduct"):
                 return _case_product_swap(build, *factors, deltas)
             return _case_swap_swap(build, *factors, deltas)
-        scheme = _direct(build, U, V)
-        if scheme is not None:
-            return scheme
         if kinds[1] != "Imprimitive":
             return _case_imprimitive_vs_primitive(build, U, V, cls_v)
         return _case_both_imprimitive(build, U, V)
-    except SeqloccError as exc:
-        if isinstance(exc, CaseFailure):
-            raise
-        raise CaseFailure(build.trace, exc) from exc
 
 
 def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,

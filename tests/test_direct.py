@@ -1,5 +1,7 @@
 """The direct route: one query with a product input, ahead of the case engine."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,7 +21,7 @@ from seqlocc import (
     zero_overlap_state,
 )
 from seqlocc import engine
-from seqlocc.arcs import _zero_of_2x2, numerical_range_zero
+from seqlocc.arcs import _ROUNDING, _zero_of_2x2, numerical_range_zero
 from seqlocc.io import dumps_scheme
 from seqlocc.templates import check_local_unitarity
 
@@ -78,6 +80,70 @@ def test_numerical_range_zero_solves_every_2x2():
         assert phi is not None
         assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14
         assert abs(np.vdot(phi, A @ phi)) <= 1e-12
+
+
+def _zero_of_2x2_eigh(A):
+    """The 2x2 closed form in numpy, through np.linalg.eigh: the reference
+    that the scalar _zero_of_2x2 is held to."""
+    mu = np.sqrt(0.25 * (A[0, 0] - A[1, 1]) ** 2 + A[0, 1] * A[1, 0])
+    if mu != 0:
+        A = A * (abs(mu) / mu)
+    slack = _ROUNDING * np.linalg.norm(A)
+    h, E = np.linalg.eigh(0.5 * (A + A.conj().T))
+    if h[0] > slack or h[1] < -slack:
+        return None
+    gap = h[1] - h[0]
+    c2 = 0.5 if gap == 0.0 else min(1.0, max(0.0, h[1] / gap))
+    c, s = math.sqrt(c2), math.sqrt(1.0 - c2)
+    K = E.conj().T @ (A - A.conj().T) @ E / 2j
+    c0 = K[0, 0].real * c2 + K[1, 1].real * (1.0 - c2)
+    r = 2.0 * c * s * abs(K[0, 1])
+    if abs(c0) > r + slack:
+        return None
+    beta = 0.0 if r == 0.0 else math.acos(min(1.0, max(-1.0, -c0 / r))) - np.angle(K[0, 1])
+    return E @ np.array([c, np.exp(1j * beta) * s])
+
+
+def _oracle_matrices():
+    """4000 default_rng draws in four families (plain, shifted so that 0 is
+    in F(A), e^{i alpha} H, shifted along the real axis), then edge cases."""
+    rng = np.random.default_rng(2017)
+    mats = []
+    for i in range(4000):
+        A = _complex(rng, 2, 2)
+        if i % 4 == 1:
+            x = _complex(rng, 2)
+            A = A - np.vdot(x, A @ x) / np.vdot(x, x) * np.eye(2)
+        elif i % 4 == 2:
+            A = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)) * (A + A.conj().T)
+        elif i % 4 == 3:
+            A = A + 2.0 * rng.normal() * np.eye(2)
+        mats.append(A)
+    Q = random_unitary(2, rng)
+    segments = [np.exp(1j * alpha) * (Q * h) @ Q.conj().T
+                for alpha in (0.0, 0.7, np.pi / 2, 2.0, np.pi)
+                for h in ([-1.0, 2.0], [0.5, 2.0], [-2.0, -0.5], [0.0, 1.0])]
+    edges = [np.diag([1.0, -1.0]), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]),
+             np.zeros((2, 2)), np.diag([1.0, 1j]), 1e-12 * mats[1]]
+    return mats + segments + [np.asarray(E, dtype=complex) for E in edges]
+
+
+def test_zero_of_2x2_agrees_with_the_eigh_form():
+    """The scalar closed form decides 0 in F(A) as the eigh form does, and
+    every vector it returns is a unit zero of the form to rounding."""
+    mats, found = _oracle_matrices(), 0
+    for A in mats:
+        x = _zero_of_2x2(A)
+        assert (x is None) == (_zero_of_2x2_eigh(A) is None), A
+        if x is not None:
+            found += 1
+            assert abs(np.linalg.norm(x) - 1.0) <= 1e-14
+            assert abs(np.vdot(x, A @ x)) <= 1e-14 * np.linalg.norm(A)
+    assert 0 < found < len(mats)
+    # a segment through 0, the disc of a nilpotent, {0} and a tiny matrix
+    # with 0 in its range hold a zero; the point {1} and the segment [1, i]
+    # do not
+    assert [_zero_of_2x2(A) is None for A in mats[-6:]] == [False, True, False, False, True, False]
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.3, np.pi / 2, 2.0, np.pi])
@@ -350,6 +416,45 @@ def test_direct_under_a_block():
     assert report.passed
     assert report.overlap <= scheme.budget <= CFG.overlap_tol
     assert report.query_count <= _engine_only(U, V)[1].query_count
+
+
+def _counting_classify(monkeypatch):
+    """engine.classify_primitive wrapped: the list of operands it was given."""
+    calls = []
+    real = engine.classify_primitive
+    monkeypatch.setattr(engine, "classify_primitive", lambda X: calls.append(X) or real(X))
+    return calls
+
+
+def test_imprimitive_u_classifies_v_only_when_the_route_misses(monkeypatch):
+    """Against an imprimitive U the direct route runs whatever V is, so V is
+    classified only after it misses: once for a Haar pair the route answers,
+    U then V for corpus pair 19 (iii/iii-a/i-a), which it misses."""
+    calls = _counting_classify(monkeypatch)
+    rng = np.random.default_rng(28)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    scheme, _ = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["direct"]
+    assert [id(X) for X in calls] == [id(U)]
+    calls.clear()
+    *_, U, V = labeled_pairs()[19]
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["iii", "iii-a", "i-a"] and report.passed
+    assert [id(X) for X in calls if X is U or X is V] == [id(U), id(V)]
+
+
+def test_primitive_u_still_trades_roles(monkeypatch):
+    """A primitive U is classified with V up front; an imprimitive V takes
+    U's role, and the scheme is that of the reversed pair."""
+    calls = _counting_classify(monkeypatch)
+    had = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    U = validate_unitary(np.kron(had, had), 2, 2)
+    V = validate_unitary(np.eye(4)[[0, 1, 3, 2]], 2, 2)
+    scheme, report = discriminate(U, V, CFG)
+    assert [id(X) for X in calls] == [id(U), id(V)]
+    assert "operand roles swapped" in report.wall_notes
+    assert scheme.case_trace == ["direct"] and report.passed
+    assert dumps_scheme(scheme) == dumps_scheme(discriminate(V, U, CFG)[0])
 
 
 def _near_pair(rng, d_a, d_b, theta):
