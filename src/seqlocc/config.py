@@ -37,7 +37,7 @@ class RunConfig:
             if f.name.endswith("_tol") or f.name == "epsilon":
                 if not 0 < getattr(self, f.name) < math.inf:
                     raise ValueError(f"{f.name} must be positive and finite")
-        for name in ("restarts", "k_max"):
+        for name in ("seed", "restarts", "k_max"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.unitarity_tol > MAX_UNITARITY_TOL:

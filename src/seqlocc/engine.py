@@ -49,7 +49,6 @@ from .linalg import (
     BipartiteUnitary,
     basis_state,
     dagger,
-    kron,
     mat,
     normalize,
     op_distance_mod_phase,
@@ -279,22 +278,24 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
 
     Ties go to the wider phase distance: factor extraction carries a little
     noise, so a barely-nonzero side must not shadow a cleanly distinct one.
-    A lone distinct side is taken unpriced, as the other one costs inf;
-    else each side's U^dag V is decomposed once, and the taken one reused.
+    Each distinct side's U^dag V is decomposed once, here, and the taken
+    one is handed to the sequential engine, which then neither decomposes
+    it again nor repeats the distinctness check; a side within DISTINCT_TOL
+    costs inf.
     """
     build.trace.append("i-a")
 
     sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
              "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
     gaps = {side: phase_distance(X_u, X_v) for side, (X_u, X_v, _) in sides.items()}
-    distinct = [side for side in sides if gaps[side] > DISTINCT_TOL]
     spectra = {side: _circular_sorted_eig(dagger(X_u) @ mat(X_v))
-               for side, (X_u, X_v, _) in sides.items() if len(distinct) == 2}
+               for side, (X_u, X_v, _) in sides.items() if gaps[side] > DISTINCT_TOL}
 
     def cost(side):
-        return queries_for_arc(spectra[side][1].theta) if spectra else math.inf, -gaps[side]
+        return (queries_for_arc(spectra[side][1].theta) if side in spectra else math.inf,
+                -gaps[side])
 
-    side = distinct[0] if len(distinct) == 1 else min(sides, key=cost)
+    side = min(sides, key=cost)
     X_u, X_v, idle = sides[side]
     scheme = _one_side(build, side, X_u, X_v, None, idle, deltas, spectra.get(side))
     build.per_branch_error.append(scheme.budget)
@@ -575,16 +576,6 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
 
 # --- dispatch ---------------------------------------------------------------
 
-def _form_deviation(X: BipartiteUnitary, cls) -> float:
-    """Distance mod phase of X from the (swapped) product of its classified
-    factors, in the Frobenius norm: a bound on the operator norm, no SVD."""
-    M = kron(cls.factor_a, cls.factor_b)
-    if cls.kind == "SwapProduct":
-        M = M @ swap_operator(X.d_a)
-    t = np.vdot(M, X.matrix)  # tr(M^dag X), of modulus about dim
-    return float(np.linalg.norm(X.matrix - t / abs(t) * M))
-
-
 @contextmanager
 def _case_failure(build: _Build):
     """Re-raise a SeqloccError from a construction step as a CaseFailure
@@ -637,7 +628,7 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
         if kinds[0] != "Imprimitive":
             # both primitive: i-a, i-b and i-c build on the extracted factors,
             # so each use of an operand costs its distance from its form
-            deltas = (_form_deviation(U, cls_u), _form_deviation(V, cls_v))
+            deltas = (cls_u.deviation, cls_v.deviation)
             if kinds == ("Product", "Product"):
                 return _case_product_product(build, *factors, deltas)
             if kinds == ("Product", "SwapProduct"):

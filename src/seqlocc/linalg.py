@@ -6,6 +6,7 @@ row a * d_b + b, which is what ``np.kron`` produces.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,16 @@ def unitarity_defect(M) -> float:
 
 def validate_unitary(M, d_a: int, d_b: int = 1,
                      tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
-    """Wrap M as a BipartiteUnitary after checking shape and unitarity."""
+    """Wrap M as a BipartiteUnitary after checking shape and unitarity; a
+    NaN or infinite entry is an infinite defect."""
     A = _as_matrix(M)
     if d_a < 2 or d_b < 1:
         raise DimensionMismatch(f"need d_a >= 2 and d_b >= 1, got ({d_a}, {d_b})")
     n = d_a * d_b
     if A.shape != (n, n):
         raise DimensionMismatch(f"expected {n}x{n} for ({d_a}, {d_b}), got {A.shape}")
+    if not np.isfinite(A).all():
+        raise NotUnitary(np.inf, tol)
     defect = unitarity_defect(A)
     if defect > tol:
         raise NotUnitary(defect, tol)
@@ -173,24 +177,45 @@ def canonical_phases(eigvals) -> np.ndarray:
     return ph
 
 
+def _no_sort(_eigenvalue):
+    return 0
+
+
+@functools.cache
+def _gees(n: int):
+    """LAPACK zgees and the workspace size scipy.linalg.schur queries for it
+    at dimension n (the query reads n only, not the matrix)."""
+    # imported here: loading scipy.linalg takes longer than the rest of the
+    # package, and importing seqlocc or verifying a scheme never decomposes
+    from scipy.linalg import get_lapack_funcs
+
+    gees, = get_lapack_funcs(("gees",), (np.zeros((n, n), dtype=complex),))
+    work = gees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
+    return gees, int(work[0].real)
+
+
 def eig_unitary(U) -> SpectralDecomposition:
     """Spectral decomposition of a unitary via the complex Schur form.
 
-    Schur keeps the eigenvector matrix exactly unitary, so degenerate
-    clusters come out orthonormal. The relative Frobenius residual of the
-    reconstruction is at most about d / sqrt(2) for a unitarity defect d, so
-    it is verified to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT.
+    Calls LAPACK zgees as scipy.linalg.schur(U, output="complex") does, with
+    the same workspace, so the bits are the same, without its wrapper. Schur
+    keeps the eigenvector matrix exactly unitary, so degenerate clusters come
+    out orthonormal. The relative Frobenius residual of the reconstruction
+    is at most about d / sqrt(2) for a unitarity defect d, so it is verified
+    to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT. A non-finite or
+    non-square matrix, or a LAPACK failure, raises NumericalFailure.
     """
-    # imported here: loading scipy.linalg takes longer than the rest of the
-    # package, and importing seqlocc or verifying a scheme never decomposes
-    import scipy.linalg
-
     A = mat(U)
-    try:
-        T, Z = scipy.linalg.schur(A, output="complex")
-    except Exception as exc:  # pragma: no cover - scipy failure is exotic
-        raise NumericalFailure(f"Schur decomposition failed: {exc}") from exc
-    phases = canonical_phases(np.diag(T))
+    n = A.shape[0]
+    if A.shape != (n, n) or n == 0:
+        raise NumericalFailure(f"Schur decomposition needs a square matrix, got {A.shape}")
+    if not np.isfinite(A).all():
+        raise NumericalFailure("Schur decomposition of a matrix with non-finite entries")
+    gees, lwork = _gees(n)
+    _, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
+    if info != 0:
+        raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")
+    phases = canonical_phases(w)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = Z[:, order]

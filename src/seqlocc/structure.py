@@ -8,6 +8,7 @@ imprimitive and can entangle some product state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .linalg import (
     kron,
     mat,
     normalize,
-    phase_distance,
     swap_operator,
     validate_unitary,
 )
@@ -48,8 +48,12 @@ class OperatorSchmidtDecomposition:
 class PrimitiveForm:
     """Classification result with extracted local factors when primitive.
 
-    residual is the phase-invariant distance to the classified form; for
-    imprimitive operators it is the distance to the nearest primitive form.
+    deviation is the Frobenius distance, modulo a global phase, of the
+    operator from the (swapped) product of its factors, an upper bound on
+    the operator-norm distance; NaN for imprimitive operators. residual is
+    the phase-invariant distance to the classified form: deviation /
+    sqrt(2 dim), which is phase_distance for a unitary operator, and for
+    imprimitive operators the distance to the nearest primitive form.
     schmidt_coefficients are those of the plain (unswapped) realignment.
     """
 
@@ -58,6 +62,7 @@ class PrimitiveForm:
     factor_b: np.ndarray | None
     residual: float
     schmidt_coefficients: np.ndarray
+    deviation: float = math.nan
 
 
 def realign(U, d_a: int, d_b: int) -> np.ndarray:
@@ -155,7 +160,8 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
 
     The decision is by operator Schmidt rank at RANK_TOL (second coefficient
     relative to the first), which is robust at float precision; the
-    phase-invariant residual to the classified form is recorded alongside.
+    distance from the classified form (deviation, residual) is recorded
+    alongside, measured once on the extracted factors.
     The product form is tested first, then the swapped product (only when
     d_a == d_b); rank 1 for both forms cannot occur exactly (the swap itself
     is never a product) and raises AmbiguousClassification.
@@ -167,21 +173,22 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     dec_p = None
     is_swap = False
     if d_a == d_b:
-        UP = BipartiteUnitary(U.matrix @ swap_operator(d_a), d_a, d_b, U.unitarity_defect)
+        P = swap_operator(d_a)
+        UP = BipartiteUnitary(U.matrix @ P, d_a, d_b, U.unitarity_defect)
         dec_p = operator_schmidt(UP)
         is_swap = dec_p.rank() == 1
 
     if is_product and is_swap:
         raise AmbiguousClassification(
             "both the plain and the swapped realignment look rank one")
-    if is_product:
-        fa, fb = _unitary_factors_from_rank1(dec.right_ops[0], U.matrix)
-        return PrimitiveForm("Product", fa, fb,
-                             float(phase_distance(U.matrix, kron(fa, fb))), dec.coefficients)
-    if is_swap:
-        ga, gb = _unitary_factors_from_rank1(dec_p.right_ops[0], U.matrix @ swap_operator(d_a))
-        residual = phase_distance(U.matrix, kron(ga, gb) @ swap_operator(d_a))
-        return PrimitiveForm("SwapProduct", ga, gb, float(residual), dec.coefficients)
+    if is_product or is_swap:
+        M, schmidt = (U.matrix, dec) if is_product else (UP.matrix, dec_p)
+        fa, fb = _unitary_factors_from_rank1(schmidt.right_ops[0], M)
+        form = kron(fa, fb) if is_product else kron(fa, fb) @ P
+        t = np.vdot(form, U.matrix)  # tr(form^dag U), of modulus about dim
+        deviation = float(np.linalg.norm(U.matrix - t / abs(t) * form))
+        return PrimitiveForm("Product" if is_product else "SwapProduct", fa, fb,
+                             deviation / math.sqrt(2 * d_a * d_b), dec.coefficients, deviation)
     # distance to the nearest primitive form, from the truncation weight
     c = dec.coefficients
     residual = float(np.sqrt(max(0.0, 1.0 - c[0] ** 2 / (d_a * d_b))))

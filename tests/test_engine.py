@@ -290,8 +290,8 @@ def _count_decompositions(monkeypatch):
 
 
 def test_lone_distinct_product_side_decomposed_twice(monkeypatch):
-    """A product pair distinct on one side only takes that side unpriced:
-    the sequential engine's two decompositions are all it costs."""
+    """A product pair distinct on one side only decomposes that side's
+    U^dag V once, and the sequential engine starts from it."""
     calls = _count_decompositions(monkeypatch)
     rng = np.random.default_rng(5)
     Q = random_unitary(2, rng)
@@ -299,7 +299,7 @@ def test_lone_distinct_product_side_decomposed_twice(monkeypatch):
     scheme, report = _run(np.kron(I2, HAD), np.kron(VA, HAD))
     assert scheme.case_trace == ["i-a"]
     assert report.query_count == 3
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_both_distinct_product_sides_decomposed_once_each(monkeypatch):
@@ -319,7 +319,7 @@ def test_both_distinct_product_sides_decomposed_once_each(monkeypatch):
         W = X_u.conj().T @ X_v
         assert sum(M.shape == W.shape and op_distance_mod_phase(M, W) <= 1e-9
                    for M in calls) == 1
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_product_sides_priced_at_tol_angle():

@@ -382,3 +382,28 @@ def test_cli_verify_rejects_forged_scheme(tmp_path, capsys):
         path.write_text(json.dumps(record))
         assert main(["verify", str(path), a, b]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_non_finite_operand_is_not_unitary(bad):
+    """A NaN or infinite entry is an infinite unitarity defect, not an SVD
+    that fails to converge."""
+    M = np.eye(4, dtype=complex)
+    M[1, 2] = bad
+    with pytest.raises(NotUnitary) as exc:
+        validate_unitary(M, 2, 2)
+    assert exc.value.defect == np.inf
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_cli_non_finite_matrix_file_exit2(literal, tmp_path, capsys):
+    """json reads the NaN and Infinity literals, so a matrix file can carry
+    them: discriminate reports the defect and exits 2."""
+    u = _write(tmp_path, "u.json", CNOT)
+    data = json.loads(Path(u).read_text())
+    data["entries"][5][0] = "@"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data).replace('"@"', literal))
+    assert main(["discriminate", str(bad), u]) == 2
+    err = capsys.readouterr().err
+    assert "unitarity defect inf" in err and "converge" not in err

@@ -5,6 +5,7 @@ from seqlocc import (
     BipartiteUnitary,
     DimensionMismatch,
     NotUnitary,
+    NumericalFailure,
     basis_state,
     dagger,
     eig_unitary,
@@ -131,3 +132,65 @@ def test_kron_same_bits_as_numpy(shapes):
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(got.real).any() and np.signbit(got.imag).any()
+
+
+def _eig_unitary_via_schur(U):
+    """eig_unitary as it stood on scipy.linalg.schur: the reference the
+    direct LAPACK call must match bit for bit."""
+    import scipy.linalg
+
+    from seqlocc.linalg import canonical_phases
+
+    T, Z = scipy.linalg.schur(np.asarray(U, dtype=complex), output="complex")
+    phases = canonical_phases(np.diag(T))
+    order = np.argsort(phases, kind="stable")
+    return phases[order], Z[:, order]
+
+
+def _oracle_matrices():
+    rng = np.random.default_rng(2718)
+    mats = [random_unitary(int(rng.integers(2, 17)), rng) for _ in range(1000)]
+    mats += [random_unitary(d, rng) for d in range(2, 17)]
+    for d in (2, 3, 5, 9, 16):
+        Q = random_unitary(d, rng)
+        mats.append(np.eye(d, dtype=complex))
+        # a +-1 two-cluster spectrum, and one split by 1e-12
+        mats.append(Q @ np.diag(np.resize([1.0, -1.0], d)).astype(complex) @ Q.conj().T)
+        split = np.exp(1j * (0.4 + 1e-12 * np.arange(d)))
+        mats.append(Q @ np.diag(split) @ Q.conj().T)
+    return mats
+
+
+def test_eig_unitary_bits_equal_the_schur_wrapper():
+    mats = _oracle_matrices()
+    assert len(mats) >= 1000
+    for M in mats:
+        dec = eig_unitary(M)
+        phases, vectors = _eig_unitary_via_schur(M)
+        assert np.array_equal(dec.phases, phases)
+        assert np.array_equal(dec.vectors, vectors)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_eig_unitary_non_finite_raises(bad):
+    M = np.eye(3, dtype=complex)
+    M[0, 2] = bad
+    with pytest.raises(NumericalFailure):
+        eig_unitary(M)
+
+
+def test_eig_unitary_non_square_raises():
+    with pytest.raises(NumericalFailure):
+        eig_unitary(np.eye(3, 2, dtype=complex))
+
+
+def test_eig_unitary_memoizes_lapack_setup_only():
+    """The routine and its workspace are kept per dimension; a result never
+    is, so a changed matrix of the same size is decomposed afresh."""
+    from seqlocc.linalg import _gees
+
+    A = np.diag(np.exp([0.1j, 0.7j, 2.0j]))
+    first = eig_unitary(A)
+    assert _gees(3) is _gees(3)
+    A[:] = np.diag(np.exp([0.3j, 1.1j, 2.5j]))
+    assert not np.array_equal(eig_unitary(A).phases, first.phases)

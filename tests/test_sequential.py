@@ -110,9 +110,9 @@ def test_query_counts_within_bounds():
 
 
 def test_two_eigendecompositions_per_scheme(monkeypatch):
-    """U^dag V and the final relative operator are decomposed, nothing in
-    between: one decomposition when the arc already reaches pi, two
-    otherwise, for schemes of 1 up to 96 queries."""
+    """Only U^dag V is decomposed: the final relative operator is closed
+    from its 2x2 endpoint block in closed form, so every scheme of 1 up to
+    96 queries costs one decomposition."""
     calls = []
 
     def counting(M):
@@ -127,7 +127,7 @@ def test_two_eigendecompositions_per_scheme(monkeypatch):
         U, V = _pair_with_arc(theta, 3, rng)
         scheme = build_sequential_scheme(U, V, CFG)
         assert scheme.query_count == queries_for_arc(theta)
-        assert len(calls) == (1 if theta >= np.pi else 2)
+        assert len(calls) == 1
         assert _recompute_overlap(U, V, scheme) <= 1e-12
     assert scheme.query_count == 1 and queries_for_arc(np.pi / 95.5) == 96
 
@@ -281,3 +281,66 @@ def test_closed_form_engine_properties(pair):
     assert len(again.interleavers) == len(scheme.interleavers)
     assert all(np.array_equal(a, b) for a, b in zip(again.interleavers, scheme.interleavers))
     assert np.array_equal(again.input_state, scheme.input_state)
+
+
+def _closing_ladder():
+    """Arcs pi/k exactly, pi/k - TOL_ANGLE/(2k) (k queries leave the arc
+    TOL_ANGLE/2 short of pi, so the closing rotation is t = 0) and a
+    96-query arc, each with its count and whether it sits at that boundary."""
+    ladder = []
+    for k in (2, 3, 5, 8):
+        ladder += [(np.pi / k, k, False), (np.pi / k - TOL_ANGLE / (2 * k), k, True)]
+    return ladder + [(np.pi / 95.5, 96, False)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("theta, n, boundary", _closing_ladder())
+def test_closing_stage_from_the_endpoint_block(theta, n, boundary, dim):
+    """The closing stage reads the final relative operator only through its
+    2x2 block on the arc-endpoint eigenvectors of U^dag V: the recorded arc
+    is that of the operator itself (decomposed here as the oracle), the
+    input lies in the endpoints' span, and the overlap is zero up to
+    rounding, or cos(n theta / 2) where n theta falls short of pi."""
+    rng = np.random.default_rng(int(1000 * theta) + dim)
+    U, Q = random_unitary(dim, rng), random_unitary(dim, rng)
+    phases = np.concatenate([[0.0], np.sort(rng.uniform(0.1, 0.9, dim - 2)) * theta, [theta]])
+    V = U @ Q @ _dphases(phases) @ Q.conj().T
+    scheme = build_sequential_scheme(U, V, CFG)
+    assert scheme.query_count == n
+    final = dagger(compose_sequential(U, scheme.interleavers)) @ compose_sequential(
+        V, scheme.interleavers)
+    assert abs(scheme.theta_trace[-1] - smallest_arc(final).theta) <= 1e-12
+    ends = Q[:, [0, -1]]
+    psi = scheme.input_state
+    assert np.linalg.norm(psi - ends @ (ends.conj().T @ psi)) <= 1e-12
+    overlap = _recompute_overlap(U, V, scheme)
+    assert overlap == pytest.approx(scheme.achieved_overlap, abs=1e-15)
+    if boundary:
+        # V = U Q D Q^dag carries rounding, so its arc is theta only to a few
+        # eps, and n queries multiply that: the decomposition-based closing
+        # overshot cos(n theta / 2) by up to 3e-15 on such pairs
+        assert overlap <= np.cos(n * theta / 2) + 1e-14
+    else:
+        assert overlap <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_closing_without_rotation_stalls(dim, monkeypatch):
+    """With the closing rotation replaced by the identity, the endpoint
+    eigenphases stop short of antipodal, and the closing stage reports it
+    rather than returning a scheme above overlap_tol."""
+    from seqlocc import CaseFailure, StageStalled, discriminate, validate_unitary
+
+    monkeypatch.setattr(seqlocc.sequential, "_stage_rotation",
+                        lambda theta_c, theta_0, d: np.eye(d, dtype=complex))
+    rng = np.random.default_rng(60 + dim)
+    for theta in (0.3, 1.0, 0.45 * np.pi, 0.7 * np.pi):
+        U, V = _pair_with_arc(theta, dim, rng)
+        with pytest.raises(StageStalled):
+            build_sequential_scheme(U, V, CFG)
+        UB = random_unitary(2, rng)
+        with pytest.raises(CaseFailure) as exc:
+            discriminate(validate_unitary(np.kron(U, UB), dim, 2),
+                         validate_unitary(np.kron(V, UB), dim, 2), CFG)
+        assert exc.value.case_trace == ["i-a"]
+        assert isinstance(exc.value.cause, StageStalled)

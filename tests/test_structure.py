@@ -300,3 +300,79 @@ def test_block_exponential_matches_expm():
     u1 = np.zeros((3, 3), dtype=complex)
     u1[:2, :2] = SX
     assert np.linalg.norm(block_exponential(0.7, 3) - scipy.linalg.expm(0.7j * u1)) <= 1e-12
+
+
+def _form_deviation_reference(X, cls):
+    """The engine's former measure of an operand's distance from its form:
+    the reference PrimitiveForm.deviation must equal bit for bit."""
+    from seqlocc.linalg import kron
+
+    M = kron(cls.factor_a, cls.factor_b)
+    if cls.kind == "SwapProduct":
+        M = M @ swap_operator(X.d_a)
+    t = np.vdot(M, X.matrix)
+    return float(np.linalg.norm(X.matrix - t / abs(t) * M))
+
+
+def _products(rng, swapped, dims=((2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 5)), nudge=0.0):
+    """Haar products (swapped ones at equal dimensions), times
+    expm(i nudge H) for a Hermitian H of unit Frobenius norm."""
+    out = []
+    for d_a, d_b in dims:
+        if swapped and d_a != d_b:
+            continue
+        for _ in range(6):
+            M = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+            if swapped:
+                M = M @ swap_operator(d_a)
+            if nudge:
+                G = rng.normal(size=M.shape) + 1j * rng.normal(size=M.shape)
+                M = M @ scipy.linalg.expm(1j * nudge * (G + G.conj().T) / np.linalg.norm(G + G.conj().T))
+            out.append(validate_unitary(M, d_a, d_b))
+    return out
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_form_deviation_bits_equal_the_engine_measure(swapped):
+    for U in _products(np.random.default_rng(31 + swapped), swapped):
+        cls = classify_primitive(U)
+        assert cls.kind == ("SwapProduct" if swapped else "Product")
+        assert cls.deviation == _form_deviation_reference(U, cls)
+        assert cls.residual == cls.deviation / np.sqrt(2 * U.dim)
+
+
+@pytest.mark.parametrize("swapped", [False, True])
+def test_form_residual_is_phase_distance_off_a_product(swapped):
+    """1e-6 off a product, deviation / sqrt(2 dim) is the phase distance. At
+    5x5 that perturbation keeps the operator Schmidt rank 1 at RANK_TOL
+    (smaller products turn imprimitive), with a residual of about 1.4e-7.
+    The two agree exactly for a unitary operand; a stored 25x25 unitary is
+    off by rounding, which moves the squares apart by a few eps (about
+    3e-16 here), so the distances agree to that over twice the residual."""
+    for U in _products(np.random.default_rng(41 + swapped), swapped, ((5, 5),), nudge=1e-6):
+        cls = classify_primitive(U)
+        assert cls.kind == ("SwapProduct" if swapped else "Product")
+        form = np.kron(cls.factor_a, cls.factor_b)
+        if swapped:
+            form = form @ swap_operator(U.d_a)
+        assert cls.deviation == _form_deviation_reference(U, cls)
+        assert cls.residual > 1e-7
+        assert abs(cls.residual ** 2 - phase_distance(U.matrix, form) ** 2) <= 1e-15
+        assert abs(cls.residual - phase_distance(U.matrix, form)) <= 4e-9
+
+
+def test_imprimitive_form_unchanged():
+    """No factors, a NaN deviation, and the truncation-weight residual."""
+    rng = np.random.default_rng(51)
+    for M, d_a, d_b in ((CNOT, 2, 2), (CZ, 2, 2), (random_unitary(6, rng), 2, 3),
+                        (random_unitary(9, rng), 3, 3)):
+        U = _wrap(M, d_a, d_b)
+        cls = classify_primitive(U)
+        assert cls.kind == "Imprimitive" and cls.factor_a is None and cls.factor_b is None
+        assert np.isnan(cls.deviation)
+        c = operator_schmidt(U).coefficients
+        expected = float(np.sqrt(max(0.0, 1.0 - c[0] ** 2 / U.dim)))
+        if d_a == d_b:
+            cp = operator_schmidt(_wrap(M @ swap_operator(d_a), d_a, d_b)).coefficients
+            expected = min(expected, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / U.dim))))
+        assert cls.residual == expected

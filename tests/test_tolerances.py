@@ -244,3 +244,17 @@ def test_cli_unitarity_tol_above_cap_exit2(command, tmp_path, capsys):
                                                 2, 2, tol=1e-7))
     assert main([command, u, v, "--tol-unitarity", "1e-7"]) == 2
     assert "unitarity_tol must be at most 2.5e-09" in capsys.readouterr().err
+
+
+def test_negative_seed_rejected():
+    assert RunConfig(seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        RunConfig(seed=-1)
+
+
+def test_cli_negative_seed_exit2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, M in (("u.json", CNOT), ("v.json", CZ)):
+        save_matrix_file(name, validate_unitary(M, 2, 2))
+    assert main(["discriminate", "u.json", "v.json", "--seed", "-1"]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
