@@ -23,7 +23,6 @@ from .engine import (
     verify_scheme,
 )
 from .errors import (
-    AmbiguousClassification,
     ArcTooSmall,
     BranchSelectionFailed,
     CaseFailure,

@@ -18,8 +18,8 @@ import numpy as np
 class RunConfig:
     """Tolerances and budgets shared by the discrimination machinery.
 
-    All tolerances are positive and finite and all budgets nonnegative; the
-    seed makes every search deterministic.
+    All tolerances are positive and finite and the seed and budgets are
+    nonnegative integers; the seed makes every search deterministic.
     """
 
     # tolerances
@@ -38,7 +38,10 @@ class RunConfig:
                 if not 0 < getattr(self, f.name) < math.inf:
                     raise ValueError(f"{f.name} must be positive and finite")
         for name in ("seed", "restarts", "k_max"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.unitarity_tol > MAX_UNITARITY_TOL:
             raise ValueError(f"unitarity_tol must be at most {MAX_UNITARITY_TOL:.2g}, a quarter "

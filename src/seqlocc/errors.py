@@ -50,10 +50,6 @@ class StageStalled(SeqloccError):
         super().__init__(f"{message}; theta trace: {self.theta_trace}")
 
 
-class AmbiguousClassification(SeqloccError):
-    """Residuals for two primitive forms are both within tolerance."""
-
-
 class SynthesisFailed(SeqloccError):
     """No template within the layer budget reached the target accuracy."""
 

@@ -47,6 +47,15 @@ def _parse(text: str):
         raise MatrixFileError(f"invalid JSON: {exc}") from exc
 
 
+def _dimensions(data: dict) -> tuple[int, int]:
+    """d_a and d_b of a record, which must be JSON integers: a fractional
+    or string dimension is an error, never truncated or parsed."""
+    dims = data["d_a"], data["d_b"]
+    if any(type(d) is not int for d in dims):
+        raise MatrixFileError(f"d_a and d_b must be integers, got {dims[0]!r} and {dims[1]!r}")
+    return dims
+
+
 def matrix_to_dict(U: BipartiteUnitary) -> dict:
     return {"d_a": U.d_a, "d_b": U.d_b, "entries": _to_lists(U.matrix.reshape(-1))}
 
@@ -54,8 +63,7 @@ def matrix_to_dict(U: BipartiteUnitary) -> dict:
 def matrix_from_dict(data: dict,
                      unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
     try:
-        d_a = int(data["d_a"])
-        d_b = int(data["d_b"])
+        d_a, d_b = _dimensions(data)
         entries = data["entries"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixFileError(f"matrix record needs d_a, d_b, entries: {exc}") from exc
@@ -99,8 +107,7 @@ def template_to_dict(t: CircuitTemplate) -> dict:
 
 def template_from_dict(data: dict) -> CircuitTemplate:
     try:
-        d_a = int(data["d_a"])
-        d_b = int(data["d_b"])
+        d_a, d_b = _dimensions(data)
         records = data["layers"]
         kinds = [rec.get("kind") for rec in records]
         local_records = [rec for rec, kind in zip(records, kinds) if kind == "local"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import CLOSED_FORM_TOL, MATCH_TOL, RANK_TOL
-from .errors import AmbiguousClassification, DimensionMismatch, DimensionTooSmall
+from .errors import DimensionMismatch, DimensionTooSmall
 from .linalg import (
     BipartiteUnitary,
     basis_state,
@@ -48,6 +48,9 @@ class OperatorSchmidtDecomposition:
 class PrimitiveForm:
     """Classification result with extracted local factors when primitive.
 
+    factor_a and factor_b are the polar parts of the leading Schmidt pair of
+    the plain (Product) or swapped (SwapProduct) realignment, with the
+    largest-magnitude entry of factor_a real positive; None when imprimitive.
     deviation is the Frobenius distance, modulo a global phase, of the
     operator from the (swapped) product of its factors, an upper bound on
     the operator-norm distance; NaN for imprimitive operators. residual is
@@ -103,28 +106,6 @@ def _closest_unitary(M: np.ndarray) -> np.ndarray:
     return X @ Yh
 
 
-def _polish_product_factors(M: np.ndarray, fb: np.ndarray):
-    """One sweep of alternating polar refinement of fa (x) fb toward M.
-
-    Each half-step maximizes Re tr((fa (x) fb)^dag M) exactly over one
-    unitary factor. For a product M = a (x) b, fb is b up to a phase, so one
-    sweep returns a and b to the last bit the trace metric can see; for M
-    eps off a product, fb starts O(eps) off the best fit, where the fit is
-    stationary, so more sweeps would move the residual only at O(eps^2).
-    """
-    d_a, d_b = M.shape[0] // fb.shape[0], fb.shape[0]
-    M4 = M.reshape(d_a, d_b, d_a, d_b)
-    fa = _closest_unitary(np.einsum("abcd,bd->ac", M4, fb.conj()))
-    fb = _closest_unitary(np.einsum("abcd,ac->bd", M4, fa.conj()))
-    return fa, fb
-
-
-def _unitary_factors_from_rank1(B: np.ndarray, M: np.ndarray):
-    """Unitary factors of M from the B operator of its rank-1 Schmidt term,
-    polished against M before the phase convention is applied."""
-    return _apply_phase_convention(*_polish_product_factors(M, _closest_unitary(B)))
-
-
 def entangling_witness(U: BipartiteUnitary):
     """(coefficient, state): a product state from a small computational-basis
     grid that U entangles, and the second Schmidt coefficient of its image.
@@ -159,42 +140,33 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     """Product / SwapProduct / Imprimitive, with factors where applicable.
 
     The decision is by operator Schmidt rank at RANK_TOL (second coefficient
-    relative to the first), which is robust at float precision; the
-    distance from the classified form (deviation, residual) is recorded
-    alongside, measured once on the extracted factors.
-    The product form is tested first, then the swapped product (only when
-    d_a == d_b); rank 1 for both forms cannot occur exactly (the swap itself
-    is never a product) and raises AmbiguousClassification.
+    relative to the first), which is robust at float precision. The plain
+    realignment is decomposed first; the swapped one, U P, only when the
+    plain one is not rank 1 and d_a == d_b. Both cannot be rank 1: an
+    operator that close to a product times the swap has d^2 Schmidt
+    coefficients all near 1. The factors are the polar parts of the leading
+    Schmidt pair, the nearest Kronecker product (Van Loan & Pitsianis), and
+    the distance from the classified form (deviation, residual) is measured
+    once on them.
     """
     d_a, d_b = U.d_a, U.d_b
-    dec = operator_schmidt(U)
-    is_product = dec.rank() == 1
-
-    dec_p = None
-    is_swap = False
-    if d_a == d_b:
+    dec = schmidt = operator_schmidt(U)
+    P = None
+    if dec.rank() != 1 and d_a == d_b:
         P = swap_operator(d_a)
-        UP = BipartiteUnitary(U.matrix @ P, d_a, d_b, U.unitarity_defect)
-        dec_p = operator_schmidt(UP)
-        is_swap = dec_p.rank() == 1
-
-    if is_product and is_swap:
-        raise AmbiguousClassification(
-            "both the plain and the swapped realignment look rank one")
-    if is_product or is_swap:
-        M, schmidt = (U.matrix, dec) if is_product else (UP.matrix, dec_p)
-        fa, fb = _unitary_factors_from_rank1(schmidt.right_ops[0], M)
-        form = kron(fa, fb) if is_product else kron(fa, fb) @ P
+        schmidt = operator_schmidt(BipartiteUnitary(U.matrix @ P, d_a, d_b, U.unitarity_defect))
+    if schmidt.rank() == 1:
+        fa, fb = _apply_phase_convention(_closest_unitary(schmidt.left_ops[0]),
+                                         _closest_unitary(schmidt.right_ops[0]))
+        form = kron(fa, fb) if P is None else kron(fa, fb) @ P
         t = np.vdot(form, U.matrix)  # tr(form^dag U), of modulus about dim
         deviation = float(np.linalg.norm(U.matrix - t / abs(t) * form))
-        return PrimitiveForm("Product" if is_product else "SwapProduct", fa, fb,
+        return PrimitiveForm("Product" if P is None else "SwapProduct", fa, fb,
                              deviation / math.sqrt(2 * d_a * d_b), dec.coefficients, deviation)
-    # distance to the nearest primitive form, from the truncation weight
-    c = dec.coefficients
-    residual = float(np.sqrt(max(0.0, 1.0 - c[0] ** 2 / (d_a * d_b))))
-    if dec_p is not None:
-        cp = dec_p.coefficients
-        residual = min(residual, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / (d_a * d_b)))))
+    # distance to the nearest primitive form, from the truncation weight of
+    # the larger leading coefficient of the realignments decomposed
+    c0 = max(dec.coefficients[0], schmidt.coefficients[0])
+    residual = float(np.sqrt(max(0.0, 1.0 - c0 ** 2 / (d_a * d_b))))
     return PrimitiveForm("Imprimitive", None, None, residual, dec.coefficients)
 
 

@@ -84,6 +84,52 @@ def test_cli_verify_malformed_template_layers_exit2(tmp_path, capsys, name):
     assert "error:" in capsys.readouterr().err
 
 
+NON_INTEGER_DIMENSIONS = [2.9, 2.0, "2", True, None]
+
+
+def _product_scheme_record(tmp_path):
+    """Operand files and the scheme record of a cheap 2x2 product pair."""
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["discriminate", a, b, "--out", str(scheme_path)]) == 0
+    return a, b, scheme_path, json.loads(scheme_path.read_text())
+
+
+@pytest.mark.parametrize("side", ["d_a", "d_b"])
+@pytest.mark.parametrize("d", NON_INTEGER_DIMENSIONS)
+def test_non_integer_dimension_is_a_file_error(d, side):
+    """A dimension is a JSON integer: 2.9 or "2" is an error, not truncated
+    or parsed to 2."""
+    matrix = json.loads(dumps_matrix(validate_unitary(np.eye(4), 2, 2)))
+    template = {"d_a": 2, "d_b": 2, "layers": [{"kind": "query"}]}
+    for record, load in ((matrix, loads_matrix), (template, loads_template)):
+        with pytest.raises(MatrixFileError, match="must be integers"):
+            load(json.dumps(dict(record, **{side: d})))
+
+
+def test_scheme_with_non_integer_dimension_is_a_file_error(tmp_path):
+    *_, scheme = _product_scheme_record(tmp_path)
+    for d in NON_INTEGER_DIMENSIONS:
+        for side in ("d_a", "d_b"):
+            bad = dict(scheme, template=dict(scheme["template"], **{side: d}))
+            with pytest.raises(MatrixFileError, match="must be integers"):
+                loads_scheme(json.dumps(bad))
+
+
+@pytest.mark.parametrize("d", [2.9, "2"])
+def test_cli_verify_non_integer_dimension_exit2(tmp_path, capsys, d):
+    a, b, scheme_path, scheme = _product_scheme_record(tmp_path)
+    operand = json.loads(Path(a).read_text())
+    Path(a).write_text(json.dumps(dict(operand, d_a=d)))
+    assert main(["verify", str(scheme_path), a, b]) == 2
+    assert "must be integers" in capsys.readouterr().err
+    Path(a).write_text(json.dumps(operand))
+    scheme_path.write_text(json.dumps(dict(scheme, template=dict(scheme["template"], d_a=d))))
+    assert main(["verify", str(scheme_path), a, b]) == 2
+    assert "must be integers" in capsys.readouterr().err
+
+
 def test_scheme_round_trip():
     scheme, report = discriminate(validate_unitary(CNOT, 2, 2),
                                   validate_unitary(np.kron(HAD, HAD), 2, 2),

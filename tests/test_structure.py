@@ -16,9 +16,10 @@ from seqlocc import (
     validate_unitary,
     xx_generator,
 )
+from seqlocc import structure
 from seqlocc.errors import DimensionTooSmall
 from seqlocc.structure import (
-    _unitary_factors_from_rank1,
+    _closest_unitary,
     block_exponential,
     match_exp_xx_mod_phase,
 )
@@ -80,10 +81,14 @@ def _fit(M, fa, fb):
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (3, 2), (2, 5), (4, 3), (5, 3), (5, 5)])
 def test_one_sweep_recovers_exact_product(d_a, d_b):
+    """The polar parts of the leading Schmidt pair are the factors of an
+    exact product, its global phase included."""
     rng = np.random.default_rng([d_a, d_b])
     a, b = random_unitary(d_a, rng), random_unitary(d_b, rng)
     M = np.exp(0.4j) * np.kron(a, b)
-    fa, fb = _unitary_factors_from_rank1(operator_schmidt(_wrap(M, d_a, d_b)).right_ops[0], M)
+    cls = classify_primitive(_wrap(M, d_a, d_b))
+    fa, fb = cls.factor_a, cls.factor_b
+    assert cls.kind == "Product"
     assert np.abs(np.kron(fa, fb) - M).max() <= 1e-14
     for f in (fa, fb):
         assert np.abs(f.conj().T @ f - np.eye(len(f))).max() <= 1e-14
@@ -105,19 +110,63 @@ def _three_sweep_factors(M, B, d_a, d_b):
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7, 1e-6])
 def test_one_sweep_fits_near_product_like_three(eps):
-    """Off a product by eps, the one sweep fits M as well as three sweeps do,
-    to a relative 1e-6: later sweeps move the fit only at O(eps^2)."""
+    """Off a product by eps, the polar parts of the leading Schmidt pair fit
+    M as well as three sweeps of alternating polar refinement do, to a
+    relative 1e-6: the leading pair is the nearest Kronecker product, and
+    its polar parts are off the best unitary fit only at O(eps^2)."""
     rng = np.random.default_rng(int(-np.log10(eps)))
     for d_a, d_b in [(2, 2), (2, 3), (3, 3), (4, 2)]:
         n = d_a * d_b
         G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         M = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng)) @ scipy.linalg.expm(
             1j * eps * (G + G.conj().T))
-        B = operator_schmidt(_wrap(M, d_a, d_b)).right_ops[0]
-        one = _fit(M, *_unitary_factors_from_rank1(B, M))
-        three = _fit(M, *_three_sweep_factors(M, B, d_a, d_b))
+        dec = operator_schmidt(_wrap(M, d_a, d_b))
+        leading = _fit(M, _closest_unitary(dec.left_ops[0]), _closest_unitary(dec.right_ops[0]))
+        three = _fit(M, *_three_sweep_factors(M, dec.right_ops[0], d_a, d_b))
         assert three > 0.1 * eps
-        assert abs(one - three) <= 1e-6 * three
+        assert abs(leading - three) <= 1e-6 * three
+
+
+def _schmidt_calls(monkeypatch, U):
+    """classify_primitive(U) and the number of operator_schmidt calls it made."""
+    calls = []
+    real = structure.operator_schmidt
+
+    def counting(W):
+        calls.append(W)
+        return real(W)
+
+    with monkeypatch.context() as m:
+        m.setattr(structure, "operator_schmidt", counting)
+        cls = classify_primitive(U)
+    return cls, len(calls)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_product_decomposes_the_plain_realignment_only(d, monkeypatch):
+    """A product is decided from the plain realignment; U P is decomposed
+    only for an operand that is not a product."""
+    rng = np.random.default_rng(60 + d)
+    M = np.kron(random_unitary(d, rng), random_unitary(d, rng))
+    cls, calls = _schmidt_calls(monkeypatch, _wrap(M, d, d))
+    assert (cls.kind, calls) == ("Product", 1)
+    cls, calls = _schmidt_calls(monkeypatch, _wrap(M @ swap_operator(d), d, d))
+    assert (cls.kind, calls) == ("SwapProduct", 2)
+    cls, calls = _schmidt_calls(monkeypatch, _wrap(CNOT, 2, 2))
+    assert (cls.kind, calls) == ("Imprimitive", 2)
+
+
+def test_swapped_realignment_of_a_product_is_far_from_rank_one():
+    """A product times the swap has d^2 Schmidt coefficients all equal, so
+    U P of an operand whose plain realignment is rank 1 is never rank 1:
+    classify_primitive needs no guard against both forms at once."""
+    rng = np.random.default_rng(71)
+    operands = [U for d in (2, 3, 4, 5) for U in _products(rng, False, ((d, d),))]
+    operands += _products(rng, False, ((5, 5),), nudge=1e-6)
+    for U in operands:
+        assert operator_schmidt(U).rank() == 1
+        c = operator_schmidt(_wrap(U.matrix @ swap_operator(U.d_a), U.d_a, U.d_b)).coefficients
+        assert c[1] >= 0.99 * c[0]
 
 
 def test_classify_product_with_factor_recovery():

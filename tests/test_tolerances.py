@@ -252,6 +252,16 @@ def test_negative_seed_rejected():
         RunConfig(seed=-1)
 
 
+@pytest.mark.parametrize("name", ["seed", "restarts", "k_max"])
+@pytest.mark.parametrize("value", [2.5, 3.0, "3", True, None])
+def test_non_integer_seed_and_budget_rejected(name, value):
+    """A float, string or bool seed or budget is refused when the config is
+    built, not met later inside synthesize as an untyped TypeError."""
+    assert getattr(RunConfig(**{name: np.int64(3)}), name) == 3
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        RunConfig(**{name: value})
+
+
 def test_cli_negative_seed_exit2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, M in (("u.json", CNOT), ("v.json", CZ)):
