@@ -24,7 +24,6 @@ from .engine import (
 )
 from .errors import (
     ArcTooSmall,
-    BranchSelectionFailed,
     CaseFailure,
     DimensionMismatch,
     DimensionTooSmall,

@@ -18,7 +18,9 @@ the residual overlap.
 
 Every case is one reduction step: a block template f turns the pair into a
 simpler pair (f(U), f(V)), solved on one side by the sequential engine
-(_one_side) or dispatched again (_over_block), and composed over f.
+(_one_side) or dispatched again (_over_block), and composed over f. One
+rule picks the side of i-a and i-c and the control branch of ii: the
+fewest predicted queries, ceil(pi / Theta(X_u^dag X_v)) (_cheapest).
 
 Budgets are computed from the actual matrices: every time a synthesized
 block stands in for its ideal, the per-use operator-norm deviation (modulo
@@ -35,10 +37,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import numerical_range_zero, queries_for_arc, smallest_arc, zero_overlap_from_spectrum
+from .arcs import numerical_range_zero, queries_for_arc, smallest_arc
 from .config import CLOSED_FORM_TOL, DISTINCT_TOL, MATCH_TOL, RunConfig
 from .errors import (
-    BranchSelectionFailed,
     CaseFailure,
     DimensionMismatch,
     Indistinguishable,
@@ -270,34 +271,38 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
 
 # --- case (i): both primitive ----------------------------------------------
 
+def _cheapest(sides: dict):
+    """The key of the (X_u, X_v) pair in `sides` with the fewest predicted
+    queries, queries_for_arc of X_u^dag X_v; that count; and the
+    _circular_sorted_eig decompositions made, by key.
+
+    Ties go to the wider phase distance: factor extraction carries a little
+    noise, so a barely-nonzero pair must not shadow a cleanly distinct one.
+    A pair within DISTINCT_TOL costs inf and is not decomposed; the taken
+    decomposition spares the sequential engine both the eig and that check.
+    """
+    gaps = {key: phase_distance(X_u, X_v) for key, (X_u, X_v) in sides.items()}
+    spectra = {key: _circular_sorted_eig(dagger(X_u) @ mat(X_v))
+               for key, (X_u, X_v) in sides.items() if gaps[key] > DISTINCT_TOL}
+
+    def cost(key):
+        return (queries_for_arc(spectra[key][1].theta) if key in spectra else math.inf,
+                -gaps[key])
+
+    key = min(sides, key=cost)
+    return key, cost(key)[0], spectra
+
+
 def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
                           deltas=()) -> LoccSequentialScheme:
     """Both operands are products: run the sequential engine on the side
-    with the fewest predicted queries and idle the other side. deltas are
-    the per-use deviations of U and V from those products.
-
-    Ties go to the wider phase distance: factor extraction carries a little
-    noise, so a barely-nonzero side must not shadow a cleanly distinct one.
-    Each distinct side's U^dag V is decomposed once, here, and the taken
-    one is handed to the sequential engine, which then neither decomposes
-    it again nor repeats the distinctness check; a side within DISTINCT_TOL
-    costs inf.
-    """
+    with the fewest predicted queries (_cheapest) and idle the other side.
+    deltas are the per-use deviations of U and V from those products."""
     build.trace.append("i-a")
-
-    sides = {"A": (U_A, V_A, basis_state(mat(U_B).shape[0], 0)),
-             "B": (U_B, V_B, basis_state(mat(U_A).shape[0], 0))}
-    gaps = {side: phase_distance(X_u, X_v) for side, (X_u, X_v, _) in sides.items()}
-    spectra = {side: _circular_sorted_eig(dagger(X_u) @ mat(X_v))
-               for side, (X_u, X_v, _) in sides.items() if gaps[side] > DISTINCT_TOL}
-
-    def cost(side):
-        return (queries_for_arc(spectra[side][1].theta) if side in spectra else math.inf,
-                -gaps[side])
-
-    side = min(sides, key=cost)
-    X_u, X_v, idle = sides[side]
-    scheme = _one_side(build, side, X_u, X_v, None, idle, deltas, spectra.get(side))
+    sides = {"A": (U_A, V_A), "B": (U_B, V_B)}
+    side, _, spectra = _cheapest(sides)
+    idle = basis_state(mat(U_B if side == "A" else U_A).shape[0], 0)
+    scheme = _one_side(build, side, *sides[side], None, idle, deltas, spectra.get(side))
     build.per_branch_error.append(scheme.budget)
     return scheme
 
@@ -320,36 +325,30 @@ def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequent
 def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
     """Both swapped products, U = (A (x) B) P and V = (C (x) D) P.
 
-    With input |a>|b> one query leaves the overlap <b|M1|b> <a|B^dag D|a>,
-    M1 = A^dag C and B^dag D = B^dag M2 B with M2 = D B^dag. When either
-    arc reaches pi, that factor's zero-overlap state answers in one query.
-    Otherwise f(X) = X (I (x) v) X turns both into plain products
-    f(U) = A v B (x) B A, whose side-A relative operator is similar to
-    v^dag M1 v M2. With v = E1 S E2^dag, E1 and E2 the arc-sorted
-    eigenbases and S the sequential engine's stage rotation, the two arcs
-    add (and close to antipodal endpoints past pi), so the product case
-    needs 2 ceil(pi / (Theta1 + Theta2)) queries; f(U) and f(V) deviate by
-    twice those of U and V.
+    One query on |a>|b> leaves <b|A^dag C|b> <a|B^dag D|a>: the product pair
+    (A (x) B, C (x) D) with its inputs traded, which answers when its
+    cheaper side takes one query. Otherwise f(X) = X (I (x) v) X turns both
+    into plain products f(U) = A v B (x) B A, whose side-A relative operator
+    is similar to v^dag (A^dag C) v B (B^dag D) B^dag. With
+    v = E1 S (B E2)^dag, E1 and E2 the arc-sorted eigenbases of A^dag C and
+    B^dag D and S the stage rotation, the two arcs add (and close to
+    antipodal endpoints past pi), so the product case needs
+    2 ceil(pi / (Theta1 + Theta2)) queries; f(U) and f(V) deviate by twice
+    those of U and V.
     """
     build.trace.append("i-c")
     A, B, C, D = (mat(X) for X in (U_A, U_B, V_A, V_B))
     d = A.shape[0]
-    M1, M2 = dagger(A) @ C, D @ dagger(B)
-    (dec1, info1, ends1, E1), (dec2, info2, ends2, E2) = (
-        _circular_sorted_eig(M) for M in (M1, M2))
-    theta = max(info1.theta, info2.theta)
-    if queries_for_arc(theta) == 1:
-        on_b = info1.theta == theta
-        dec, ends, M = (dec1, ends1, M1) if on_b else (dec2, ends2, M2)
-        psi = zero_overlap_from_spectrum(dec, ends)
-        idle = basis_state(d, 0)
-        build.theta_trace.append(theta)
-        build.note(f"swapped pair: single query on the arc of {'A^dag C' if on_b else 'B^dag D'}")
-        build.per_branch_error.extend(deltas)
-        inputs = (idle, psi) if on_b else (dagger(B) @ psi, idle)
-        return _finish(bare_query_template(d, d, 1), *inputs,
-                       abs(np.vdot(psi, M @ psi)) + sum(deltas), build)
-    v = E1 @ _stage_rotation(ends1.theta, ends2.theta, d) @ dagger(E2)
+    sides = {"B": (A, C), "A": (B, D)}
+    side, count, spectra = _cheapest(sides)
+    if count == 1:
+        return _one_side(build, side, *sides[side], None, basis_state(d, 0), deltas,
+                         spectra[side])
+    # the middle layer needs both arcs, so a side _cheapest skipped is decomposed here
+    (*_, ends1, E1), (*_, ends2, E2) = (
+        spectra[key] if key in spectra else _circular_sorted_eig(dagger(X_u) @ X_v)
+        for key, (X_u, X_v) in sides.items())
+    v = E1 @ _stage_rotation(ends1.theta, ends2.theta, d) @ dagger(B @ E2)
     build.note("swapped pair: middle layer from the two arcs, reducing to the product case")
     f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(np.eye(d, dtype=complex), v), QUERY])
     inner = _case_product_product(build, A @ v @ B, B @ A, C @ v @ D, D @ C)
@@ -364,8 +363,9 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
 
     A template f makes f(U) a two-block controlled unitary while f(V) stays
     primitive. When the swaps cancel (s = 0, or an even query count) the
-    control branch whose block differs from the B factor of f(V) anchors
-    the A input and the sequential engine runs on the B side; otherwise a
+    control branch whose block against the B factor of f(V) takes the
+    fewest predicted queries (_cheapest) anchors the A input and the
+    sequential engine runs on the B side; otherwise a
     single application of f with a B input orthogonal to fV_a^dag |alpha>
     finishes the job.
     """
@@ -388,15 +388,14 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
         build.trace.append("ii-a")
         build.note("swap parity cancelled; delegating to the product tail")
     delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
-    if phase_distance(blocks[1], fV_b) > DISTINCT_TOL:
-        branch = 1
-    elif phase_distance(blocks[0], fV_b) > DISTINCT_TOL:
-        branch = 0
-    else:
-        raise BranchSelectionFailed("both controlled blocks phase-equivalent to the product image")
+    # when both blocks are phase-equivalent to fV_b, the sequential engine
+    # raises Indistinguishable
+    branches = {1: (blocks[1], fV_b), 0: (blocks[0], fV_b)}
+    branch, _, spectra = _cheapest(branches)
     build.note(f"controlled branch {branch}")
-    return _one_side(build, "B", blocks[branch], fV_b, f_template,
-                     basis_state(d_a, min(groups[branch])), (delta_use, delta_v))
+    return _one_side(build, "B", *branches[branch], f_template,
+                     basis_state(d_a, min(groups[branch])), (delta_use, delta_v),
+                     spectra.get(branch))
 
 
 # --- case (iii): both imprimitive -------------------------------------------
@@ -665,11 +664,13 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
 
 def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
-    off unitarity by more than tol, MalformedScheme for an input that is not
-    a unit vector (to tol) of length d_a or d_b, or for a budget that is
-    negative or not finite."""
+    off unitarity by more than tol, MalformedScheme for a template without a
+    query, an input that is not a unit vector (to tol) of length d_a or d_b,
+    or a budget that is negative or not finite."""
     t = scheme.template
     check_local_unitarity(t, tol)
+    if t.query_count == 0:
+        raise MalformedScheme("the template never queries the operation")
     if not 0 <= scheme.budget < np.inf:
         raise MalformedScheme(f"budget {scheme.budget!r} is not a finite non-negative number")
     for name, v, d in (("input_a", scheme.input_a, t.d_a), ("input_b", scheme.input_b, t.d_b)):

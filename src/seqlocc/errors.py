@@ -63,10 +63,6 @@ class GeneratorPrimitive(SeqloccError):
     """Synthesis generator is a product (or swapped product); it cannot generate."""
 
 
-class BranchSelectionFailed(SeqloccError):
-    """Both control branches were phase-equivalent to the product image."""
-
-
 class CaseFailure(SeqloccError):
     """Wraps a downstream error with the case label where it occurred."""
 
@@ -81,5 +77,5 @@ class MatrixFileError(SeqloccError):
 
 
 class MalformedScheme(SeqloccError):
-    """A scheme's input states are not unit vectors of the template's
-    dimensions, or its budget is negative or not finite."""
+    """A scheme has no query, inputs that are not unit vectors of the
+    template's dimensions, or a negative or non-finite budget."""

@@ -48,11 +48,12 @@ def _parse(text: str):
 
 
 def _dimensions(data: dict) -> tuple[int, int]:
-    """d_a and d_b of a record, which must be JSON integers: a fractional
-    or string dimension is an error, never truncated or parsed."""
+    """d_a and d_b of a record, which must be positive JSON integers: a
+    fractional or string dimension is an error, never truncated or parsed."""
     dims = data["d_a"], data["d_b"]
-    if any(type(d) is not int for d in dims):
-        raise MatrixFileError(f"d_a and d_b must be integers, got {dims[0]!r} and {dims[1]!r}")
+    if any(type(d) is not int or d < 1 for d in dims):
+        raise MatrixFileError(f"d_a and d_b must be integers of at least 1, "
+                              f"got {dims[0]!r} and {dims[1]!r}")
     return dims
 
 

@@ -37,7 +37,7 @@ from seqlocc.engine import _controlled_form, _image_factors
 from seqlocc.io import dumps_scheme
 from seqlocc.templates import bare_query_template, check_local_unitarity
 
-from conftest import CNOT, CZ, HAD, I2, SZ
+from conftest import CNOT, CZ, HAD, I2, SX, SZ
 from corpus import labeled_pairs
 
 CFG = RunConfig()
@@ -162,6 +162,16 @@ def test_swap_swap_queries_from_the_two_arcs(d):
         assert min(counts) == 1 < max(counts)
 
 
+def test_swap_swap_single_query_decomposes_twice(monkeypatch):
+    """Pricing decomposes A^dag C and B^dag D once each, and the one-query
+    scheme is built from the side taken."""
+    calls = _count_decompositions(monkeypatch)
+    P = swap_operator(3)
+    scheme, report = _run(P, np.kron(_clock(3), _clock(3)) @ P, 3, 3)
+    assert scheme.case_trace == ["i-c"] and report.query_count == 1
+    assert len(calls) == 2
+
+
 def test_swap_swap_arcs_summing_past_pi_take_two_queries():
     """Arcs 0.6 pi and 0.55 pi at d = 2: the closing rotation of the middle
     layer makes the endpoints antipodal, where matched order alone would
@@ -195,6 +205,70 @@ def test_cnot_vs_local_fast_path():
     assert scheme.case_trace == ["ii-a"]
     assert report.passed
     assert scheme.budget <= 1e-10  # controlled fast path involves no synthesis
+
+
+def _controlled_phase_pair():
+    """|0><0| (x) I + |1><1| (x) diag(1, e^{0.2 pi i}) against
+    Va (x) diag(1, e^{0.25 pi i}): the B factor is 0.05 pi from block 1
+    (20 queries) and 0.25 pi from block 0 (4 queries)."""
+    P1 = np.diag([0, 1]).astype(complex)
+    U = np.kron(I2 - P1, I2) + np.kron(P1, np.diag([1, np.exp(0.2j * np.pi)]))
+    Va = random_unitary(2, np.random.default_rng(41))
+    return U, np.kron(Va, np.diag([1, np.exp(0.25j * np.pi)]))
+
+
+def test_control_branch_chosen_by_query_count():
+    """The control branch goes to the fewest predicted queries: block 0
+    closes in 4, block 1 in 20."""
+    scheme, report = _run(*_controlled_phase_pair())
+    assert scheme.case_trace == ["ii-a"]
+    assert report.query_count == 4
+    assert report.passed and report.overlap <= scheme.budget <= CFG.overlap_tol
+
+
+@pytest.mark.parametrize("index, queries", [(10, 1), (20, 8)])
+def test_corpus_control_branch_by_query_count(index, queries):
+    """Corpus pairs 10 (ii-a) and 20 (iii-a, ending in ii-a) on the cheaper
+    control branch; block 1 would take 2 and 912 queries, pair 20 with a
+    budget of 1.2e-5, above overlap_tol."""
+    *_, U, V = labeled_pairs()[index]
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace[-1] == "ii-a"
+    assert report.query_count <= queries
+    assert report.passed and scheme.budget <= CFG.overlap_tol
+
+
+def test_control_branches_decomposed_once_each(monkeypatch):
+    """Pricing decomposes each block's relative operator once, and the
+    sequential engine starts from the branch taken."""
+    calls = _count_decompositions(monkeypatch)
+    scheme, report = _run(*_controlled_phase_pair())
+    assert report.query_count == 4
+    assert [M.shape for M in calls] == [(2, 2)] * 2
+
+
+def test_control_branches_both_equivalent_raise_case_failure(monkeypatch):
+    """When both control blocks are phase-equivalent to the B factor of
+    f(V), the sequential engine raises Indistinguishable, wrapped with the
+    case trace. Neither the fast path nor the synthesized target (G is not
+    scalar) yields such blocks, so they are forced here."""
+    monkeypatch.setattr(engine, "_controlled_template", lambda U, build: (
+        bare_query_template(2, 2, 1), [[0], [1]], [SX, -SX], 0.0))
+    with pytest.raises(CaseFailure) as exc:
+        _run(CNOT, np.kron(HAD, SX))
+    assert exc.value.case_trace == ["ii-a"]
+    assert isinstance(exc.value.cause, Indistinguishable)
+
+
+def test_queryless_synthesis_is_refused():
+    """At epsilon 0.5 synthesis accepts a controlled target with no query;
+    the ii-a scheme built on it would query nothing and read overlap 1
+    inside its budget of 1.55, so verification refuses it."""
+    rng = np.random.default_rng(5)
+    U = _v(random_unitary(4, rng))
+    V = _v(np.kron(random_unitary(2, rng), random_unitary(2, rng)))
+    with pytest.raises(MalformedScheme, match="never queries"):
+        discriminate(U, V, RunConfig(epsilon=0.5))
 
 
 def test_cz_vs_swap_single_application():

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from seqlocc import (
+    CircuitTemplate,
+    LoccSequentialScheme,
     RunConfig,
     discriminate,
     random_unitary,
@@ -128,6 +130,56 @@ def test_cli_verify_non_integer_dimension_exit2(tmp_path, capsys, d):
     scheme_path.write_text(json.dumps(dict(scheme, template=dict(scheme["template"], d_a=d))))
     assert main(["verify", str(scheme_path), a, b]) == 2
     assert "must be integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["d_a", "d_b"])
+@pytest.mark.parametrize("d", [0, -2])
+def test_non_positive_dimension_is_a_file_error(d, side):
+    """A dimension is at least 1: 0 would load a 0x2 template, and -2 would
+    reach numpy as a negative shape."""
+    matrix = json.loads(dumps_matrix(validate_unitary(np.eye(4), 2, 2)))
+    for record, load in ((matrix, loads_matrix),
+                         ({"d_a": 2, "d_b": 2, "layers": [{"kind": "query"}]}, loads_template),
+                         ({"d_a": 2, "d_b": 2, "layers": []}, loads_template)):
+        with pytest.raises(MatrixFileError, match="at least 1"):
+            load(json.dumps(dict(record, **{side: d})))
+
+
+def test_scheme_with_non_positive_dimension_is_a_file_error(tmp_path):
+    *_, scheme = _product_scheme_record(tmp_path)
+    for d in (0, -2):
+        for side in ("d_a", "d_b"):
+            bad = dict(scheme, template=dict(scheme["template"], **{side: d}))
+            with pytest.raises(MatrixFileError, match="at least 1"):
+                loads_scheme(json.dumps(bad))
+
+
+# a hand-written scheme that never queries: its outputs are its input, so
+# the overlap is 1, inside the budget of 1 it claims
+QUERYLESS_SCHEME = {"template": {"d_a": 2, "d_b": 2, "layers": []},
+                    "input_a": [[1.0, 0.0], [0.0, 0.0]], "input_b": [[1.0, 0.0], [0.0, 0.0]],
+                    "achieved_overlap": 1.0, "budget": 1.0, "case_trace": []}
+
+
+def test_queryless_scheme_is_malformed():
+    U, V = validate_unitary(np.eye(4), 2, 2), validate_unitary(CZ, 2, 2)
+    with pytest.raises(MalformedScheme, match="never queries"):
+        loads_scheme(json.dumps(QUERYLESS_SCHEME))
+    scheme = LoccSequentialScheme(CircuitTemplate(2, 2, []), np.eye(2)[0], np.eye(2)[0],
+                                  1.0, 1.0, [])
+    with pytest.raises(MalformedScheme, match="never queries"):
+        verify_scheme(scheme, U, V)
+
+
+def test_cli_verify_queryless_scheme_exit2(tmp_path, capsys):
+    """Against I4 and CZ the overlap, 1, is within the budget, yet verify
+    refuses the scheme."""
+    a, b = _write(tmp_path, "i.json", np.eye(4)), _write(tmp_path, "cz.json", CZ)
+    scheme_path = tmp_path / "scheme.json"
+    scheme_path.write_text(json.dumps(QUERYLESS_SCHEME))
+    assert main(["verify", str(scheme_path), a, b]) == 2
+    captured = capsys.readouterr()
+    assert "never queries" in captured.err and "verified: pass" not in captured.out
 
 
 def test_scheme_round_trip():
