@@ -53,7 +53,6 @@ from .linalg import (
     mat,
     normalize,
     op_distance_mod_phase,
-    orthogonal_state,
     phase_distance,
     swap_operator,
     validate_unitary,
@@ -111,6 +110,14 @@ class LoccSequentialScheme:
 
 @dataclass
 class DiscriminationReport:
+    """What verify_scheme measured, and from discriminate how it was built.
+
+    per_branch_error holds the terms of the scheme's budget in the order
+    they were charged: each residual overlap (a sequential scheme's or the
+    direct route's) and each uses * delta of a block or operand that stands
+    in for its ideal. Its math.fsum is the budget up to rounding.
+    """
+
     overlap: float
     query_count: int
     passed: bool
@@ -160,6 +167,7 @@ def _one_side(build: _Build, side: str, X_u, X_v, block: CircuitTemplate | None,
         for w in seq.interleavers])
     flat = outer if block is None else compose_templates(outer, block)
     uses = seq.query_count
+    build.per_branch_error.append(seq.achieved_overlap)
     build.per_branch_error.extend(uses * delta for delta in deltas)
     return _finish(flat, *inputs, seq.achieved_overlap + uses * sum(deltas), build)
 
@@ -182,11 +190,8 @@ def _image_factors(template: CircuitTemplate, fa: np.ndarray, fb: np.ndarray,
     swapped query flips which side each factor multiplies. Returns
     (MA, MB, parity).
     """
-    d_a, d_b = template.d_a, template.d_b
-    if swaps and d_a != d_b:
-        raise DimensionMismatch("swapped operand needs equal dimensions")
-    MA = np.eye(d_a, dtype=complex)
-    MB = np.eye(d_b, dtype=complex)
+    MA = np.eye(template.d_a, dtype=complex)
+    MB = np.eye(template.d_b, dtype=complex)
     s = 0
     for layer in template.layers:
         if isinstance(layer, Query):
@@ -302,24 +307,30 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
     sides = {"A": (U_A, V_A), "B": (U_B, V_B)}
     side, _, spectra = _cheapest(sides)
     idle = basis_state(mat(U_B if side == "A" else U_A).shape[0], 0)
-    scheme = _one_side(build, side, *sides[side], None, idle, deltas, spectra.get(side))
-    build.per_branch_error.append(scheme.budget)
-    return scheme
+    return _one_side(build, side, *sides[side], None, idle, deltas, spectra.get(side))
+
+
+def _swap_single_query(build: _Build, template: CircuitTemplate, U_A, V_A,
+                       deltas) -> LoccSequentialScheme:
+    """One application of `template`, whose images of U and V act on the
+    inputs taken here as U_A (x) U_B and (V_A (x) V_B) P.
+
+    With inputs |0>_A and |psi>_B = V_A^dag U_A |1>, the overlap
+    <0| U_A^dag V_A |psi> <psi| U_B^dag V_B |0> vanishes through its first
+    factor. deltas are the deviations of the real images, each charged once.
+    """
+    d = mat(U_A).shape[0]
+    input_b = dagger(V_A) @ (mat(U_A) @ basis_state(d, 1))
+    build.per_branch_error.extend(deltas)
+    return _finish(template, basis_state(d, 0), input_b, sum(deltas), build)
 
 
 def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
-    """U = U_A (x) U_B against V = (V_A (x) V_B) P: one query suffices.
-
-    With inputs |phi>_A and |psi>_B = V_A^dag U_A |phi_perp>, the overlap
-    <phi| U_A^dag V_A |psi> <psi| U_B^dag V_B |phi> vanishes through its
-    first factor.
-    """
+    """U = U_A (x) U_B against V = (V_A (x) V_B) P: one query suffices."""
     build.trace.append("i-b")
-    d = mat(U_A).shape[0]
-    input_b = dagger(V_A) @ (mat(U_A) @ basis_state(d, 1))
     build.note("product vs swapped product: single query")
-    build.per_branch_error.extend(deltas)
-    return _finish(bare_query_template(d, d, 1), basis_state(d, 0), input_b, sum(deltas), build)
+    d = mat(U_A).shape[0]
+    return _swap_single_query(build, bare_query_template(d, d, 1), U_A, V_A, deltas)
 
 
 def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
@@ -365,8 +376,9 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
     primitive. When the swaps cancel (s = 0, or an even query count) the
     control branch whose block against the B factor of f(V) takes the
     fewest predicted queries (_cheapest) anchors the A input and the
-    sequential engine runs on the B side; otherwise a
-    single application of f with a B input orthogonal to fV_a^dag |alpha>
+    sequential engine runs on the B side. Otherwise f(V) = (fV_a (x) fV_b) P,
+    and on |0>_A the controlled f(U) acts as I (x) W_g: the image pair is
+    i-b's, so one application of f on i-b's inputs (_swap_single_query)
     finishes the job.
     """
     swapped = cls_v.kind == "SwapProduct"
@@ -374,20 +386,17 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
     f_template, groups, blocks, delta_use = _controlled_template(U, build)
     fV_a, fV_b, parity = _image_factors(f_template, cls_v.factor_a, cls_v.factor_b,
                                         swaps=swapped)
-    fV_real = evaluate_template(f_template, V.matrix)
+    ideal_v = np.kron(fV_a, fV_b)
     d_a = U.d_a
+    delta_v = op_distance_mod_phase(evaluate_template(f_template, V.matrix),
+                                    ideal_v @ swap_operator(d_a) if parity else ideal_v)
     if parity:
-        delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b) @ swap_operator(d_a))
-        alpha = basis_state(d_a, min(groups[1]))
-        # <alpha| fV_a |phi> = 0 makes the first overlap factor vanish
-        phi = orthogonal_state(dagger(fV_a) @ alpha)
-        build.per_branch_error.extend([delta_use, delta_v])
         build.note("swapped image: single application of the controlled template")
-        return _finish(f_template, alpha, phi, 1.0 * (delta_use + delta_v), build)
+        return _swap_single_query(build, f_template, np.eye(d_a, dtype=complex), fV_a,
+                                  (delta_use, delta_v))
     if swapped:
         build.trace.append("ii-a")
         build.note("swap parity cancelled; delegating to the product tail")
-    delta_v = op_distance_mod_phase(fV_real, np.kron(fV_a, fV_b))
     # when both blocks are phase-equivalent to fV_b, the sequential engine
     # raises Indistinguishable
     branches = {1: (blocks[1], fV_b), 0: (blocks[0], fV_b)}
@@ -451,7 +460,7 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary,
         return _case_iii_b_same(build, U, V, f_template, fU_real)
     if m is None:
         return _case_iii_a(build, U, f_template, fU_real, fV, delta_u)
-    return _case_iii_b_scaled(build, U, f_template, fU_real, fV, *m)
+    return _case_iii_b_scaled(build, U, f_template, delta_u, fV, *m)
 
 
 def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
@@ -513,20 +522,20 @@ def _case_iii_b_same(build, U, V, f_template, fU_real):
     return _over_block(build, block_template, inner, (delta_bu, delta_bv))
 
 
-def _case_iii_b_scaled(build, U, f_template, fU_real, fV, x, phase):
+def _case_iii_b_scaled(build, U, f_template, delta_u, fV, x, phase):
     """Images are interaction exponentials with different angles: feed the
     B side the +1 eigenvector of the interaction so the pair reduces to
-    exp(i u1) against e^{i phase} exp(i x u1) on the A side alone."""
+    exp(i u1) against e^{i phase} exp(i x u1) on the A side alone. delta_u
+    is f(U)'s deviation from exp(i u1), as _xx_template measured it."""
     build.trace.append("iii-b-xne1")
     d_a, d_b = U.d_a, U.d_b
     build.note(f"A-side reduction with x={x:.6f}")
     ideal_v = np.exp(1j * phase) * exp_xx_form(x, d_a, d_b).matrix
-    delta_bu = op_distance_mod_phase(fU_real, exp_xx_form(1.0, d_a, d_b).matrix)
     delta_bv = op_distance_mod_phase(fV, ideal_v)
     return _one_side(build, "A", block_exponential(1.0, d_a),
                      np.exp(1j * phase) * block_exponential(x, d_a), f_template,
                      normalize(basis_state(d_b, 0) + basis_state(d_b, 1)),
-                     (delta_bu, delta_bv))
+                     (delta_u, delta_bv))
 
 
 # --- direct route -----------------------------------------------------------
@@ -568,6 +577,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
             if residual <= cfg.overlap_tol:
                 build.trace.append("direct")
                 build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
+                build.per_branch_error.append(residual)
                 return LoccSequentialScheme(bare_query_template(d_a, d_b, 1), *inputs,
                                             math.nan, residual, list(build.trace))
     return None
@@ -644,7 +654,7 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
 
     Returns (scheme, report). Raises Indistinguishable for phase-equivalent
     inputs and CaseFailure (wrapping the cause and the case trace) when a
-    construction step fails.
+    construction step fails or verify_scheme refuses the scheme it built.
     """
     cfg = cfg or RunConfig()
     if (U.d_a, U.d_b) != (V.d_a, V.d_b):
@@ -654,7 +664,8 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
     scheme = _dispatch_pair(U, V, build)
-    report = verify_scheme(scheme, U, V, cfg)
+    with _case_failure(build):
+        report = verify_scheme(scheme, U, V, cfg)
     scheme.achieved_overlap = report.overlap
     report.theta_trace = list(build.theta_trace)
     report.per_branch_error = list(build.per_branch_error)

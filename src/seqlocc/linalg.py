@@ -21,8 +21,6 @@ _TINY = 1e-300
 # relative Frobenius residual of the Schur reconstruction of an exactly
 # unitary matrix: float rounding keeps it orders of magnitude below this
 _EIG_FLOOR = 1e-10
-# a residual norm above this keeps the Gram-Schmidt step well conditioned
-_ORTHO_MIN = 1e-8
 
 
 @dataclass
@@ -236,18 +234,3 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     Q, R = np.linalg.qr(A)
     d = np.diag(R)
     return Q * (d / np.abs(d))
-
-
-def orthogonal_state(psi) -> np.ndarray:
-    """Deterministic unit vector orthogonal to psi (dim >= 2)."""
-    v = normalize(psi)
-    dim = v.shape[0]
-    if dim < 2:
-        raise DimensionMismatch("no orthogonal state in dimension 1")
-    for k in range(dim):
-        e = basis_state(dim, k)
-        w = e - np.vdot(v, e) * v
-        n = np.linalg.norm(w)
-        if n > _ORTHO_MIN:
-            return w / n
-    raise NumericalFailure("failed to orthogonalize against the given state")

@@ -488,6 +488,28 @@ def test_iii_a_on_near_pairs_beyond_2x2(near_pairs_2x3, index):
     assert report.passed and report.overlap <= scheme.budget
 
 
+def test_iii_a_at_3x3_under_the_case_engine():
+    """A 3x3 near pair at theta = 0.6 pi with the direct route off: the case
+    engine reaches iii-a, and the scheme is forward-only, its layers are
+    products of unitary factors, and it verifies within its budget."""
+    U, V = _near_pair(np.random.default_rng(2033), 3, 3, 0.6 * np.pi)
+    scheme, report = _engine_only(U, V)
+    assert scheme.case_trace[:2] == ["iii", "iii-a"]
+    assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
+    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    assert report.passed and report.overlap <= scheme.budget
+
+
+def test_per_branch_error_adds_up_to_the_budget(corpus_runs):
+    """Over the corpus, with the route on and off, per_branch_error holds
+    the terms of the budget: the residuals and the charged deviations."""
+    for label, ((scheme, report), _), ((engine_scheme, engine_report), _) in corpus_runs:
+        for s, r in ((scheme, report), (engine_scheme, engine_report)):
+            assert r.per_branch_error, label
+            assert math.isclose(math.fsum(r.per_branch_error), s.budget,
+                                rel_tol=1e-15, abs_tol=0.0), label
+
+
 def test_direct_candidates_order():
     """Basis states, the uniform superposition, then four draws from
     cfg.rng("direct", d), in that order."""

@@ -263,12 +263,15 @@ def test_control_branches_both_equivalent_raise_case_failure(monkeypatch):
 def test_queryless_synthesis_is_refused():
     """At epsilon 0.5 synthesis accepts a controlled target with no query;
     the ii-a scheme built on it would query nothing and read overlap 1
-    inside its budget of 1.55, so verification refuses it."""
+    inside its budget of 1.55, so verification refuses it, with the case
+    trace that built it."""
     rng = np.random.default_rng(5)
     U = _v(random_unitary(4, rng))
     V = _v(np.kron(random_unitary(2, rng), random_unitary(2, rng)))
-    with pytest.raises(MalformedScheme, match="never queries"):
+    with pytest.raises(CaseFailure, match="never queries") as exc:
         discriminate(U, V, RunConfig(epsilon=0.5))
+    assert exc.value.case_trace == ["ii-a"]
+    assert isinstance(exc.value.cause, MalformedScheme)
 
 
 def test_cz_vs_swap_single_application():
@@ -276,6 +279,26 @@ def test_cz_vs_swap_single_application():
     assert scheme.case_trace == ["ii-b"]
     assert report.query_count == 1
     assert report.overlap <= 1e-10
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_swapped_image_takes_the_product_swap_inputs(d):
+    """A controlled U against (V_A (x) V_B) P: the controlled fast path is
+    the bare query, so f(V) = V and i-b's closed form applies with
+    U_A = I, giving inputs |0> and V_A^dag |1>."""
+    if d == 2:
+        U, V = CZ, swap_operator(2)
+    else:
+        rng = np.random.default_rng(2032)
+        U = _two_block_controlled(rng, 3, 3)
+        V = np.kron(random_unitary(3, rng), random_unitary(3, rng)) @ swap_operator(3)
+    scheme, report = _run(U, V, d, d)
+    assert scheme.case_trace == ["ii-b"]
+    assert report.query_count == 1
+    assert np.array_equal(scheme.input_a, basis_state(d, 0))
+    expected_b = classify_primitive(_v(V, d, d)).factor_a.conj().T @ basis_state(d, 1)
+    assert abs(np.vdot(expected_b, scheme.input_b)) >= 1.0 - 1e-12
+    assert report.overlap <= 1e-12
 
 
 def test_even_image_delegates_to_product_tail():
