@@ -8,6 +8,7 @@ below it; one that a single module reads is named at the top of that module.
 from __future__ import annotations
 
 import math
+import numbers
 import zlib
 from dataclasses import dataclass, fields
 
@@ -18,8 +19,9 @@ import numpy as np
 class RunConfig:
     """Tolerances and budgets shared by the discrimination machinery.
 
-    All tolerances are positive and finite and the seed and budgets are
-    nonnegative integers; the seed makes every search deterministic.
+    All tolerances are positive, finite real numbers and the seed and
+    budgets are nonnegative integers (a bool is neither): anything else
+    raises ValueError. The seed makes every search deterministic.
     """
 
     # tolerances
@@ -35,7 +37,10 @@ class RunConfig:
     def __post_init__(self):
         for f in fields(self):
             if f.name.endswith("_tol") or f.name == "epsilon":
-                if not 0 < getattr(self, f.name) < math.inf:
+                value = getattr(self, f.name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{f.name} must be a number, got {value!r}")
+                if not 0 < value < math.inf:
                     raise ValueError(f"{f.name} must be positive and finite")
         for name in ("seed", "restarts", "k_max"):
             value = getattr(self, name)

@@ -18,14 +18,15 @@ the residual overlap.
 
 Every case is one reduction step: a block template f turns the pair into a
 simpler pair (f(U), f(V)), solved on one side by the sequential engine
-(_one_side) or dispatched again (_over_block), and composed over f. One
-rule picks the side of i-a and i-c and the control branch of ii: the
-fewest predicted queries, ceil(pi / Theta(X_u^dag X_v)) (_cheapest).
+(_one_side) or dispatched again, and composed over f (_over_block); a step
+returns a plan (template, input_a, input_b), from which discriminate builds
+the scheme. One rule picks the side of i-a and i-c and the control branch
+of ii: the fewest predicted queries, ceil(pi / Theta(X_u^dag X_v)) (_cheapest).
 
-Budgets are computed from the actual matrices: every time a synthesized
-block stands in for its ideal, the per-use operator-norm deviation (modulo
-a global phase) is measured and multiplied by the number of uses; levels of
-recursion add their budgets.
+The budget is the math.fsum of one ledger, _Build.per_branch_error, to which
+each step charges, from the actual matrices, its residual overlap and, for
+each block or operand standing in for its ideal, uses times its per-use
+operator-norm deviation (modulo a global phase).
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ _VERIFY_SLACK = 1e-12
 class LoccSequentialScheme:
     """Flat discrimination scheme: template, product input, and its budget.
 
+    discriminate builds it once; its budget is the math.fsum of its ledger,
+    DiscriminationReport.per_branch_error.
     achieved_overlap is |<phi_U|phi_V>| of the two outputs, as verify_scheme
     measures it on the real operands; discriminate fills it in from its
     report, and a loaded scheme carries the value recorded in its file.
@@ -112,10 +115,10 @@ class LoccSequentialScheme:
 class DiscriminationReport:
     """What verify_scheme measured, and from discriminate how it was built.
 
-    per_branch_error holds the terms of the scheme's budget in the order
-    they were charged: each residual overlap (a sequential scheme's or the
-    direct route's) and each uses * delta of a block or operand that stands
-    in for its ideal. Its math.fsum is the budget up to rounding.
+    per_branch_error is the ledger of the scheme's budget, its terms in the
+    order they were charged: each residual overlap (a sequential scheme's or
+    the direct route's) and each uses * delta of a block or operand that
+    stands in for its ideal. The budget is its math.fsum, exactly.
     """
 
     overlap: float
@@ -141,45 +144,32 @@ class _Build:
         self.notes.append(text)
 
 
-def _finish(template: CircuitTemplate, input_a, input_b, budget: float,
-            build: _Build) -> LoccSequentialScheme:
-    """Assemble the scheme; its overlap is measured once, by discriminate."""
-    return LoccSequentialScheme(template, normalize(input_a), normalize(input_b),
-                                math.nan, float(budget), list(build.trace))
-
-
-def _one_side(build: _Build, side: str, X_u, X_v, block: CircuitTemplate | None,
-              idle_input, deltas, relative=None) -> LoccSequentialScheme:
-    """Sequential scheme for the block pair X_u (x) . against X_v (x) . acting
-    on `side` ("A" or "B"), composed over `block` (None: the query itself).
-
-    The other side idles in idle_input. deltas are the per-use deviations of
-    the real blocks from X_u and X_v; each costs uses * delta of budget.
-    relative is the decomposition of X_u^dag X_v, when already made.
-    """
+def _one_side(build: _Build, side: str, X_u, X_v, idle_input, relative=None) -> tuple:
+    """Plan (template, input_a, input_b) of the sequential scheme, one query
+    per block, for X_u (x) . against X_v (x) . on `side` ("A" or "B"), the
+    other side idling in idle_input; charges only its residual overlap.
+    relative is the decomposition of X_u^dag X_v, when already made."""
     seq = build_sequential_scheme(X_u, X_v, build.cfg, _relative=relative)
     build.theta_trace.extend(seq.theta_trace)
     build.note(f"side {side}: {seq.query_count} block queries")
+    build.per_branch_error.append(seq.achieved_overlap)
     inputs = (seq.input_state, idle_input) if side == "A" else (idle_input, seq.input_state)
     idle = np.eye(len(idle_input), dtype=complex)
-    outer = sequential_template(len(inputs[0]), len(inputs[1]), [
+    template = sequential_template(len(inputs[0]), len(inputs[1]), [
         LocalLayer(w, idle.copy()) if side == "A" else LocalLayer(idle.copy(), w)
         for w in seq.interleavers])
-    flat = outer if block is None else compose_templates(outer, block)
-    uses = seq.query_count
-    build.per_branch_error.append(seq.achieved_overlap)
-    build.per_branch_error.extend(uses * delta for delta in deltas)
-    return _finish(flat, *inputs, seq.achieved_overlap + uses * sum(deltas), build)
+    return template, *(normalize(v) for v in inputs)
 
 
-def _over_block(build: _Build, block: CircuitTemplate, inner: LoccSequentialScheme,
-                deltas) -> LoccSequentialScheme:
-    """Compose the scheme `inner` of a block pair over `block`; deltas are the
-    per-use deviations of the real blocks, each costing uses * delta."""
-    uses = inner.template.query_count
-    build.per_branch_error.extend(uses * delta for delta in deltas)
-    return _finish(compose_templates(inner.template, block), inner.input_a, inner.input_b,
-                   inner.budget + uses * sum(deltas), build)
+def _over_block(build: _Build, block: CircuitTemplate | None, plan: tuple, deltas) -> tuple:
+    """Compose `plan`, a plan for a block pair, over `block` (None: the
+    query itself). deltas are the per-use deviations of the real blocks from
+    the pair; each is charged uses * delta, uses being the plan's queries."""
+    template, input_a, input_b = plan
+    build.per_branch_error.extend(template.query_count * delta for delta in deltas)
+    if block is not None:
+        template = compose_templates(template, block)
+    return template, input_a, input_b
 
 
 def _image_factors(template: CircuitTemplate, fa: np.ndarray, fb: np.ndarray,
@@ -298,8 +288,7 @@ def _cheapest(sides: dict):
     return key, cost(key)[0], spectra
 
 
-def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
-                          deltas=()) -> LoccSequentialScheme:
+def _case_product_product(build: _Build, U_A, U_B, V_A, V_B, deltas=()) -> tuple:
     """Both operands are products: run the sequential engine on the side
     with the fewest predicted queries (_cheapest) and idle the other side.
     deltas are the per-use deviations of U and V from those products."""
@@ -307,11 +296,11 @@ def _case_product_product(build: _Build, U_A, U_B, V_A, V_B,
     sides = {"A": (U_A, V_A), "B": (U_B, V_B)}
     side, _, spectra = _cheapest(sides)
     idle = basis_state(mat(U_B if side == "A" else U_A).shape[0], 0)
-    return _one_side(build, side, *sides[side], None, idle, deltas, spectra.get(side))
+    return _over_block(build, None, _one_side(build, side, *sides[side], idle,
+                                              spectra.get(side)), deltas)
 
 
-def _swap_single_query(build: _Build, template: CircuitTemplate, U_A, V_A,
-                       deltas) -> LoccSequentialScheme:
+def _swap_single_query(build: _Build, template: CircuitTemplate, U_A, V_A, deltas) -> tuple:
     """One application of `template`, whose images of U and V act on the
     inputs taken here as U_A (x) U_B and (V_A (x) V_B) P.
 
@@ -320,12 +309,11 @@ def _swap_single_query(build: _Build, template: CircuitTemplate, U_A, V_A,
     factor. deltas are the deviations of the real images, each charged once.
     """
     d = mat(U_A).shape[0]
-    input_b = dagger(V_A) @ (mat(U_A) @ basis_state(d, 1))
     build.per_branch_error.extend(deltas)
-    return _finish(template, basis_state(d, 0), input_b, sum(deltas), build)
+    return template, basis_state(d, 0), normalize(dagger(V_A) @ (mat(U_A) @ basis_state(d, 1)))
 
 
-def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
+def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> tuple:
     """U = U_A (x) U_B against V = (V_A (x) V_B) P: one query suffices."""
     build.trace.append("i-b")
     build.note("product vs swapped product: single query")
@@ -333,7 +321,7 @@ def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequent
     return _swap_single_query(build, bare_query_template(d, d, 1), U_A, V_A, deltas)
 
 
-def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequentialScheme:
+def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> tuple:
     """Both swapped products, U = (A (x) B) P and V = (C (x) D) P.
 
     One query on |a>|b> leaves <b|A^dag C|b> <a|B^dag D|a>: the product pair
@@ -353,8 +341,8 @@ def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequential
     sides = {"B": (A, C), "A": (B, D)}
     side, count, spectra = _cheapest(sides)
     if count == 1:
-        return _one_side(build, side, *sides[side], None, basis_state(d, 0), deltas,
-                         spectra[side])
+        return _over_block(build, None, _one_side(build, side, *sides[side], basis_state(d, 0),
+                                                  spectra[side]), deltas)
     # the middle layer needs both arcs, so a side _cheapest skipped is decomposed here
     (*_, ends1, E1), (*_, ends2, E2) = (
         spectra[key] if key in spectra else _circular_sorted_eig(dagger(X_u) @ X_v)
@@ -369,7 +357,7 @@ def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> LoccSequential
 # --- case (ii): exactly one imprimitive -------------------------------------
 
 def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary,
-                                   cls_v) -> LoccSequentialScheme:
+                                   cls_v) -> tuple:
     """U imprimitive against V = (V_A (x) V_B) P^s, s = 0 (ii-a) or 1 (ii-b).
 
     A template f makes f(U) a two-block controlled unitary while f(V) stays
@@ -402,9 +390,9 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
     branches = {1: (blocks[1], fV_b), 0: (blocks[0], fV_b)}
     branch, _, spectra = _cheapest(branches)
     build.note(f"controlled branch {branch}")
-    return _one_side(build, "B", *branches[branch], f_template,
-                     basis_state(d_a, min(groups[branch])), (delta_use, delta_v),
+    plan = _one_side(build, "B", *branches[branch], basis_state(d_a, min(groups[branch])),
                      spectra.get(branch))
+    return _over_block(build, f_template, plan, (delta_use, delta_v))
 
 
 # --- case (iii): both imprimitive -------------------------------------------
@@ -435,8 +423,7 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
     return res.template, fU, float(op_distance_mod_phase(fU, target.matrix))
 
 
-def _case_both_imprimitive(build: _Build, U: BipartiteUnitary,
-                           V: BipartiteUnitary) -> LoccSequentialScheme:
+def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary) -> tuple:
     """Both operands imprimitive: compile U toward exp(i u1 (x) u2) and
     dispatch on what the same template does to V."""
     cfg = build.cfg
@@ -532,10 +519,10 @@ def _case_iii_b_scaled(build, U, f_template, delta_u, fV, x, phase):
     build.note(f"A-side reduction with x={x:.6f}")
     ideal_v = np.exp(1j * phase) * exp_xx_form(x, d_a, d_b).matrix
     delta_bv = op_distance_mod_phase(fV, ideal_v)
-    return _one_side(build, "A", block_exponential(1.0, d_a),
-                     np.exp(1j * phase) * block_exponential(x, d_a), f_template,
-                     normalize(basis_state(d_b, 0) + basis_state(d_b, 1)),
-                     (delta_u, delta_bv))
+    plan = _one_side(build, "A", block_exponential(1.0, d_a),
+                     np.exp(1j * phase) * block_exponential(x, d_a),
+                     normalize(basis_state(d_b, 0) + basis_state(d_b, 1)))
+    return _over_block(build, f_template, plan, (delta_u, delta_bv))
 
 
 # --- direct route -----------------------------------------------------------
@@ -551,7 +538,7 @@ def _direct_candidates(d: int, cfg: RunConfig) -> Iterator[np.ndarray]:
 
 
 def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
-    """One query with a product input |phi>|psi>, or None.
+    """Plan of one query on a product input |phi>|psi>, its residual charged, or None.
 
     For fixed psi the overlap is <phi| W_psi |phi> with W = U^dag V and
     W_psi = (I (x) <psi|) W (I (x) |psi>), so phi exists exactly when 0 lies
@@ -578,8 +565,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
                 build.trace.append("direct")
                 build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
                 build.per_branch_error.append(residual)
-                return LoccSequentialScheme(bare_query_template(d_a, d_b, 1), *inputs,
-                                            math.nan, residual, list(build.trace))
+                return bare_query_template(d_a, d_b, 1), *inputs
     return None
 
 
@@ -598,8 +584,9 @@ def _case_failure(build: _Build):
 
 
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
-                   cls_v=None) -> LoccSequentialScheme:
-    """Scheme for (U, V); cls_v is V's PrimitiveForm when the caller has it.
+                   cls_v=None) -> tuple:
+    """Plan (template, input_a, input_b) for (U, V), its budget charged to
+    build.per_branch_error; cls_v is V's PrimitiveForm when the caller has it.
 
     The direct route runs only when an operand is imprimitive. It runs
     whatever V is, so against an imprimitive U it is tried first and V is
@@ -663,7 +650,8 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     if phase_distance(U.matrix, V.matrix) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
-    scheme = _dispatch_pair(U, V, build)
+    scheme = LoccSequentialScheme(*_dispatch_pair(U, V, build), math.nan,
+                                  math.fsum(build.per_branch_error), list(build.trace))
     with _case_failure(build):
         report = verify_scheme(scheme, U, V, cfg)
     scheme.achieved_overlap = report.overlap

@@ -29,11 +29,14 @@ def _to_lists(a) -> list:
 
 def _from_lists(rows, shape: tuple, what: str) -> np.ndarray:
     """Complex array of the given shape from nested [re, im] lists, in one
-    conversion: for a stack of factors, that is most of reading a scheme."""
+    conversion: for a stack of factors, that is most of reading a scheme.
+    Strings, nulls and arrays of booleans alone are refused, never parsed."""
     try:
-        arr = np.asarray(rows, dtype=float)
+        arr = np.asarray(rows)
     except (TypeError, ValueError) as exc:
         raise MatrixFileError(f"{what}: not an array of numbers: {exc}") from exc
+    if arr.dtype.kind not in "iuf":
+        raise MatrixFileError(f"{what}: not an array of numbers (read as {arr.dtype})")
     if arr.shape != (*shape, 2):
         raise MatrixFileError(f"{what}: expected [re, im] pairs of shape {shape}, "
                               f"got shape {arr.shape}")
@@ -165,11 +168,13 @@ def scheme_from_dict(data: dict,
         # the length of an input is validate_scheme's to check
         input_a, input_b = (_from_lists(data[name], (len(data[name]),), name)
                             for name in ("input_a", "input_b"))
-        scheme = LoccSequentialScheme(
-            template, input_a, input_b,
-            float(data["achieved_overlap"]), float(data["budget"]),
-            list(data["case_trace"]))
-    except (KeyError, TypeError, ValueError) as exc:
+        numbers = data["achieved_overlap"], data["budget"]
+        # JSON numbers only: float() would parse "0.5" and read true as 1.0
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
+            raise MatrixFileError(f"achieved_overlap and budget must be numbers, got {numbers}")
+        scheme = LoccSequentialScheme(template, input_a, input_b, *map(float, numbers),
+                                      list(data["case_trace"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"malformed scheme record: {exc}") from exc
     validate_scheme(scheme, unitarity_tol)
     return scheme

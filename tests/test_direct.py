@@ -502,12 +502,12 @@ def test_iii_a_at_3x3_under_the_case_engine():
 
 def test_per_branch_error_adds_up_to_the_budget(corpus_runs):
     """Over the corpus, with the route on and off, per_branch_error holds
-    the terms of the budget: the residuals and the charged deviations."""
+    the terms of the budget, the residuals and the charged deviations, and
+    the budget is its math.fsum exactly."""
     for label, ((scheme, report), _), ((engine_scheme, engine_report), _) in corpus_runs:
         for s, r in ((scheme, report), (engine_scheme, engine_report)):
             assert r.per_branch_error, label
-            assert math.isclose(math.fsum(r.per_branch_error), s.budget,
-                                rel_tol=1e-15, abs_tol=0.0), label
+            assert math.fsum(r.per_branch_error) == s.budget, label
 
 
 def test_direct_candidates_order():

@@ -155,6 +155,61 @@ def test_scheme_with_non_positive_dimension_is_a_file_error(tmp_path):
                 loads_scheme(json.dumps(bad))
 
 
+# entries written as JSON strings, or as booleans alone: numpy would parse
+# "1" and true as 1.0, so each record below once loaded as the identity
+NON_NUMBER_ENTRIES = {
+    "strings": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
+    "booleans": [[True, False], [False, False], [False, False], [True, False]],
+    "null": [[1, 0], [None, 0], [0, 0], [1, 0]],
+}
+
+
+@pytest.mark.parametrize("name", NON_NUMBER_ENTRIES)
+def test_non_number_entries_are_file_errors(tmp_path, name):
+    entries = NON_NUMBER_ENTRIES[name]
+    with pytest.raises(MatrixFileError, match="not an array of numbers"):
+        loads_matrix(json.dumps({"d_a": 2, "d_b": 1, "entries": entries}))
+    factor = entries[:2], entries[2:]
+    with pytest.raises(MatrixFileError, match="not an array of numbers"):
+        loads_template(json.dumps({"d_a": 2, "d_b": 2, "layers": [
+            {"kind": "query"}, {"kind": "local", "factor_a": factor, "factor_b": factor}]}))
+    *_, scheme = _product_scheme_record(tmp_path)
+    with pytest.raises(MatrixFileError, match="not an array of numbers"):
+        loads_scheme(json.dumps(dict(scheme, input_a=entries[:2])))
+
+
+@pytest.mark.parametrize("key", ["budget", "achieved_overlap"])
+@pytest.mark.parametrize("value", ["0.5", True, None])
+def test_scheme_numbers_must_be_json_numbers(tmp_path, key, value):
+    *_, scheme = _product_scheme_record(tmp_path)
+    assert loads_scheme(json.dumps(dict(scheme, **{key: 0}))).template.query_count == 1
+    with pytest.raises(MatrixFileError, match="achieved_overlap and budget must be numbers"):
+        loads_scheme(json.dumps(dict(scheme, **{key: value})))
+
+
+def test_scheme_number_beyond_float_range_is_a_file_error(tmp_path):
+    """A 400-digit JSON integer is a number, but no float: a file error, not
+    an OverflowError out of the reader."""
+    *_, scheme = _product_scheme_record(tmp_path)
+    with pytest.raises(MatrixFileError):
+        loads_scheme(json.dumps(dict(scheme, budget=10 ** 400)))
+
+
+def test_cli_verify_string_numbers_exit2(tmp_path, capsys):
+    """The CZ-against-SWAP scheme with its budget, overlap and input written
+    as strings is an input error, not a scheme with budget 0.5."""
+    a = _write(tmp_path, "cz.json", CZ)
+    b = _write(tmp_path, "swap.json", swap_operator(2))
+    scheme_path = tmp_path / "scheme.json"
+    assert main(["discriminate", a, b, "--out", str(scheme_path)]) == 0
+    genuine = json.loads(scheme_path.read_text())
+    as_strings = [[str(x) for x in pair] for pair in genuine["input_a"]]
+    for edit in ({"budget": "0.5"}, {"achieved_overlap": True}, {"input_a": as_strings}):
+        scheme_path.write_text(json.dumps(dict(genuine, **edit)))
+        assert main(["verify", str(scheme_path), a, b]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 # a hand-written scheme that never queries: its outputs are its input, so
 # the overlap is 1, inside the budget of 1 it claims
 QUERYLESS_SCHEME = {"template": {"d_a": 2, "d_b": 2, "layers": []},

@@ -262,6 +262,17 @@ def test_non_integer_seed_and_budget_rejected(name, value):
         RunConfig(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["unitarity_tol", "overlap_tol", "epsilon"])
+@pytest.mark.parametrize("value", [True, "1e-6", None])
+def test_non_number_tolerance_rejected(name, value):
+    """A bool, string or None tolerance is refused with ValueError, not read
+    as 1.0 or met by a comparison as an untyped TypeError."""
+    default = getattr(RunConfig, name)
+    assert getattr(RunConfig(**{name: np.float64(default)}), name) == default
+    with pytest.raises(ValueError, match=f"{name} must be a number"):
+        RunConfig(**{name: value})
+
+
 def test_cli_negative_seed_exit2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, M in (("u.json", CNOT), ("v.json", CZ)):
