@@ -36,7 +36,7 @@ class ArcInfo:
     """Smallest covering arc: length theta, endpoints, and witness indices.
 
     witness_phase_indices point into the sorted eigenphase array of the
-    analyzed operator (one representative per endpoint).
+    analyzed operator: its first and last eigenvalue along the arc.
     """
 
     theta: float
@@ -45,50 +45,26 @@ class ArcInfo:
     witness_phase_indices: tuple[int, int]
 
 
-def dedup_phases(phases, tol_angle: float = TOL_ANGLE):
-    """Cluster sorted phases circularly at tol_angle.
-
-    Returns (representatives, member_index) where member_index[j] is the
-    position in the sorted input of cluster j's first member.
-    """
+def arc_of_phases(phases) -> ArcInfo:
+    """Smallest covering arc of a set of phases in [0, 2pi): the complement
+    of the widest circular gap between the sorted phases."""
     p = np.sort(np.asarray(phases, dtype=float))
-    if p.size == 0:
+    m = p.size
+    if m == 0:
         raise ValueError("empty phase list")
-    reps = [p[0]]
-    first = [0]
-    counts = [1]
-    for i in range(1, p.size):
-        if p[i] - reps[-1] <= tol_angle:
-            counts[-1] += 1
-        else:
-            reps.append(p[i])
-            first.append(i)
-            counts.append(1)
-    # wrap-around cluster: the top of the circle may continue the bottom
-    if len(reps) > 1 and (p[0] + TWO_PI) - reps[-1] <= tol_angle:
-        counts[0] += counts.pop()
-        reps.pop()
-        first.pop()
-    return np.asarray(reps), first, counts
-
-
-def arc_of_phases(phases, tol_angle: float = TOL_ANGLE) -> ArcInfo:
-    """Smallest covering arc of a set of phases in [0, 2pi)."""
-    reps, first, _ = dedup_phases(phases, tol_angle)
-    m = reps.size
     if m == 1:
-        return ArcInfo(0.0, float(reps[0]), float(reps[0]), (first[0], first[0]))
+        return ArcInfo(0.0, float(p[0]), float(p[0]), (0, 0))
     gaps = np.empty(m)
-    gaps[:-1] = np.diff(reps)
-    gaps[-1] = reps[0] + TWO_PI - reps[-1]
+    gaps[:-1] = np.diff(p)
+    gaps[-1] = p[0] + TWO_PI - p[-1]
     j = int(np.argmax(gaps))
     start = (j + 1) % m
     theta = float(TWO_PI - gaps[j])
-    return ArcInfo(theta, float(reps[start]), float(reps[j]), (first[start], first[j]))
+    return ArcInfo(theta, float(p[start]), float(p[j]), (start, j))
 
 
 def smallest_arc(U) -> ArcInfo:
-    """Theta(U) with endpoints, from the sorted deduplicated eigenphases."""
+    """Theta(U) with endpoints, from the sorted eigenphases."""
     return arc_of_phases(eig_unitary(U).phases)
 
 
@@ -179,11 +155,22 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.
 
 
 def eigenphase_rows(U):
-    """(index, phase, multiplicity) rows of the deduplicated spectrum of U,
-    or of a SpectralDecomposition already made of it."""
+    """(index, phase, multiplicity) rows of the spectrum of U, or of a
+    SpectralDecomposition already made of it. A sorted phase within
+    TOL_ANGLE of a row's phase joins that row, and the top of the circle
+    may join the first row."""
     dec = U if isinstance(U, SpectralDecomposition) else eig_unitary(U)
-    reps, _, counts = dedup_phases(dec.phases)
-    return [(k, float(reps[k]), int(counts[k])) for k in range(reps.size)]
+    reps, counts = [float(dec.phases[0])], [1]
+    for phase in dec.phases[1:]:
+        if phase - reps[-1] <= TOL_ANGLE:
+            counts[-1] += 1
+        else:
+            reps.append(float(phase))
+            counts.append(1)
+    if len(reps) > 1 and reps[0] + TWO_PI - reps[-1] <= TOL_ANGLE:
+        counts[0] += counts.pop()
+        reps.pop()
+    return list(zip(range(len(reps)), reps, counts))
 
 
 # relative size of the rounding noise the closed forms below tolerate

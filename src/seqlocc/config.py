@@ -60,8 +60,9 @@ class RunConfig:
         return np.random.default_rng(np.random.SeedSequence((self.seed, tag, *indices)))
 
 
-# Eigenphase dedup and arc comparison tolerance: phases closer than this are
-# one eigenvalue, and an arc within it of pi counts as reaching pi.
+# Arc comparison tolerance: an arc within it of pi counts as reaching pi, an
+# arc of at most it is a single eigenvalue, and eigenphase_rows merges phases
+# closer than it into one row.
 TOL_ANGLE = 1e-8
 
 # Phase distance up to which two operations are the same: it sits above the

@@ -258,10 +258,9 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     C = np.kron(P0, np.eye(d_b)) + np.kron(np.eye(d_a) - P0, G)
     groups, blocks = [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G]
     res = synthesize(validate_unitary(C, d_a, d_b, tol=CLOSED_FORM_TOL), U, cfg)
-    build.note(f"controlled target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
-    fU = evaluate_template(res.template, U.matrix)
-    delta_use = op_distance_mod_phase(fU, C)
-    return res.template, groups, blocks, float(delta_use)
+    delta_use = op_distance_mod_phase(evaluate_template(res.template, U.matrix), C)
+    build.note(f"controlled target synthesized with k={res.layer_count}, delta={delta_use:.2e}")
+    return res.template, groups, blocks, delta_use
 
 
 # --- case (i): both primitive ----------------------------------------------
@@ -344,10 +343,10 @@ def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> tuple:
         return _over_block(build, None, _one_side(build, side, *sides[side], basis_state(d, 0),
                                                   spectra[side]), deltas)
     # the middle layer needs both arcs, so a side _cheapest skipped is decomposed here
-    (*_, ends1, E1), (*_, ends2, E2) = (
+    (_, arc1, E1), (_, arc2, E2) = (
         spectra[key] if key in spectra else _circular_sorted_eig(dagger(X_u) @ X_v)
         for key, (X_u, X_v) in sides.items())
-    v = E1 @ _stage_rotation(ends1.theta, ends2.theta, d) @ dagger(B @ E2)
+    v = E1 @ _stage_rotation(arc1.theta, arc2.theta, d) @ dagger(B @ E2)
     build.note("swapped pair: middle layer from the two arcs, reducing to the product case")
     f_template = CircuitTemplate(d, d, [QUERY, LocalLayer(np.eye(d, dtype=complex), v), QUERY])
     inner = _case_product_product(build, A @ v @ B, B @ A, C @ v @ D, D @ C)
@@ -418,9 +417,10 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
         f_template = bare_query_template(d_a, d_b, 1)
         return f_template, evaluate_template(f_template, U.matrix), delta
     res = synthesize(target, U, build.cfg)
-    build.note(f"interaction target synthesized with k={res.layer_count}, delta={res.delta:.2e}")
     fU = evaluate_template(res.template, U.matrix)
-    return res.template, fU, float(op_distance_mod_phase(fU, target.matrix))
+    delta_u = op_distance_mod_phase(fU, target.matrix)
+    build.note(f"interaction target synthesized with k={res.layer_count}, delta={delta_u:.2e}")
+    return res.template, fU, delta_u
 
 
 def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary) -> tuple:
@@ -497,13 +497,13 @@ def _case_iii_b_same(build, U, V, f_template, fU_real):
     d_a, d_b = U.d_a, U.d_b
     gen = _validated_product(fU_real, d_a, d_b, f_template.query_count, cfg)
     h = synthesize(_validated_product(U.matrix.conj().T, d_a, d_b, 1, cfg), gen, cfg)
-    build.note(f"inverse synthesized from forward blocks with k={h.layer_count}, "
-               f"delta={h.delta:.2e}")
     block_template = append_query(compose_templates(h.template, f_template))
     VUd = V.matrix @ U.matrix.conj().T
     identity = np.eye(d_a * d_b, dtype=complex)
     delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
     delta_bv = op_distance_mod_phase(evaluate_template(block_template, V.matrix), VUd)
+    build.note(f"inverse synthesized from forward blocks with k={h.layer_count}, "
+               f"delta_bu={delta_bu:.2e}, delta_bv={delta_bv:.2e}")
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
                            _validated_product(VUd, d_a, d_b, 2, cfg), build)
     return _over_block(build, block_template, inner, (delta_bu, delta_bv))

@@ -172,8 +172,11 @@ def scheme_from_dict(data: dict,
         # JSON numbers only: float() would parse "0.5" and read true as 1.0
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in numbers):
             raise MatrixFileError(f"achieved_overlap and budget must be numbers, got {numbers}")
-        scheme = LoccSequentialScheme(template, input_a, input_b, *map(float, numbers),
-                                      list(data["case_trace"]))
+        trace = data["case_trace"]
+        # a JSON list of strings: list() would split "i-a" and take an object's keys
+        if not isinstance(trace, list) or not all(isinstance(x, str) for x in trace):
+            raise MatrixFileError(f"case_trace must be a list of strings, got {trace!r}")
+        scheme = LoccSequentialScheme(template, input_a, input_b, *map(float, numbers), trace)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"malformed scheme record: {exc}") from exc
     validate_scheme(scheme, unitarity_tol)

@@ -83,20 +83,12 @@ def compose_sequential(X, interleavers) -> np.ndarray:
 
 
 def _circular_sorted_eig(M):
-    """Spectrum of M, its arc, the arc of its raw phases, and the
-    eigenvectors sorted by phase measured from the start of the latter.
-
-    The arc merges phases closer than TOL_ANGLE into their cluster's first
-    member, so a near-degenerate member can lie beyond an endpoint, or a tie
-    of equal gaps can put the arc on the other half circle. The stage
-    rotation and the input act on the extreme eigenvectors, so they take the
-    raw arc (tol_angle 0); without such members both arcs are the same floats.
-    """
+    """Spectrum of M, its arc, and the eigenvectors sorted by phase measured
+    from the start of the arc: the arc's endpoints come first and last."""
     dec = eig_unitary(M)
-    ends = arc_of_phases(dec.phases, 0.0)
-    keys = np.mod(dec.phases - ends.start_phase + TOL_ANGLE, 2 * PI)
-    order = np.argsort(keys, kind="stable")
-    return dec, arc_of_phases(dec.phases), ends, dec.vectors[:, order]
+    info = arc_of_phases(dec.phases)
+    order = np.argsort(np.mod(dec.phases - info.start_phase, 2 * PI), kind="stable")
+    return dec, info, dec.vectors[:, order]
 
 
 def _stage_rotation(theta_c: float, theta_0: float, d: int) -> np.ndarray:
@@ -151,7 +143,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
         raise Indistinguishable("operations agree up to a global phase")
 
     M = Um.conj().T @ Vm
-    dec, info, ends, Q = _relative or _circular_sorted_eig(M)
+    dec, info, Q = _relative or _circular_sorted_eig(M)
     theta_0 = info.theta
     n = queries_for_arc(theta_0)
     if n == math.inf:
@@ -161,11 +153,11 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     if n == 1:
         trace.append(theta_0)
         try:
-            psi = zero_overlap_from_spectrum(dec, ends)
+            psi = zero_overlap_from_spectrum(dec, info)
         except ArcTooSmall as exc:
-            raise StageStalled(f"arc {ends.theta:.6f} short of pi after 1 query", trace) from exc
+            raise StageStalled(f"arc {theta_0:.6f} short of pi after 1 query", trace) from exc
     else:
-        S = _stage_rotation((n - 1) * ends.theta, ends.theta, Um.shape[0])
+        S = _stage_rotation((n - 1) * theta_0, theta_0, Um.shape[0])
         interleavers = [Q @ S @ (Um @ Q).conj().T] + [Um.conj().T] * (n - 2)
         M = compose_sequential(Um, interleavers).conj().T @ compose_sequential(Vm, interleavers)
         T = Q.conj().T @ M @ Q

@@ -98,8 +98,6 @@ def _normalize_layers(d_a: int, d_b: int, layers) -> list:
             raise TypeError(f"unsupported layer type {type(layer)!r}")
     if not out or not isinstance(out[-1], LocalLayer):
         out.append(identity_local(d_a, d_b))
-    if not isinstance(out[0], LocalLayer):
-        out.insert(0, identity_local(d_a, d_b))
     return out
 
 

@@ -264,6 +264,16 @@ def test_eigenphase_rows_multiplicity():
     assert rows == [(0, 0.0, 2), (1, pytest.approx(np.pi), 2)]
 
 
+@pytest.mark.parametrize("phases", [[0.0, 4e-9, 8e-9], [1e-9, 2 * np.pi - 5e-9],
+                                    [3e-9, 2 * np.pi - 6e-9, 2 * np.pi - 1e-9], [0.7]])
+def test_cluster_within_tol_angle_is_one_eigenvalue(phases):
+    """Phases spanning at most TOL_ANGLE, across 0 or not, and a lone phase:
+    a single eigenvalue to the count, and one CSV row of full multiplicity."""
+    assert queries_for_arc(arc_of_phases(phases).theta) == math.inf
+    rows = eigenphase_rows(diag_phases(phases))
+    assert len(rows) == 1 and rows[0][2] == len(phases)
+
+
 def test_arc_of_phases_wraparound_dedup():
     info = arc_of_phases([1e-10, 2 * np.pi - 1e-10, np.pi])
     assert info.theta == pytest.approx(np.pi, abs=1e-8)

@@ -210,6 +210,23 @@ def test_cli_verify_string_numbers_exit2(tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("trace", ["i-a", {"x": 1}, [1, 2]])
+def test_case_trace_must_be_a_list_of_strings(tmp_path, trace):
+    """A string is not split into characters, an object does not give its
+    keys and a list of numbers is not a trace: each is a file error."""
+    *_, scheme = _product_scheme_record(tmp_path)
+    assert loads_scheme(json.dumps(scheme)).case_trace == ["i-a"]
+    with pytest.raises(MatrixFileError, match="case_trace must be a list of strings"):
+        loads_scheme(json.dumps(dict(scheme, case_trace=trace)))
+
+
+def test_cli_verify_string_case_trace_exit2(tmp_path, capsys):
+    a, b, scheme_path, scheme = _product_scheme_record(tmp_path)
+    scheme_path.write_text(json.dumps(dict(scheme, case_trace="i-a")))
+    assert main(["verify", str(scheme_path), a, b]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 # a hand-written scheme that never queries: its outputs are its input, so
 # the overlap is 1, inside the budget of 1 it claims
 QUERYLESS_SCHEME = {"template": {"d_a": 2, "d_b": 2, "layers": []},

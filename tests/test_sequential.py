@@ -11,10 +11,12 @@ from seqlocc import (
     build_sequential_scheme,
     compose_sequential,
     dagger,
+    discriminate,
     eig_unitary,
     parallel_query_count,
     random_unitary,
     smallest_arc,
+    validate_unitary,
 )
 import seqlocc.arcs
 import seqlocc.sequential
@@ -162,6 +164,23 @@ def test_query_count_agrees_with_parallel_count_at_tol_angle(k):
         assert scheme.query_count == parallel_query_count(U, V)
         assert scheme.query_count in ((k,) if theta == boundary else (k, k + 1))
         assert _recompute_overlap(U, V, scheme) <= CFG.overlap_tol
+
+
+def test_end_cluster_counts_inside_the_arc():
+    """Two eigenphases 5e-9 apart, inside TOL_ANGLE, at the end of an arc
+    just past (pi - TOL_ANGLE) / 3: the arc runs to the outer one, so three
+    queries close it, and the product pair spends those three on side A."""
+    theta = (np.pi - TOL_ANGLE) / 3 - 1e-9
+    Q = random_unitary(3, np.random.default_rng(7))
+    V_A = Q @ _dphases([0.0, theta, theta + 5e-9]) @ Q.conj().T
+    I3 = np.eye(3, dtype=complex)
+    scheme = build_sequential_scheme(I3, V_A, CFG)
+    assert scheme.query_count == parallel_query_count(I3, V_A) == 3
+    assert _recompute_overlap(I3, V_A, scheme) <= 1e-12
+    product, report = discriminate(validate_unitary(np.kron(V_A, np.eye(2)), 3, 2),
+                                   validate_unitary(np.eye(6), 3, 2), CFG)
+    assert product.case_trace == ["i-a"] and report.query_count == 3
+    assert report.passed and report.overlap <= 1e-12
 
 
 def test_commuting_diagonal_exact_counts():
