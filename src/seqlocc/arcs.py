@@ -23,7 +23,8 @@ import numpy as np
 
 from .config import DISTINCT_TOL, TOL_ANGLE
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
-from .linalg import TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance
+from .linalg import (
+    TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance, wrap_phases)
 
 # queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
 # zero_overlap_from_spectrum also takes an arc short of pi - TOL_ANGLE by that
@@ -46,9 +47,9 @@ class ArcInfo:
 
 
 def arc_of_phases(phases) -> ArcInfo:
-    """Smallest covering arc of a set of phases in [0, 2pi): the complement
-    of the widest circular gap between the sorted phases."""
-    p = np.sort(np.asarray(phases, dtype=float))
+    """Smallest covering arc of a set of phases: the complement of the widest
+    circular gap between the sorted phases, once mapped into [0, 2pi)."""
+    p = np.sort(wrap_phases(phases))
     m = p.size
     if m == 0:
         raise ValueError("empty phase list")

@@ -168,11 +168,16 @@ def op_distance_mod_phase(A, B) -> float:
     return float(np.linalg.norm(a - phase * b, 2))
 
 
-def canonical_phases(eigvals) -> np.ndarray:
-    """Angles of unit-circle values mapped into [0, 2pi)."""
-    ph = np.mod(np.angle(np.asarray(eigvals, dtype=complex)), TWO_PI)
+def wrap_phases(phases) -> np.ndarray:
+    """Angles mapped into [0, 2pi); a value that rounds to 2pi becomes 0."""
+    ph = np.mod(np.asarray(phases, dtype=float), TWO_PI)
     ph[ph >= TWO_PI] = 0.0
     return ph
+
+
+def canonical_phases(eigvals) -> np.ndarray:
+    """Angles of unit-circle values mapped into [0, 2pi)."""
+    return wrap_phases(np.angle(np.asarray(eigvals, dtype=complex)))
 
 
 def _no_sort(_eigenvalue):

@@ -213,15 +213,24 @@ def symmetry_set_inverts(U: BipartiteUnitary) -> bool:
     return True
 
 
+def _sigma_x_block(d: int) -> np.ndarray:
+    """sigma_x (+) 0 on a d-dimensional system."""
+    if d < 2:
+        raise DimensionTooSmall(f"need dimension >= 2, got {d}")
+    u = np.zeros((d, d), dtype=complex)
+    u[:2, :2] = SIGMA_X
+    return u
+
+
+def _exp_of_block(x: float, G: np.ndarray) -> np.ndarray:
+    """expm(i x G) for a Hermitian G whose square is a projector:
+    I + (cos x - 1) G^2 + i sin x G, exactly."""
+    return np.eye(len(G), dtype=complex) + (np.cos(x) - 1.0) * (G @ G) + 1j * np.sin(x) * G
+
+
 def xx_generator(d_a: int, d_b: int) -> np.ndarray:
     """(sigma_x (+) 0) (x) (sigma_x (+) 0): Hermitian, squares to a projector."""
-    if d_a < 2 or d_b < 2:
-        raise DimensionTooSmall(f"need both dimensions >= 2, got ({d_a}, {d_b})")
-    u1 = np.zeros((d_a, d_a), dtype=complex)
-    u1[:2, :2] = SIGMA_X
-    u2 = np.zeros((d_b, d_b), dtype=complex)
-    u2[:2, :2] = SIGMA_X
-    return np.kron(u1, u2)
+    return np.kron(_sigma_x_block(d_a), _sigma_x_block(d_b))
 
 
 def exp_xx_form(x: float, d_a: int, d_b: int) -> BipartiteUnitary:
@@ -229,21 +238,14 @@ def exp_xx_form(x: float, d_a: int, d_b: int) -> BipartiteUnitary:
 
     Acts as cos(x) I + i sin(x) sigma_x (x) sigma_x on the 4-dimensional
     block spanned by the first two levels of each side, and as the identity
-    elsewhere. G^2 is the block projector, so the two-term closed form is
-    exact.
+    elsewhere.
     """
-    G = xx_generator(d_a, d_b)
-    proj = G @ G
-    M = np.eye(d_a * d_b, dtype=complex) + (np.cos(x) - 1.0) * proj + 1j * np.sin(x) * G
-    return validate_unitary(M, d_a, d_b, tol=CLOSED_FORM_TOL)
+    return validate_unitary(_exp_of_block(x, xx_generator(d_a, d_b)), d_a, d_b, tol=CLOSED_FORM_TOL)
 
 
 def block_exponential(x: float, d: int) -> np.ndarray:
     """expm(i x (sigma_x (+) 0)) on a single d-dimensional system."""
-    u = np.zeros((d, d), dtype=complex)
-    u[:2, :2] = SIGMA_X
-    proj = u @ u
-    return np.eye(d, dtype=complex) + (np.cos(x) - 1.0) * proj + 1j * np.sin(x) * u
+    return _exp_of_block(x, _sigma_x_block(d))
 
 
 def _wrap_angle(x: float) -> float:

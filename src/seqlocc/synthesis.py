@@ -112,21 +112,17 @@ class _LayerProblem:
         return phase_distance(self.evaluate(x), self.Td.conj().T)
 
 
-def _pad_params(x_prev: np.ndarray, per_layer: int, front: bool) -> np.ndarray:
-    pad = np.zeros(per_layer)
-    return np.concatenate([pad, x_prev] if front else [x_prev, pad])
-
-
 def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
                cfg: RunConfig | None = None) -> SynthesisResult:
     """Template over the generator approximating the target within epsilon.
 
     Escalates k from 0 to cfg.k_max; at each k the local layers are
-    optimized by L-BFGS from identity, warm-started (previous best padded
-    with an identity local on either end), and random seeds. The reported
-    delta is the best found over all k tried so far, so it is nonincreasing
-    in k. Raises GeneratorPrimitive when the generator is a (swapped)
-    product, SynthesisFailed when k_max is exhausted.
+    optimized by L-BFGS from the previous k's best padded with an identity
+    local on either end, from identity, and from random seeds. The result
+    is the first k whose polished best is within epsilon. Raises
+    GeneratorPrimitive when the generator is a (swapped) product, and
+    SynthesisFailed, carrying the closest (delta, k) over the k tried, when
+    k_max is exhausted.
     """
     cfg = cfg or RunConfig()
     if (target.d_a, target.d_b) != (generator.d_a, generator.d_b):
@@ -140,48 +136,34 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
     # module at each call, so a wrapper set on scipy.optimize sees every run.
     import scipy.optimize
 
-    X = generator.matrix
-    best = None  # (delta, k, params, problem)
-    prev_params: dict[int, np.ndarray] = {}
-
+    closest = None  # (delta, k) over the k tried
+    seeds: list[np.ndarray] = []  # the previous k's best, padded on either end
     for k in range(cfg.k_max + 1):
-        problem = _LayerProblem(target.matrix, X, target.d_a, target.d_b, k)
-        seeds: list[np.ndarray] = []
-        if k - 1 in prev_params:
-            seeds.append(_pad_params(prev_params[k - 1], problem.per_layer, front=False))
-            seeds.append(_pad_params(prev_params[k - 1], problem.per_layer, front=True))
-        seeds.append(np.zeros(problem.n_total))
+        problem = _LayerProblem(target.matrix, generator.matrix, target.d_a, target.d_b, k)
         rng = cfg.rng("synthesis", k)
-        for _ in range(cfg.restarts):
-            seeds.append(rng.normal(scale=0.8, size=problem.n_total))
-
-        k_best = None
+        seeds += [np.zeros(problem.n_total)] + [
+            rng.normal(scale=0.8, size=problem.n_total) for _ in range(cfg.restarts)]
+        best = None  # (delta, x) over this k's seeds
         for s_idx, x0 in enumerate(seeds):
             res = scipy.optimize.minimize(
                 problem.value_and_grad, x0, jac=True, method="L-BFGS-B", options=_SEARCH_OPTIONS)
             delta = problem.delta(res.x)
-            if k_best is None or delta < k_best[0] - _IMPROVEMENT:
-                k_best = (delta, res.x)
-            if delta <= cfg.epsilon:
+            if best is None or delta < best[0] - _IMPROVEMENT:
+                best = (delta, res.x)
+            floor = s_idx >= _FLOOR_SEEDS and best[0] > _FLOOR_FACTOR * cfg.epsilon
+            if delta <= cfg.epsilon or floor:
                 break
-            if s_idx >= _FLOOR_SEEDS and k_best[0] > _FLOOR_FACTOR * cfg.epsilon:
-                break
-        if k_best[0] <= cfg.epsilon:
+        delta, x = best
+        if delta <= cfg.epsilon:
             # polish the winner: downstream error budgets scale with delta
             res = scipy.optimize.minimize(
-                problem.value_and_grad, k_best[1], jac=True, method="L-BFGS-B",
-                options=_POLISH_OPTIONS)
-            delta = problem.delta(res.x)
-            if delta < k_best[0]:
-                k_best = (delta, res.x)
-        prev_params[k] = k_best[1]
-        if best is None or k_best[0] < best[0] - _IMPROVEMENT:
-            best = (k_best[0], k, k_best[1], problem)
-        if best[0] <= cfg.epsilon:
-            break
-
-    delta, k, params, problem = best
-    if delta > cfg.epsilon:
-        raise SynthesisFailed(delta, k)
-    return SynthesisResult(problem.template(params), float(delta), k)
-
+                problem.value_and_grad, x, jac=True, method="L-BFGS-B", options=_POLISH_OPTIONS)
+            polished = problem.delta(res.x)
+            if polished < delta:
+                delta, x = polished, res.x
+            return SynthesisResult(problem.template(x), float(delta), k)
+        if closest is None or delta < closest[0] - _IMPROVEMENT:
+            closest = (delta, k)
+        pad = np.zeros(problem.per_layer)
+        seeds = [np.concatenate([x, pad]), np.concatenate([pad, x])]
+    raise SynthesisFailed(*closest)

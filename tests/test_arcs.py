@@ -277,3 +277,17 @@ def test_cluster_within_tol_angle_is_one_eigenvalue(phases):
 def test_arc_of_phases_wraparound_dedup():
     info = arc_of_phases([1e-10, 2 * np.pi - 1e-10, np.pi])
     assert info.theta == pytest.approx(np.pi, abs=1e-8)
+
+
+@pytest.mark.parametrize("phases,theta", [
+    ([0.0, 7.0], 7.0 - 2 * np.pi),
+    ([0.1, 2 * np.pi + 0.2], 0.1),
+    ([-1e-17, 1.0], 1.0),  # -1e-17 rounds to 2pi, which maps to 0
+    ([-4.0, 0.0], 2 * np.pi - 4.0),
+])
+def test_arc_of_phases_maps_phases_into_the_circle(phases, theta):
+    """Phases outside [0, 2pi) are taken mod 2pi before the arc is read, so
+    the arc is never negative and its ends lie in [0, 2pi)."""
+    info = arc_of_phases(phases)
+    assert info.theta == pytest.approx(theta, abs=1e-12)
+    assert 0.0 <= info.start_phase < 2 * np.pi and 0.0 <= info.end_phase < 2 * np.pi

@@ -425,3 +425,11 @@ def test_imprimitive_form_unchanged():
             cp = operator_schmidt(_wrap(M @ swap_operator(d_a), d_a, d_b)).coefficients
             expected = min(expected, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / U.dim))))
         assert cls.residual == expected
+
+
+def test_block_exponential_rejects_dimension_one():
+    """sigma_x (+) 0 needs two levels, on one side as on both."""
+    with pytest.raises(DimensionTooSmall):
+        block_exponential(0.3, 1)
+    with pytest.raises(DimensionTooSmall):
+        xx_generator(1, 2)

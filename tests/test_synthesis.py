@@ -132,3 +132,58 @@ def test_monotone_best_delta_across_k():
         except Exception as exc:
             deltas.append(exc.best_delta)
     assert all(b <= a + 1e-12 for a, b in zip(deltas, deltas[1:]))
+
+
+def _recorded_runs(monkeypatch):
+    """Every L-BFGS run synthesize makes, as (k, polish?), and every delta it
+    measures, as (k, delta). synthesize looks minimize up on scipy.optimize
+    at each call, so a wrapper set there sees every run."""
+    import scipy.optimize
+
+    from seqlocc.synthesis import _POLISH_OPTIONS
+
+    runs, deltas = [], []
+    minimize, delta = scipy.optimize.minimize, _LayerProblem.delta
+
+    def counting_minimize(fun, x0, *args, **kwargs):
+        runs.append((len(x0) // 8 - 1, kwargs["options"] == _POLISH_OPTIONS))  # (k+1)(2^2+2^2)
+        return minimize(fun, x0, *args, **kwargs)
+
+    def recording_delta(problem, x):
+        value = delta(problem, x)
+        deltas.append((problem.k, value))
+        return value
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counting_minimize)
+    monkeypatch.setattr(_LayerProblem, "delta", recording_delta)
+    return runs, deltas
+
+
+def test_synthesis_stops_at_the_first_k_within_epsilon(monkeypatch):
+    """SWAP from CNOT: no run beyond k = 3, and one polish, the last run, at k = 3."""
+    runs, _ = _recorded_runs(monkeypatch)
+    cnot = validate_unitary(CNOT, 2, 2)
+    res = synthesize(validate_unitary(swap_operator(2), 2, 2), cnot, RunConfig())
+    assert res.layer_count == 3
+    assert max(k for k, _ in runs) == 3
+    assert [i for i, (_, polish) in enumerate(runs) if polish] == [len(runs) - 1]
+    assert runs[-1] == (3, True)
+
+
+def test_synthesis_failure_reports_the_closest_k(monkeypatch):
+    """SWAP from CNOT with k_max = 2: no polish, and SynthesisFailed carries
+    the smallest delta measured over k = 0..2 with the k it was measured at."""
+    from seqlocc.errors import SynthesisFailed
+    from seqlocc.synthesis import _IMPROVEMENT
+
+    runs, deltas = _recorded_runs(monkeypatch)
+    cnot = validate_unitary(CNOT, 2, 2)
+    with pytest.raises(SynthesisFailed) as failed:
+        synthesize(validate_unitary(swap_operator(2), 2, 2), cnot, RunConfig(k_max=2))
+    assert not any(polish for _, polish in runs)
+    assert {k for k, _ in runs} == {0, 1, 2}
+    smallest = min(value for _, value in deltas)
+    best = failed.value
+    # a new best must beat the old by more than _IMPROVEMENT, within a k and across k
+    assert smallest <= best.best_delta <= smallest + 2 * _IMPROVEMENT
+    assert (best.best_k, best.best_delta) in {(k, float(value)) for k, value in deltas}
