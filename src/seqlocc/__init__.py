@@ -76,10 +76,8 @@ from .templates import (
     LocalLayer,
     Query,
     QUERY,
-    bare_query_template,
     compose_templates,
     evaluate_template,
-    sequential_template,
 )
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ exactly when Theta(U^dag V) >= pi, equivalently when 0 lies in the convex
 hull of the eigenvalues of U^dag V.
 
 Two zero-finders stay: zero_overlap_from_spectrum takes the arcs that
-queries_for_arc closes, up to TOL_ANGLE plus _ARC_ROUNDING short of pi,
+queries_for_arc closes, up to TOL_ANGLE plus config.ARC_ROUNDING short of pi,
 whose residual the _ZERO_TOL of numerical_range_zero rejects. The latter
 decides a 2x2 matrix in closed form, in scalar arithmetic, a segment
 through 0 included; from 3x3 on, a segment through 0 holds no triangle of
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DISTINCT_TOL, TOL_ANGLE
+from .config import ARC_ROUNDING, DISTINCT_TOL, TOL_ANGLE
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
 from .linalg import (
     TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance, wrap_phases)
@@ -29,7 +29,6 @@ from .linalg import (
 # queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
 # zero_overlap_from_spectrum also takes an arc short of pi - TOL_ANGLE by that
 _CEIL_SLACK = 1e-12
-_ARC_ROUNDING = 1e-11
 
 
 @dataclass
@@ -48,8 +47,13 @@ class ArcInfo:
 
 def arc_of_phases(phases) -> ArcInfo:
     """Smallest covering arc of a set of phases: the complement of the widest
-    circular gap between the sorted phases, once mapped into [0, 2pi)."""
-    p = np.sort(wrap_phases(phases))
+    circular gap between the sorted phases, once mapped into [0, 2pi). A
+    scalar reads as one phase; input of two or more dimensions raises
+    DimensionMismatch."""
+    p = wrap_phases(phases)
+    if p.ndim > 1:
+        raise DimensionMismatch(f"expected a list of phases, got shape {p.shape}")
+    p = np.sort(p, axis=None)  # a scalar sorts as one phase
     m = p.size
     if m == 0:
         raise ValueError("empty phase list")
@@ -139,7 +143,7 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.
     that no gap inside the arc can skip (the outer gap is the widest), so
     the three circular gaps are at most pi and the weights are nonnegative.
     """
-    if info.theta < math.pi - TOL_ANGLE - _ARC_ROUNDING:
+    if info.theta < math.pi - TOL_ANGLE - ARC_ROUNDING:
         raise ArcTooSmall(info.theta, min_achievable_overlap(info.theta))
     s, e = info.witness_phase_indices
     z = np.exp(1j * dec.phases)

@@ -86,12 +86,10 @@ def cmd_classify(args) -> int:
     coeffs = ", ".join(f"{c:.12g}" for c in form.schmidt_coefficients)
     lines.append(f"schmidt_coefficients: [{coeffs}]")
     if form.kind != "Imprimitive":
-        lines.append("factor_a:")
-        lines.extend("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row)
-                     for row in form.factor_a)
-        lines.append("factor_b:")
-        lines.extend("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row)
-                     for row in form.factor_b)
+        for name in ("factor_a", "factor_b"):
+            lines.append(f"{name}:")
+            lines.extend("  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row)
+                         for row in getattr(form, name))
     else:
         lines.append(f"witness_second_coefficient: {entangling_witness(U)[0]:.6g}")
     _emit("\n".join(lines) + "\n", args.out)

@@ -69,6 +69,13 @@ TOL_ANGLE = 1e-8
 # ~3e-8 that the sqrt in phase_distance makes of the ~1e-15 noise of |tr|/dim.
 DISTINCT_TOL = 1e-7
 
+# Rounding that an arc closed by queries_for_arc may keep below pi - TOL_ANGLE:
+# an arc drawn at exactly (pi - TOL_ANGLE) / k ends up to this far short after
+# its k queries (183 of 440 such arcs, k = 1..11, fell short without it). The
+# closed-form zero of arcs.zero_overlap_from_spectrum and the closing stage of
+# sequential.build_sequential_scheme both accept that shortfall.
+ARC_ROUNDING = 1e-11
+
 # Schmidt coefficient cutoff, relative to the largest. At every cutoff in
 # [CLOSED_FORM_TOL, 1) the identity is a product, which bounds the recursion
 # of engine._dispatch_pair; below, rounding gives it a second coefficient.

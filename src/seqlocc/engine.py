@@ -72,12 +72,9 @@ from .templates import (
     CircuitTemplate,
     LocalLayer,
     Query,
-    append_query,
-    bare_query_template,
     check_local_unitarity,
     compose_templates,
     evaluate_template,
-    sequential_template,
     template_outputs,
 )
 
@@ -155,9 +152,11 @@ def _one_side(build: _Build, side: str, X_u, X_v, idle_input, relative=None) -> 
     build.per_branch_error.append(seq.achieved_overlap)
     inputs = (seq.input_state, idle_input) if side == "A" else (idle_input, seq.input_state)
     idle = np.eye(len(idle_input), dtype=complex)
-    template = sequential_template(len(inputs[0]), len(inputs[1]), [
-        LocalLayer(w, idle.copy()) if side == "A" else LocalLayer(idle.copy(), w)
-        for w in seq.interleavers])
+    layers = [QUERY]
+    for w in seq.interleavers:
+        local = LocalLayer(w, idle.copy()) if side == "A" else LocalLayer(idle.copy(), w)
+        layers += [local, QUERY]
+    template = CircuitTemplate(len(inputs[0]), len(inputs[1]), layers)
     return template, *(normalize(v) for v in inputs)
 
 
@@ -247,7 +246,7 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
         # the form is accepted at a tolerance, so U may sit off its blocks
         ideal = sum(np.kron(np.diag(np.isin(np.arange(d_a), g).astype(complex)), W)
                     for g, W in zip(groups, blocks))
-        return (bare_query_template(d_a, d_b, 1), groups, blocks,
+        return (CircuitTemplate(d_a, d_b, [QUERY]), groups, blocks,
                 op_distance_mod_phase(U.matrix, ideal))
     # target |0><0| (x) I + P' (x) G with G = diag(1, exp(2 pi i / 3), 1, ...):
     # G is not scalar, so no operand is phase-equivalent to both blocks and
@@ -317,7 +316,7 @@ def _case_product_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> tuple:
     build.trace.append("i-b")
     build.note("product vs swapped product: single query")
     d = mat(U_A).shape[0]
-    return _swap_single_query(build, bare_query_template(d, d, 1), U_A, V_A, deltas)
+    return _swap_single_query(build, CircuitTemplate(d, d, [QUERY]), U_A, V_A, deltas)
 
 
 def _case_swap_swap(build: _Build, U_A, U_B, V_A, V_B, deltas) -> tuple:
@@ -414,7 +413,7 @@ def _xx_template(U: BipartiteUnitary, build: _Build):
     delta = op_distance_mod_phase(U.matrix, target.matrix)
     if delta <= MATCH_TOL:
         build.note("interaction fast path: operand already the canonical exponential")
-        f_template = bare_query_template(d_a, d_b, 1)
+        f_template = CircuitTemplate(d_a, d_b, [QUERY])
         return f_template, evaluate_template(f_template, U.matrix), delta
     res = synthesize(target, U, build.cfg)
     fU = evaluate_template(res.template, U.matrix)
@@ -497,7 +496,8 @@ def _case_iii_b_same(build, U, V, f_template, fU_real):
     d_a, d_b = U.d_a, U.d_b
     gen = _validated_product(fU_real, d_a, d_b, f_template.query_count, cfg)
     h = synthesize(_validated_product(U.matrix.conj().T, d_a, d_b, 1, cfg), gen, cfg)
-    block_template = append_query(compose_templates(h.template, f_template))
+    block_template = CircuitTemplate(
+        d_a, d_b, [*compose_templates(h.template, f_template).layers, QUERY])
     VUd = V.matrix @ U.matrix.conj().T
     identity = np.eye(d_a * d_b, dtype=complex)
     delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
@@ -565,7 +565,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
                 build.trace.append("direct")
                 build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
                 build.per_branch_error.append(residual)
-                return bare_query_template(d_a, d_b, 1), *inputs
+                return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
     return None
 
 

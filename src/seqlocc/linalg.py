@@ -170,7 +170,8 @@ def op_distance_mod_phase(A, B) -> float:
 
 def wrap_phases(phases) -> np.ndarray:
     """Angles mapped into [0, 2pi); a value that rounds to 2pi becomes 0."""
-    ph = np.mod(np.asarray(phases, dtype=float), TWO_PI)
+    ph = np.array(phases, dtype=float)  # a copy: a scalar becomes a writable 0-d array
+    np.mod(ph, TWO_PI, out=ph)
     ph[ph >= TWO_PI] = 0.0
     return ph
 

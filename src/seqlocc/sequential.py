@@ -45,13 +45,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import (
-    _ARC_ROUNDING,
     _pair_weight,
     arc_of_phases,
     queries_for_arc,
     zero_overlap_from_spectrum,
 )
-from .config import DISTINCT_TOL, TOL_ANGLE, RunConfig
+from .config import ARC_ROUNDING, DISTINCT_TOL, TOL_ANGLE, RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled
 from .linalg import canonical_phases, eig_unitary, mat, phase_distance
 
@@ -165,7 +164,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
         (l1, l2), (v1, v2) = _eig_2x2(T[edge, edge])
         trace.append(arc_of_phases(canonical_phases([l1, l2, *np.diag(T)[1:-1]])).theta)
         gap = abs(cmath.phase(l1 * l2.conjugate()))
-        if gap < math.pi - TOL_ANGLE - _ARC_ROUNDING:
+        if gap < math.pi - TOL_ANGLE - ARC_ROUNDING:
             raise StageStalled(f"endpoint gap {gap:.6f} short of pi after {n} queries", trace)
         p = _pair_weight(l1 / abs(l1), l2 / abs(l2))
         psi = Q[:, edge] @ (math.sqrt(p) * v1 + math.sqrt(1.0 - p) * v2)

@@ -123,14 +123,6 @@ def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_t
             raise NotUnitary(defect, tol)
 
 
-def bare_query_template(d_a: int, d_b: int, queries: int = 1) -> CircuitTemplate:
-    """Template that just applies the unknown operation `queries` times."""
-    layers: list = []
-    for _ in range(queries):
-        layers.append(QUERY)
-    return CircuitTemplate(d_a, d_b, layers)
-
-
 def _propagate(t: CircuitTemplate, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(m, n) outputs of t on the (m, d_a, d_b) states psi, the m-th against
     the query x[m]: a local layer acts as fa @ psi @ fb^T and a query as one
@@ -185,24 +177,3 @@ def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> Circuit
         else:
             layers.append(layer)
     return CircuitTemplate(outer.d_a, outer.d_b, layers)
-
-
-def append_query(t: CircuitTemplate, local: LocalLayer | None = None) -> CircuitTemplate:
-    """Template applying t, then the unknown once, then an optional local."""
-    layers = list(t.layers) + [QUERY]
-    if local is not None:
-        layers.append(local)
-    return CircuitTemplate(t.d_a, t.d_b, layers)
-
-
-def sequential_template(d_a: int, d_b: int, locals_between: list[LocalLayer]) -> CircuitTemplate:
-    """Q, local_1, Q, ..., local_N, Q: the interleaved sequential shape.
-
-    locals_between[0] is applied right after the first query.
-    """
-    layers: list = [QUERY]
-    for layer in locals_between:
-        layers.append(layer)
-        layers.append(QUERY)
-    return CircuitTemplate(d_a, d_b, layers)
-

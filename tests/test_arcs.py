@@ -5,6 +5,7 @@ import pytest
 
 from seqlocc import (
     ArcTooSmall,
+    DimensionMismatch,
     Indistinguishable,
     discriminate,
     eig_unitary,
@@ -17,7 +18,7 @@ from seqlocc import (
     validate_unitary,
     zero_overlap_state,
 )
-from seqlocc.arcs import arc_of_phases, eigenphase_rows, queries_for_arc
+from seqlocc.arcs import ArcInfo, arc_of_phases, eigenphase_rows, queries_for_arc
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 
 TWO_PI = 2 * np.pi
@@ -291,3 +292,14 @@ def test_arc_of_phases_maps_phases_into_the_circle(phases, theta):
     info = arc_of_phases(phases)
     assert info.theta == pytest.approx(theta, abs=1e-12)
     assert 0.0 <= info.start_phase < 2 * np.pi and 0.0 <= info.end_phase < 2 * np.pi
+
+
+@pytest.mark.parametrize("phase,wrapped", [(0.7, 0.7), (7.0, 7.0 - 2 * np.pi), (-1e-17, 0.0)])
+def test_arc_of_phases_reads_a_scalar_as_one_phase(phase, wrapped):
+    assert arc_of_phases(phase) == arc_of_phases([phase])
+    assert arc_of_phases(phase) == ArcInfo(0.0, wrapped, wrapped, (0, 0))
+
+
+def test_arc_of_phases_rejects_a_table_of_phases():
+    with pytest.raises(DimensionMismatch):
+        arc_of_phases([[0.1, 0.2], [0.3, 0.4]])

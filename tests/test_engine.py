@@ -17,6 +17,7 @@ from seqlocc import (
     NotUnitary,
     Query,
     RunConfig,
+    SeqloccError,
     basis_state,
     classify_primitive,
     discriminate,
@@ -35,7 +36,7 @@ from seqlocc import engine
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 from seqlocc.engine import _controlled_form, _image_factors
 from seqlocc.io import dumps_scheme
-from seqlocc.templates import bare_query_template, check_local_unitarity
+from seqlocc.templates import QUERY, CircuitTemplate, check_local_unitarity
 
 from conftest import CNOT, CZ, HAD, I2, SX, SZ
 from corpus import labeled_pairs
@@ -253,7 +254,7 @@ def test_control_branches_both_equivalent_raise_case_failure(monkeypatch):
     case trace. Neither the fast path nor the synthesized target (G is not
     scalar) yields such blocks, so they are forced here."""
     monkeypatch.setattr(engine, "_controlled_template", lambda U, build: (
-        bare_query_template(2, 2, 1), [[0], [1]], [SX, -SX], 0.0))
+        CircuitTemplate(2, 2, [QUERY]), [[0], [1]], [SX, -SX], 0.0))
     with pytest.raises(CaseFailure) as exc:
         _run(CNOT, np.kron(HAD, SX))
     assert exc.value.case_trace == ["ii-a"]
@@ -482,12 +483,12 @@ def test_controlled_form_extraction():
 def test_image_factors_track_swap_parity():
     rng = np.random.default_rng(2)
     fa, fb = random_unitary(2, rng), random_unitary(2, rng)
-    t = bare_query_template(2, 2, 1)
+    t = CircuitTemplate(2, 2, [QUERY])
     MA, MB, parity = _image_factors(t, fa, fb, swaps=True)
     assert parity == 1
     V = np.kron(fa, fb) @ swap_operator(2)
     assert np.allclose(np.kron(MA, MB) @ swap_operator(2), V)
-    t2 = bare_query_template(2, 2, 2)
+    t2 = CircuitTemplate(2, 2, [QUERY, QUERY])
     MA, MB, parity = _image_factors(t2, fa, fb, swaps=True)
     assert parity == 0
     assert np.allclose(np.kron(MA, MB), V @ V)
@@ -627,6 +628,20 @@ def test_iii_a_budget_invariant_raises_case_failure(monkeypatch):
     with pytest.raises(CaseFailure) as err:
         discriminate(exp_xx_form(1.0, 2, 2), _v(random_unitary(4, rng)), CFG)
     assert err.value.case_trace == ["iii", "iii-a"]
+
+
+def test_iii_a_without_a_separating_probe_raises_case_failure(monkeypatch):
+    """V = e^{0.3i} exp(0.5 i u1 (x) u2) against U = exp(i u1 (x) u2) routes
+    iii-b-xne1; with the angle match withheld it reaches iii-a, where every
+    symmetry probe inverts the exponential and maps f(V) to e^{0.6i} I."""
+    U, V = exp_xx_form(1.0, 2, 2), _v(np.exp(0.3j) * exp_xx_form(0.5, 2, 2).matrix)
+    assert discriminate(U, V, CFG)[0].case_trace == ["iii", "iii-b-xne1"]
+    monkeypatch.setattr(engine, "match_exp_xx_mod_phase", lambda *args, **kwargs: None)
+    with pytest.raises(CaseFailure) as err:
+        discriminate(U, V, CFG)
+    assert err.value.case_trace == ["iii", "iii-a"]
+    assert type(err.value.cause) is SeqloccError
+    assert str(err.value.cause) == "no symmetry element separated the image of V from the identity"
 
 
 # --- primitive operands within RANK_TOL of their form -------------------------

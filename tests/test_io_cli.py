@@ -12,6 +12,7 @@ from seqlocc import (
     CircuitTemplate,
     LoccSequentialScheme,
     RunConfig,
+    classify_primitive,
     discriminate,
     random_unitary,
     swap_operator,
@@ -33,7 +34,7 @@ from seqlocc.io import (
     scheme_from_dict,
 )
 
-from conftest import CNOT, CZ, HAD
+from conftest import CNOT, CZ, HAD, SX
 
 
 def _write(tmp_path, name, M, d_a=2, d_b=2):
@@ -274,6 +275,21 @@ def test_cli_classify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Imprimitive" in out
     assert "1.41421356237" in out
+
+
+def test_cli_classify_prints_both_factors(tmp_path, capsys):
+    """A product operand prints each factor header, then that factor's rows
+    as +.12g real and imaginary parts."""
+    path = _write(tmp_path, "product.json", np.kron(HAD, SX))
+    assert main(["classify", path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    form = classify_primitive(load_matrix_file(path))
+    assert form.kind == "Product"
+    for name, factor in (("factor_a", form.factor_a), ("factor_b", form.factor_b)):
+        at = lines.index(f"{name}:")
+        rows = ["  " + "  ".join(f"{z.real:+.12g}{z.imag:+.12g}j" for z in row) for row in factor]
+        assert lines[at + 1:at + 1 + len(rows)] == rows
+    assert lines.index("factor_a:") < lines.index("factor_b:")
 
 
 def test_cli_classify_swap(tmp_path, capsys):

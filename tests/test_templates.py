@@ -6,18 +6,16 @@ from seqlocc import (
     LocalLayer,
     QUERY,
     Query,
-    bare_query_template,
     compose_templates,
     dumps_template,
     evaluate_template,
     loads_template,
     random_unitary,
-    sequential_template,
     swap_operator,
     unitarity_defect,
 )
 from seqlocc.errors import DimensionMismatch
-from seqlocc.templates import append_query, identity_local, template_outputs
+from seqlocc.templates import identity_local, template_outputs
 
 from conftest import CNOT, HAD, SX, SZ
 
@@ -35,7 +33,7 @@ def test_zero_query_template_is_its_local():
 
 
 def test_bare_query_evaluates_to_operand():
-    t = bare_query_template(2, 2, 1)
+    t = CircuitTemplate(2, 2, [QUERY])
     assert np.allclose(evaluate_template(t, CNOT), CNOT)
 
 
@@ -62,7 +60,7 @@ def test_swap_conjugation_algebra():
 def test_compose_identity_outer():
     rng = np.random.default_rng(2)
     inner = CircuitTemplate(2, 2, [_local(rng), QUERY, _local(rng)])
-    outer = bare_query_template(2, 2, 1)
+    outer = CircuitTemplate(2, 2, [QUERY])
     flat = compose_templates(outer, inner)
     X = random_unitary(4, rng)
     assert np.allclose(evaluate_template(flat, X), evaluate_template(inner, X))
@@ -103,20 +101,20 @@ def test_evaluation_stays_unitary():
     assert unitarity_defect(evaluate_template(t, random_unitary(4, rng))) <= 1e-10
 
 
-def test_sequential_template_matches_chain():
+def test_interleaved_queries_match_chain():
     rng = np.random.default_rng(8)
     ws = [LocalLayer(random_unitary(2, rng), np.eye(2, dtype=complex)) for _ in range(3)]
-    t = sequential_template(2, 2, ws)
+    t = CircuitTemplate(2, 2, [QUERY, ws[0], QUERY, ws[1], QUERY, ws[2], QUERY])
     assert t.query_count == 4
     X = random_unitary(4, rng)
     expected = X @ ws[2].matrix() @ X @ ws[1].matrix() @ X @ ws[0].matrix() @ X
     assert np.linalg.norm(evaluate_template(t, X) - expected) <= 1e-12
 
 
-def test_append_query():
+def test_extending_layers_by_a_query():
     rng = np.random.default_rng(9)
-    t = bare_query_template(2, 2, 1)
-    t2 = append_query(t, identity_local(2, 2))
+    t = CircuitTemplate(2, 2, [QUERY])
+    t2 = CircuitTemplate(2, 2, [*t.layers, QUERY, identity_local(2, 2)])
     X = random_unitary(4, rng)
     assert np.allclose(evaluate_template(t2, X), X @ X)
 
@@ -126,7 +124,7 @@ def test_no_inverse_representation():
     inverted query."""
     rng = np.random.default_rng(10)
     t = CircuitTemplate(2, 2, [_local(rng), QUERY, _local(rng), QUERY, _local(rng)])
-    flat = compose_templates(t, bare_query_template(2, 2, 1))
+    flat = compose_templates(t, CircuitTemplate(2, 2, [QUERY]))
     for layer in flat.layers:
         assert isinstance(layer, (LocalLayer, Query))
     data = loads_template(dumps_template(flat))
@@ -152,14 +150,14 @@ def test_serialization_bit_exact_round_trip():
 
 def test_dimension_checks():
     rng = np.random.default_rng(12)
-    t = bare_query_template(2, 2, 1)
+    t = CircuitTemplate(2, 2, [QUERY])
     with pytest.raises(DimensionMismatch):
         evaluate_template(t, np.eye(6))
     with pytest.raises(DimensionMismatch):
-        compose_templates(t, bare_query_template(2, 3, 1))
+        compose_templates(t, CircuitTemplate(2, 3, [QUERY]))
     with pytest.raises(DimensionMismatch):
         CircuitTemplate(2, 2, [LocalLayer(np.eye(3), np.eye(2))])
-    t23 = bare_query_template(2, 3, 2)
+    t23 = CircuitTemplate(2, 3, [QUERY, QUERY])
     a, b = np.ones(2) / np.sqrt(2), np.ones(3) / np.sqrt(3)
     for X in (np.eye(6), np.eye(4)[None], np.eye(6)[None, :5]):
         with pytest.raises(DimensionMismatch):
