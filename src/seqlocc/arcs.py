@@ -49,8 +49,11 @@ def arc_of_phases(phases) -> ArcInfo:
     """Smallest covering arc of a set of phases: the complement of the widest
     circular gap between the sorted phases, once mapped into [0, 2pi). A
     scalar reads as one phase; input of two or more dimensions raises
-    DimensionMismatch."""
-    p = wrap_phases(phases)
+    DimensionMismatch, and a nan or infinite phase ValueError."""
+    p = np.asarray(phases, dtype=float)
+    if not np.isfinite(p).all():
+        raise ValueError(f"phases must be finite, got {phases!r}")
+    p = wrap_phases(p)
     if p.ndim > 1:
         raise DimensionMismatch(f"expected a list of phases, got shape {p.shape}")
     p = np.sort(p, axis=None)  # a scalar sorts as one phase
@@ -83,7 +86,10 @@ def single_query_distinguishable(U, V) -> bool:
 
 def queries_for_arc(theta: float) -> int | float:
     """Fewest n with n theta >= pi - TOL_ANGLE: queries stretching arc theta
-    to pi; math.inf for an arc of at most TOL_ANGLE, a single eigenvalue."""
+    to pi; math.inf for an arc of at most TOL_ANGLE, a single eigenvalue.
+    A nan or infinite theta raises ValueError."""
+    if not math.isfinite(theta):
+        raise ValueError(f"arc length must be finite, got {theta!r}")
     if theta <= TOL_ANGLE:
         return math.inf
     return max(1, math.ceil((math.pi - TOL_ANGLE) / theta - _CEIL_SLACK))

@@ -20,8 +20,11 @@ Every case is one reduction step: a block template f turns the pair into a
 simpler pair (f(U), f(V)), solved on one side by the sequential engine
 (_one_side) or dispatched again, and composed over f (_over_block); a step
 returns a plan (template, input_a, input_b), from which discriminate builds
-the scheme. One rule picks the side of i-a and i-c and the control branch
-of ii: the fewest predicted queries, ceil(pi / Theta(X_u^dag X_v)) (_cheapest).
+the scheme. One rule picks the side of i-a and i-c, the control branch of
+ii and, among the symmetry probes that separate, the probe of iii-a: the
+fewest predicted queries, ceil(pi / Theta(X_u^dag X_v)) (_cheapest). A step
+raises a plain SeqloccError; discriminate alone wraps it in a CaseFailure
+carrying the case trace.
 
 The budget is the math.fsum of one ledger, _Build.per_branch_error, to which
 each step charges, from the actual matrices, its residual overlap and, for
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -458,16 +460,19 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
     d_a, d_b = U.d_a, U.d_b
     sym = build_symmetry_set(d_a, d_b)
     identity = np.eye(d_a * d_b, dtype=complex)
-    # largest separation wins: the recursion needs (I, F(V)) clearly distinct
-    scored = []
-    for i, ((wa, wb), W, label) in enumerate(zip(sym.factor_pairs, sym.elements, sym.labels)):
+    # the recursion needs (I, F(V)) clearly distinct: of the probes that
+    # separate, _cheapest takes the fewest predicted queries
+    probes = {}
+    for W, label in zip(sym.elements, sym.labels):
         FV = W @ fV @ W.conj().T @ fV
-        scored.append((phase_distance(FV, identity), -i, wa, wb, W, FV, label))
-    sep, _, wa, wb, W, FV, label = max(scored)
-    if (np.linalg.norm(FV - identity, 2) <= _IDENTITY_TOL
-            or sep <= max(DISTINCT_TOL, 2.0 * delta_u)):
-        raise CaseFailure(build.trace, SeqloccError(
-            "no symmetry element separated the image of V from the identity"))
+        if (np.linalg.norm(FV - identity, 2) > _IDENTITY_TOL
+                and phase_distance(FV, identity) > max(DISTINCT_TOL, 2.0 * delta_u)):
+            probes[label] = (identity, FV)
+    if not probes:
+        raise SeqloccError("no symmetry element separated the image of V from the identity")
+    label, _, _ = _cheapest(probes)
+    i = sym.labels.index(label)
+    (wa, wb), W, FV = sym.factor_pairs[i], sym.elements[i], probes[label][1]
     build.note(f"symmetry probe {label} selected")
     F_over_blocks = CircuitTemplate(d_a, d_b, [
         QUERY, LocalLayer(wa.conj().T, wb.conj().T), QUERY, LocalLayer(wa, wb)])
@@ -476,9 +481,8 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
     # the probe inverts the ideal image, so the real composite sits within
     # twice the synthesis deviation of the identity
     if not delta_u_block <= 2.0 * delta_u + 4.0 * delta_u ** 2 + MATCH_TOL:
-        raise CaseFailure(build.trace, SeqloccError(
-            f"probe composite deviates {delta_u_block:.3e} from the identity, "
-            f"beyond twice the synthesis deviation {delta_u:.3e}"))
+        raise SeqloccError(f"probe composite deviates {delta_u_block:.3e} from the identity, "
+                           f"beyond twice the synthesis deviation {delta_u:.3e}")
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
                            _validated_product(FV, d_a, d_b, 2 * f_template.query_count, cfg),
                            build)
@@ -571,18 +575,6 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
 
 # --- dispatch ---------------------------------------------------------------
 
-@contextmanager
-def _case_failure(build: _Build):
-    """Re-raise a SeqloccError from a construction step as a CaseFailure
-    carrying the case trace."""
-    try:
-        yield
-    except CaseFailure:
-        raise
-    except SeqloccError as exc:
-        raise CaseFailure(build.trace, exc) from exc
-
-
 def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
                    cls_v=None) -> tuple:
     """Plan (template, input_a, input_b) for (U, V), its budget charged to
@@ -590,11 +582,9 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
 
     The direct route runs only when an operand is imprimitive. It runs
     whatever V is, so against an imprimitive U it is tried first and V is
-    classified only when it misses; classification stays outside the
-    CaseFailure wrapper, so its errors keep their types. Between
-    primitive operands the one-query overlap of a product input factorises,
-    so the closed forms of i-a, i-b and i-c find a one-query scheme
-    whenever one exists.
+    classified only when it misses. Between primitive operands the
+    one-query overlap of a product input factorises, so the closed forms of
+    i-a, i-b and i-c find a one-query scheme whenever one exists.
 
     Only case iii dispatches again, and always on a pair with a primitive
     operand: the identity (iii-a, iii-b-x1), a product at RANK_TOL (see
@@ -611,8 +601,7 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
             U, V, cls_u, cls_v = V, U, cls_v, cls_u
             build.note("operand roles swapped for dispatch (orthogonality is symmetric)")
     if cls_u.kind == "Imprimitive":
-        with _case_failure(build):
-            scheme = _direct(build, U, V)
+        scheme = _direct(build, U, V)
         if scheme is not None:
             return scheme
         if cls_v is None:
@@ -620,19 +609,18 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
 
     kinds = (cls_u.kind, cls_v.kind)
     factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
-    with _case_failure(build):
-        if kinds[0] != "Imprimitive":
-            # both primitive: i-a, i-b and i-c build on the extracted factors,
-            # so each use of an operand costs its distance from its form
-            deltas = (cls_u.deviation, cls_v.deviation)
-            if kinds == ("Product", "Product"):
-                return _case_product_product(build, *factors, deltas)
-            if kinds == ("Product", "SwapProduct"):
-                return _case_product_swap(build, *factors, deltas)
-            return _case_swap_swap(build, *factors, deltas)
-        if kinds[1] != "Imprimitive":
-            return _case_imprimitive_vs_primitive(build, U, V, cls_v)
-        return _case_both_imprimitive(build, U, V)
+    if kinds[0] != "Imprimitive":
+        # both primitive: i-a, i-b and i-c build on the extracted factors,
+        # so each use of an operand costs its distance from its form
+        deltas = (cls_u.deviation, cls_v.deviation)
+        if kinds == ("Product", "Product"):
+            return _case_product_product(build, *factors, deltas)
+        if kinds == ("Product", "SwapProduct"):
+            return _case_product_swap(build, *factors, deltas)
+        return _case_swap_swap(build, *factors, deltas)
+    if kinds[1] != "Imprimitive":
+        return _case_imprimitive_vs_primitive(build, U, V, cls_v)
+    return _case_both_imprimitive(build, U, V)
 
 
 def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
@@ -650,10 +638,13 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     if phase_distance(U.matrix, V.matrix) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
     build = _Build(cfg)
-    scheme = LoccSequentialScheme(*_dispatch_pair(U, V, build), math.nan,
-                                  math.fsum(build.per_branch_error), list(build.trace))
-    with _case_failure(build):
+    # build.trace only grows, so the trace here is the trace at the raise
+    try:
+        scheme = LoccSequentialScheme(*_dispatch_pair(U, V, build), math.nan,
+                                      math.fsum(build.per_branch_error), list(build.trace))
         report = verify_scheme(scheme, U, V, cfg)
+    except SeqloccError as exc:
+        raise CaseFailure(build.trace, exc) from exc
     scheme.achieved_overlap = report.overlap
     report.theta_trace = list(build.theta_trace)
     report.per_branch_error = list(build.per_branch_error)

@@ -60,12 +60,13 @@ def _dimensions(data: dict) -> tuple[int, int]:
     return dims
 
 
-def matrix_to_dict(U: BipartiteUnitary) -> dict:
-    return {"d_a": U.d_a, "d_b": U.d_b, "entries": _to_lists(U.matrix.reshape(-1))}
+def dumps_matrix(U: BipartiteUnitary) -> str:
+    return json.dumps({"d_a": U.d_a, "d_b": U.d_b, "entries": _to_lists(U.matrix.reshape(-1))},
+                      indent=2)
 
 
-def matrix_from_dict(data: dict,
-                     unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
+def loads_matrix(text: str, unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
+    data = _parse(text)
     try:
         d_a, d_b = _dimensions(data)
         entries = data["entries"]
@@ -74,14 +75,6 @@ def matrix_from_dict(data: dict,
     n = d_a * d_b
     M = _from_lists(entries, (n * n,), f"entries for ({d_a}, {d_b})").reshape(n, n)
     return validate_unitary(M, d_a, d_b, tol=unitarity_tol)
-
-
-def dumps_matrix(U: BipartiteUnitary) -> str:
-    return json.dumps(matrix_to_dict(U), indent=2)
-
-
-def loads_matrix(text: str, unitarity_tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
-    return matrix_from_dict(_parse(text), unitarity_tol)
 
 
 def load_matrix_file(path: str,
@@ -136,29 +129,6 @@ def loads_template(text: str) -> CircuitTemplate:
     return template_from_dict(_parse(text))
 
 
-def scheme_to_dict(scheme: LoccSequentialScheme,
-                   report: DiscriminationReport | None = None) -> dict:
-    data = {
-        "template": template_to_dict(scheme.template),
-        "input_a": _to_lists(scheme.input_a),
-        "input_b": _to_lists(scheme.input_b),
-        "achieved_overlap": float(scheme.achieved_overlap),
-        "budget": float(scheme.budget),
-        "case_trace": list(scheme.case_trace),
-    }
-    if report is not None:
-        data["report"] = {
-            "overlap": float(report.overlap),
-            "query_count": int(report.query_count),
-            "passed": bool(report.passed),
-            "per_branch_error": [float(x) for x in report.per_branch_error],
-            "theta_trace": [float(x) for x in report.theta_trace],
-            "case_trace": list(report.case_trace),
-            "wall_notes": report.wall_notes,
-        }
-    return data
-
-
 def scheme_from_dict(data: dict,
                      unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
     """Scheme record to a scheme; a malformed record raises MatrixFileError,
@@ -185,7 +155,25 @@ def scheme_from_dict(data: dict,
 
 def dumps_scheme(scheme: LoccSequentialScheme,
                  report: DiscriminationReport | None = None) -> str:
-    return json.dumps(scheme_to_dict(scheme, report), indent=2)
+    data = {
+        "template": template_to_dict(scheme.template),
+        "input_a": _to_lists(scheme.input_a),
+        "input_b": _to_lists(scheme.input_b),
+        "achieved_overlap": float(scheme.achieved_overlap),
+        "budget": float(scheme.budget),
+        "case_trace": list(scheme.case_trace),
+    }
+    if report is not None:
+        data["report"] = {
+            "overlap": float(report.overlap),
+            "query_count": int(report.query_count),
+            "passed": bool(report.passed),
+            "per_branch_error": [float(x) for x in report.per_branch_error],
+            "theta_trace": [float(x) for x in report.theta_trace],
+            "case_trace": list(report.case_trace),
+            "wall_notes": report.wall_notes,
+        }
+    return json.dumps(data, indent=2)
 
 
 def loads_scheme(text: str,

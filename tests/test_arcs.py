@@ -303,3 +303,14 @@ def test_arc_of_phases_reads_a_scalar_as_one_phase(phase, wrapped):
 def test_arc_of_phases_rejects_a_table_of_phases():
     with pytest.raises(DimensionMismatch):
         arc_of_phases([[0.1, 0.2], [0.3, 0.4]])
+
+
+@pytest.mark.parametrize("fn,arg", [(arc_of_phases, [0.0, math.nan]),
+                                    (arc_of_phases, math.inf),
+                                    (queries_for_arc, math.nan)],
+                         ids=["arc-of-nan", "arc-of-inf", "queries-for-nan"])
+def test_non_finite_phases_raise(fn, arg):
+    """A nan phase would give a nan arc, and an infinite one the zero arc of
+    a single eigenvalue; a nan arc has no query count. Each is refused."""
+    with pytest.raises(ValueError, match="must be finite"):
+        fn(arg)

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from seqlocc import (
     ArcTooSmall,
+    CaseFailure,
     LocalLayer,
+    NumericalFailure,
     Query,
     RunConfig,
+    StageStalled,
     discriminate,
     exp_xx_form,
     random_unitary,
@@ -457,6 +460,34 @@ def test_primitive_u_still_trades_roles(monkeypatch):
     assert dumps_scheme(scheme) == dumps_scheme(discriminate(V, U, CFG)[0])
 
 
+def test_direct_route_error_is_one_case_failure(monkeypatch, cnot, cz):
+    """An error in the direct route, run before any case label, arrives as
+    one CaseFailure with an empty trace, the error itself its cause."""
+    failure = NumericalFailure("no zero found")
+
+    def fail(A):
+        raise failure
+
+    monkeypatch.setattr(engine, "numerical_range_zero", fail)
+    with pytest.raises(CaseFailure) as exc:
+        discriminate(cnot, cz, CFG)
+    assert exc.value.case_trace == [] and exc.value.cause is failure
+
+
+def test_nested_error_is_one_case_failure(monkeypatch):
+    """A sequential engine that stalls under iii-a's inner dispatch (corpus
+    pair 19) is wrapped once, with the trace down to the inner case."""
+    def stall(*args, **kwargs):
+        raise StageStalled("stage gained no arc", [])
+
+    monkeypatch.setattr(engine, "build_sequential_scheme", stall)
+    *_, U, V = labeled_pairs()[19]
+    with pytest.raises(CaseFailure) as exc:
+        discriminate(U, V, CFG)
+    assert exc.value.case_trace == ["iii", "iii-a", "i-a"]
+    assert isinstance(exc.value.cause, StageStalled)  # so not itself a CaseFailure
+
+
 def _near_pair(rng, d_a, d_b, theta):
     """V = U Q diag(e^{i phi}) Q^dag with U, Q Haar and
     phi = (0, theta, theta u^(D-2)), u uniform: the arc of U^dag V is theta."""
@@ -469,9 +500,9 @@ def _near_pair(rng, d_a, d_b, theta):
 
 @pytest.fixture(scope="module")
 def near_pairs_2x3():
-    """2x3 near pairs at theta = 0.9, 0.6 and 0.45 pi, drawn in that order."""
+    """2x3 near pairs at theta = 0.9, 0.6, 0.45 and 0.3 pi, drawn in that order."""
     rng = np.random.default_rng(2023)
-    return [_near_pair(rng, 2, 3, theta * np.pi) for theta in (0.9, 0.6, 0.45)]
+    return [_near_pair(rng, 2, 3, theta * np.pi) for theta in (0.9, 0.6, 0.45, 0.3)]
 
 
 @pytest.mark.parametrize("index", [1, 2])
@@ -486,6 +517,19 @@ def test_iii_a_on_near_pairs_beyond_2x2(near_pairs_2x3, index):
     assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
     check_local_unitarity(scheme.template, CFG.unitarity_tol)
     assert report.passed and report.overlap <= scheme.budget
+
+
+def test_iii_a_probe_is_the_cheapest_that_separates(near_pairs_2x3):
+    """At theta = 0.3 pi every symmetry probe separates F(V) from the
+    identity. The widest separation, (sz+I) on B, predicts 2 queries for
+    (I, F(V)), and its scheme takes 36 with a budget over the cap; _cheapest
+    takes (sy+I) on B, which predicts 1, and its scheme takes 18 within it."""
+    U, V = near_pairs_2x3[3]
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace[:2] == ["iii", "iii-a"]
+    assert "symmetry probe Ix(sy+I) selected" in report.wall_notes
+    assert report.query_count == 18 and scheme.budget <= CFG.overlap_tol
+    assert report.passed
 
 
 def test_iii_a_at_3x3_under_the_case_engine():
