@@ -654,9 +654,12 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
 
 def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
-    off unitarity by more than tol, MalformedScheme for a template without a
-    query, an input that is not a unit vector (to tol) of length d_a or d_b,
-    or a budget that is negative or not finite."""
+    off unitarity by more than tol, MalformedScheme for a template whose
+    layers are not local, query, local, ..., local (a layer of another type,
+    two adjacent queries, no trailing local) or hold a local factor of the
+    wrong shape, for a template without a query, an input that is not a unit
+    vector (to tol) of length d_a or d_b, or a budget that is negative or not
+    finite."""
     t = scheme.template
     check_local_unitarity(t, tol)
     if t.query_count == 0:

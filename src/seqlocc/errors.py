@@ -77,5 +77,6 @@ class MatrixFileError(SeqloccError):
 
 
 class MalformedScheme(SeqloccError):
-    """A scheme has no query, inputs that are not unit vectors of the
-    template's dimensions, or a negative or non-finite budget."""
+    """A scheme's template is out of normal form or has no query, its inputs
+    are not unit vectors of the template's dimensions, or its budget is
+    negative or non-finite."""

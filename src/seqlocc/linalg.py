@@ -66,9 +66,10 @@ def mat(U) -> np.ndarray:
 
 
 def unitarity_defect(M) -> float:
-    """Operator-norm deviation of M^dag M from the identity."""
+    """Operator-norm deviation of M^dag M from the identity: its largest
+    singular value, from the one LAPACK call np.linalg.norm(., 2) makes."""
     A = _as_matrix(M)
-    return float(np.linalg.norm(A.conj().T @ A - np.eye(A.shape[1]), 2))
+    return float(np.linalg.svd(A.conj().T @ A - np.eye(A.shape[1]), compute_uv=False)[0])
 
 
 def validate_unitary(M, d_a: int, d_b: int = 1,
@@ -165,7 +166,7 @@ def op_distance_mod_phase(A, B) -> float:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     t = np.trace(b.conj().T @ a)
     phase = t / abs(t) if abs(t) > _TINY else 1.0
-    return float(np.linalg.norm(a - phase * b, 2))
+    return float(np.linalg.svd(a - phase * b, compute_uv=False)[0])
 
 
 def wrap_phases(phases) -> np.ndarray:

@@ -17,7 +17,7 @@ from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, phase_distance
 from .structure import classify_primitive
-from .templates import CircuitTemplate, LocalLayer, QUERY
+from .templates import CircuitTemplate, LocalLayer, QUERY, kron_layers
 from .unitary_opt import hermitian_basis, pullback, unitaries
 
 # L-BFGS-B options: a short run per seed, and a long polish of the winner
@@ -67,7 +67,7 @@ class _LayerProblem:
 
     def _layers(self, A, B) -> np.ndarray:
         """All k+1 layers A_i (x) B_i, stacked."""
-        return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(self.k + 1, self.D, self.D)
+        return kron_layers(A, B)
 
     def template(self, x) -> CircuitTemplate:
         A, B = self._factors(x)

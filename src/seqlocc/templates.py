@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .errors import DimensionMismatch, NotUnitary
+from .errors import DimensionMismatch, MalformedScheme, NotUnitary
 from .linalg import mat
 
 
@@ -101,16 +101,46 @@ def _normalize_layers(d_a: int, d_b: int, layers) -> list:
     return out
 
 
-def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_tol) -> None:
-    """Raise NotUnitary if any local factor drifted from unitarity.
+def kron_layers(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Stack of the products A_i (x) B_i of the (m, d_a, d_a) and (m, d_b, d_b)
+    factor stacks, formed in one broadcast: the same bits as np.kron."""
+    m, d_a, d_b = len(A), A.shape[1], B.shape[1]
+    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, d_a * d_b, d_a * d_b)
 
-    The factors of each side are stacked and checked with one einsum. The
+
+def _factor_stacks(t: CircuitTemplate) -> tuple[np.ndarray, np.ndarray]:
+    """The (k+1, d_a, d_a) and (k+1, d_b, d_b) stacks of the local factors of
+    t, which must be in normal form L Q L ... Q L with factors of its shape.
+
+    Templates are normalized on construction, but their layer lists stay
+    mutable, so a list edited afterwards raises MalformedScheme here.
+    """
+    layers = t.layers
+    locals_ = layers[::2]
+    if not (len(layers) % 2 == 1
+            and all(isinstance(layer, LocalLayer) for layer in locals_)
+            and all(isinstance(layer, Query) for layer in layers[1::2])):
+        raise MalformedScheme("the template's layers are not local, query, local, ..., local")
+    try:
+        A = np.array([layer.factor_a for layer in locals_], dtype=complex)
+        B = np.array([layer.factor_b for layer in locals_], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise MalformedScheme(f"the local factors are not matrices of one shape: {exc}") from exc
+    if A.shape[1:] != (t.d_a, t.d_a) or B.shape[1:] != (t.d_b, t.d_b):
+        raise MalformedScheme(
+            f"local factors {A.shape[1:]}/{B.shape[1:]} do not fit ({t.d_a}, {t.d_b})")
+    return A, B
+
+
+def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_tol) -> None:
+    """Raise NotUnitary if any local factor drifted from unitarity, and
+    MalformedScheme if the layers are out of normal form.
+
+    The factors of each side are checked as one stack with one einsum. The
     Frobenius norm of F^dag F - I bounds its operator norm from above, so
     only factors over tol by the former pay for the exact (SVD) norm.
     """
-    locals_ = [layer for layer in t.layers if isinstance(layer, LocalLayer)]
-    for side in ("factor_a", "factor_b"):
-        F = np.stack([getattr(layer, side) for layer in locals_])
+    for F in _factor_stacks(t):
         G = np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1])
         frobenius = np.sqrt(np.einsum("kij,kij->k", G.conj(), G).real)
         over = ~(frobenius <= tol)
@@ -118,32 +148,30 @@ def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_t
             continue
         if not np.all(np.isfinite(frobenius)):
             raise NotUnitary(np.inf, tol)
-        defect = float(np.linalg.norm(G[over], 2, axis=(1, 2)).max())
+        defect = float(np.linalg.svd(G[over], compute_uv=False)[:, 0].max())
         if defect > tol:
             raise NotUnitary(defect, tol)
 
 
 def _propagate(t: CircuitTemplate, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(m, n) outputs of t on the (m, d_a, d_b) states psi, the m-th against
-    the query x[m]: a local layer acts as fa @ psi @ fb^T and a query as one
-    batched mat-vec, so no Kronecker or n x n layer product is formed."""
-    d_a, d_b, n = t.d_a, t.d_b, t.dim
-    for layer in t.layers:
-        if isinstance(layer, Query):
-            psi = (x @ psi.reshape(-1, n, 1)).reshape(-1, d_a, d_b)
-        else:
-            psi = layer.factor_a @ psi @ layer.factor_b.T
-    return psi.reshape(-1, n)
+    """(m, n) outputs of t on the (m, n, 1) states psi, the m-th against the
+    query x[m]. Every layer L_i = A_i (x) B_i is formed in one broadcast and
+    a query step is L_i (X psi), two batched mat-vecs; no L_i X is formed."""
+    L = kron_layers(*_factor_stacks(t))
+    psi = L[0] @ psi
+    for layer in L[1:]:
+        psi = layer @ (x @ psi)
+    return psi[..., 0]
 
 
 def evaluate_template(t: CircuitTemplate, X) -> np.ndarray:
     """Matrix of the template with X substituted at every query slot: the
-    images of the n basis inputs, propagated factor-wise as columns."""
+    images of the n basis inputs, propagated as a stack of columns."""
     x = mat(X)
     n = t.dim
     if x.shape != (n, n):
         raise DimensionMismatch(f"expected {n}x{n} query, got {x.shape}")
-    basis = np.eye(n, dtype=complex).reshape(n, t.d_a, t.d_b)
+    basis = np.eye(n, dtype=complex).reshape(n, n, 1)
     return _propagate(t, np.broadcast_to(x, (n, n, n)), basis).T
 
 
@@ -157,7 +185,7 @@ def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
     a, b = np.asarray(input_a), np.asarray(input_b)
     if a.shape != (d_a,) or b.shape != (d_b,):
         raise DimensionMismatch(f"inputs {a.shape}/{b.shape} do not fit ({d_a}, {d_b})")
-    return _propagate(t, x, np.broadcast_to(np.outer(a, b), (len(x), d_a, d_b)))
+    return _propagate(t, x, np.broadcast_to(np.outer(a, b).reshape(n, 1), (len(x), n, 1)))
 
 
 def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> CircuitTemplate:

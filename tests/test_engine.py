@@ -598,9 +598,28 @@ def _long_input(scheme):
     scheme.input_a = np.append(scheme.input_a, 0.0)
 
 
+def _dense_layer(scheme):
+    """A full 4x4 matrix in a local's place: not a product layer."""
+    scheme.template.layers[2] = np.eye(4, dtype=complex)
+
+
+def _wrong_shape_factor(scheme):
+    _first_local(scheme).factor_a = np.eye(3, dtype=complex)
+
+
+def _adjacent_queries(scheme):
+    scheme.template.layers.insert(1, QUERY)
+
+
+def _no_trailing_local(scheme):
+    scheme.template.layers.pop()
+
+
 FORGERIES = [(_zero_factor, NotUnitary), (_scaled_factor, NotUnitary), (_nan_factor, NotUnitary),
              (_zero_input, MalformedScheme), (_scaled_input, MalformedScheme),
-             (_long_input, MalformedScheme)]
+             (_long_input, MalformedScheme), (_dense_layer, MalformedScheme),
+             (_wrong_shape_factor, MalformedScheme), (_adjacent_queries, MalformedScheme),
+             (_no_trailing_local, MalformedScheme)]
 
 
 @pytest.mark.parametrize("forge, error", FORGERIES)

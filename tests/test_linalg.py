@@ -10,9 +10,11 @@ from seqlocc import (
     dagger,
     eig_unitary,
     kron,
+    op_distance_mod_phase,
     phase_distance,
     random_unitary,
     swap_operator,
+    unitarity_defect,
     validate_unitary,
 )
 
@@ -132,6 +134,20 @@ def test_kron_same_bits_as_numpy(shapes):
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(got.real).any() and np.signbit(got.imag).any()
+
+
+def test_operator_norms_same_bits_as_numpy_norm():
+    """unitarity_defect and op_distance_mod_phase read the largest singular
+    value from np.linalg.svd directly; np.linalg.norm(., 2) makes the same
+    LAPACK call, so every value agrees bit for bit."""
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        d = int(rng.integers(2, 10))
+        M = random_unitary(d, rng) + rng.normal(scale=10.0 ** rng.integers(-12, 0), size=(d, d))
+        W = random_unitary(d, rng)
+        assert unitarity_defect(M) == np.linalg.norm(M.conj().T @ M - np.eye(d), 2)
+        t = np.trace(W.conj().T @ M)
+        assert op_distance_mod_phase(M, W) == np.linalg.norm(M - t / abs(t) * W, 2)
 
 
 def _eig_unitary_via_schur(U):

@@ -14,7 +14,7 @@ from seqlocc import (
     swap_operator,
     unitarity_defect,
 )
-from seqlocc.errors import DimensionMismatch
+from seqlocc.errors import DimensionMismatch, MalformedScheme
 from seqlocc.templates import identity_local, template_outputs
 
 from conftest import CNOT, HAD, SX, SZ
@@ -109,6 +109,19 @@ def test_interleaved_queries_match_chain():
     X = random_unitary(4, rng)
     expected = X @ ws[2].matrix() @ X @ ws[1].matrix() @ X @ ws[0].matrix() @ X
     assert np.linalg.norm(evaluate_template(t, X) - expected) <= 1e-12
+    # random factors on both sides of unequal dimensions, against an explicit
+    # np.kron chain: a swap of the A and B roles in the layer product shows
+    for d_a, d_b in ((2, 3), (3, 2), (3, 3)):
+        for k in (0, 1, 12):
+            t = _random_template(rng, d_a, d_b, k)
+            X = random_unitary(d_a * d_b, rng)
+            expected = np.kron(t.layers[0].factor_a, t.layers[0].factor_b)
+            for layer in t.layers[2::2]:
+                expected = np.kron(layer.factor_a, layer.factor_b) @ X @ expected
+            assert np.linalg.norm(evaluate_template(t, X) - expected) <= 1e-12
+            a, b = _random_state(rng, d_a), _random_state(rng, d_b)
+            out = template_outputs(t, X[None], a, b)[0]
+            assert np.linalg.norm(out - expected @ np.kron(a, b)) <= 1e-12
 
 
 def test_extending_layers_by_a_query():
@@ -164,6 +177,11 @@ def test_dimension_checks():
             template_outputs(t23, X, a, b)
     with pytest.raises(DimensionMismatch):
         template_outputs(t23, np.eye(6)[None], b, a)
+    # a layer list edited after construction: every A factor 3x3 in a 2x3 template
+    for layer in t23.layers[::2]:
+        layer.factor_a = np.eye(3, dtype=complex)
+    with pytest.raises(MalformedScheme, match="do not fit"):
+        template_outputs(t23, np.eye(6)[None], a, b)
 
 
 def _random_template(rng, d_a, d_b, k):
