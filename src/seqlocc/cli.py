@@ -51,8 +51,6 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 # RunConfig field -> flag; each subcommand takes only the fields it reads

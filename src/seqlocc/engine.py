@@ -230,16 +230,32 @@ def _controlled_form(M: np.ndarray, d_a: int, d_b: int):
     return groups, blocks
 
 
+def _compile(build: _Build, U: BipartiteUnitary, target: BipartiteUnitary, label: str):
+    """The inverse-free compile step: a template f over forward uses of U
+    with f(U) close to target up to a phase, the bare query when U already
+    is, to MATCH_TOL, and otherwise synthesized. Returns (f, the real f(U),
+    its operator-norm deviation from target modulo a global phase)."""
+    delta = op_distance_mod_phase(U.matrix, target.matrix)
+    if delta <= MATCH_TOL:
+        build.note(f"{label} fast path: operand already the target up to a phase")
+        template = CircuitTemplate(U.d_a, U.d_b, [QUERY])
+        return template, evaluate_template(template, U.matrix), delta
+    res = synthesize(target, U, build.cfg)
+    fU = evaluate_template(res.template, U.matrix)
+    delta = op_distance_mod_phase(fU, target.matrix)
+    build.note(f"{label} synthesized with k={res.layer_count}, delta={delta:.2e}")
+    return res.template, fU, delta
+
+
 def _controlled_template(U: BipartiteUnitary, build: _Build):
     """Template f with f(U) a two-block controlled unitary.
 
     Uses U itself when it is already controlled in the computational basis
-    (one query, identity locals); otherwise synthesizes the fixed controlled
+    (one query, identity locals); otherwise compiles the fixed controlled
     target. Returns (template, groups, blocks, delta_use) where delta_use
     bounds the per-use operator-norm deviation of the real f(U) from the
     ideal block structure.
     """
-    cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
     ctrl = _controlled_form(U.matrix, d_a, d_b)
     if ctrl is not None:
@@ -257,11 +273,9 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     G[1, 1] = np.exp(2j * np.pi / 3)
     P0 = np.diag(basis_state(d_a, 0))
     C = np.kron(P0, np.eye(d_b)) + np.kron(np.eye(d_a) - P0, G)
-    groups, blocks = [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G]
-    res = synthesize(validate_unitary(C, d_a, d_b, tol=CLOSED_FORM_TOL), U, cfg)
-    delta_use = op_distance_mod_phase(evaluate_template(res.template, U.matrix), C)
-    build.note(f"controlled target synthesized with k={res.layer_count}, delta={delta_use:.2e}")
-    return res.template, groups, blocks, delta_use
+    template, _, delta_use = _compile(
+        build, U, validate_unitary(C, d_a, d_b, tol=CLOSED_FORM_TOL), "controlled target")
+    return template, [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G], delta_use
 
 
 # --- case (i): both primitive ----------------------------------------------
@@ -405,39 +419,21 @@ def _validated_product(M: np.ndarray, d_a: int, d_b: int, uses: int,
     return validate_unitary(M, d_a, d_b, tol=uses * cfg.unitarity_tol + CLOSED_FORM_TOL)
 
 
-def _xx_template(U: BipartiteUnitary, build: _Build):
-    """Template f with f(U) close to the canonical interaction exponential.
-
-    Returns (f, the real f(U), its deviation from that exponential).
-    """
-    d_a, d_b = U.d_a, U.d_b
-    target = exp_xx_form(1.0, d_a, d_b)
-    delta = op_distance_mod_phase(U.matrix, target.matrix)
-    if delta <= MATCH_TOL:
-        build.note("interaction fast path: operand already the canonical exponential")
-        f_template = CircuitTemplate(d_a, d_b, [QUERY])
-        return f_template, evaluate_template(f_template, U.matrix), delta
-    res = synthesize(target, U, build.cfg)
-    fU = evaluate_template(res.template, U.matrix)
-    delta_u = op_distance_mod_phase(fU, target.matrix)
-    build.note(f"interaction target synthesized with k={res.layer_count}, delta={delta_u:.2e}")
-    return res.template, fU, delta_u
-
-
 def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary) -> tuple:
     """Both operands imprimitive: compile U toward exp(i u1 (x) u2) and
     dispatch on what the same template does to V."""
     cfg = build.cfg
     build.trace.append("iii")
     d_a, d_b = U.d_a, U.d_b
-    f_template, fU_real, delta_u = _xx_template(U, build)
+    target = exp_xx_form(1.0, d_a, d_b)
+    f_template, fU_real, delta_u = _compile(build, U, target, "interaction target")
     fV = evaluate_template(f_template, V.matrix)
     fV_bip = _validated_product(fV, d_a, d_b, f_template.query_count, cfg)
 
     cls_fv = classify_primitive(fV_bip)
     if cls_fv.kind != "Imprimitive":
         build.note(f"image of V is {cls_fv.kind}; descending to the mixed case")
-        inner = _dispatch_pair(exp_xx_form(1.0, d_a, d_b), fV_bip, build, cls_fv)
+        inner = _dispatch_pair(target, fV_bip, build, cls_fv)
         return _over_block(build, f_template, inner, (delta_u,))
 
     # coinciding images (the "x = 1" situation) are detected against the real
@@ -498,16 +494,14 @@ def _case_iii_b_same(build, U, V, f_template, fU_real):
     cfg = build.cfg
     build.trace.append("iii-b-x1")
     d_a, d_b = U.d_a, U.d_b
-    gen = _validated_product(fU_real, d_a, d_b, f_template.query_count, cfg)
-    h = synthesize(_validated_product(U.matrix.conj().T, d_a, d_b, 1, cfg), gen, cfg)
-    block_template = CircuitTemplate(
-        d_a, d_b, [*compose_templates(h.template, f_template).layers, QUERY])
+    h, _, _ = _compile(build, _validated_product(fU_real, d_a, d_b, f_template.query_count, cfg),
+                       _validated_product(U.matrix.conj().T, d_a, d_b, 1, cfg), "inverse")
+    block_template = CircuitTemplate(d_a, d_b, [*compose_templates(h, f_template).layers, QUERY])
     VUd = V.matrix @ U.matrix.conj().T
     identity = np.eye(d_a * d_b, dtype=complex)
     delta_bu = op_distance_mod_phase(evaluate_template(block_template, U.matrix), identity)
     delta_bv = op_distance_mod_phase(evaluate_template(block_template, V.matrix), VUd)
-    build.note(f"inverse synthesized from forward blocks with k={h.layer_count}, "
-               f"delta_bu={delta_bu:.2e}, delta_bv={delta_bv:.2e}")
+    build.note(f"inverse block: delta_bu={delta_bu:.2e}, delta_bv={delta_bv:.2e}")
     inner = _dispatch_pair(validate_unitary(identity, d_a, d_b, tol=CLOSED_FORM_TOL),
                            _validated_product(VUd, d_a, d_b, 2, cfg), build)
     return _over_block(build, block_template, inner, (delta_bu, delta_bv))
@@ -517,7 +511,7 @@ def _case_iii_b_scaled(build, U, f_template, delta_u, fV, x, phase):
     """Images are interaction exponentials with different angles: feed the
     B side the +1 eigenvector of the interaction so the pair reduces to
     exp(i u1) against e^{i phase} exp(i x u1) on the A side alone. delta_u
-    is f(U)'s deviation from exp(i u1), as _xx_template measured it."""
+    is f(U)'s deviation from exp(i u1), as _compile measured it."""
     build.trace.append("iii-b-xne1")
     d_a, d_b = U.d_a, U.d_b
     build.note(f"A-side reduction with x={x:.6f}")

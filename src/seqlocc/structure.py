@@ -15,15 +15,7 @@ import numpy as np
 
 from .config import CLOSED_FORM_TOL, MATCH_TOL, RANK_TOL
 from .errors import DimensionMismatch, DimensionTooSmall
-from .linalg import (
-    BipartiteUnitary,
-    basis_state,
-    kron,
-    mat,
-    normalize,
-    swap_operator,
-    validate_unitary,
-)
+from .linalg import BipartiteUnitary, basis_state, kron, mat, normalize, validate_unitary
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,20 +68,23 @@ def realign(U, d_a: int, d_b: int) -> np.ndarray:
     return A.reshape(d_a, d_b, d_a, d_b).transpose(0, 2, 1, 3).reshape(d_a * d_a, d_b * d_b)
 
 
-def operator_schmidt(U: BipartiteUnitary) -> OperatorSchmidtDecomposition:
-    """Schmidt terms from the SVD of the realigned matrix.
+def _schmidt(R: np.ndarray, d_a: int, d_b: int) -> OperatorSchmidtDecomposition:
+    """Schmidt terms from the SVD of R, a realigned matrix.
 
     R = sum_i c_i x_i y_i^dag row-by-row gives B_i[b, b'] = (y_i^dag)[(b b')]
     directly; the rows of the returned V^dag factor are already the
     conjugated vectors.
     """
-    d_a, d_b = U.d_a, U.d_b
-    R = realign(U.matrix, d_a, d_b)
     X, s, Yh = np.linalg.svd(R)
     r = min(R.shape)
     left = [X[:, i].reshape(d_a, d_a) for i in range(r)]
     right = [Yh[i, :].reshape(d_b, d_b) for i in range(r)]
     return OperatorSchmidtDecomposition(s[:r], left, right)
+
+
+def operator_schmidt(U: BipartiteUnitary) -> OperatorSchmidtDecomposition:
+    """Schmidt terms of U, from the SVD of its realignment."""
+    return _schmidt(realign(U.matrix, U.d_a, U.d_b), U.d_a, U.d_b)
 
 
 def _apply_phase_convention(fa: np.ndarray, fb: np.ndarray):
@@ -151,17 +146,21 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     """
     d_a, d_b = U.d_a, U.d_b
     dec = schmidt = operator_schmidt(U)
-    P = None
-    if dec.rank() != 1 and d_a == d_b:
-        P = swap_operator(d_a)
-        schmidt = operator_schmidt(BipartiteUnitary(U.matrix @ P, d_a, d_b, U.unitarity_defect))
+    # the swap P only trades the column indices, so U P and its realignment
+    # are index permutations of U, and so is form P below
+    swapped = dec.rank() != 1 and d_a == d_b
+    if swapped:
+        schmidt = _schmidt(U.matrix.reshape((d_a,) * 4).transpose(0, 3, 1, 2).reshape(
+            d_a * d_a, d_a * d_a), d_a, d_a)
     if schmidt.rank() == 1:
         fa, fb = _apply_phase_convention(_closest_unitary(schmidt.left_ops[0]),
                                          _closest_unitary(schmidt.right_ops[0]))
-        form = kron(fa, fb) if P is None else kron(fa, fb) @ P
+        form = kron(fa, fb)
+        if swapped:
+            form = form.reshape((d_a,) * 4).transpose(0, 1, 3, 2).reshape(d_a * d_a, d_a * d_a)
         t = np.vdot(form, U.matrix)  # tr(form^dag U), of modulus about dim
         deviation = float(np.linalg.norm(U.matrix - t / abs(t) * form))
-        return PrimitiveForm("Product" if P is None else "SwapProduct", fa, fb,
+        return PrimitiveForm("SwapProduct" if swapped else "Product", fa, fb,
                              deviation / math.sqrt(2 * d_a * d_b), dec.coefficients, deviation)
     # distance to the nearest primitive form, from the truncation weight of
     # the larger leading coefficient of the realignments decomposed
@@ -254,6 +253,16 @@ def _wrap_angle(x: float) -> float:
     return np.pi if y == -np.pi else float(y)
 
 
+def _match_xx(M: np.ndarray, d_a: int, d_b: int, tol: float):
+    """x in (-pi, pi] with ||M - exp_xx_form(x)|| <= tol, or None: the
+    candidate read from the interaction block of M, then the distance
+    verified against the matrix exp_xx_form validates."""
+    x = _wrap_angle(float(np.arctan2(M[0, d_b + 1].imag, M[0, 0].real)))
+    if np.linalg.norm(M - _exp_of_block(x, xx_generator(d_a, d_b)), 2) <= tol:
+        return x
+    return None
+
+
 def match_exp_xx(U: BipartiteUnitary, tol: float = MATCH_TOL):
     """x in (-pi, pi] with ||U - exp_xx_form(x)|| <= tol, or None.
 
@@ -262,18 +271,9 @@ def match_exp_xx(U: BipartiteUnitary, tol: float = MATCH_TOL):
     the sign that eigenphases alone would leave open. Exact distance is then
     verified against the reconstructed form; no global phase is tolerated.
     """
-    d_a, d_b = U.d_a, U.d_b
-    if d_a < 2 or d_b < 2:
+    if U.d_a < 2 or U.d_b < 2:
         return None
-    i00 = 0
-    i11 = 1 * d_b + 1
-    c = U.matrix[i00, i00].real
-    s = U.matrix[i00, i11].imag
-    x = _wrap_angle(float(np.arctan2(s, c)))
-    ref = exp_xx_form(x, d_a, d_b)
-    if np.linalg.norm(U.matrix - ref.matrix, 2) <= tol:
-        return x
-    return None
+    return _match_xx(U.matrix, U.d_a, U.d_b, tol)
 
 
 def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = MATCH_TOL):
@@ -290,18 +290,14 @@ def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = MATCH_TOL):
     d_a, d_b = U.d_a, U.d_b
     if d_a < 2 or d_b < 2:
         return None
-    i00 = 0
-    i11 = 1 * d_b + 1
-    a = complex(U.matrix[i00, i00])
-    b = complex(U.matrix[i00, i11])
+    a = complex(U.matrix[0, 0])
+    b = complex(U.matrix[0, d_b + 1])
     sq = a * a - b * b
     if abs(abs(sq) - 1.0) > 0.5:
         return None
     half = 0.5 * np.angle(sq)
     for phase in (half, half + np.pi):
-        stripped = BipartiteUnitary(U.matrix * np.exp(-1j * phase), d_a, d_b,
-                                    U.unitarity_defect)
-        x = match_exp_xx(stripped, tol)
+        x = _match_xx(U.matrix * np.exp(-1j * phase), d_a, d_b, tol)
         if x is not None:
             return x, _wrap_angle(float(phase))
     return None

@@ -563,11 +563,11 @@ def test_controlled_fast_path_budget_covers_deviation():
 
 
 def test_interaction_fast_path_reports_deviation():
-    target = exp_xx_form(1.0, 2, 2).matrix
-    U = _v(_near(target, 7))
-    f_template, _, delta = engine._xx_template(U, engine._Build(CFG))
+    target = exp_xx_form(1.0, 2, 2)
+    U = _v(_near(target.matrix, 7))
+    f_template, _, delta = engine._compile(engine._Build(CFG), U, target, "interaction target")
     assert f_template.query_count == 1
-    assert delta == op_distance_mod_phase(U.matrix, target) > 0
+    assert delta == op_distance_mod_phase(U.matrix, target.matrix) > 0
 
 
 def _first_local(scheme):

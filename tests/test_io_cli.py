@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -157,11 +158,13 @@ def test_scheme_with_non_positive_dimension_is_a_file_error(tmp_path):
 
 
 # entries written as JSON strings, or as booleans alone: numpy would parse
-# "1" and true as 1.0, so each record below once loaded as the identity
+# "1" and true as 1.0, so each of the first three records once loaded as the
+# identity; rows of unequal length make numpy raise instead
 NON_NUMBER_ENTRIES = {
     "strings": [["1", "0"], ["0", "0"], ["0", "0"], ["1", "0"]],
     "booleans": [[True, False], [False, False], [False, False], [True, False]],
     "null": [[1, 0], [None, 0], [0, 0], [1, 0]],
+    "ragged": [[1, 0], [0], [0, 0], [1, 0]],
 }
 
 
@@ -177,6 +180,23 @@ def test_non_number_entries_are_file_errors(tmp_path, name):
     *_, scheme = _product_scheme_record(tmp_path)
     with pytest.raises(MatrixFileError, match="not an array of numbers"):
         loads_scheme(json.dumps(dict(scheme, input_a=entries[:2])))
+
+
+def test_unknown_layer_kind_is_a_file_error():
+    with pytest.raises(MatrixFileError, match="unknown layer kind 'dense'"):
+        loads_template(json.dumps({"d_a": 2, "d_b": 2, "layers": [{"kind": "dense"}]}))
+
+
+def test_cli_classify_reads_stdin(tmp_path, monkeypatch, capsys):
+    """classify - reads the matrix record from standard input and prints
+    what the file path prints."""
+    path = _write(tmp_path, "cz.json", CZ)
+    assert main(["classify", path]) == 0
+    from_file = capsys.readouterr().out
+    with open(path, encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(fh.read()))
+    assert main(["classify", "-"]) == 0
+    assert capsys.readouterr().out == from_file
 
 
 @pytest.mark.parametrize("key", ["budget", "achieved_overlap"])
@@ -300,18 +320,18 @@ def test_cli_classify_swap(tmp_path, capsys):
 
 def test_cli_classify_decomposes_each_realignment_once(tmp_path, monkeypatch, capsys):
     """The printed coefficients are the ones classify_primitive computed:
-    one operator_schmidt for the plain realignment, one for the swapped."""
-    from seqlocc import cli, structure
+    one Schmidt decomposition for the plain realignment, one for the swapped."""
+    from seqlocc import structure
     calls = []
-    real = structure.operator_schmidt
+    real = structure._schmidt
 
-    def counting(U):
-        calls.append(U)
-        return real(U)
+    def counting(R, d_a, d_b):
+        calls.append(R)
+        return real(R, d_a, d_b)
 
-    monkeypatch.setattr(structure, "operator_schmidt", counting)
-    # a direct call from cli counts too, should it import the function again
-    monkeypatch.setattr(cli, "operator_schmidt", counting, raising=False)
+    # operator_schmidt decomposes through the same helper, so a direct call
+    # from cli counts too
+    monkeypatch.setattr(structure, "_schmidt", counting)
     path = _write(tmp_path, "cz.json", CZ)
     assert main(["classify", path]) == 0
     assert "schmidt_coefficients: [1.41421356237, 1.41421356237" in capsys.readouterr().out

@@ -11,12 +11,14 @@ from seqlocc import (
     operator_schmidt,
     phase_distance,
     random_unitary,
+    realign,
     swap_operator,
     symmetry_set_inverts,
     validate_unitary,
     xx_generator,
 )
 from seqlocc import structure
+from seqlocc.config import MATCH_TOL
 from seqlocc.errors import DimensionTooSmall
 from seqlocc.structure import (
     _closest_unitary,
@@ -128,18 +130,18 @@ def test_one_sweep_fits_near_product_like_three(eps):
 
 
 def _schmidt_calls(monkeypatch, U):
-    """classify_primitive(U) and the number of operator_schmidt calls it made."""
+    """classify_primitive(U) and the realigned matrices it decomposed."""
     calls = []
-    real = structure.operator_schmidt
+    real = structure._schmidt
 
-    def counting(W):
-        calls.append(W)
-        return real(W)
+    def counting(R, d_a, d_b):
+        calls.append(R)
+        return real(R, d_a, d_b)
 
     with monkeypatch.context() as m:
-        m.setattr(structure, "operator_schmidt", counting)
+        m.setattr(structure, "_schmidt", counting)
         cls = classify_primitive(U)
-    return cls, len(calls)
+    return cls, calls
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -149,11 +151,11 @@ def test_product_decomposes_the_plain_realignment_only(d, monkeypatch):
     rng = np.random.default_rng(60 + d)
     M = np.kron(random_unitary(d, rng), random_unitary(d, rng))
     cls, calls = _schmidt_calls(monkeypatch, _wrap(M, d, d))
-    assert (cls.kind, calls) == ("Product", 1)
+    assert (cls.kind, len(calls)) == ("Product", 1)
     cls, calls = _schmidt_calls(monkeypatch, _wrap(M @ swap_operator(d), d, d))
-    assert (cls.kind, calls) == ("SwapProduct", 2)
+    assert (cls.kind, len(calls)) == ("SwapProduct", 2)
     cls, calls = _schmidt_calls(monkeypatch, _wrap(CNOT, 2, 2))
-    assert (cls.kind, calls) == ("Imprimitive", 2)
+    assert (cls.kind, len(calls)) == ("Imprimitive", 2)
 
 
 def test_swapped_realignment_of_a_product_is_far_from_rank_one():
@@ -425,6 +427,44 @@ def test_imprimitive_form_unchanged():
             cp = operator_schmidt(_wrap(M @ swap_operator(d_a), d_a, d_b)).coefficients
             expected = min(expected, float(np.sqrt(max(0.0, 1.0 - cp[0] ** 2 / U.dim))))
         assert cls.residual == expected
+
+
+def _match_mod_phase_reference(U):
+    """match_exp_xx_mod_phase read off the validated exp_xx_form: strip
+    each candidate phase, then compare against exp_xx_form(x)."""
+    a, b = complex(U.matrix[0, 0]), complex(U.matrix[0, U.d_b + 1])
+    half = 0.5 * np.angle(a * a - b * b)
+    for phase in (half, half + np.pi):
+        stripped = U.matrix * np.exp(-1j * phase)
+        x = structure._wrap_angle(float(np.arctan2(stripped[0, U.d_b + 1].imag,
+                                                   stripped[0, 0].real)))
+        if np.linalg.norm(stripped - exp_xx_form(x, U.d_a, U.d_b).matrix, 2) <= MATCH_TOL:
+            return x, structure._wrap_angle(float(phase))
+    return None
+
+
+def test_recognition_keeps_its_bits(monkeypatch):
+    """classify_primitive reads U P as an index permutation of U: the second
+    matrix it decomposes is the realignment of U.matrix @ P, and a swapped
+    product's deviation is the one measured against kron(fa, fb) @ P, bit
+    for bit. match_exp_xx_mod_phase returns the bits of a matcher that
+    compares against the validated exp_xx_form."""
+    rng = np.random.default_rng(81)
+    dims = ((2, 2), (3, 3), (4, 4))
+    operands = (_products(rng, True, dims) + _products(rng, True, dims, nudge=1e-6)
+                + [_wrap(random_unitary(d * d, rng), d, d) for d in (2, 3, 4) for _ in range(4)])
+    for U in operands:
+        cls, calls = _schmidt_calls(monkeypatch, U)
+        assert len(calls) == 2
+        assert np.array_equal(calls[1], realign(U.matrix @ swap_operator(U.d_a), U.d_a, U.d_b))
+        if cls.kind == "SwapProduct":
+            assert cls.deviation == _form_deviation_reference(U, cls)
+    for d_a, d_b in ((2, 2), (2, 3), (3, 3)):
+        for x, phi in ((0.3, 0.0), (1.0, 0.7), (-2.1, -2.5), (np.pi, 3.0)):
+            U = _wrap(np.exp(1j * phi) * exp_xx_form(x, d_a, d_b).matrix, d_a, d_b)
+            expected = _match_mod_phase_reference(U)
+            assert expected is not None
+            assert match_exp_xx_mod_phase(U) == expected
 
 
 def test_block_exponential_rejects_dimension_one():
