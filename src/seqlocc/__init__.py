@@ -36,6 +36,7 @@ from .errors import (
     SeqloccError,
     StageStalled,
     SynthesisFailed,
+    TooManyQueries,
 )
 from .io import dumps_template, loads_template
 from .linalg import (

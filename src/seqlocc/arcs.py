@@ -56,24 +56,28 @@ def arc_of_phases(phases) -> ArcInfo:
     p = wrap_phases(p)
     if p.ndim > 1:
         raise DimensionMismatch(f"expected a list of phases, got shape {p.shape}")
-    p = np.sort(p, axis=None)  # a scalar sorts as one phase
-    m = p.size
-    if m == 0:
+    if p.size == 0:
         raise ValueError("empty phase list")
+    return _arc_of_sorted(np.sort(p, axis=None))  # a scalar sorts as one phase
+
+
+def _arc_of_sorted(phases: np.ndarray) -> ArcInfo:
+    """arc_of_phases of phases finite, in [0, 2pi) and sorted, as eig_unitary
+    returns them; on a list, as a few phases cost numpy more calls than work."""
+    p = phases.tolist()
+    m = len(p)
     if m == 1:
-        return ArcInfo(0.0, float(p[0]), float(p[0]), (0, 0))
-    gaps = np.empty(m)
-    gaps[:-1] = np.diff(p)
-    gaps[-1] = p[0] + TWO_PI - p[-1]
-    j = int(np.argmax(gaps))
+        return ArcInfo(0.0, p[0], p[0], (0, 0))
+    p.append(p[0] + TWO_PI)
+    gaps = [b - a for a, b in zip(p, p[1:])]
+    j = max(range(m), key=gaps.__getitem__)
     start = (j + 1) % m
-    theta = float(TWO_PI - gaps[j])
-    return ArcInfo(theta, float(p[start]), float(p[j]), (start, j))
+    return ArcInfo(TWO_PI - gaps[j], p[start], p[j], (start, j))
 
 
 def smallest_arc(U) -> ArcInfo:
     """Theta(U) with endpoints, from the sorted eigenphases."""
-    return arc_of_phases(eig_unitary(U).phases)
+    return _arc_of_sorted(eig_unitary(U).phases)
 
 
 def single_query_distinguishable(U, V) -> bool:
@@ -136,7 +140,7 @@ def zero_overlap_state(T) -> np.ndarray:
     Requires Theta(T) >= pi - TOL_ANGLE; see zero_overlap_from_spectrum.
     """
     dec = eig_unitary(T)
-    return zero_overlap_from_spectrum(dec, arc_of_phases(dec.phases))
+    return zero_overlap_from_spectrum(dec, _arc_of_sorted(dec.phases))
 
 
 def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.ndarray:

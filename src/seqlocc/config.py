@@ -76,6 +76,14 @@ DISTINCT_TOL = 1e-7
 # sequential.build_sequential_scheme both accept that shortfall.
 ARC_ROUNDING = 1e-11
 
+# Most queries a sequential scheme is built with. A scheme of n queries keeps
+# n + 1 dense local layers, and verify_scheme forms them as one stack of
+# (n + 1) dim^2 complex entries: 41 MB at this cap and dim 16. A pair just
+# above DISTINCT_TOL can ask for ~10^7 queries (1.1e7 for I_4 against
+# diag(1, e^{2.9e-7 i}) (x) I_2), gigabytes built before anything could fail;
+# the test corpus, the near pairs and the bench inputs need at most 96.
+MAX_QUERIES = 10_000
+
 # Schmidt coefficient cutoff, relative to the largest. At every cutoff in
 # [CLOSED_FORM_TOL, 1) the identity is a product, which bounds the recursion
 # of engine._dispatch_pair; below, rounding gives it a second coefficient.

@@ -74,10 +74,11 @@ from .templates import (
     CircuitTemplate,
     LocalLayer,
     Query,
-    check_local_unitarity,
+    _check_unitarity,
+    _factor_stacks,
+    _propagate,
     compose_templates,
     evaluate_template,
-    template_outputs,
 )
 
 # a symmetry-probe composite within this of the identity separates nothing
@@ -646,17 +647,19 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
     return scheme, report
 
 
-def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitarity_tol) -> None:
+def validate_scheme(scheme: LoccSequentialScheme,
+                    tol: float = RunConfig.unitarity_tol) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
     off unitarity by more than tol, MalformedScheme for a template whose
     layers are not local, query, local, ..., local (a layer of another type,
     two adjacent queries, no trailing local) or hold a local factor of the
     wrong shape, for a template without a query, an input that is not a unit
     vector (to tol) of length d_a or d_b, or a budget that is negative or not
-    finite."""
+    finite. Returns the template's factor stacks, which verify_scheme reuses."""
     t = scheme.template
-    check_local_unitarity(t, tol)
-    if t.query_count == 0:
+    stacks = _factor_stacks(t)
+    _check_unitarity(stacks, tol)
+    if len(t.layers) == 1:  # normal form L Q L ... Q L: len(layers) // 2 queries
         raise MalformedScheme("the template never queries the operation")
     if not 0 <= scheme.budget < np.inf:
         raise MalformedScheme(f"budget {scheme.budget!r} is not a finite non-negative number")
@@ -667,32 +670,34 @@ def validate_scheme(scheme: LoccSequentialScheme, tol: float = RunConfig.unitari
         norm = float(np.linalg.norm(v))
         if not abs(norm - 1.0) <= tol:
             raise MalformedScheme(f"{name} has norm {norm:.12g}, expected 1")
+    return stacks
 
 
 def verify_scheme(scheme: LoccSequentialScheme, U, V,
                   cfg: RunConfig | None = None) -> DiscriminationReport:
     """Validate the scheme (see validate_scheme, at cfg.unitarity_tol), then
-    recompute both outputs from scratch and compare against the budget."""
-    validate_scheme(scheme, (cfg or RunConfig()).unitarity_tol)
-    return _overlap_report(scheme, U, V)
+    recompute both outputs from its one factor stack and compare to the budget."""
+    stacks = validate_scheme(scheme, (cfg or RunConfig()).unitarity_tol)
+    return _overlap_report(scheme, U, V, stacks)
 
 
-def _overlap_report(scheme: LoccSequentialScheme, U, V) -> DiscriminationReport:
-    """verify_scheme on a scheme that validate_scheme has already passed:
-    both outputs in one pass of the product input through the template."""
+def _overlap_report(scheme: LoccSequentialScheme, U, V, stacks=None) -> DiscriminationReport:
+    """verify_scheme on a scheme that validate_scheme has already passed, and
+    returned these stacks if given: both outputs in one pass of the input."""
     t = scheme.template
     for X in (U, V):
         if isinstance(X, BipartiteUnitary) and (X.d_a, X.d_b) != (t.d_a, t.d_b):
             raise DimensionMismatch(f"operand is ({X.d_a}, {X.d_b}), scheme ({t.d_a}, {t.d_b})")
     u, v = mat(U), mat(V)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"operands differ in shape: {u.shape} vs {v.shape}")
-    phi_u, phi_v = template_outputs(t, np.stack([u, v]),
-                                    scheme.input_a, scheme.input_b)
+    if u.shape != v.shape or u.shape != (t.dim, t.dim):
+        raise DimensionMismatch(f"operands {u.shape} and {v.shape} do not fit dimension {t.dim}")
+    a, b = np.asarray(scheme.input_a), np.asarray(scheme.input_b)
+    phi_u, phi_v = _propagate(stacks or _factor_stacks(t), np.stack([u, v]),
+                              (a[:, None] * b).reshape(-1, 1))
     ov = float(abs(np.vdot(phi_u, phi_v)))
     return DiscriminationReport(
         overlap=ov,
-        query_count=t.query_count,
+        query_count=len(t.layers) // 2,
         passed=ov <= scheme.budget + _VERIFY_SLACK,
         case_trace=list(scheme.case_trace),
     )

@@ -50,6 +50,16 @@ class StageStalled(SeqloccError):
         super().__init__(f"{message}; theta trace: {self.theta_trace}")
 
 
+class TooManyQueries(SeqloccError):
+    """A sequential scheme would need more queries than config.MAX_QUERIES;
+    carries the count."""
+
+    def __init__(self, queries, cap):
+        self.queries = int(queries)
+        self.cap = int(cap)
+        super().__init__(f"{self.queries} queries needed, above the cap of {self.cap}")
+
+
 class SynthesisFailed(SeqloccError):
     """No template within the layer budget reached the target accuracy."""
 

@@ -199,15 +199,22 @@ def _gees(n: int):
     return gees, int(work[0].real)
 
 
+def _schur_residual(A: np.ndarray, T: np.ndarray, phases: np.ndarray) -> float:
+    """||Z D Z^dag - A|| / ||A|| for A = Z T Z^dag, read as ||T - D|| / ||A|| (Z is
+    unitary), T overwritten; D = diag(e^{i phases}), as w / |w| is nan at w = 0."""
+    T.flat[::len(T) + 1] -= np.exp(1j * phases)
+    return np.vdot(T, T).real ** 0.5 / max(np.vdot(A, A).real ** 0.5, _TINY)
+
+
 def eig_unitary(U) -> SpectralDecomposition:
     """Spectral decomposition of a unitary via the complex Schur form.
 
     Calls LAPACK zgees as scipy.linalg.schur(U, output="complex") does, with
     the same workspace, so the bits are the same, without its wrapper. Schur
     keeps the eigenvector matrix exactly unitary, so degenerate clusters come
-    out orthonormal. The relative Frobenius residual of the reconstruction
-    is at most about d / sqrt(2) for a unitarity defect d, so it is verified
-    to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT. A non-finite or
+    out orthonormal. The relative residual of the reconstruction, read off the
+    Schur form, is at most about d / sqrt(2) for a unitarity defect d, so it is
+    verified to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT. A non-finite or
     non-square matrix, or a LAPACK failure, raises NumericalFailure.
     """
     A = mat(U)
@@ -217,15 +224,14 @@ def eig_unitary(U) -> SpectralDecomposition:
     if not np.isfinite(A).all():
         raise NumericalFailure("Schur decomposition of a matrix with non-finite entries")
     gees, lwork = _gees(n)
-    _, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
+    T, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
     if info != 0:
         raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")
     phases = canonical_phases(w)
+    residual = _schur_residual(A, T, phases)
     order = np.argsort(phases, kind="stable")
     phases = phases[order]
     vectors = Z[:, order]
-    recon = (vectors * np.exp(1j * phases)) @ vectors.conj().T
-    residual = np.linalg.norm(recon - A) / max(np.linalg.norm(A), _TINY)
     if residual > _EIG_FLOOR:
         defect = unitarity_defect(A)
         if not (defect <= EIG_MAX_DEFECT and residual <= defect + _EIG_FLOOR):

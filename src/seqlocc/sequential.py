@@ -45,13 +45,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arcs import (
+    _arc_of_sorted,
     _pair_weight,
     arc_of_phases,
     queries_for_arc,
     zero_overlap_from_spectrum,
 )
-from .config import ARC_ROUNDING, DISTINCT_TOL, TOL_ANGLE, RunConfig
-from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled
+from .config import ARC_ROUNDING, DISTINCT_TOL, MAX_QUERIES, TOL_ANGLE, RunConfig
+from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled, TooManyQueries
 from .linalg import canonical_phases, eig_unitary, mat, phase_distance
 
 PI = math.pi
@@ -82,10 +83,10 @@ def compose_sequential(X, interleavers) -> np.ndarray:
 
 
 def _circular_sorted_eig(M):
-    """Spectrum of M, its arc, and the eigenvectors sorted by phase measured
-    from the start of the arc: the arc's endpoints come first and last."""
+    """Spectrum of M, its arc read off the sorted phases, and the eigenvectors
+    sorted by phase from the start of the arc: its endpoints come first and last."""
     dec = eig_unitary(M)
-    info = arc_of_phases(dec.phases)
+    info = _arc_of_sorted(dec.phases)
     order = np.argsort(np.mod(dec.phases - info.start_phase, 2 * PI), kind="stable")
     return dec, info, dec.vectors[:, order]
 
@@ -132,7 +133,8 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     theta_trace holds k theta_0 after query k, then the final arc: that of
     the block's eigenphases and the other diagonal phases of Q^dag M Q.
     StageStalled reports endpoint eigenphases short of antipodal or an
-    overlap above cfg.overlap_tol: only numerical breakdown.
+    overlap above cfg.overlap_tol: only numerical breakdown. TooManyQueries
+    refuses an n above config.MAX_QUERIES before any stage is built.
     """
     cfg = cfg or RunConfig()
     Um, Vm = mat(U), mat(V)
@@ -147,6 +149,8 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     n = queries_for_arc(theta_0)
     if n == math.inf:
         raise Indistinguishable("relative operation has a single eigenvalue")
+    if n > MAX_QUERIES:
+        raise TooManyQueries(n, MAX_QUERIES)
     trace = [k * theta_0 for k in range(1, n)]
     interleavers: list[np.ndarray] = []
     if n == 1:

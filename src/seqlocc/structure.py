@@ -25,15 +25,16 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 @dataclass
 class OperatorSchmidtDecomposition:
     """U = sum_i c_i A_i (x) B_i with c sorted descending and A_i, B_i
-    orthonormal under the Hilbert-Schmidt inner product."""
+    orthonormal under the Hilbert-Schmidt inner product; A_i = left_ops[i]
+    and B_i = right_ops[i] are stacked in (len(c), d, d) arrays."""
 
     coefficients: np.ndarray
-    left_ops: list[np.ndarray]
-    right_ops: list[np.ndarray]
+    left_ops: np.ndarray
+    right_ops: np.ndarray
 
     def rank(self, rank_tol: float = RANK_TOL) -> int:
-        c = self.coefficients
-        return int(np.sum(c > rank_tol * c[0]))
+        c = self.coefficients.tolist()  # a few floats: a list beats numpy's per-call cost
+        return len([x for x in c if x > rank_tol * c[0]])
 
 
 @dataclass
@@ -73,13 +74,12 @@ def _schmidt(R: np.ndarray, d_a: int, d_b: int) -> OperatorSchmidtDecomposition:
 
     R = sum_i c_i x_i y_i^dag row-by-row gives B_i[b, b'] = (y_i^dag)[(b b')]
     directly; the rows of the returned V^dag factor are already the
-    conjugated vectors.
+    conjugated vectors. Each side is reshaped as one stack, not term by term.
     """
     X, s, Yh = np.linalg.svd(R)
     r = min(R.shape)
-    left = [X[:, i].reshape(d_a, d_a) for i in range(r)]
-    right = [Yh[i, :].reshape(d_b, d_b) for i in range(r)]
-    return OperatorSchmidtDecomposition(s[:r], left, right)
+    return OperatorSchmidtDecomposition(s[:r], X.T.reshape(-1, d_a, d_a)[:r],
+                                        Yh.reshape(-1, d_b, d_b)[:r])
 
 
 def operator_schmidt(U: BipartiteUnitary) -> OperatorSchmidtDecomposition:

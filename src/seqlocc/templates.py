@@ -134,14 +134,20 @@ def _factor_stacks(t: CircuitTemplate) -> tuple[np.ndarray, np.ndarray]:
 
 def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_tol) -> None:
     """Raise NotUnitary if any local factor drifted from unitarity, and
-    MalformedScheme if the layers are out of normal form.
+    MalformedScheme if the layers are out of normal form."""
+    _check_unitarity(_factor_stacks(t), tol)
 
-    The factors of each side are checked as one stack with one einsum. The
-    Frobenius norm of F^dag F - I bounds its operator norm from above, so
-    only factors over tol by the former pay for the exact (SVD) norm.
-    """
-    for F in _factor_stacks(t):
-        G = np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1])
+
+def _check_unitarity(stacks, tol: float) -> None:
+    """check_local_unitarity on a template's factor stacks. One screen passes
+    every factor when the squared Frobenius norms of F^dag F - I sum to at
+    most tol^2 over both sides; otherwise each side is checked as one stack,
+    where the Frobenius norm bounds the operator norm from above, so only
+    factors over tol by the former pay for the exact (SVD) norm."""
+    grams = [np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1]) for F in stacks]
+    if sum(np.vdot(G, G).real for G in grams) <= tol * tol:
+        return
+    for G in grams:
         frobenius = np.sqrt(np.einsum("kij,kij->k", G.conj(), G).real)
         over = ~(frobenius <= tol)
         if not over.any():
@@ -153,11 +159,11 @@ def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_t
             raise NotUnitary(defect, tol)
 
 
-def _propagate(t: CircuitTemplate, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(m, n) outputs of t on the (m, n, 1) states psi, the m-th against the
-    query x[m]. Every layer L_i = A_i (x) B_i is formed in one broadcast and
-    a query step is L_i (X psi), two batched mat-vecs; no L_i X is formed."""
-    L = kron_layers(*_factor_stacks(t))
+def _propagate(stacks, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(m, n) outputs of the template with these factor stacks on the (m, n, 1)
+    or (n, 1) states psi, the m-th against x[m]. Every layer L_i = A_i (x) B_i
+    is formed in one broadcast and a query step is L_i (X psi); no L_i X is formed."""
+    L = kron_layers(*stacks)
     psi = L[0] @ psi
     for layer in L[1:]:
         psi = layer @ (x @ psi)
@@ -172,7 +178,7 @@ def evaluate_template(t: CircuitTemplate, X) -> np.ndarray:
     if x.shape != (n, n):
         raise DimensionMismatch(f"expected {n}x{n} query, got {x.shape}")
     basis = np.eye(n, dtype=complex).reshape(n, n, 1)
-    return _propagate(t, np.broadcast_to(x, (n, n, n)), basis).T
+    return _propagate(_factor_stacks(t), np.broadcast_to(x, (n, n, n)), basis).T
 
 
 def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
@@ -185,7 +191,8 @@ def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
     a, b = np.asarray(input_a), np.asarray(input_b)
     if a.shape != (d_a,) or b.shape != (d_b,):
         raise DimensionMismatch(f"inputs {a.shape}/{b.shape} do not fit ({d_a}, {d_b})")
-    return _propagate(t, x, np.broadcast_to(np.outer(a, b).reshape(n, 1), (len(x), n, 1)))
+    return _propagate(_factor_stacks(t), x,
+                      np.broadcast_to(np.outer(a, b).reshape(n, 1), (len(x), n, 1)))
 
 
 def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> CircuitTemplate:

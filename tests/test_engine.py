@@ -29,6 +29,7 @@ from seqlocc import (
     random_unitary,
     smallest_arc,
     swap_operator,
+    unitarity_defect,
     validate_unitary,
     verify_scheme,
 )
@@ -367,7 +368,8 @@ def test_verify_scheme_dimension_mismatch_is_typed():
     U, V = np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2)
     scheme, _ = _run(U, V)
     big = _v(np.eye(6, dtype=complex), 2, 3)
-    for u, v in ((big, _v(V)), (_v(U), big), (big, big)):
+    raw = np.eye(6, dtype=complex)  # a bare array carries no dimensions to compare
+    for u, v in ((big, _v(V)), (_v(U), big), (big, big), (raw, raw), (U, raw)):
         with pytest.raises(DimensionMismatch):
             verify_scheme(scheme, u, v, CFG)
 
@@ -631,6 +633,46 @@ def test_verify_scheme_rejects_forged(forge, error):
     forge(forged)
     with pytest.raises(error):
         verify_scheme(forged, _v(U), _v(V), CFG)
+
+
+def _locals(scheme):
+    return [layer for layer in scheme.template.layers if isinstance(layer, LocalLayer)]
+
+
+@pytest.mark.parametrize("side", ["factor_a", "factor_b"])
+def test_one_non_unitary_factor_is_refused_with_its_defect(side):
+    """The screen over both sides fails, and the per-side check refuses the
+    one factor off unitarity, on either side, with its SVD defect."""
+    scheme, _ = _run(np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2))
+    layer = _locals(scheme)[1]
+    F = np.diag([1.01, 1.0]) @ getattr(layer, side)
+    setattr(layer, side, F)
+    with pytest.raises(NotUnitary) as err:
+        verify_scheme(scheme, _v(np.eye(4)), _v(np.kron(np.diag([1, 1j]), I2)), CFG)
+    assert err.value.defect == pytest.approx(unitarity_defect(F), rel=1e-12)
+
+
+def test_factors_under_tol_that_fail_the_screen_pass():
+    """One factor per side at a defect of 0.8 tol: the screen sum, 1.28 tol^2,
+    fails, so the per-side check runs, and passes each factor."""
+    U, V = np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2)
+    scheme, _ = _run(U, V)
+    tol = CFG.unitarity_tol
+    first, last = _locals(scheme)[0], _locals(scheme)[-1]
+    first.factor_a = first.factor_a @ np.diag([np.sqrt(1 + 0.8 * tol), 1.0])
+    last.factor_b = last.factor_b @ np.diag([np.sqrt(1 + 0.8 * tol), 1.0])
+    grams = [F.conj().T @ F - np.eye(2) for F in (first.factor_a, last.factor_b)]
+    assert sum(np.linalg.norm(G) ** 2 for G in grams) > tol ** 2
+    assert all(unitarity_defect(F) <= tol for F in (first.factor_a, last.factor_b))
+    verify_scheme(scheme, _v(U), _v(V), CFG)
+
+
+def test_nan_factor_is_an_infinite_defect():
+    scheme, _ = _run(np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2))
+    _locals(scheme)[-1].factor_b = np.full((2, 2), np.nan, dtype=complex)
+    with pytest.raises(NotUnitary) as err:
+        verify_scheme(scheme, _v(np.eye(4)), _v(np.kron(np.diag([1, 1j]), I2)), CFG)
+    assert err.value.defect == np.inf
 
 
 def test_iii_a_budget_invariant_raises_case_failure(monkeypatch):

@@ -210,3 +210,47 @@ def test_eig_unitary_memoizes_lapack_setup_only():
     assert _gees(3) is _gees(3)
     A[:] = np.diag(np.exp([0.3j, 1.1j, 2.5j]))
     assert not np.array_equal(eig_unitary(A).phases, first.phases)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 9, 16])
+def test_schur_residual_is_the_reconstruction_residual(n):
+    """Read off T, the residual agrees with ||Z D Z^dag - A|| / ||A|| of the
+    reconstruction it replaces, on Haar draws."""
+    from seqlocc.linalg import _gees, _no_sort, _schur_residual, canonical_phases
+
+    rng = np.random.default_rng(100 + n)
+    gees, lwork = _gees(n)
+    for _ in range(20):
+        A = random_unitary(n, rng)
+        T, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
+        assert info == 0
+        phases = canonical_phases(w)
+        recon = (Z * np.exp(1j * phases)) @ Z.conj().T
+        expected = np.linalg.norm(recon - A) / np.linalg.norm(A)
+        assert abs(_schur_residual(A, T, phases) - expected) <= 1e-14
+
+
+def test_eig_unitary_refuses_a_non_normal_unit_spectrum():
+    """Both eigenvalues are 1, on the circle, but the matrix is no unitary."""
+    with pytest.raises(NumericalFailure):
+        eig_unitary(np.array([[1.0, 1e-6], [0.0, 1.0]], dtype=complex))
+
+
+@pytest.mark.parametrize("scale, accepted", [(0.9, True), (10.0, False)])
+def test_eig_unitary_accepts_a_defect_up_to_the_cap(scale, accepted):
+    """A unitary nudged to a defect just under EIG_MAX_DEFECT still
+    decomposes, with its phases moved by about the defect; ten times the cap
+    is refused."""
+    from seqlocc.config import EIG_MAX_DEFECT
+
+    rng = np.random.default_rng(41)
+    U = random_unitary(4, rng)
+    G = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    H = (G + G.conj().T) / np.abs(np.linalg.eigvalsh(G + G.conj().T)).max()
+    M = U @ (np.eye(4) + (np.sqrt(1 + scale * EIG_MAX_DEFECT) - 1) * H)
+    assert unitarity_defect(M) == pytest.approx(scale * EIG_MAX_DEFECT, rel=1e-6)
+    if not accepted:
+        with pytest.raises(NumericalFailure):
+            eig_unitary(M)
+        return
+    assert np.allclose(eig_unitary(M).phases, eig_unitary(U).phases, rtol=0, atol=1e-7)

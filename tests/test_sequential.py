@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqlocc import (
+    CaseFailure,
     Indistinguishable,
     RunConfig,
+    TooManyQueries,
     build_sequential_scheme,
     compose_sequential,
     dagger,
@@ -21,7 +24,7 @@ from seqlocc import (
 import seqlocc.arcs
 import seqlocc.sequential
 from seqlocc.arcs import queries_for_arc
-from seqlocc.config import TOL_ANGLE
+from seqlocc.config import MAX_QUERIES, TOL_ANGLE
 from seqlocc.sequential import _stage_rotation
 
 CFG = RunConfig()
@@ -363,3 +366,28 @@ def test_closing_without_rotation_stalls(dim, monkeypatch):
                          validate_unitary(np.kron(V, UB), dim, 2), CFG)
         assert exc.value.case_trace == ["i-a"]
         assert isinstance(exc.value.cause, StageStalled)
+
+
+def test_a_pair_past_the_query_cap_is_refused_before_any_layer():
+    """I_4 against diag(1, e^{2.9e-7 i}) (x) I_2 is distinct (phase distance
+    1.03e-7) and would need 10,833,079 queries: i-a refuses it at once."""
+    U = validate_unitary(np.eye(4), 2, 2)
+    V = validate_unitary(np.kron(np.diag([1, np.exp(2.9e-7j)]), np.eye(2)), 2, 2)
+    assert parallel_query_count(U.matrix, V.matrix) == 10_833_079
+    start = time.perf_counter()
+    with pytest.raises(CaseFailure) as err:
+        discriminate(U, V, CFG)
+    assert time.perf_counter() - start < 1.0
+    assert err.value.case_trace == ["i-a"]
+    assert isinstance(err.value.cause, TooManyQueries)
+    assert (err.value.cause.queries, err.value.cause.cap) == (10_833_079, MAX_QUERIES)
+
+
+def test_the_query_cap_admits_its_own_count(monkeypatch):
+    rng = np.random.default_rng(5)
+    U, V = _pair_with_arc(math.pi / 5.5, 3, rng)  # 6 queries
+    monkeypatch.setattr(seqlocc.sequential, "MAX_QUERIES", 6)
+    assert build_sequential_scheme(U, V, CFG).query_count == 6
+    monkeypatch.setattr(seqlocc.sequential, "MAX_QUERIES", 5)
+    with pytest.raises(TooManyQueries):
+        build_sequential_scheme(U, V, CFG)
