@@ -143,11 +143,11 @@ def cmd_discriminate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    scheme = sio.load_scheme_file(args.scheme, cfg.unitarity_tol)
+    scheme, stacks = sio._read_scheme(args.scheme, cfg.unitarity_tol)
     U = _read_matrix(args.matrix_u, cfg.unitarity_tol)
     V = _read_matrix(args.matrix_v, cfg.unitarity_tol)
-    # load_scheme_file has already validated the scheme at cfg.unitarity_tol
-    report = _overlap_report(scheme, U, V)
+    # _read_scheme has already validated the scheme at cfg.unitarity_tol
+    report = _overlap_report(scheme, U, V, stacks)
     lines = [
         f"overlap: {report.overlap:.6e}",
         f"budget: {scheme.budget:.6e}",

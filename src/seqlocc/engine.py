@@ -288,8 +288,11 @@ def _cheapest(sides: dict):
 
     Ties go to the wider phase distance: factor extraction carries a little
     noise, so a barely-nonzero pair must not shadow a cleanly distinct one.
-    A pair within DISTINCT_TOL costs inf and is not decomposed; the taken
-    decomposition spares the sequential engine both the eig and that check.
+    Above a distance of 1e-2 phase_distance reads the float64 trace, so of
+    two gaps of one cost within its rounding (about 1e-12 relative) either
+    may win. A pair within DISTINCT_TOL costs inf and is not decomposed; the
+    taken decomposition spares the sequential engine both the eig and that
+    check.
     """
     gaps = {key: phase_distance(X_u, X_v) for key, (X_u, X_v) in sides.items()}
     spectra = {key: _circular_sorted_eig(dagger(X_u) @ mat(X_v))

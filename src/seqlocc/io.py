@@ -133,6 +133,12 @@ def scheme_from_dict(data: dict,
                      unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
     """Scheme record to a scheme; a malformed record raises MatrixFileError,
     a malformed scheme the errors of validate_scheme."""
+    return _scheme_and_stacks(data, unitarity_tol)[0]
+
+
+def _scheme_and_stacks(data: dict, unitarity_tol: float):
+    """scheme_from_dict, and the factor stacks validate_scheme formed, which
+    verifying the scheme reuses."""
     try:
         template = template_from_dict(data["template"])
         # the length of an input is validate_scheme's to check
@@ -149,8 +155,7 @@ def scheme_from_dict(data: dict,
         scheme = LoccSequentialScheme(template, input_a, input_b, *map(float, numbers), trace)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"malformed scheme record: {exc}") from exc
-    validate_scheme(scheme, unitarity_tol)
-    return scheme
+    return scheme, validate_scheme(scheme, unitarity_tol)
 
 
 def dumps_scheme(scheme: LoccSequentialScheme,
@@ -183,8 +188,13 @@ def loads_scheme(text: str,
 
 def load_scheme_file(path: str,
                      unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
+    return _read_scheme(path, unitarity_tol)[0]
+
+
+def _read_scheme(path: str, unitarity_tol: float):
+    """load_scheme_file, and the scheme's factor stacks (_scheme_and_stacks)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_scheme(fh.read(), unitarity_tol)
+        return _scheme_and_stacks(_parse(fh.read()), unitarity_tol)
 
 
 def eigenphase_csv(rows) -> str:

@@ -7,6 +7,7 @@ row a * d_b + b, which is what ``np.kron`` produces.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,10 @@ _TINY = 1e-300
 # relative Frobenius residual of the Schur reconstruction of an exactly
 # unitary matrix: float rounding keeps it orders of magnitude below this
 _EIG_FLOOR = 1e-10
+# deficit 1 - |tr(U^dag V)| / dim (a phase distance of 1e-2) above which the
+# float64 trace decides phase_distance; every threshold the distance is
+# compared with lies below it, so each is decided on the extended trace
+_EXTENDED_BELOW = 1e-4
 
 
 @dataclass
@@ -128,10 +133,11 @@ def swap_operator(d: int) -> np.ndarray:
 def _trace_inner(a: np.ndarray, b: np.ndarray):
     """tr(a^dag b) = sum of conj(a) * b elementwise, in extended precision.
 
-    The square root in phase_distance amplifies rounding in |tr|/dim by a
+    The square root in _extended_distance amplifies rounding in |tr|/dim by a
     factor 1/(2 sqrt(eps)), so the trace is accumulated in longdouble where
     the platform provides one; equal-up-to-phase operands then measure a
-    distance of ~1e-9 instead of ~3e-8.
+    distance of ~1e-9 instead of ~3e-8. phase_distance needs it only for a
+    deficit at or below _EXTENDED_BELOW.
     """
     ar, ai = a.real.astype(np.longdouble), a.imag.astype(np.longdouble)
     br, bi = b.real.astype(np.longdouble), b.imag.astype(np.longdouble)
@@ -140,23 +146,37 @@ def _trace_inner(a: np.ndarray, b: np.ndarray):
     return re, im
 
 
+def _extended_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """phase_distance of two arrays of one shape, always from the extended
+    trace: for a caller that ranks distances far above _EXTENDED_BELOW by
+    differences near eps, where the float64 trace could reorder them."""
+    re, im = _trace_inner(a, b)
+    deficit = np.longdouble(1.0) - np.sqrt(re * re + im * im) / a.shape[0]
+    if deficit <= 4.0 * np.finfo(float).eps:
+        return 0.0
+    return float(np.sqrt(deficit))
+
+
 def phase_distance(U, V) -> float:
     """Global-phase-invariant distance sqrt(max(0, 1 - |tr(U^dag V)| / dim)).
 
     Zero exactly when U = e^{i theta} V. Deficits at the float64
     representation scale (a few eps) read as zero: storing an exactly
     unitary matrix already perturbs |tr|/dim by that much, so nothing below
-    it is measurable between stored operands.
+    it is measurable between stored operands. The float64 trace decides a
+    deficit above _EXTENDED_BELOW, off by about one ulp of 1, which is
+    eps / (2 r^2) relative at distance r; at or below it the value is
+    _extended_distance's, bit for bit.
     """
     a, b = mat(U), mat(V)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    d = a.shape[0]
-    re, im = _trace_inner(a, b)
-    deficit = np.longdouble(1.0) - np.sqrt(re * re + im * im) / d
-    if deficit <= 4.0 * np.finfo(float).eps:
-        return 0.0
-    return float(np.sqrt(deficit))
+    if not a.shape[0]:
+        raise DimensionMismatch(f"operands of shape {a.shape} have no rows")
+    deficit = 1.0 - abs(np.vdot(a, b)) / a.shape[0]
+    if deficit > _EXTENDED_BELOW:
+        return math.sqrt(deficit)
+    return _extended_distance(a, b)
 
 
 def op_distance_mod_phase(A, B) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
-from .linalg import BipartiteUnitary, phase_distance
+from .linalg import BipartiteUnitary, _extended_distance
 from .structure import classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY, kron_layers
 from .unitary_opt import hermitian_basis, pullback, unitaries
@@ -109,7 +109,9 @@ class _LayerProblem:
         return loss, -2.0 * np.real(c.conjugate() * dc) / self.D ** 2
 
     def delta(self, x) -> float:
-        return phase_distance(self.evaluate(x), self.Td.conj().T)
+        # the extended trace at every deficit: restarts are ranked on
+        # differences down to _IMPROVEMENT, below the float64 trace's rounding
+        return _extended_distance(self.evaluate(x), self.Td.conj().T)
 
 
 def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,

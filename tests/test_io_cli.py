@@ -414,6 +414,34 @@ def test_cli_discriminate_verify_round_trip(tmp_path, capsys):
     assert "verified: pass" in out
 
 
+def test_cli_verify_stacks_the_factors_once(tmp_path, monkeypatch, capsys):
+    """seqlocc verify validates and propagates with one factor stack: every
+    seqlocc module that holds templates._factor_stacks gets the counting
+    wrapper, and one verify call forms the stacks once."""
+    import sys
+    from seqlocc import templates
+    a = _write(tmp_path, "i.json", np.eye(4))
+    b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
+    scheme_path = str(tmp_path / "scheme.json")
+    assert main(["discriminate", a, b, "--out", scheme_path]) == 0
+    calls = []
+    real = templates._factor_stacks
+
+    def counting(t):
+        calls.append(t)
+        return real(t)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "seqlocc":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counting)
+    capsys.readouterr()
+    assert main(["verify", scheme_path, a, b]) == 0
+    assert "verified: pass" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_cli_verify_dimension_mismatch_exit2(tmp_path, capsys):
     a = _write(tmp_path, "i.json", np.eye(4))
     b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))

@@ -18,7 +18,14 @@ from seqlocc import (
     validate_unitary,
 )
 
+from seqlocc import linalg
+from seqlocc.config import DISTINCT_TOL
+from seqlocc.engine import _X_TOL
+from seqlocc.linalg import _EXTENDED_BELOW, _extended_distance
+
 from conftest import HAD, I2, SX, SZ
+
+EPS = np.finfo(float).eps
 
 
 def test_validate_identity():
@@ -82,6 +89,70 @@ def test_phase_distance_symmetric_positive():
     U, V = random_unitary(3, rng), random_unitary(3, rng)
     assert phase_distance(U, V) == pytest.approx(phase_distance(V, U), abs=1e-14)
     assert phase_distance(U, V) > 1e-3
+
+
+def _nearby(U, s, rng):
+    """U expm(i s H) for a Hermitian Gaussian H, through H's eigenbasis."""
+    d = len(U)
+    H = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    lam, Q = np.linalg.eigh(H + H.conj().T)
+    return U @ (Q * np.exp(0.5j * s * lam)) @ Q.conj().T
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6, 9, 16])
+def test_phase_distance_fast_value_agrees_with_the_extended_one(d, monkeypatch):
+    """Above the switch the float64 trace decides: its deficit is off by
+    about one ulp of 1, so a distance r is off by about eps / (2 r^2)
+    relative, 1.1e-12 at the switch and under 1e-12 from r = 1.05e-2 on.
+    Checked at twice that, over s from 1e-9 to 3 in U expm(i s H)."""
+    rng = np.random.default_rng(100 + d)
+    extended = []
+    monkeypatch.setattr(linalg, "_extended_distance",
+                        lambda a, b: extended.append(1) or _extended_distance(a, b))
+    for s in np.logspace(-9, np.log10(3.0), 60):
+        U = random_unitary(d, rng)
+        V = _nearby(U, s, rng)
+        fast, ext = phase_distance(U, V), _extended_distance(U, V)
+        assert abs(fast - ext) * ext <= EPS
+    # the sweep takes both paths
+    assert 0 < len(extended) < 60
+
+
+def test_phase_distance_is_the_extended_value_at_or_below_the_switch():
+    """Wherever the float64 deficit is at most the switch, the value is
+    _extended_distance's bit for bit: each threshold is decided as before."""
+    rng = np.random.default_rng(11)
+    U = random_unitary(4, rng)
+    H = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    lam, Q = np.linalg.eigh(H + H.conj().T)
+    unit = phase_distance(U, U @ (Q * np.exp(1e-3j * lam)) @ Q.conj().T) / 1e-3
+    # pairs on either side of DISTINCT_TOL, _X_TOL, epsilon and synthesis's
+    # floor, and one just inside the switch
+    switch = _EXTENDED_BELOW ** 0.5
+    for threshold, factor in [(t, f) for t in (DISTINCT_TOL, _X_TOL, 1e-4, 1e-3) for f in (0.5, 2.0)] \
+            + [(switch, 0.99)]:
+        V = U @ (Q * np.exp(1j * factor * threshold / unit * lam)) @ Q.conj().T
+        assert 1.0 - abs(np.vdot(U, V)) / 4 <= _EXTENDED_BELOW
+        got = phase_distance(U, V)
+        assert got.hex() == _extended_distance(U, V).hex()
+        assert (got <= threshold) == (factor < 1)
+
+
+def test_phase_distance_edge_values():
+    """Phase-equivalent operands read 0.0, as does a non-unitary pair with
+    |tr(U^dag V)| / dim above 1; a NaN entry reads nan."""
+    rng = np.random.default_rng(12)
+    U = random_unitary(3, rng)
+    assert phase_distance(U, np.exp(0.3j) * U) == 0.0
+    assert phase_distance(2.0 * np.eye(2), np.eye(2)) == 0.0
+    W = U.copy()
+    W[1, 2] = np.nan
+    assert np.isnan(phase_distance(U, W))
+
+
+def test_phase_distance_of_empty_operands_is_a_dimension_mismatch():
+    with pytest.raises(DimensionMismatch):
+        phase_distance(np.zeros((0, 0)), np.zeros((0, 0)))
 
 
 def test_swap_operator():

@@ -12,6 +12,7 @@ from seqlocc import (
     synthesize,
     validate_unitary,
 )
+from seqlocc.linalg import _EXTENDED_BELOW, _extended_distance
 from seqlocc.synthesis import _LayerProblem
 
 from conftest import CNOT, HAD
@@ -92,6 +93,24 @@ def test_gradient_matches_finite_differences(d_a, d_b, k):
         xm[i] -= eps
         fd = (problem.value_and_grad(xp)[0] - problem.value_and_grad(xm)[0]) / (2 * eps)
         assert grad[i] == pytest.approx(fd, abs=1e-7)
+
+
+def test_layer_delta_is_the_extended_distance_above_the_switch():
+    """_LayerProblem.delta reads the extended trace at every deficit, not only
+    at or below the switch where phase_distance does: synthesis ranks its
+    restarts on differences down to _IMPROVEMENT (1e-15), and letting it read
+    the float64 trace moved 6 of 857 scheme files. At this x the two
+    readings differ, so a delta routed through phase_distance fails here."""
+    rng = np.random.default_rng(0)
+    G = random_unitary(4, rng)
+    x0 = rng.normal(size=_LayerProblem(G, G, 2, 2, 1).n_total)
+    problem = _LayerProblem(_LayerProblem(G, G, 2, 2, 1).evaluate(x0), G, 2, 2, 1)
+    x = x0 + 0.02 * rng.normal(size=problem.n_total)
+    M, T = problem.evaluate(x), problem.Td.conj().T
+    extended = _extended_distance(M, T)
+    assert extended ** 2 > _EXTENDED_BELOW
+    assert phase_distance(M, T) != extended
+    assert problem.delta(x).hex() == extended.hex()
 
 
 def test_error_budget_dominates_measured_deviation():
