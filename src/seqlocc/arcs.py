@@ -24,7 +24,7 @@ import numpy as np
 from .config import ARC_ROUNDING, DISTINCT_TOL, TOL_ANGLE
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
 from .linalg import (
-    TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, phase_distance, wrap_phases)
+    TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, norm, phase_distance, wrap_phases)
 
 # queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
 # zero_overlap_from_spectrum also takes an arc short of pi - TOL_ANGLE by that
@@ -166,7 +166,7 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.
         idx = [s, int(np.argmin(np.abs(offset - 0.5 * info.theta))), e]
         w = _triple_weights(z[idx])
     psi = dec.vectors[:, idx] @ np.sqrt(w).astype(complex)
-    return psi / np.linalg.norm(psi)
+    return psi / norm(psi)
 
 
 def eigenphase_rows(U):
@@ -312,5 +312,5 @@ def numerical_range_zero(A) -> np.ndarray | None:
                 break
     if phi is None:
         return None
-    phi = phi / np.linalg.norm(phi)
+    phi = phi / norm(phi)
     return phi if abs(np.vdot(phi, A @ phi)) <= _ZERO_TOL else None

@@ -54,9 +54,11 @@ from .linalg import (
     basis_state,
     dagger,
     mat,
+    norm,
     normalize,
     op_distance_mod_phase,
     phase_distance,
+    singular_values,
     swap_operator,
     validate_unitary,
 )
@@ -212,7 +214,7 @@ def _controlled_form(M: np.ndarray, d_a: int, d_b: int):
     for a in range(d_a):
         for ap in range(d_a):
             if a != ap:
-                off = max(off, float(np.linalg.norm(M4[a, :, ap, :])))
+                off = max(off, norm(M4[a, :, ap, :]))
     if off > MATCH_TOL:
         return None
     diag = [M4[a, :, a, :] for a in range(d_a)]
@@ -220,7 +222,7 @@ def _controlled_form(M: np.ndarray, d_a: int, d_b: int):
     blocks: list[np.ndarray] = []
     for a, W in enumerate(diag):
         for g, ref in enumerate(blocks):
-            if np.linalg.norm(W - ref, 2) <= MATCH_TOL:
+            if singular_values(W - ref)[0] <= MATCH_TOL:
                 groups[g].append(a)
                 break
         else:
@@ -465,7 +467,7 @@ def _case_iii_a(build, U, f_template, fU_real, fV, delta_u):
     probes = {}
     for W, label in zip(sym.elements, sym.labels):
         FV = W @ fV @ W.conj().T @ fV
-        if (np.linalg.norm(FV - identity, 2) > _IDENTITY_TOL
+        if (singular_values(FV - identity)[0] > _IDENTITY_TOL
                 and phase_distance(FV, identity) > max(DISTINCT_TOL, 2.0 * delta_u)):
             probes[label] = (identity, FV)
     if not probes:
@@ -670,9 +672,9 @@ def validate_scheme(scheme: LoccSequentialScheme,
         v = np.asarray(v)
         if v.shape != (d,):
             raise MalformedScheme(f"{name} has shape {v.shape}, expected ({d},)")
-        norm = float(np.linalg.norm(v))
-        if not abs(norm - 1.0) <= tol:
-            raise MalformedScheme(f"{name} has norm {norm:.12g}, expected 1")
+        length = norm(v)
+        if not abs(length - 1.0) <= tol:
+            raise MalformedScheme(f"{name} has norm {length:.12g}, expected 1")
     return stacks
 
 

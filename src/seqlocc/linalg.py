@@ -77,6 +77,13 @@ def unitarity_defect(M) -> float:
     return float(np.linalg.svd(A.conj().T @ A - np.eye(A.shape[1]), compute_uv=False)[0])
 
 
+def stacked_operator_norms(G: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a (k, m, n) stack, from one
+    call of numpy's gufunc SVD, which over a stack beats a loop of LAPACK
+    calls and keeps verifying a scheme on numpy alone."""
+    return np.linalg.svd(G, compute_uv=False)[:, 0]
+
+
 def validate_unitary(M, d_a: int, d_b: int = 1,
                      tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
     """Wrap M as a BipartiteUnitary after checking shape and unitarity; a
@@ -108,10 +115,12 @@ def kron(A, B) -> np.ndarray:
 
 
 def normalize(psi) -> np.ndarray:
+    """psi flattened and scaled to unit norm; a norm that is zero or not
+    finite (a NaN or infinite entry) raises ValueError."""
     v = np.asarray(psi, dtype=complex).reshape(-1)
-    n = np.linalg.norm(v)
-    if n == 0:
-        raise ValueError("cannot normalize the zero vector")
+    n = norm(v)
+    if not 0.0 < n < math.inf:
+        raise ValueError(f"cannot normalize a vector of norm {n}")
     return v / n
 
 
@@ -186,7 +195,7 @@ def op_distance_mod_phase(A, B) -> float:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
     t = np.trace(b.conj().T @ a)
     phase = t / abs(t) if abs(t) > _TINY else 1.0
-    return float(np.linalg.svd(a - phase * b, compute_uv=False)[0])
+    return float(singular_values(a - phase * b)[0])
 
 
 def wrap_phases(phases) -> np.ndarray:
@@ -207,16 +216,69 @@ def _no_sort(_eigenvalue):
 
 
 @functools.cache
-def _gees(n: int):
-    """LAPACK zgees and the workspace size scipy.linalg.schur queries for it
-    at dimension n (the query reads n only, not the matrix)."""
+def _lapack(routine: str, m: int, n: int, compute_uv: bool = True):
+    """LAPACK's complex `routine`, "gees" or "gesdd", and the workspace size
+    its own query returns for an m x n matrix: the query scipy.linalg.schur
+    makes for zgees, and the one numpy's umath_linalg makes for zgesdd, for
+    the job compute_uv selects. A query reads the shape and job, not the
+    matrix, so each is made once."""
     # imported here: loading scipy.linalg takes longer than the rest of the
     # package, and importing seqlocc or verifying a scheme never decomposes
     from scipy.linalg import get_lapack_funcs
 
-    gees, = get_lapack_funcs(("gees",), (np.zeros((n, n), dtype=complex),))
-    work = gees(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2]
-    return gees, int(work[0].real)
+    if routine == "gees":
+        func, = get_lapack_funcs(("gees",), dtype=complex)
+        work = func(_no_sort, np.eye(n, dtype=complex), lwork=-1)[-2][0]
+    else:
+        func, query = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=complex)
+        work = query(m, n, compute_uv=compute_uv, full_matrices=compute_uv)[0]
+    return func, int(work.real)
+
+
+def _check_finite(A: np.ndarray, what: str) -> None:
+    # the squared Frobenius norm, one BLAS call, is finite only when every
+    # entry is; the entrywise test runs when it is not (or it overflowed)
+    if not math.isfinite(np.vdot(A, A).real) and not np.isfinite(A).all():
+        raise NumericalFailure(f"{what} of a matrix with non-finite entries")
+
+
+def _gesdd(M, compute_uv: bool):
+    A = _as_matrix(M)
+    if not A.size:  # LAPACK would refuse the leading dimension 0
+        raise DimensionMismatch(f"singular value decomposition of an empty {A.shape} matrix")
+    _check_finite(A, "singular value decomposition")
+    func, lwork = _lapack("gesdd", *A.shape, compute_uv)
+    out = func(A, compute_uv, compute_uv, lwork)  # full_matrices when U and V are asked for
+    if out[-1] != 0:
+        raise NumericalFailure(f"singular value decomposition failed: LAPACK zgesdd info {out[-1]}")
+    return out
+
+
+def svd(M):
+    """(U, s, V^dag) of a matrix, all of U and V: LAPACK zgesdd with the
+    workspace numpy queries, so np.linalg.svd(M)'s bits without its wrapper
+    (U and V^dag come back in Fortran order). An empty matrix raises
+    DimensionMismatch, a non-finite one or a LAPACK failure NumericalFailure."""
+    return _gesdd(M, True)[:3]
+
+
+def singular_values(M) -> np.ndarray:
+    """Singular values of a matrix, descending: svd's kernel without U and
+    V, the bits of np.linalg.svd(M, compute_uv=False). singular_values(M)[0]
+    is the operator norm."""
+    return _gesdd(M, False)[1]
+
+
+def norm(x) -> float:
+    """2-norm of the entries of an array: np.linalg.norm(x)'s own expression,
+    x.real . x.real + x.imag . x.imag (x . x for a real x) over the array
+    raveled in memory order, without its wrapper, so the same bits."""
+    v = np.asarray(x).ravel(order="K")
+    if v.dtype.kind == "c":
+        re, im = v.real, v.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    v = v.astype(float, copy=False)
+    return math.sqrt(v.dot(v))
 
 
 def _schur_residual(A: np.ndarray, T: np.ndarray, phases: np.ndarray) -> float:
@@ -241,9 +303,8 @@ def eig_unitary(U) -> SpectralDecomposition:
     n = A.shape[0]
     if A.shape != (n, n) or n == 0:
         raise NumericalFailure(f"Schur decomposition needs a square matrix, got {A.shape}")
-    if not np.isfinite(A).all():
-        raise NumericalFailure("Schur decomposition of a matrix with non-finite entries")
-    gees, lwork = _gees(n)
+    _check_finite(A, "Schur decomposition")
+    gees, lwork = _lapack("gees", n, n)
     T, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
     if info != 0:
         raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")

@@ -53,7 +53,7 @@ from .arcs import (
 )
 from .config import ARC_ROUNDING, DISTINCT_TOL, MAX_QUERIES, TOL_ANGLE, RunConfig
 from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, StageStalled, TooManyQueries
-from .linalg import canonical_phases, eig_unitary, mat, phase_distance
+from .linalg import canonical_phases, eig_unitary, mat, norm, phase_distance
 
 PI = math.pi
 
@@ -172,7 +172,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
             raise StageStalled(f"endpoint gap {gap:.6f} short of pi after {n} queries", trace)
         p = _pair_weight(l1 / abs(l1), l2 / abs(l2))
         psi = Q[:, edge] @ (math.sqrt(p) * v1 + math.sqrt(1.0 - p) * v2)
-        psi = psi / np.linalg.norm(psi)
+        psi = psi / norm(psi)
     resid = float(abs(np.vdot(psi, M @ psi)))
     if resid > cfg.overlap_tol:
         raise StageStalled(f"final overlap {resid:.3e} above tolerance", trace)

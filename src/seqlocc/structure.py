@@ -15,7 +15,8 @@ import numpy as np
 
 from .config import CLOSED_FORM_TOL, MATCH_TOL, RANK_TOL
 from .errors import DimensionMismatch, DimensionTooSmall
-from .linalg import BipartiteUnitary, basis_state, kron, mat, normalize, validate_unitary
+from .linalg import (BipartiteUnitary, basis_state, kron, mat, norm, normalize, singular_values,
+                     svd, validate_unitary)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -76,7 +77,7 @@ def _schmidt(R: np.ndarray, d_a: int, d_b: int) -> OperatorSchmidtDecomposition:
     directly; the rows of the returned V^dag factor are already the
     conjugated vectors. Each side is reshaped as one stack, not term by term.
     """
-    X, s, Yh = np.linalg.svd(R)
+    X, s, Yh = svd(R)
     r = min(R.shape)
     return OperatorSchmidtDecomposition(s[:r], X.T.reshape(-1, d_a, d_a)[:r],
                                         Yh.reshape(-1, d_b, d_b)[:r])
@@ -97,7 +98,7 @@ def _apply_phase_convention(fa: np.ndarray, fb: np.ndarray):
 
 
 def _closest_unitary(M: np.ndarray) -> np.ndarray:
-    X, _, Yh = np.linalg.svd(M)
+    X, _, Yh = svd(M)
     return X @ Yh
 
 
@@ -125,7 +126,7 @@ def entangling_witness(U: BipartiteUnitary):
     for sa in side_states(d_a):
         for sb in side_states(d_b):
             out = U.matrix @ np.kron(sa, sb)
-            s = np.linalg.svd(out.reshape(d_a, d_b), compute_uv=False)
+            s = singular_values(out.reshape(d_a, d_b))
             if s[1] > best[0]:
                 best = (float(s[1]), np.kron(sa, sb))
     return best
@@ -159,7 +160,7 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
         if swapped:
             form = form.reshape((d_a,) * 4).transpose(0, 1, 3, 2).reshape(d_a * d_a, d_a * d_a)
         t = np.vdot(form, U.matrix)  # tr(form^dag U), of modulus about dim
-        deviation = float(np.linalg.norm(U.matrix - t / abs(t) * form))
+        deviation = norm(U.matrix - t / abs(t) * form)
         return PrimitiveForm("SwapProduct" if swapped else "Product", fa, fb,
                              deviation / math.sqrt(2 * d_a * d_b), dec.coefficients, deviation)
     # distance to the nearest primitive form, from the truncation weight of
@@ -207,7 +208,7 @@ def symmetry_set_inverts(U: BipartiteUnitary) -> bool:
     all four probes W. Literal equality is demanded, not phase equivalence."""
     Ud = U.matrix.conj().T
     for W in build_symmetry_set(U.d_a, U.d_b).elements:
-        if np.linalg.norm(Ud - W @ U.matrix @ W.conj().T, 2) > MATCH_TOL:
+        if singular_values(Ud - W @ U.matrix @ W.conj().T)[0] > MATCH_TOL:
             return False
     return True
 
@@ -258,7 +259,7 @@ def _match_xx(M: np.ndarray, d_a: int, d_b: int, tol: float):
     candidate read from the interaction block of M, then the distance
     verified against the matrix exp_xx_form validates."""
     x = _wrap_angle(float(np.arctan2(M[0, d_b + 1].imag, M[0, 0].real)))
-    if np.linalg.norm(M - _exp_of_block(x, xx_generator(d_a, d_b)), 2) <= tol:
+    if singular_values(M - _exp_of_block(x, xx_generator(d_a, d_b)))[0] <= tol:
         return x
     return None
 

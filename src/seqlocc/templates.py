@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionMismatch, MalformedScheme, NotUnitary
-from .linalg import mat
+from .linalg import mat, stacked_operator_norms
 
 
 @dataclass
@@ -154,7 +154,7 @@ def _check_unitarity(stacks, tol: float) -> None:
             continue
         if not np.all(np.isfinite(frobenius)):
             raise NotUnitary(np.inf, tol)
-        defect = float(np.linalg.svd(G[over], compute_uv=False)[:, 0].max())
+        defect = float(stacked_operator_norms(G[over]).max())
         if defect > tol:
             raise NotUnitary(defect, tol)
 

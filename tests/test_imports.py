@@ -1,7 +1,9 @@
-"""What each path loads of scipy. scipy.linalg is imported inside
-eig_unitary and scipy.optimize inside synthesize, so importing the package
-and verifying a scheme run on numpy alone. Each check runs in a fresh
-interpreter, because this process has scipy loaded already."""
+"""What each path loads of scipy. scipy.linalg is imported by the LAPACK
+binding of linalg the first time it serves a routine (eig_unitary, the SVD
+kernels under classify_primitive and discriminate), and scipy.optimize
+inside synthesize, so importing the package and verifying a scheme run on
+numpy alone. Each check runs in a fresh interpreter, because this process
+has scipy loaded already."""
 
 import json
 import os
@@ -51,6 +53,14 @@ def test_cli_verify_loads_numpy_only(product_pair):
     script = ("import sys\nfrom seqlocc.cli import main\n"
               "assert main(['verify', sys.argv[3], sys.argv[1], sys.argv[2]]) == 0")
     assert _loaded_after(script, u, v, scheme) == set()
+
+
+def test_cli_classify_loads_linalg(product_pair):
+    """classify_primitive decomposes through the LAPACK binding."""
+    u, _, _ = product_pair
+    script = ("import sys\nfrom seqlocc.cli import main\n"
+              "assert main(['classify', sys.argv[1]]) == 0")
+    assert _loaded_after(script, u) == {"scipy.linalg"}
 
 
 def test_discriminate_product_pair_loads_linalg_only(product_pair):

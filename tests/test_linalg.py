@@ -208,9 +208,10 @@ def test_kron_same_bits_as_numpy(shapes):
 
 
 def test_operator_norms_same_bits_as_numpy_norm():
-    """unitarity_defect and op_distance_mod_phase read the largest singular
-    value from np.linalg.svd directly; np.linalg.norm(., 2) makes the same
-    LAPACK call, so every value agrees bit for bit."""
+    """unitarity_defect reads the largest singular value from np.linalg.svd
+    directly and op_distance_mod_phase from linalg.singular_values, the same
+    zgesdd call; np.linalg.norm(., 2) makes that LAPACK call too, so every
+    value agrees bit for bit."""
     rng = np.random.default_rng(14)
     for _ in range(200):
         d = int(rng.integers(2, 10))
@@ -274,11 +275,11 @@ def test_eig_unitary_non_square_raises():
 def test_eig_unitary_memoizes_lapack_setup_only():
     """The routine and its workspace are kept per dimension; a result never
     is, so a changed matrix of the same size is decomposed afresh."""
-    from seqlocc.linalg import _gees
+    from seqlocc.linalg import _lapack
 
     A = np.diag(np.exp([0.1j, 0.7j, 2.0j]))
     first = eig_unitary(A)
-    assert _gees(3) is _gees(3)
+    assert _lapack("gees", 3, 3) is _lapack("gees", 3, 3)
     A[:] = np.diag(np.exp([0.3j, 1.1j, 2.5j]))
     assert not np.array_equal(eig_unitary(A).phases, first.phases)
 
@@ -287,10 +288,10 @@ def test_eig_unitary_memoizes_lapack_setup_only():
 def test_schur_residual_is_the_reconstruction_residual(n):
     """Read off T, the residual agrees with ||Z D Z^dag - A|| / ||A|| of the
     reconstruction it replaces, on Haar draws."""
-    from seqlocc.linalg import _gees, _no_sort, _schur_residual, canonical_phases
+    from seqlocc.linalg import _lapack, _no_sort, _schur_residual, canonical_phases
 
     rng = np.random.default_rng(100 + n)
-    gees, lwork = _gees(n)
+    gees, lwork = _lapack("gees", n, n)
     for _ in range(20):
         A = random_unitary(n, rng)
         T, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
@@ -325,3 +326,89 @@ def test_eig_unitary_accepts_a_defect_up_to_the_cap(scale, accepted):
             eig_unitary(M)
         return
     assert np.allclose(eig_unitary(M).phases, eig_unitary(U).phases, rtol=0, atol=1e-7)
+
+
+# the matrices the SVD kernel sees under classify_primitive: the realignment
+# d_a^2 x d_b^2 of every d_a, d_b in 2..5 with d_a d_b <= 16, and the d x d
+# polar factors
+_SVD_SHAPES = sorted({(a * a, b * b) for a in range(2, 6) for b in range(2, 6) if a * b <= 16}
+                     | {(d, d) for d in range(2, 6)})
+
+
+def _svd_draws(rng, m, n):
+    """A complex Gaussian draw, a near-rank-1 one and an exact Kronecker
+    realignment (rank 1 up to rounding) where m and n are squares."""
+    G = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    yield G
+    yield np.outer(G[:, 0], G[0].conj()) + 1e-9 * G
+    a, b = round(m ** 0.5), round(n ** 0.5)
+    if a * a == m and b * b == n:
+        A, B = random_unitary(a, rng), random_unitary(b, rng)
+        yield np.kron(A, B).reshape(a, b, a, b).transpose(0, 2, 1, 3).reshape(m, n)
+
+
+@pytest.mark.parametrize("shape", _SVD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_svd_kernels_are_numpys_bits(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    for _ in range(10):
+        for M in _svd_draws(rng, *shape):
+            got, expected = linalg.svd(M), np.linalg.svd(M)
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+            assert np.array_equal(linalg.singular_values(M), np.linalg.svd(M, compute_uv=False))
+
+
+def test_svd_kernels_of_a_non_contiguous_view_are_numpys_bits():
+    rng = np.random.default_rng(7)
+    big = rng.normal(size=(18, 10)) + 1j * rng.normal(size=(18, 10))
+    for view in (big[::2, 1::2], big[:9, :9].T, big[1::4, ::3]):
+        assert not view.flags.c_contiguous
+        got, expected = linalg.svd(view), np.linalg.svd(view)
+        assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        assert np.array_equal(linalg.singular_values(view), np.linalg.svd(view, compute_uv=False))
+
+
+def test_norm_is_numpys_bits():
+    rng = np.random.default_rng(8)
+    for shape in ((1,), (7,), (16,), (3, 3), (9, 4), (25, 25)):
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        assert linalg.norm(x) == np.linalg.norm(x)
+        assert linalg.norm(x.real) == np.linalg.norm(x.real)
+    # the off-diagonal blocks engine._controlled_form measures: strided slices
+    M4 = random_unitary(12, rng).reshape(3, 4, 3, 4)
+    for a in range(3):
+        for ap in range(3):
+            assert linalg.norm(M4[a, :, ap, :]) == np.linalg.norm(M4[a, :, ap, :])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_svd_kernels_refuse_non_finite_matrices(bad):
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    for kernel in (linalg.svd, linalg.singular_values):
+        with pytest.raises(NumericalFailure):
+            kernel(M)
+    # the phase is read off tr(B^dag A) before the SVD kernel refuses A - e^{it} B
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+        op_distance_mod_phase(M, np.eye(3))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_svd_kernels_refuse_empty_matrices(shape):
+    for kernel in (linalg.svd, linalg.singular_values):
+        with pytest.raises(DimensionMismatch):
+            kernel(np.zeros(shape, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        linalg.svd(np.ones(3, dtype=complex))
+
+
+def test_svd_kernels_read_matrices_whose_square_norm_overflows():
+    """The cheap finiteness screen overflows at entries near 1e154; the
+    entrywise test then lets a finite matrix through."""
+    M = 1e200 * random_unitary(3, np.random.default_rng(9))
+    assert np.array_equal(linalg.singular_values(M), np.linalg.svd(M, compute_uv=False))
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]])
+def test_normalize_refuses_a_zero_or_non_finite_norm(bad):
+    with pytest.raises(ValueError):
+        linalg.normalize(bad)
