@@ -549,27 +549,42 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     in the numerical range of W_psi (the union over psi is the product
     numerical range of W). W is normal, so F(W) is the hull of its spectrum
     and contains that union: unless queries_for_arc(Theta(W)) is 1, no psi
-    works. Otherwise psi runs over _direct_candidates, on B first, then on A.
+    works. psi runs over _direct_candidates, on B first, then on A.
+
+    The screen on Theta(W) decomposes W, and most pairs pass it. With
+    d_a = 2 every B compression is 2x2 and solved in closed form, so the
+    d_b + 1 B probes that need no generator (the basis, then the uniform
+    superposition) come first and the screen runs only when they all miss,
+    before the first seeded draw. A hit puts a point of F(W_psi), inside
+    F(W), within arcs._ZERO_TOL of 0, and the hull of a W the screen refuses
+    keeps at least TOL_ANGLE / 2 from 0, so a probe answers only what the
+    screen lets through (up to rounding of Theta = pi). With d_a >= 3 a B
+    probe (a fan of eigh solves) costs more than the screen, which comes
+    first.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
     W = dagger(U) @ V.matrix
-    if queries_for_arc(smallest_arc(W).theta) != 1:
+    screened = d_a > 2
+    if screened and queries_for_arc(smallest_arc(W).theta) != 1:
         return None
     W4 = W.reshape(d_a, d_b, d_a, d_b)
     for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
         for k, psi in enumerate(_direct_candidates(d, cfg)):
             phi = numerical_range_zero(np.einsum(pattern, W4, psi.conj(), psi))
-            if phi is None:
-                continue
-            inputs = (phi, psi) if side == "B" else (psi, phi)
-            inp = np.outer(*inputs).ravel()  # the bits of np.kron, without its overhead
-            residual = float(abs(np.vdot(U.matrix @ inp, V.matrix @ inp)))
-            if residual <= cfg.overlap_tol:
-                build.trace.append("direct")
-                build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
-                build.per_branch_error.append(residual)
-                return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
+            if phi is not None:
+                inputs = (phi, psi) if side == "B" else (psi, phi)
+                inp = np.outer(*inputs).ravel()  # the bits of np.kron, without its overhead
+                residual = float(abs(np.vdot(U.matrix @ inp, V.matrix @ inp)))
+                if residual <= cfg.overlap_tol:
+                    build.trace.append("direct")
+                    build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
+                    build.per_branch_error.append(residual)
+                    return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
+            if k == d and not screened:  # the last probe before the seeded draws
+                if queries_for_arc(smallest_arc(W).theta) != 1:
+                    return None
+                screened = True
     return None
 
 

@@ -72,8 +72,10 @@ def mat(U) -> np.ndarray:
 
 def unitarity_defect(M) -> float:
     """Operator-norm deviation of M^dag M from the identity: its largest
-    singular value, from the one LAPACK call np.linalg.norm(., 2) makes."""
+    singular value, from the one LAPACK call np.linalg.norm(., 2) makes. A
+    NaN or infinite entry raises NumericalFailure."""
     A = _as_matrix(M)
+    _check_finite(A, "unitarity defect")
     return float(np.linalg.svd(A.conj().T @ A - np.eye(A.shape[1]), compute_uv=False)[0])
 
 
@@ -189,10 +191,14 @@ def phase_distance(U, V) -> float:
 
 
 def op_distance_mod_phase(A, B) -> float:
-    """Operator-norm distance min over phases of ||A - e^{i t} B||."""
+    """Operator-norm distance min over phases of ||A - e^{i t} B||; a NaN or
+    infinite entry in either operand raises NumericalFailure before the
+    phase is read."""
     a, b = mat(A), mat(B)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
+    _check_finite(a, "distance modulo phase")
+    _check_finite(b, "distance modulo phase")
     t = np.trace(b.conj().T @ a)
     phase = t / abs(t) if abs(t) > _TINY else 1.0
     return float(singular_values(a - phase * b)[0])

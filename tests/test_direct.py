@@ -29,6 +29,7 @@ from seqlocc.io import dumps_scheme
 from seqlocc.templates import check_local_unitarity
 
 from corpus import labeled_pairs
+from test_engine import _count_decompositions
 
 CFG = RunConfig()
 
@@ -247,19 +248,65 @@ def test_normal_matrix_agrees_with_arc_criterion(d):
     assert checked[False] > 0 and checked[True] > 0
 
 
-def test_precheck_skips_iii_b_xne1(monkeypatch):
-    """Theta(U^dag V) < pi rules out every product input, so the route
-    returns before it forms a single compression."""
+def _counting_zeros(monkeypatch):
+    """engine.numerical_range_zero wrapped: the compressions it was given."""
     calls = []
     real = engine.numerical_range_zero
     monkeypatch.setattr(engine, "numerical_range_zero",
                         lambda A: calls.append(A) or real(A))
+    return calls
+
+
+def test_precheck_skips_iii_b_xne1(monkeypatch):
+    """Theta(U^dag V) < pi rules out every product input. At d_a = 2 the
+    route first tries the d_b + 1 B probes that need no generator, each a
+    closed-form 2x2 compression, and the screen then returns before the
+    generator is seeded."""
+    calls = _counting_zeros(monkeypatch)
+    rng_calls = _counting_rng(monkeypatch)
     U = exp_xx_form(1.0, 2, 3)
     V = validate_unitary(np.exp(0.4j) * exp_xx_form(0.6, 2, 3).matrix, 2, 3)
     scheme, report = discriminate(U, V, CFG)
     assert scheme.case_trace == ["iii", "iii-b-xne1"]
     assert report.passed
+    assert [A.shape for A in calls] == [(2, 2)] * 4
+    assert rng_calls == []
+
+
+def test_basis_probe_answers_before_any_decomposition(monkeypatch):
+    """The Haar 2x2 pair of default_rng(28) is answered by probe 0 on B,
+    ahead of the Theta screen: its discriminate decomposes nothing."""
+    rng = np.random.default_rng(28)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    calls = _count_decompositions(monkeypatch)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["direct"]
+    assert "probe 0 on B" in report.wall_notes
     assert calls == []
+
+
+def test_seeded_draw_follows_one_screen(monkeypatch):
+    """The Haar 2x2 pair of default_rng(33) misses the basis and the uniform
+    probe on B, so the screen decomposes U^dag V once before the first
+    seeded draw answers."""
+    rng = np.random.default_rng(33)
+    U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
+    calls = _count_decompositions(monkeypatch)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["direct"]
+    assert "probe 4 on B" in report.wall_notes
+    assert [M.shape for M in calls] == [(4, 4)]
+
+
+def test_screen_comes_first_beyond_d_a_2(monkeypatch):
+    """With d_a = 3 a B probe costs more than the screen, so a pair with
+    Theta(U^dag V) < pi forms no compression."""
+    calls = _counting_zeros(monkeypatch)
+    U, V = _near_pair(np.random.default_rng(2033), 3, 3, 0.6 * np.pi)
+    build = engine._Build(CFG)
+    assert engine._direct(build, U, V) is None
+    assert calls == []
+    assert build.trace == build.notes == build.per_branch_error == []
 
 
 @pytest.mark.parametrize("swapped", [False, True])

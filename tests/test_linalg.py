@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -387,9 +389,30 @@ def test_svd_kernels_refuse_non_finite_matrices(bad):
     for kernel in (linalg.svd, linalg.singular_values):
         with pytest.raises(NumericalFailure):
             kernel(M)
-    # the phase is read off tr(B^dag A) before the SVD kernel refuses A - e^{it} B
-    with np.errstate(invalid="ignore"), pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure):
         op_distance_mod_phase(M, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_op_distance_mod_phase_refuses_non_finite_operands_without_a_warning(bad):
+    """Either operand is screened before the phase is read off tr(B^dag A),
+    so the typed error comes with no RuntimeWarning from the product."""
+    M = np.eye(3, dtype=complex)
+    M[1, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((M, np.eye(3)), (np.eye(3), M)):
+            with pytest.raises(NumericalFailure):
+                op_distance_mod_phase(a, b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_unitarity_defect_refuses_non_finite_entries(bad):
+    """A typed error, not numpy's LinAlgError, and no RuntimeWarning first."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            unitarity_defect([[bad, 0], [0, 1]])
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
