@@ -21,7 +21,7 @@ import sys
 from . import io as sio
 from .arcs import arc_of_phases, eigenphase_rows, queries_for_arc
 from .config import DISTINCT_TOL, RunConfig
-from .engine import _overlap_report, discriminate
+from .engine import discriminate, verify_scheme
 from .errors import (
     CaseFailure,
     GeneratorPrimitive,
@@ -143,11 +143,10 @@ def cmd_discriminate(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
-    scheme, stacks = sio._read_scheme(args.scheme, cfg.unitarity_tol)
+    scheme = sio._read_scheme(args.scheme)
     U = _read_matrix(args.matrix_u, cfg.unitarity_tol)
     V = _read_matrix(args.matrix_v, cfg.unitarity_tol)
-    # _read_scheme has already validated the scheme at cfg.unitarity_tol
-    report = _overlap_report(scheme, U, V, stacks)
+    report = verify_scheme(scheme, U, V, cfg)
     lines = [
         f"overlap: {report.overlap:.6e}",
         f"budget: {scheme.budget:.6e}",

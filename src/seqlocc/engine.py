@@ -30,6 +30,10 @@ The budget is the math.fsum of one ledger, _Build.per_branch_error, to which
 each step charges, from the actual matrices, its residual overlap and, for
 each block or operand standing in for its ideal, uses times its per-use
 operator-norm deviation (modulo a global phase).
+
+verify_scheme is the one check of a scheme, for discriminate and for
+seqlocc verify alike: validate_scheme stacks the local factors once, and
+the outputs under both operands are propagated through those stacks.
 """
 
 from __future__ import annotations
@@ -675,7 +679,8 @@ def validate_scheme(scheme: LoccSequentialScheme,
     two adjacent queries, no trailing local) or hold a local factor of the
     wrong shape, for a template without a query, an input that is not a unit
     vector (to tol) of length d_a or d_b, or a budget that is negative or not
-    finite. Returns the template's factor stacks, which verify_scheme reuses."""
+    finite. Returns the template's factor stacks, which verify_scheme
+    propagates."""
     t = scheme.template
     stacks = _factor_stacks(t)
     _check_unitarity(stacks, tol)
@@ -695,15 +700,11 @@ def validate_scheme(scheme: LoccSequentialScheme,
 
 def verify_scheme(scheme: LoccSequentialScheme, U, V,
                   cfg: RunConfig | None = None) -> DiscriminationReport:
-    """Validate the scheme (see validate_scheme, at cfg.unitarity_tol), then
-    recompute both outputs from its one factor stack and compare to the budget."""
+    """The one verifier, behind discriminate and seqlocc verify. Validates
+    the scheme (see validate_scheme, at cfg.unitarity_tol), then propagates
+    the product input under both operands in one pass through the factor
+    stacks validate_scheme formed, and compares the overlap to the budget."""
     stacks = validate_scheme(scheme, (cfg or RunConfig()).unitarity_tol)
-    return _overlap_report(scheme, U, V, stacks)
-
-
-def _overlap_report(scheme: LoccSequentialScheme, U, V, stacks=None) -> DiscriminationReport:
-    """verify_scheme on a scheme that validate_scheme has already passed, and
-    returned these stacks if given: both outputs in one pass of the input."""
     t = scheme.template
     for X in (U, V):
         if isinstance(X, BipartiteUnitary) and (X.d_a, X.d_b) != (t.d_a, t.d_b):
@@ -712,8 +713,7 @@ def _overlap_report(scheme: LoccSequentialScheme, U, V, stacks=None) -> Discrimi
     if u.shape != v.shape or u.shape != (t.dim, t.dim):
         raise DimensionMismatch(f"operands {u.shape} and {v.shape} do not fit dimension {t.dim}")
     a, b = np.asarray(scheme.input_a), np.asarray(scheme.input_b)
-    phi_u, phi_v = _propagate(stacks or _factor_stacks(t), np.stack([u, v]),
-                              (a[:, None] * b).reshape(-1, 1))
+    phi_u, phi_v = _propagate(stacks, np.stack([u, v]), (a[:, None] * b).reshape(-1, 1))
     ov = float(abs(np.vdot(phi_u, phi_v)))
     return DiscriminationReport(
         overlap=ov,

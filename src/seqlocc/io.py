@@ -6,6 +6,9 @@ array of such pairs; parsing is strict, a wrong entry count is an error.
 Template files list the layers in application order. Scheme files bundle
 the flat template, the two input state vectors, and the report block, with
 a stable field order so identical runs produce byte-identical files.
+loads_scheme and load_scheme_file validate the scheme they read (engine's
+validate_scheme); seqlocc verify reads it unvalidated and leaves the check
+to verify_scheme.
 """
 
 from __future__ import annotations
@@ -129,16 +132,9 @@ def loads_template(text: str) -> CircuitTemplate:
     return template_from_dict(_parse(text))
 
 
-def scheme_from_dict(data: dict,
-                     unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
-    """Scheme record to a scheme; a malformed record raises MatrixFileError,
-    a malformed scheme the errors of validate_scheme."""
-    return _scheme_and_stacks(data, unitarity_tol)[0]
-
-
-def _scheme_and_stacks(data: dict, unitarity_tol: float):
-    """scheme_from_dict, and the factor stacks validate_scheme formed, which
-    verifying the scheme reuses."""
+def _scheme_record(data: dict) -> LoccSequentialScheme:
+    """Scheme record to a scheme, parsed but not validated; a malformed record
+    raises MatrixFileError."""
     try:
         template = template_from_dict(data["template"])
         # the length of an input is validate_scheme's to check
@@ -152,10 +148,9 @@ def _scheme_and_stacks(data: dict, unitarity_tol: float):
         # a JSON list of strings: list() would split "i-a" and take an object's keys
         if not isinstance(trace, list) or not all(isinstance(x, str) for x in trace):
             raise MatrixFileError(f"case_trace must be a list of strings, got {trace!r}")
-        scheme = LoccSequentialScheme(template, input_a, input_b, *map(float, numbers), trace)
+        return LoccSequentialScheme(template, input_a, input_b, *map(float, numbers), trace)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MatrixFileError(f"malformed scheme record: {exc}") from exc
-    return scheme, validate_scheme(scheme, unitarity_tol)
 
 
 def dumps_scheme(scheme: LoccSequentialScheme,
@@ -183,18 +178,23 @@ def dumps_scheme(scheme: LoccSequentialScheme,
 
 def loads_scheme(text: str,
                  unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
-    return scheme_from_dict(_parse(text), unitarity_tol)
+    scheme = _scheme_record(_parse(text))
+    validate_scheme(scheme, unitarity_tol)
+    return scheme
 
 
 def load_scheme_file(path: str,
                      unitarity_tol: float = RunConfig.unitarity_tol) -> LoccSequentialScheme:
-    return _read_scheme(path, unitarity_tol)[0]
+    scheme = _read_scheme(path)
+    validate_scheme(scheme, unitarity_tol)
+    return scheme
 
 
-def _read_scheme(path: str, unitarity_tol: float):
-    """load_scheme_file, and the scheme's factor stacks (_scheme_and_stacks)."""
+def _read_scheme(path: str) -> LoccSequentialScheme:
+    """The scheme of a file, parsed but not validated: seqlocc verify leaves
+    that to verify_scheme, which stacks the factors once for both steps."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _scheme_and_stacks(_parse(fh.read()), unitarity_tol)
+        return _scheme_record(_parse(fh.read()))
 
 
 def eigenphase_csv(rows) -> str:

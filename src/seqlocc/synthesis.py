@@ -65,10 +65,6 @@ class _LayerProblem:
         xa, xb = self._sides(x)
         return unitaries(xa, self.bases[0])[0], unitaries(xb, self.bases[1])[0]
 
-    def _layers(self, A, B) -> np.ndarray:
-        """All k+1 layers A_i (x) B_i, stacked."""
-        return kron_layers(A, B)
-
     def template(self, x) -> CircuitTemplate:
         A, B = self._factors(x)
         layers: list = [LocalLayer(A[0], B[0])]
@@ -79,7 +75,7 @@ class _LayerProblem:
 
     def evaluate(self, x) -> np.ndarray:
         M = None
-        for i, L in enumerate(self._layers(*self._factors(x))):
+        for i, L in enumerate(kron_layers(*self._factors(x))):
             M = L if i == 0 else L @ self.X @ M
         return M
 
@@ -87,7 +83,7 @@ class _LayerProblem:
         xa, xb = self._sides(x)
         A, spec_a = unitaries(xa, self.bases[0])
         B, spec_b = unitaries(xb, self.bases[1])
-        L = self._layers(A, B)
+        L = kron_layers(A, B)
         k = self.k
         # prefix[i]: product applied before layer i; suffix[i]: applied after
         prefix = [np.eye(self.D, dtype=complex)]

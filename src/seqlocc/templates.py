@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
 from .errors import DimensionMismatch, MalformedScheme, NotUnitary
 from .linalg import mat, stacked_operator_norms
 
@@ -132,29 +131,19 @@ def _factor_stacks(t: CircuitTemplate) -> tuple[np.ndarray, np.ndarray]:
     return A, B
 
 
-def check_local_unitarity(t: CircuitTemplate, tol: float = RunConfig.unitarity_tol) -> None:
-    """Raise NotUnitary if any local factor drifted from unitarity, and
-    MalformedScheme if the layers are out of normal form."""
-    _check_unitarity(_factor_stacks(t), tol)
-
-
 def _check_unitarity(stacks, tol: float) -> None:
-    """check_local_unitarity on a template's factor stacks. One screen passes
-    every factor when the squared Frobenius norms of F^dag F - I sum to at
-    most tol^2 over both sides; otherwise each side is checked as one stack,
-    where the Frobenius norm bounds the operator norm from above, so only
-    factors over tol by the former pay for the exact (SVD) norm."""
+    """Raise NotUnitary if a factor of these stacks is off unitarity by more
+    than tol in operator norm. One screen passes every factor when the squared
+    Frobenius norms of F^dag F - I sum to at most tol^2 over both sides (the
+    Frobenius norm bounds the operator norm); otherwise each side takes the
+    exact (SVD) norm of its whole stack."""
     grams = [np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1]) for F in stacks]
     if sum(np.vdot(G, G).real for G in grams) <= tol * tol:
         return
     for G in grams:
-        frobenius = np.sqrt(np.einsum("kij,kij->k", G.conj(), G).real)
-        over = ~(frobenius <= tol)
-        if not over.any():
-            continue
-        if not np.all(np.isfinite(frobenius)):
+        if not np.all(np.isfinite(G)):
             raise NotUnitary(np.inf, tol)
-        defect = float(stacked_operator_norms(G[over]).max())
+        defect = float(stacked_operator_norms(G).max())
         if defect > tol:
             raise NotUnitary(defect, tol)
 
@@ -179,20 +168,6 @@ def evaluate_template(t: CircuitTemplate, X) -> np.ndarray:
         raise DimensionMismatch(f"expected {n}x{n} query, got {x.shape}")
     basis = np.eye(n, dtype=complex).reshape(n, n, 1)
     return _propagate(_factor_stacks(t), np.broadcast_to(x, (n, n, n)), basis).T
-
-
-def template_outputs(t: CircuitTemplate, X, input_a, input_b) -> np.ndarray:
-    """Output states of the template on input_a (x) input_b, one row per
-    operand of the (m, n, n) stack X."""
-    d_a, d_b, n = t.d_a, t.d_b, t.dim
-    x = np.asarray(X)
-    if x.ndim != 3 or x.shape[1:] != (n, n):
-        raise DimensionMismatch(f"expected a stack of {n}x{n} queries, got {x.shape}")
-    a, b = np.asarray(input_a), np.asarray(input_b)
-    if a.shape != (d_a,) or b.shape != (d_b,):
-        raise DimensionMismatch(f"inputs {a.shape}/{b.shape} do not fit ({d_a}, {d_b})")
-    return _propagate(_factor_stacks(t), x,
-                      np.broadcast_to(np.outer(a, b).reshape(n, 1), (len(x), n, 1)))
 
 
 def compose_templates(outer: CircuitTemplate, inner: CircuitTemplate) -> CircuitTemplate:

@@ -25,8 +25,8 @@ from seqlocc import (
 )
 from seqlocc import engine
 from seqlocc.arcs import _ROUNDING, _zero_of_2x2, numerical_range_zero
+from seqlocc.engine import validate_scheme
 from seqlocc.io import dumps_scheme
-from seqlocc.templates import check_local_unitarity
 
 from corpus import labeled_pairs
 from test_engine import _count_decompositions
@@ -562,7 +562,7 @@ def test_iii_a_on_near_pairs_beyond_2x2(near_pairs_2x3, index):
     scheme, report = discriminate(U, V, CFG)
     assert scheme.case_trace[:2] == ["iii", "iii-a"]
     assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
-    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    validate_scheme(scheme, CFG.unitarity_tol)
     assert report.passed and report.overlap <= scheme.budget
 
 
@@ -587,7 +587,7 @@ def test_iii_a_at_3x3_under_the_case_engine():
     scheme, report = _engine_only(U, V)
     assert scheme.case_trace[:2] == ["iii", "iii-a"]
     assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
-    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    validate_scheme(scheme, CFG.unitarity_tol)
     assert report.passed and report.overlap <= scheme.budget
 
 

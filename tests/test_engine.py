@@ -35,9 +35,9 @@ from seqlocc import (
 )
 from seqlocc import engine
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
-from seqlocc.engine import _controlled_form, _image_factors
+from seqlocc.engine import _controlled_form, _image_factors, validate_scheme
 from seqlocc.io import dumps_scheme
-from seqlocc.templates import QUERY, CircuitTemplate, check_local_unitarity
+from seqlocc.templates import QUERY, CircuitTemplate
 
 from conftest import CNOT, CZ, HAD, I2, SX, SZ
 from corpus import labeled_pairs
@@ -763,7 +763,7 @@ def _check_engine_scheme(U, V, d_a, d_b, label):
     scheme, report = _run(U, V, d_a, d_b)
     assert label in scheme.case_trace
     assert all(isinstance(layer, (LocalLayer, Query)) for layer in scheme.template.layers)
-    check_local_unitarity(scheme.template, CFG.unitarity_tol)
+    validate_scheme(scheme, CFG.unitarity_tol)
     for v, d in ((scheme.input_a, d_a), (scheme.input_b, d_b)):
         assert v.shape == (d,) and abs(np.linalg.norm(v) - 1.0) <= 1e-12
     assert report.passed and report.overlap <= scheme.budget + 1e-12

@@ -28,11 +28,11 @@ from seqlocc.io import (
     dumps_matrix,
     dumps_scheme,
     load_matrix_file,
+    load_scheme_file,
     loads_matrix,
     loads_scheme,
     loads_template,
     save_matrix_file,
-    scheme_from_dict,
 )
 
 from conftest import CNOT, CZ, HAD, SX
@@ -415,31 +415,35 @@ def test_cli_discriminate_verify_round_trip(tmp_path, capsys):
 
 
 def test_cli_verify_stacks_the_factors_once(tmp_path, monkeypatch, capsys):
-    """seqlocc verify validates and propagates with one factor stack: every
-    seqlocc module that holds templates._factor_stacks gets the counting
-    wrapper, and one verify call forms the stacks once."""
+    """seqlocc verify checks the scheme through engine.verify_scheme, once,
+    which validates and propagates with one factor stack: every seqlocc
+    module that holds templates._factor_stacks gets the counting wrapper,
+    and one verify call forms the stacks once."""
     import sys
-    from seqlocc import templates
+    from seqlocc import cli, templates
     a = _write(tmp_path, "i.json", np.eye(4))
     b = _write(tmp_path, "szi.json", np.kron(np.diag([1, -1]), np.eye(2)))
     scheme_path = str(tmp_path / "scheme.json")
     assert main(["discriminate", a, b, "--out", scheme_path]) == 0
-    calls = []
+    calls = {"verify_scheme": 0, "_factor_stacks": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
     real = templates._factor_stacks
-
-    def counting(t):
-        calls.append(t)
-        return real(t)
-
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "seqlocc":
             for attr, value in list(vars(module).items()):
                 if value is real:
-                    monkeypatch.setattr(module, attr, counting)
+                    monkeypatch.setattr(module, attr, counting("_factor_stacks", real))
+    monkeypatch.setattr(cli, "verify_scheme", counting("verify_scheme", cli.verify_scheme))
     capsys.readouterr()
     assert main(["verify", scheme_path, a, b]) == 0
     assert "verified: pass" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert calls == {"verify_scheme": 1, "_factor_stacks": 1}
 
 
 def test_cli_verify_dimension_mismatch_exit2(tmp_path, capsys):
@@ -608,15 +612,21 @@ def _forged_records(text):
                   *((record, MalformedScheme) for record in bad_budgets)]
 
 
-def test_scheme_from_dict_rejects_forged():
+def test_scheme_loaders_reject_forged(tmp_path):
+    """loads_scheme and load_scheme_file validate what they parse."""
     U = validate_unitary(np.eye(4), 2, 2)
     V = validate_unitary(np.kron(np.diag([1, 1j]), np.eye(2)), 2, 2)
     scheme, _ = discriminate(U, V, RunConfig())
     genuine, forged = _forged_records(dumps_scheme(scheme))
-    assert scheme_from_dict(genuine).template.query_count == 2
-    for record, error in forged:
-        with pytest.raises(error):
-            scheme_from_dict(record)
+    path = tmp_path / "scheme.json"
+    for record, error in [(genuine, None), *forged]:
+        path.write_text(json.dumps(record))
+        for load in (lambda: loads_scheme(json.dumps(record)), lambda: load_scheme_file(str(path))):
+            if error is None:
+                assert load().template.query_count == 2
+            else:
+                with pytest.raises(error):
+                    load()
 
 
 def test_cli_verify_rejects_forged_scheme(tmp_path, capsys):
