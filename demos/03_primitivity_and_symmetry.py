@@ -17,7 +17,7 @@ from seqlocc import (
     classify_primitive,
     entangling_witness,
     exp_xx_form,
-    match_exp_xx,
+    match_exp_xx_mod_phase,
     operator_schmidt,
     random_unitary,
     swap_operator,
@@ -63,6 +63,6 @@ for name, U in [
     ("CNOT", validate_unitary(CNOT, 2, 2)),
 ]:
     inv = symmetry_set_inverts(U)
-    x = match_exp_xx(U)
+    m = match_exp_xx_mod_phase(U)
     print(f"{name:20s}: inverted by all probes: {inv};"
-          f" matched angle: {x if x is None else round(x, 9)}")
+          f" matched (x, phase): {m if m is None else tuple(round(v, 9) for v in m)}")

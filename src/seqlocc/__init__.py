@@ -65,7 +65,7 @@ from .structure import (
     classify_primitive,
     entangling_witness,
     exp_xx_form,
-    match_exp_xx,
+    match_exp_xx_mod_phase,
     operator_schmidt,
     realign,
     symmetry_set_inverts,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import numerical_range_zero, queries_for_arc, smallest_arc
+from .arcs import numerical_range_zero, queries_for_arc, single_query_distinguishable
 from .config import CLOSED_FORM_TOL, DISTINCT_TOL, MATCH_TOL, RunConfig
 from .errors import (
     CaseFailure,
@@ -57,6 +57,7 @@ from .linalg import (
     BipartiteUnitary,
     basis_state,
     dagger,
+    kron,
     mat,
     norm,
     normalize,
@@ -269,7 +270,7 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
         build.note("controlled fast path: operand already has two-block form")
         groups, blocks = ctrl
         # the form is accepted at a tolerance, so U may sit off its blocks
-        ideal = sum(np.kron(np.diag(np.isin(np.arange(d_a), g).astype(complex)), W)
+        ideal = sum(kron(np.diag(np.isin(np.arange(d_a), g).astype(complex)), W)
                     for g, W in zip(groups, blocks))
         return (CircuitTemplate(d_a, d_b, [QUERY]), groups, blocks,
                 op_distance_mod_phase(U.matrix, ideal))
@@ -279,7 +280,7 @@ def _controlled_template(U: BipartiteUnitary, build: _Build):
     G = np.eye(d_b, dtype=complex)
     G[1, 1] = np.exp(2j * np.pi / 3)
     P0 = np.diag(basis_state(d_a, 0))
-    C = np.kron(P0, np.eye(d_b)) + np.kron(np.eye(d_a) - P0, G)
+    C = kron(P0, np.eye(d_b)) + kron(np.eye(d_a) - P0, G)
     template, _, delta_use = _compile(
         build, U, validate_unitary(C, d_a, d_b, tol=CLOSED_FORM_TOL), "controlled target")
     return template, [[0], list(range(1, d_a))], [np.eye(d_b, dtype=complex), G], delta_use
@@ -398,7 +399,7 @@ def _case_imprimitive_vs_primitive(build: _Build, U: BipartiteUnitary, V: Bipart
     f_template, groups, blocks, delta_use = _controlled_template(U, build)
     fV_a, fV_b, parity = _image_factors(f_template, cls_v.factor_a, cls_v.factor_b,
                                         swaps=swapped)
-    ideal_v = np.kron(fV_a, fV_b)
+    ideal_v = kron(fV_a, fV_b)
     d_a = U.d_a
     delta_v = op_distance_mod_phase(evaluate_template(f_template, V.matrix),
                                     ideal_v @ swap_operator(d_a) if parity else ideal_v)
@@ -555,24 +556,23 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     and contains that union: unless queries_for_arc(Theta(W)) is 1, no psi
     works. psi runs over _direct_candidates, on B first, then on A.
 
-    The screen on Theta(W) decomposes W, and most pairs pass it. With
-    d_a = 2 every B compression is 2x2 and solved in closed form, so the
-    d_b + 1 B probes that need no generator (the basis, then the uniform
-    superposition) come first and the screen runs only when they all miss,
-    before the first seeded draw. A hit puts a point of F(W_psi), inside
-    F(W), within arcs._ZERO_TOL of 0, and the hull of a W the screen refuses
-    keeps at least TOL_ANGLE / 2 from 0, so a probe answers only what the
-    screen lets through (up to rounding of Theta = pi). With d_a >= 3 a B
-    probe (a fan of eigh solves) costs more than the screen, which comes
-    first.
+    The screen, single_query_distinguishable(U, V), decomposes W, and most
+    pairs pass it. With d_a = 2 every B compression is 2x2 and solved in
+    closed form, so the d_b + 1 B probes that need no generator (the basis,
+    then the uniform superposition) come first and the screen runs only when
+    they all miss, before the first seeded draw. A hit puts a point of
+    F(W_psi), inside F(W), within arcs._ZERO_TOL of 0, and the hull of a W
+    the screen refuses keeps at least TOL_ANGLE / 2 from 0, so a probe
+    answers only what the screen lets through (up to rounding of Theta =
+    pi). With d_a >= 3 a B probe (a fan of eigh solves) costs more than the
+    screen, which comes first.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
-    W = dagger(U) @ V.matrix
     screened = d_a > 2
-    if screened and queries_for_arc(smallest_arc(W).theta) != 1:
+    if screened and not single_query_distinguishable(U, V):
         return None
-    W4 = W.reshape(d_a, d_b, d_a, d_b)
+    W4 = (dagger(U) @ V.matrix).reshape(d_a, d_b, d_a, d_b)
     for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
         for k, psi in enumerate(_direct_candidates(d, cfg)):
             phi = numerical_range_zero(np.einsum(pattern, W4, psi.conj(), psi))
@@ -586,7 +586,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
                     build.per_branch_error.append(residual)
                     return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
             if k == d and not screened:  # the last probe before the seeded draws
-                if queries_for_arc(smallest_arc(W).theta) != 1:
+                if not single_query_distinguishable(U, V):
                     return None
                 screened = True
     return None

@@ -111,9 +111,18 @@ def dagger(U) -> np.ndarray:
 
 
 def kron(A, B) -> np.ndarray:
-    """np.kron of two matrices as one broadcast product: the same bits, faster."""
-    a, b = mat(A), mat(B)
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], -1)
+    """np.kron of two matrices, or of each pair of matrices of two stacks of
+    one length, (k, m, n) and (k, p, q), as one broadcast product: the same
+    bits, faster. An operand with fewer than two axes, or stacks whose
+    leading axes differ, raise DimensionMismatch."""
+    a = A.matrix if isinstance(A, BipartiteUnitary) else np.asarray(A, dtype=complex)
+    b = B.matrix if isinstance(B, BipartiteUnitary) else np.asarray(B, dtype=complex)
+    k = a.shape[:-2]
+    if a.ndim < 2 or b.ndim < 2 or k != b.shape[:-2]:
+        raise DimensionMismatch(f"expected two matrices or two equal-length stacks, "
+                                f"got {a.shape} and {b.shape}")
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    return (a[..., :, None, :, None] * b[..., None, :, None, :]).reshape(*k, m * p, n * q)
 
 
 def normalize(psi) -> np.ndarray:

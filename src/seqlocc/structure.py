@@ -125,10 +125,10 @@ def entangling_witness(U: BipartiteUnitary):
     best = (0.0, None)
     for sa in side_states(d_a):
         for sb in side_states(d_b):
-            out = U.matrix @ np.kron(sa, sb)
-            s = singular_values(out.reshape(d_a, d_b))
+            state = np.outer(sa, sb).ravel()
+            s = singular_values((U.matrix @ state).reshape(d_a, d_b))
             if s[1] > best[0]:
-                best = (float(s[1]), np.kron(sa, sb))
+                best = (float(s[1]), state)
     return best
 
 
@@ -200,7 +200,7 @@ def build_symmetry_set(d_a: int, d_b: int) -> SymmetrySet:
         (np.eye(d_a, dtype=complex), _embedded_pauli(SIGMA_Y, d_b)),
     ]
     labels = ["(sz+I)xI", "(sy+I)xI", "Ix(sz+I)", "Ix(sy+I)"]
-    return SymmetrySet([np.kron(a, b) for a, b in pairs], labels, pairs)
+    return SymmetrySet([kron(a, b) for a, b in pairs], labels, pairs)
 
 
 def symmetry_set_inverts(U: BipartiteUnitary) -> bool:
@@ -230,7 +230,7 @@ def _exp_of_block(x: float, G: np.ndarray) -> np.ndarray:
 
 def xx_generator(d_a: int, d_b: int) -> np.ndarray:
     """(sigma_x (+) 0) (x) (sigma_x (+) 0): Hermitian, squares to a projector."""
-    return np.kron(_sigma_x_block(d_a), _sigma_x_block(d_b))
+    return kron(_sigma_x_block(d_a), _sigma_x_block(d_b))
 
 
 def exp_xx_form(x: float, d_a: int, d_b: int) -> BipartiteUnitary:
@@ -254,39 +254,17 @@ def _wrap_angle(x: float) -> float:
     return np.pi if y == -np.pi else float(y)
 
 
-def _match_xx(M: np.ndarray, d_a: int, d_b: int, tol: float):
-    """x in (-pi, pi] with ||M - exp_xx_form(x)|| <= tol, or None: the
-    candidate read from the interaction block of M, then the distance
-    verified against the matrix exp_xx_form validates."""
-    x = _wrap_angle(float(np.arctan2(M[0, d_b + 1].imag, M[0, 0].real)))
-    if singular_values(M - _exp_of_block(x, xx_generator(d_a, d_b)))[0] <= tol:
-        return x
-    return None
-
-
-def match_exp_xx(U: BipartiteUnitary, tol: float = MATCH_TOL):
-    """x in (-pi, pi] with ||U - exp_xx_form(x)|| <= tol, or None.
-
-    The candidate angle is read from the interaction block: the diagonal
-    entry gives cos(x) and the |00><11| entry gives i sin(x), which fixes
-    the sign that eigenphases alone would leave open. Exact distance is then
-    verified against the reconstructed form; no global phase is tolerated.
-    """
-    if U.d_a < 2 or U.d_b < 2:
-        return None
-    return _match_xx(U.matrix, U.d_a, U.d_b, tol)
-
-
 def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = MATCH_TOL):
-    """(x, phase) with U = e^{i phase} exp_xx_form(x) within tol, or None.
+    """(x, phase) in (-pi, pi]^2 with ||U - e^{i phase} exp_xx_form(x)|| <= tol,
+    or None.
 
-    Routing helper for the case engine: the discrimination logic treats a
-    global phase as unobservable, so images that only differ from the
-    canonical form by a phase follow the same branch.
-
-    If the form holds, the block entries give a = e^{i phase} cos x and
-    b = e^{i phase} i sin x, so a^2 - b^2 = e^{2 i phase}; both square
-    roots are tried against the exact matcher.
+    The discrimination logic treats a global phase as unobservable, so
+    images that only differ from the canonical form by a phase follow the
+    same branch. If the form holds, the block entries give a = e^{i phase}
+    cos x and b = e^{i phase} i sin x, so a^2 - b^2 = e^{2 i phase}; each
+    square root is stripped in turn. The diagonal entry then gives cos(x)
+    and the |00><11| entry i sin(x), which fixes the sign that eigenphases
+    alone would leave open, and the distance is verified against the form.
     """
     d_a, d_b = U.d_a, U.d_b
     if d_a < 2 or d_b < 2:
@@ -296,9 +274,11 @@ def match_exp_xx_mod_phase(U: BipartiteUnitary, tol: float = MATCH_TOL):
     sq = a * a - b * b
     if abs(abs(sq) - 1.0) > 0.5:
         return None
+    G = xx_generator(d_a, d_b)
     half = 0.5 * np.angle(sq)
     for phase in (half, half + np.pi):
-        x = _match_xx(U.matrix * np.exp(-1j * phase), d_a, d_b, tol)
-        if x is not None:
+        M = U.matrix * np.exp(-1j * phase)
+        x = _wrap_angle(float(np.arctan2(M[0, d_b + 1].imag, M[0, 0].real)))
+        if singular_values(M - _exp_of_block(x, G))[0] <= tol:
             return x, _wrap_angle(float(phase))
     return None

@@ -15,9 +15,9 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
-from .linalg import BipartiteUnitary, _extended_distance
+from .linalg import BipartiteUnitary, _extended_distance, kron
 from .structure import classify_primitive
-from .templates import CircuitTemplate, LocalLayer, QUERY, kron_layers
+from .templates import CircuitTemplate, LocalLayer, QUERY
 from .unitary_opt import hermitian_basis, pullback, unitaries
 
 # L-BFGS-B options: a short run per seed, and a long polish of the winner
@@ -75,7 +75,7 @@ class _LayerProblem:
 
     def evaluate(self, x) -> np.ndarray:
         M = None
-        for i, L in enumerate(kron_layers(*self._factors(x))):
+        for i, L in enumerate(kron(*self._factors(x))):
             M = L if i == 0 else L @ self.X @ M
         return M
 
@@ -83,7 +83,7 @@ class _LayerProblem:
         xa, xb = self._sides(x)
         A, spec_a = unitaries(xa, self.bases[0])
         B, spec_b = unitaries(xb, self.bases[1])
-        L = kron_layers(A, B)
+        L = kron(A, B)
         k = self.k
         # prefix[i]: product applied before layer i; suffix[i]: applied after
         prefix = [np.eye(self.D, dtype=complex)]

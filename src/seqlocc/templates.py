@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedScheme, NotUnitary
-from .linalg import mat, stacked_operator_norms
+from .linalg import kron, mat, stacked_operator_norms
 
 
 @dataclass
@@ -23,9 +23,6 @@ class LocalLayer:
 
     factor_a: np.ndarray
     factor_b: np.ndarray
-
-    def matrix(self) -> np.ndarray:
-        return np.kron(self.factor_a, self.factor_b)
 
 
 class Query:
@@ -100,13 +97,6 @@ def _normalize_layers(d_a: int, d_b: int, layers) -> list:
     return out
 
 
-def kron_layers(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Stack of the products A_i (x) B_i of the (m, d_a, d_a) and (m, d_b, d_b)
-    factor stacks, formed in one broadcast: the same bits as np.kron."""
-    m, d_a, d_b = len(A), A.shape[1], B.shape[1]
-    return (A[:, :, None, :, None] * B[:, None, :, None, :]).reshape(m, d_a * d_b, d_a * d_b)
-
-
 def _factor_stacks(t: CircuitTemplate) -> tuple[np.ndarray, np.ndarray]:
     """The (k+1, d_a, d_a) and (k+1, d_b, d_b) stacks of the local factors of
     t, which must be in normal form L Q L ... Q L with factors of its shape.
@@ -152,7 +142,7 @@ def _propagate(stacks, x: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(m, n) outputs of the template with these factor stacks on the (m, n, 1)
     or (n, 1) states psi, the m-th against x[m]. Every layer L_i = A_i (x) B_i
     is formed in one broadcast and a query step is L_i (X psi); no L_i X is formed."""
-    L = kron_layers(*stacks)
+    L = kron(*stacks)
     psi = L[0] @ psi
     for layer in L[1:]:
         psi = layer @ (x @ psi)

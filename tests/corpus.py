@@ -51,7 +51,7 @@ def _interaction_base(seed: int):
             np.kron(ga, gb) @ exp_xx_form(0.5, 2, 2).matrix @ np.kron(ha, hb), 2, 2)
         res = synthesize(exp_xx_form(1.0, 2, 2), U, CFG)
         if res.template.query_count == 2:
-            locals_ = [l.matrix() for l in res.template.layers
+            locals_ = [np.kron(l.factor_a, l.factor_b) for l in res.template.layers
                        if isinstance(l, LocalLayer)]
             return U, locals_
     raise RuntimeError(f"no two-query synthesis for seed {seed}")

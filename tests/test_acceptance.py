@@ -20,7 +20,7 @@ from seqlocc import (
     discriminate,
     eig_unitary,
     exp_xx_form,
-    match_exp_xx,
+    match_exp_xx_mod_phase,
     operator_schmidt,
     phase_distance,
     random_unitary,
@@ -196,8 +196,8 @@ def test_criterion_6_symmetry_equivalence():
             if not symmetry_set_inverts(U):
                 ok, detail = False, f"exp form failed at x={x:.3f} ({d_a},{d_b})"
                 break
-            got = match_exp_xx(U)
-            if got is None or abs(got - x) > 1e-9:
+            got = match_exp_xx_mod_phase(U)
+            if got is None or abs(got[0] - x) > 1e-9 or abs(got[1]) > 1e-12:
                 ok, detail = False, f"round trip failed at x={x:.3f} ({d_a},{d_b})"
                 break
         if not ok:
@@ -274,8 +274,8 @@ def test_criterion_9_structure_and_determinism(corpus_schemes):
         for layer in scheme.template.layers:
             if isinstance(layer, Query):
                 continue
-            wrapped = validate_unitary(layer.matrix(), scheme.template.d_a,
-                                       scheme.template.d_b, tol=1e-8)
+            wrapped = validate_unitary(np.kron(layer.factor_a, layer.factor_b),
+                                       scheme.template.d_a, scheme.template.d_b, tol=1e-8)
             if operator_schmidt(wrapped).rank(1e-10) != 1:
                 ok, detail = False, f"{label}: non-product layer"
                 break

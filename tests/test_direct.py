@@ -365,7 +365,8 @@ def test_direct_scheme_budget_is_measured_residual():
     assert scheme.budget == report.overlap <= CFG.overlap_tol
     layers = scheme.template.layers
     assert [type(layer) for layer in layers] == [LocalLayer, Query, LocalLayer]
-    assert all(np.array_equal(layer.matrix(), np.eye(9)) for layer in layers[::2])
+    assert all(np.array_equal(np.kron(layer.factor_a, layer.factor_b), np.eye(9))
+               for layer in layers[::2])
 
 
 @pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3)])

@@ -347,7 +347,7 @@ def test_verify_detects_tampering():
     replaced = False
     for layer in scheme.template.layers:
         if isinstance(layer, LocalLayer) and not replaced \
-                and not np.allclose(layer.matrix(), np.eye(4)):
+                and not np.allclose(np.kron(layer.factor_a, layer.factor_b), np.eye(4)):
             tampered_layers.append(LocalLayer(np.eye(2, dtype=complex),
                                               np.eye(2, dtype=complex)))
             replaced = True
@@ -438,7 +438,7 @@ def test_scheme_locc_legality():
     scheme, _ = _run(CNOT, CZ)
     for layer in scheme.template.layers:
         if isinstance(layer, LocalLayer):
-            wrapped = _v(layer.matrix() / 1.0)
+            wrapped = _v(np.kron(layer.factor_a, layer.factor_b) / 1.0)
             dec = operator_schmidt(wrapped)
             assert dec.rank(1e-10) == 1
 

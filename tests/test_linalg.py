@@ -5,22 +5,30 @@ import pytest
 
 from seqlocc import (
     BipartiteUnitary,
+    CircuitTemplate,
     DimensionMismatch,
     NotUnitary,
     NumericalFailure,
     basis_state,
+    build_sequential_scheme,
+    compose_sequential,
     dagger,
     eig_unitary,
     kron,
+    match_exp_xx_mod_phase,
     op_distance_mod_phase,
     phase_distance,
     random_unitary,
+    realign,
+    single_query_distinguishable,
     swap_operator,
+    synthesize,
     unitarity_defect,
     validate_unitary,
 )
 
 from seqlocc import linalg
+from seqlocc.arcs import arc_of_phases
 from seqlocc.config import DISTINCT_TOL
 from seqlocc.engine import _X_TOL
 from seqlocc.linalg import _EXTENDED_BELOW, _extended_distance
@@ -193,17 +201,26 @@ def test_dagger_on_known_matrices():
 
 
 @pytest.mark.parametrize("shapes", [((2, 2), (3, 3)), ((3, 3), (2, 2)), ((2, 3), (4, 1)),
-                                    ((1, 5), (3, 2)), ((4, 4), (4, 4))])
+                                    ((1, 5), (3, 2)), ((4, 4), (4, 4)),
+                                    ((3, 2, 2), (3, 3, 3)), ((2, 2, 3), (2, 4, 1)),
+                                    ((4, 3, 3), (4, 2, 2)), ((3, 3), "eye")])
 def test_kron_same_bits_as_numpy(shapes):
     """The broadcast product forms each entry as np.kron does, so every bit
-    agrees, the sign of every zero included."""
+    agrees, the sign of every zero included: for two matrices, for each pair
+    of matrices of two (k, m, n) and (k, p, q) stacks, and for a complex
+    matrix against the real np.eye(3)."""
     rng = np.random.default_rng(13)
-    (m, n), (p, q) = shapes
-    A = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    B = rng.normal(size=(p, q)) + 1j * rng.normal(size=(p, q))
-    A.flat[0], B.flat[-1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    a_shape, b_shape = shapes
+    A = rng.normal(size=a_shape) + 1j * rng.normal(size=a_shape)
+    if b_shape == "eye":
+        B = np.eye(3)
+    else:
+        B = rng.normal(size=b_shape) + 1j * rng.normal(size=b_shape)
+        B.flat[-1] = complex(0.0, -0.0)
+    A.flat[0] = complex(-0.0, 0.0)
     A.flat[-1] = -1.0
-    got, want = kron(A, B), np.kron(A, B)
+    got = kron(A, B)
+    want = np.kron(A, B) if A.ndim == 2 else np.stack([np.kron(a, b) for a, b in zip(A, B)])
     assert got.shape == want.shape and np.array_equal(got, want)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert np.signbit(got.real).any() and np.signbit(got.imag).any()
@@ -272,6 +289,41 @@ def test_eig_unitary_non_finite_raises(bad):
 def test_eig_unitary_non_square_raises():
     with pytest.raises(NumericalFailure):
         eig_unitary(np.eye(3, 2, dtype=complex))
+
+
+@pytest.mark.parametrize("call, outcome", [
+    pytest.param(lambda: kron(np.eye(2), np.ones(2)), DimensionMismatch, id="kron-vector"),
+    pytest.param(lambda: kron(np.ones((2, 2, 2)), np.ones((3, 2, 2))), DimensionMismatch,
+                 id="kron-stack-lengths"),
+    pytest.param(lambda: arc_of_phases([]), ValueError, id="arc_of_phases-empty"),
+    pytest.param(lambda: single_query_distinguishable(np.eye(2), np.eye(3)), DimensionMismatch,
+                 id="single_query_distinguishable-shapes"),
+    pytest.param(lambda: validate_unitary(np.eye(1), 1), DimensionMismatch,
+                 id="validate_unitary-d_a"),
+    pytest.param(lambda: phase_distance(np.eye(2), np.eye(3)), DimensionMismatch,
+                 id="phase_distance-shapes"),
+    pytest.param(lambda: op_distance_mod_phase(np.eye(2), np.eye(3)), DimensionMismatch,
+                 id="op_distance_mod_phase-shapes"),
+    pytest.param(lambda: compose_sequential(np.eye(2), [np.eye(3)]), DimensionMismatch,
+                 id="compose_sequential-interleaver"),
+    pytest.param(lambda: build_sequential_scheme(np.eye(2), np.eye(3)), DimensionMismatch,
+                 id="build_sequential_scheme-shapes"),
+    pytest.param(lambda: realign(np.eye(4), 2, 3), DimensionMismatch, id="realign-shape"),
+    pytest.param(lambda: match_exp_xx_mod_phase(validate_unitary(np.eye(4), 4)), None,
+                 id="match_exp_xx_mod_phase-d_b"),
+    pytest.param(lambda: synthesize(validate_unitary(np.eye(4), 2, 2),
+                                    validate_unitary(np.eye(4), 4)),
+                 DimensionMismatch, id="synthesize-dims"),
+    pytest.param(lambda: CircuitTemplate(2, 2, [np.eye(4)]), TypeError, id="CircuitTemplate-layer"),
+])
+def test_input_checks_raise_their_typed_error(call, outcome):
+    """Operands a caller can get wrong are refused with a typed error, or
+    answered with None where the form cannot hold."""
+    if outcome is None:
+        assert call() is None
+    else:
+        with pytest.raises(outcome):
+            call()
 
 
 def test_eig_unitary_memoizes_lapack_setup_only():

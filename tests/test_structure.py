@@ -7,7 +7,7 @@ from seqlocc import (
     build_symmetry_set,
     entangling_witness,
     exp_xx_form,
-    match_exp_xx,
+    match_exp_xx_mod_phase,
     operator_schmidt,
     phase_distance,
     random_unitary,
@@ -20,11 +20,7 @@ from seqlocc import (
 from seqlocc import structure
 from seqlocc.config import MATCH_TOL
 from seqlocc.errors import DimensionTooSmall
-from seqlocc.structure import (
-    _closest_unitary,
-    block_exponential,
-    match_exp_xx_mod_phase,
-)
+from seqlocc.structure import _closest_unitary, block_exponential
 
 from conftest import CNOT, CZ, HAD, SX
 
@@ -263,11 +259,10 @@ def test_symmetry_inversion_fails_for_cnot():
 
 
 def test_match_exp_xx_round_trip():
-    for x in (1.0, -0.4, 0.0, np.pi - 0.01):
-        got = match_exp_xx(exp_xx_form(x, 2, 2))
+    for x, d_a, d_b in ((1.0, 2, 2), (-0.4, 2, 2), (0.0, 2, 2), (np.pi - 0.01, 2, 2), (-0.4, 3, 3)):
+        got, phase = match_exp_xx_mod_phase(exp_xx_form(x, d_a, d_b))
         assert got == pytest.approx(x, abs=1e-9)
-    got = match_exp_xx(exp_xx_form(-0.4, 3, 3))
-    assert got == pytest.approx(-0.4, abs=1e-9)
+        assert abs(phase) <= 1e-12
 
 
 def test_match_exp_xx_sign_by_eigenvectors():
@@ -275,8 +270,9 @@ def test_match_exp_xx_sign_by_eigenvectors():
     +1 eigenspace of sigma_x (x) sigma_x; phases alone cannot see the sign."""
     x = -0.4
     U = exp_xx_form(x, 2, 2)
-    got = match_exp_xx(U)
+    got, phase = match_exp_xx_mod_phase(U)
     assert got == pytest.approx(x, abs=1e-12)
+    assert abs(phase) <= 1e-12
     evals, vecs = np.linalg.eigh(np.kron(SX, SX))
     plus = vecs[:, evals > 0.5]
     proj_plus = plus @ plus.conj().T
@@ -286,7 +282,7 @@ def test_match_exp_xx_sign_by_eigenvectors():
 
 
 def test_match_exp_xx_rejects_cnot():
-    assert match_exp_xx(_wrap(CNOT, 2, 2)) is None
+    assert match_exp_xx_mod_phase(_wrap(CNOT, 2, 2)) is None
 
 
 def test_match_exp_xx_mod_phase():
@@ -297,16 +293,18 @@ def test_match_exp_xx_mod_phase():
     x, phase = got
     assert x == pytest.approx(0.7, abs=1e-9)
     assert phase == pytest.approx(0.3, abs=1e-9)
-    assert match_exp_xx(shifted) is None  # the exact matcher sees the phase
 
 
 def test_symmetry_equivalence_bidirectional():
     """symmetry_set_inverts(U) iff U matches the interaction-exponential
-    form, across exponentials, products, and entangling operators."""
+    form at a phase of 0 or pi, across exponentials, products, and
+    entangling operators. Literal inversion cannot see U -> -U: at 2x3,
+    -exp_xx_form(x) is inverted by every probe and matches at phase pi."""
     rng = np.random.default_rng(9)
     samples = []
     for x in np.linspace(-2.5, 2.5, 8):
         samples.append(exp_xx_form(x, 2, 2))
+        samples.append(_wrap(-exp_xx_form(x, 2, 3).matrix, 2, 3))
     samples.append(_wrap(CNOT, 2, 2))
     samples.append(_wrap(CZ, 2, 2))
     samples.append(_wrap(swap_operator(2) @ CNOT @ swap_operator(2), 2, 2))
@@ -316,7 +314,9 @@ def test_symmetry_equivalence_bidirectional():
         Q = np.kron(random_unitary(2, rng), random_unitary(2, rng))
         samples.append(_wrap(Q @ CNOT @ Q.conj().T, 2, 2))
     for U in samples:
-        assert symmetry_set_inverts(U) == (match_exp_xx(U) is not None)
+        m = match_exp_xx_mod_phase(U)
+        real_phase = m is not None and min(abs(m[1]), abs(abs(m[1]) - np.pi)) <= 1e-12
+        assert symmetry_set_inverts(U) == real_phase
 
 
 def test_random_imprimitives_fail_symmetry():
