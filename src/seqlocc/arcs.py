@@ -85,7 +85,12 @@ def single_query_distinguishable(U, V) -> bool:
     a, b = mat(U), mat(V)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    return queries_for_arc(smallest_arc(dagger(a) @ b).theta) == 1
+    return _single_query(dagger(a) @ b)
+
+
+def _single_query(W: np.ndarray) -> bool:
+    """The single-query test on W = U^dag V, formed by the caller."""
+    return queries_for_arc(smallest_arc(W).theta) == 1
 
 
 def queries_for_arc(theta: float) -> int | float:

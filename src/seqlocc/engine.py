@@ -7,11 +7,14 @@ query; two swapped products need one query, or blocks of two around a
 middle layer built from their two factor arcs. When an operand is
 imprimitive, a single query with a product input is tried first (the
 direct route, _direct, on the operand pair and on the one inner pair of
-case iii); against an imprimitive U it runs before V is classified, and V
-is classified only when it misses. Otherwise the imprimitive operand is
-compiled into a controlled unitary (or the canonical interaction
+case iii); against an imprimitive U it runs before V's kind is sought, and
+V's kind is sought only when it misses. Otherwise the imprimitive operand
+is compiled into a controlled unitary (or the canonical interaction
 exponential) by an inverse-free template, after which the problem reduces
-to a simpler pair.
+to a simpler pair. An operand that entangles |0...0> is known imprimitive
+from four entries of its first column (structure._certified_imprimitive);
+only the others are classified, so an operand is decomposed only when its
+factors or its form may be read.
 The emitted scheme is always a flat template of product-form local layers
 and forward queries plus a product input state, with a budget dominating
 the residual overlap.
@@ -44,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arcs import numerical_range_zero, queries_for_arc, single_query_distinguishable
+from .arcs import _single_query, numerical_range_zero, queries_for_arc
 from .config import CLOSED_FORM_TOL, DISTINCT_TOL, MATCH_TOL, RunConfig
 from .errors import (
     CaseFailure,
@@ -69,6 +72,7 @@ from .linalg import (
 )
 from .sequential import _circular_sorted_eig, _stage_rotation, build_sequential_scheme
 from .structure import (
+    _certified_imprimitive,
     build_symmetry_set,
     classify_primitive,
     exp_xx_form,
@@ -441,10 +445,10 @@ def _case_both_imprimitive(build: _Build, U: BipartiteUnitary, V: BipartiteUnita
     fV = evaluate_template(f_template, V.matrix)
     fV_bip = _validated_product(fV, d_a, d_b, f_template.query_count, cfg)
 
-    cls_fv = classify_primitive(fV_bip)
-    if cls_fv.kind != "Imprimitive":
-        build.note(f"image of V is {cls_fv.kind}; descending to the mixed case")
-        inner = _dispatch_pair(target, fV_bip, build, cls_fv)
+    form_fv = _primitive_form(fV_bip)
+    if form_fv is not None:
+        build.note(f"image of V is {form_fv.kind}; descending to the mixed case")
+        inner = _dispatch_pair(target, fV_bip, build, form_fv)
         return _over_block(build, f_template, inner, (delta_u,))
 
     # coinciding images (the "x = 1" situation) are detected against the real
@@ -556,26 +560,35 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     and contains that union: unless queries_for_arc(Theta(W)) is 1, no psi
     works. psi runs over _direct_candidates, on B first, then on A.
 
-    The screen, single_query_distinguishable(U, V), decomposes W, and most
-    pairs pass it. With d_a = 2 every B compression is 2x2 and solved in
-    closed form, so the d_b + 1 B probes that need no generator (the basis,
-    then the uniform superposition) come first and the screen runs only when
-    they all miss, before the first seeded draw. A hit puts a point of
+    W is formed once, for the compressions and for the screen, the
+    single-query test on W (arcs._single_query, the test behind
+    single_query_distinguishable), which decomposes W; most pairs pass it.
+    With d_a = 2 every B compression is 2x2 and solved in closed form, so
+    the d_b + 1 B probes that need no generator (the basis, then the uniform
+    superposition) come first and the screen runs only when they all miss,
+    before the first seeded draw. A hit puts a point of
     F(W_psi), inside F(W), within arcs._ZERO_TOL of 0, and the hull of a W
     the screen refuses keeps at least TOL_ANGLE / 2 from 0, so a probe
     answers only what the screen lets through (up to rounding of Theta =
     pi). With d_a >= 3 a B probe (a fan of eigh solves) costs more than the
-    screen, which comes first.
+    screen, which comes first. The compression of basis probe k is a view
+    of W, W4[:, k, :, k] on B and W4[k, :, k, :] on A; only the other probes
+    are contracted.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
+    W = dagger(U) @ V.matrix
     screened = d_a > 2
-    if screened and not single_query_distinguishable(U, V):
+    if screened and not _single_query(W):
         return None
-    W4 = (dagger(U) @ V.matrix).reshape(d_a, d_b, d_a, d_b)
+    W4 = W.reshape(d_a, d_b, d_a, d_b)
     for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
         for k, psi in enumerate(_direct_candidates(d, cfg)):
-            phi = numerical_range_zero(np.einsum(pattern, W4, psi.conj(), psi))
+            if k < d:
+                W_psi = W4[:, k, :, k] if side == "B" else W4[k, :, k, :]
+            else:
+                W_psi = np.einsum(pattern, W4, psi.conj(), psi)
+            phi = numerical_range_zero(W_psi)
             if phi is not None:
                 inputs = (phi, psi) if side == "B" else (psi, phi)
                 inp = np.outer(*inputs).ravel()  # the bits of np.kron, without its overhead
@@ -586,7 +599,7 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
                     build.per_branch_error.append(residual)
                     return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
             if k == d and not screened:  # the last probe before the seeded draws
-                if not single_query_distinguishable(U, V):
+                if not _single_query(W):
                     return None
                 screened = True
     return None
@@ -594,16 +607,30 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
 
 # --- dispatch ---------------------------------------------------------------
 
-def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
-                   cls_v=None) -> tuple:
-    """Plan (template, input_a, input_b) for (U, V), its budget charged to
-    build.per_branch_error; cls_v is V's PrimitiveForm when the caller has it.
+def _primitive_form(X: BipartiteUnitary):
+    """classify_primitive(X) when X is primitive, None when it is not. An X
+    that entangles |0...0> (structure._certified_imprimitive, four entries)
+    is imprimitive without a decomposition; only the others are classified."""
+    if _certified_imprimitive(X):
+        return None
+    form = classify_primitive(X)
+    return None if form.kind == "Imprimitive" else form
 
-    The direct route runs only when an operand is imprimitive. It runs
-    whatever V is, so against an imprimitive U it is tried first and V is
-    classified only when it misses. Between primitive operands the
-    one-query overlap of a product input factorises, so the closed forms of
-    i-a, i-b and i-c find a one-query scheme whenever one exists.
+
+def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
+                   form_v=None) -> tuple:
+    """Plan (template, input_a, input_b) for (U, V), its budget charged to
+    build.per_branch_error; form_v is V's PrimitiveForm when the caller has
+    found V primitive.
+
+    Each operand's kind comes from _primitive_form, so an operand whose
+    image of |0...0> is entangled is never decomposed: only the factors of
+    a primitive operand are read. The direct route runs only when an
+    operand is imprimitive. It runs whatever V is, so against an imprimitive
+    U it is tried first and V's kind is sought only when it misses. Between
+    primitive operands the one-query overlap of a product input factorises,
+    so the closed forms of i-a, i-b and i-c find a one-query scheme whenever
+    one exists.
 
     Only case iii dispatches again, and always on a pair with a primitive
     operand: the identity (iii-a, iii-b-x1), a product at RANK_TOL (see
@@ -611,35 +638,34 @@ def _dispatch_pair(U: BipartiteUnitary, V: BipartiteUnitary, build: _Build,
     Such a pair goes to case i or ii, which do not dispatch, so a call nests
     at most once.
     """
-    cls_u = classify_primitive(U)
-    if cls_u.kind != "Imprimitive":
-        if cls_v is None:
-            cls_v = classify_primitive(V)
+    form_u = _primitive_form(U)
+    if form_u is not None:
+        if form_v is None:
+            form_v = _primitive_form(V)
         # orthogonality is symmetric, so the operands may trade roles
-        if cls_v.kind == "Imprimitive" or (cls_u.kind, cls_v.kind) == ("SwapProduct", "Product"):
-            U, V, cls_u, cls_v = V, U, cls_v, cls_u
+        if form_v is None or (form_u.kind, form_v.kind) == ("SwapProduct", "Product"):
+            U, V, form_u, form_v = V, U, form_v, form_u
             build.note("operand roles swapped for dispatch (orthogonality is symmetric)")
-    if cls_u.kind == "Imprimitive":
+    if form_u is None:
         scheme = _direct(build, U, V)
         if scheme is not None:
             return scheme
-        if cls_v is None:
-            cls_v = classify_primitive(V)
-
-    kinds = (cls_u.kind, cls_v.kind)
-    factors = (cls_u.factor_a, cls_u.factor_b, cls_v.factor_a, cls_v.factor_b)
-    if kinds[0] != "Imprimitive":
-        # both primitive: i-a, i-b and i-c build on the extracted factors,
-        # so each use of an operand costs its distance from its form
-        deltas = (cls_u.deviation, cls_v.deviation)
-        if kinds == ("Product", "Product"):
-            return _case_product_product(build, *factors, deltas)
-        if kinds == ("Product", "SwapProduct"):
-            return _case_product_swap(build, *factors, deltas)
-        return _case_swap_swap(build, *factors, deltas)
-    if kinds[1] != "Imprimitive":
-        return _case_imprimitive_vs_primitive(build, U, V, cls_v)
-    return _case_both_imprimitive(build, U, V)
+        # a V known primitive came with U's roles traded or from the caller
+        if form_v is None:
+            form_v = _primitive_form(V)
+        if form_v is None:
+            return _case_both_imprimitive(build, U, V)
+        return _case_imprimitive_vs_primitive(build, U, V, form_v)
+    # both primitive: i-a, i-b and i-c build on the extracted factors,
+    # so each use of an operand costs its distance from its form
+    kinds = (form_u.kind, form_v.kind)
+    factors = (form_u.factor_a, form_u.factor_b, form_v.factor_a, form_v.factor_b)
+    deltas = (form_u.deviation, form_v.deviation)
+    if kinds == ("Product", "Product"):
+        return _case_product_product(build, *factors, deltas)
+    if kinds == ("Product", "SwapProduct"):
+        return _case_product_swap(build, *factors, deltas)
+    return _case_swap_swap(build, *factors, deltas)
 
 
 def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,

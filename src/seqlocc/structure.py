@@ -132,6 +132,27 @@ def entangling_witness(U: BipartiteUnitary):
     return best
 
 
+def _certified_imprimitive(X: BipartiteUnitary) -> bool:
+    """True when X entangles |0...0>, which proves X imprimitive with no
+    decomposition; False proves nothing.
+
+    The image is X's column 0, read as a d_a x d_b matrix M, and it is
+    entangled when |M00 M11 - M01 M10| > 2 D RANK_TOL, D = d_a d_b. The
+    bound keeps the certificate within classify_primitive's verdict: an X
+    it calls a (swapped) product has its second Schmidt coefficient at most
+    RANK_TOL times the first, so X is within Frobenius distance D RANK_TOL
+    of a (swapped) product, the image of a unit product state has its
+    second Schmidt coefficient within that too, and every 2x2 minor of the
+    image is at most s0 s1 <= (1 + delta) D RANK_TOL, delta the unitarity
+    defect.
+    """
+    d_a, d_b = X.d_a, X.d_b
+    if d_a < 2 or d_b < 2:
+        return False
+    col = X.matrix[:d_b + 2, 0].tolist()  # a few entries: a list beats numpy's per-call cost
+    return abs(col[0] * col[d_b + 1] - col[1] * col[d_b]) > 2 * d_a * d_b * RANK_TOL
+
+
 def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     """Product / SwapProduct / Imprimitive, with factors where applicable.
 

@@ -16,7 +16,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import DimensionMismatch, GeneratorPrimitive, SynthesisFailed
 from .linalg import BipartiteUnitary, _extended_distance, kron
-from .structure import classify_primitive
+from .structure import _certified_imprimitive, classify_primitive
 from .templates import CircuitTemplate, LocalLayer, QUERY
 from .unitary_opt import hermitian_basis, pullback, unitaries
 
@@ -127,7 +127,9 @@ def synthesize(target: BipartiteUnitary, generator: BipartiteUnitary,
         raise DimensionMismatch(
             f"target dims ({target.d_a}, {target.d_b}) != generator "
             f"({generator.d_a}, {generator.d_b})")
-    if classify_primitive(generator).kind != "Imprimitive":
+    # a generator that entangles |0...0> is imprimitive without a decomposition
+    if not (_certified_imprimitive(generator)
+            or classify_primitive(generator).kind == "Imprimitive"):
         raise GeneratorPrimitive("generator is primitive; it cannot generate")
     # imported here: loading scipy.optimize takes as long as the rest of the
     # package, and only synthesis runs L-BFGS. minimize stays a lookup on the

@@ -478,20 +478,47 @@ def _counting_classify(monkeypatch):
 
 
 def test_imprimitive_u_classifies_v_only_when_the_route_misses(monkeypatch):
-    """Against an imprimitive U the direct route runs whatever V is, so V is
-    classified only after it misses: once for a Haar pair the route answers,
-    U then V for corpus pair 19 (iii/iii-a/i-a), which it misses."""
+    """Against an imprimitive U the direct route runs whatever V is, so V's
+    kind is sought only after it misses: U alone is asked for a Haar pair
+    the route answers, U then V for corpus pair 19 (iii/iii-a/i-a), which it
+    misses. Each of those operands entangles |0...0>, so none is classified."""
     calls = _counting_classify(monkeypatch)
+    asked = []
+    certify = engine._certified_imprimitive
+    monkeypatch.setattr(engine, "_certified_imprimitive", lambda X: asked.append(X) or certify(X))
     rng = np.random.default_rng(28)
     U, V = (validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2))
     scheme, _ = discriminate(U, V, CFG)
     assert scheme.case_trace == ["direct"]
-    assert [id(X) for X in calls] == [id(U)]
+    assert [id(X) for X in asked] == [id(U)]
+    assert [id(X) for X in calls] == []
     calls.clear()
+    asked.clear()
     *_, U, V = labeled_pairs()[19]
     scheme, report = discriminate(U, V, CFG)
     assert scheme.case_trace == ["iii", "iii-a", "i-a"] and report.passed
-    assert [id(X) for X in calls if X is U or X is V] == [id(U), id(V)]
+    assert [id(X) for X in asked if X is U or X is V] == [id(U), id(V)]
+    assert [id(X) for X in calls if X is U or X is V] == []
+
+
+def test_haar_direct_pairs_classify_nothing(monkeypatch):
+    """A Haar 2x2 pair answered by the direct route is never classified: both
+    operands entangle |0...0>. A product pair is still classified, U then V,
+    since the case engine reads its factors."""
+    calls = _counting_classify(monkeypatch)
+    rng = np.random.default_rng(12345)
+    pairs = [[validate_unitary(random_unitary(4, rng), 2, 2) for _ in range(2)] for _ in range(10)]
+    direct = [(U, V) for U, V in pairs if engine._direct(engine._Build(CFG), U, V) is not None]
+    assert len(direct) >= 8
+    for U, V in direct:
+        scheme, report = discriminate(U, V, CFG)
+        assert scheme.case_trace == ["direct"] and report.passed
+    assert calls == []
+    U = validate_unitary(np.kron(random_unitary(2, rng), random_unitary(2, rng)), 2, 2)
+    V = validate_unitary(np.kron(random_unitary(2, rng), random_unitary(2, rng)), 2, 2)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["i-a"] and report.passed
+    assert [id(X) for X in calls] == [id(U), id(V)]
 
 
 def test_primitive_u_still_trades_roles(monkeypatch):

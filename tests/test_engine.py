@@ -521,8 +521,9 @@ def test_primitive_image_descends_to_mixed_case():
 
 
 def test_primitive_image_classified_once(monkeypatch):
-    """The mixed descent hands the image's classification to the dispatch:
-    U, V, f(V) and the interaction exponential, four calls."""
+    """The mixed descent hands the image's classification to the dispatch.
+    U, V and the interaction exponential entangle |0...0>, so the primitive
+    image f(V) is the one operand classified."""
     from corpus import _forced_image_partners, _interaction_base
     U, locals_ = _interaction_base(1000)
     V = _forced_image_partners(U, locals_, np.kron(HAD, HAD))[0]
@@ -532,7 +533,7 @@ def test_primitive_image_classified_once(monkeypatch):
                         lambda X: calls.append(X) or real(X))
     scheme, _ = discriminate(U, V, CFG)
     assert scheme.case_trace[:2] == ["iii", "ii-a"]
-    assert len(calls) == 4
+    assert len(calls) == 1
 
 
 def test_2x3_controlled_fast_path():

@@ -1,9 +1,10 @@
 """What each path loads of scipy. scipy.linalg is imported by the LAPACK
 binding of linalg the first time it serves a routine (eig_unitary, the SVD
 kernels under classify_primitive and discriminate), and scipy.optimize
-inside synthesize, so importing the package and verifying a scheme run on
-numpy alone. Each check runs in a fresh interpreter, because this process
-has scipy loaded already."""
+inside synthesize, so importing the package, verifying a scheme and a
+direct pair answered by a B basis probe run on numpy alone. Each check
+runs in a fresh interpreter, because this process has scipy loaded
+already."""
 
 import json
 import os
@@ -11,9 +12,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seqlocc import discriminate, kron, validate_unitary
+from seqlocc import discriminate, kron, random_unitary, validate_unitary
 from seqlocc.io import dumps_scheme, save_matrix_file
 
 from conftest import CNOT, HAD, I2, SZ
@@ -69,6 +71,21 @@ def test_discriminate_product_pair_loads_linalg_only(product_pair):
               "from seqlocc.io import load_matrix_file\n"
               "assert discriminate(*map(load_matrix_file, sys.argv[1:3]))[1].passed")
     assert _loaded_after(script, u, v) == {"scipy.linalg"}
+
+
+def test_haar_direct_pair_loads_numpy_only(tmp_path):
+    """A Haar 2x2 pair answered by a B basis probe: the closed-form 2x2
+    compression, no classification (both operands entangle |0...0>) and no
+    screen, so nothing goes through the LAPACK binding."""
+    rng = np.random.default_rng(28)
+    paths = [str(tmp_path / name) for name in ("u.json", "v.json")]
+    for path in paths:
+        save_matrix_file(path, validate_unitary(random_unitary(4, rng), 2, 2))
+    script = ("import sys\nfrom seqlocc import discriminate\n"
+              "from seqlocc.io import load_matrix_file\n"
+              "scheme, report = discriminate(*map(load_matrix_file, sys.argv[1:3]))\n"
+              "assert scheme.case_trace == ['direct'] and 'probe 0 on B' in report.wall_notes")
+    assert _loaded_after(script, *paths) == set()
 
 
 def test_synthesize_loads_optimize(tmp_path):

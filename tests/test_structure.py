@@ -18,7 +18,7 @@ from seqlocc import (
     xx_generator,
 )
 from seqlocc import structure
-from seqlocc.config import MATCH_TOL
+from seqlocc.config import MATCH_TOL, RANK_TOL
 from seqlocc.errors import DimensionTooSmall
 from seqlocc.structure import _closest_unitary, block_exponential
 
@@ -473,3 +473,62 @@ def test_block_exponential_rejects_dimension_one():
         block_exponential(0.3, 1)
     with pytest.raises(DimensionTooSmall):
         xx_generator(1, 2)
+
+
+def _leading_minor(X) -> float:
+    """|M00 M11 - M01 M10| of the image of |0...0>, read as a d_a x d_b matrix."""
+    M = X.matrix[:, 0].reshape(X.d_a, X.d_b)
+    return abs(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+
+
+@pytest.mark.parametrize("d_a, d_b, swapped", [
+    (2, 2, False), (2, 2, True), (2, 3, False), (3, 3, False), (3, 3, True),
+    (4, 4, False), (4, 4, True), (3, 5, False)])
+def test_certificate_never_fires_on_a_primitive_operand(d_a, d_b, swapped):
+    """Products and swapped products times expm(i eps H), eps swept across
+    the point where classify_primitive flips to Imprimitive: on every operand
+    it still calls primitive, the certificate does not fire, and the minor
+    stays within D RANK_TOL, half the certificate's bound, as its derivation
+    says (up to the unitarity defect)."""
+    rng = np.random.default_rng(100 + 10 * d_a + d_b + swapped)
+    D = d_a * d_b
+    bound = 2 * D * RANK_TOL
+    kinds = set()
+    for _ in range(3):
+        F = np.kron(random_unitary(d_a, rng), random_unitary(d_b, rng))
+        if swapped:
+            F = F @ swap_operator(d_a)
+        H = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+        H = (H + H.conj().T) / np.linalg.norm(H + H.conj().T, 2)
+        for eps in np.geomspace(1e-9, 1e-5, 13):
+            X = _wrap(F @ scipy.linalg.expm(1j * eps * H), d_a, d_b)
+            kind = classify_primitive(X).kind
+            kinds.add(kind)
+            if kind != "Imprimitive":
+                assert not structure._certified_imprimitive(X), (eps, kind)
+                assert _leading_minor(X) <= 0.5 * bound * (1 + 1e-6), (eps, kind)
+    # the sweep reaches both verdicts, so it crosses the flip
+    assert kinds == {"SwapProduct" if swapped else "Product", "Imprimitive"}
+
+
+@pytest.mark.parametrize("d_a, d_b", [(2, 2), (2, 3), (3, 3)])
+def test_certificate_fires_on_haar_operands(d_a, d_b):
+    """Every seeded Haar operand entangles |0...0> past the bound, and
+    classify_primitive agrees that it is imprimitive."""
+    rng = np.random.default_rng(12345)
+    for _ in range(40):
+        X = _wrap(random_unitary(d_a * d_b, rng), d_a, d_b)
+        assert structure._certified_imprimitive(X)
+        assert classify_primitive(X).kind == "Imprimitive"
+
+
+def test_certificate_needs_two_levels_per_side():
+    """With one level on B (validate_unitary takes d_b = 1, not d_a = 1)
+    every image is a product: no certificate, even for an operand that mixes
+    all levels of A."""
+    rng = np.random.default_rng(5)
+    for d_a in (2, 4):
+        X = _wrap(random_unitary(d_a, rng), d_a, 1)
+        assert not structure._certified_imprimitive(X)
+    assert structure._certified_imprimitive(exp_xx_form(1.0, 2, 3))
+    assert not structure._certified_imprimitive(_wrap(CNOT, 2, 2))  # |00> goes to |00>

@@ -56,6 +56,21 @@ def test_rejects_primitive_generator():
         synthesize(target, gen, RunConfig())
 
 
+def test_generator_classified_only_without_certificate(monkeypatch):
+    """A Haar generator entangles |0...0>, so synthesis classifies nothing;
+    CNOT keeps |00> a product and is classified once."""
+    from seqlocc import synthesis
+    calls = []
+    real = synthesis.classify_primitive
+    monkeypatch.setattr(synthesis, "classify_primitive", lambda X: calls.append(X) or real(X))
+    haar = validate_unitary(random_unitary(4, np.random.default_rng(32)), 2, 2)
+    assert synthesize(exp_xx_form(1.0, 2, 2), haar, RunConfig()).delta <= 1e-6
+    assert calls == []
+    cnot = validate_unitary(CNOT, 2, 2)
+    assert synthesize(cnot, cnot, RunConfig()).layer_count == 1
+    assert calls == [cnot]
+
+
 def test_interaction_angle_doubling():
     """exp_xx(1) from exp_xx(0.5): two forward uses add the angles."""
     res = synthesize(exp_xx_form(1.0, 2, 2), exp_xx_form(0.5, 2, 2), RunConfig())
