@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ARC_ROUNDING, DISTINCT_TOL, TOL_ANGLE
-from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable
-from .linalg import (
-    TWO_PI, SpectralDecomposition, dagger, eig_unitary, mat, norm, phase_distance, wrap_phases)
+from .errors import ArcTooSmall, DimensionMismatch, Indistinguishable, NumericalFailure
+from .linalg import (TWO_PI, SpectralDecomposition, _check_finite, _complex_array, dagger,
+                     eig_unitary, mat, norm, phase_distance, wrap_phases)
 
 # queries_for_arc rounds a quotient within _CEIL_SLACK of an integer down, so
 # zero_overlap_from_spectrum also takes an arc short of pi - TOL_ANGLE by that
@@ -118,15 +118,19 @@ def min_achievable_overlap(theta: float) -> float:
     """min over unit psi of |<psi|T|psi>| for a normal T with arc theta.
 
     Equals the distance from 0 to the convex hull of the eigenvalues,
-    which is cos(theta / 2) while theta < pi and 0 afterwards.
+    which is cos(theta / 2) while theta < pi and 0 afterwards. A nan or
+    infinite theta raises ValueError.
     """
+    if not math.isfinite(theta):
+        raise ValueError(f"arc length must be finite, got {theta!r}")
     return max(0.0, math.cos(theta / 2.0))
 
 
 def _pair_weight(z1: complex, z2: complex) -> float:
-    """p minimizing |p z1 + (1-p) z2| over [0, 1] for distinct points."""
+    """p minimizing |p z1 + (1-p) z2| over [0, 1] for distinct points, in
+    scalar arithmetic on two complexes."""
     delta = z1 - z2
-    return float(np.clip(-np.real(np.conj(delta) * z2) / abs(delta) ** 2, 0.0, 1.0))
+    return min(1.0, max(0.0, -(delta.conjugate() * z2).real / abs(delta) ** 2))
 
 
 def _triple_weights(z) -> np.ndarray:
@@ -164,7 +168,7 @@ def zero_overlap_from_spectrum(dec: SpectralDecomposition, info: ArcInfo) -> np.
     z = np.exp(1j * dec.phases)
     if info.theta <= math.pi + TOL_ANGLE:
         idx = sorted((s, e))
-        p = _pair_weight(*z[idx])
+        p = _pair_weight(*z[idx].tolist())
         w = np.array([p, 1.0 - p])
     else:
         offset = np.mod(dec.phases - info.start_phase, TWO_PI)
@@ -218,9 +222,11 @@ def _zero_of_2x2(A: np.ndarray) -> np.ndarray | None:
     All of it is scalar arithmetic on the four entries: the Hermitian part
     [[p, h], [h*, q]] has h0, h1 = m -/+ hypot((p - q) / 2, |h|) with
     eigenvectors E = [[-sin w e^{i arg h}, cos w], [cos w, sin w e^{-i arg h}]],
-    w = atan2(|h|, (p - q) / 2) / 2.
+    w = atan2(|h|, (p - q) / 2) / 2. A non-finite entry raises NumericalFailure.
     """
     (a, b), (c, d) = A.tolist()
+    if not (cmath.isfinite(a) and cmath.isfinite(b) and cmath.isfinite(c) and cmath.isfinite(d)):
+        raise NumericalFailure("numerical range of a matrix with non-finite entries")
     mu = cmath.sqrt(0.25 * (a - d) ** 2 + b * c)
     if mu != 0:
         turn = abs(mu) / mu
@@ -280,11 +286,17 @@ def numerical_range_zero(A) -> np.ndarray | None:
     cover no more than their edges, which other triangles share. When no
     triangle holds 0, as when F(A) is a segment through it, 0 is sought on
     the chords between opposite support points p_k and p_k+_ANGLES/2.
+
+    A non-square, empty or non-2-D A raises DimensionMismatch, and one with
+    a non-finite entry NumericalFailure.
     """
-    A = np.asarray(A, dtype=complex)
+    A = _complex_array(A)
     if A.shape == (2, 2):
         phi = _zero_of_2x2(A)
         return phi if phi is not None and abs(np.vdot(phi, A @ phi)) <= _ZERO_TOL else None
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DimensionMismatch(f"numerical range of a square matrix, got shape {A.shape}")
+    _check_finite(A, "numerical range")
     rot = np.exp(1j * TWO_PI * np.arange(_ANGLES) / _ANGLES)[:, None, None]
     h, X = np.linalg.eigh(0.5 * (rot * A + rot.conj() * A.conj().T))
     if np.any(h[:, -1] < 0.0):

@@ -165,11 +165,18 @@ def _one_side(build: _Build, side: str, X_u, X_v, idle_input, relative=None) -> 
     build.note(f"side {side}: {seq.query_count} block queries")
     build.per_branch_error.append(seq.achieved_overlap)
     inputs = (seq.input_state, idle_input) if side == "A" else (idle_input, seq.input_state)
+    # built in normal form, every layer sharing the one idle identity (no
+    # code edits a factor in place), so normalization has nothing to insert
     idle = np.eye(len(idle_input), dtype=complex)
-    layers = [QUERY]
+    own = np.eye(len(seq.input_state), dtype=complex)
+
+    def local(w):
+        return LocalLayer(w, idle) if side == "A" else LocalLayer(idle, w)
+
+    layers = [local(own), QUERY]
     for w in seq.interleavers:
-        local = LocalLayer(w, idle.copy()) if side == "A" else LocalLayer(idle.copy(), w)
-        layers += [local, QUERY]
+        layers += [local(w), QUERY]
+    layers.append(local(own))
     template = CircuitTemplate(len(inputs[0]), len(inputs[1]), layers)
     return template, *(normalize(v) for v in inputs)
 
@@ -739,7 +746,7 @@ def verify_scheme(scheme: LoccSequentialScheme, U, V,
     if u.shape != v.shape or u.shape != (t.dim, t.dim):
         raise DimensionMismatch(f"operands {u.shape} and {v.shape} do not fit dimension {t.dim}")
     a, b = np.asarray(scheme.input_a), np.asarray(scheme.input_b)
-    phi_u, phi_v = _propagate(stacks, np.stack([u, v]), (a[:, None] * b).reshape(-1, 1))
+    phi_u, phi_v = _propagate(stacks, np.array((u, v)), (a[:, None] * b).reshape(-1, 1))
     ov = float(abs(np.vdot(phi_u, phi_v)))
     return DiscriminationReport(
         overlap=ov,

@@ -16,6 +16,8 @@ from .config import EIG_MAX_DEFECT, RunConfig
 from .errors import DimensionMismatch, NotUnitary, NumericalFailure
 
 TWO_PI = 2.0 * np.pi
+# the dtype of every array the package makes; an operand of it needs no conversion
+_COMPLEX = np.dtype(complex)
 
 # below any nonzero norm or trace of the matrices handled here; guards a division
 _TINY = 1e-300
@@ -58,15 +60,26 @@ class SpectralDecomposition:
     vectors: np.ndarray
 
 
+def _complex_array(X) -> np.ndarray:
+    """X as a complex128 ndarray: an ndarray of that dtype, as the package
+    makes them, as it is; any other array-like converted once."""
+    if type(X) is np.ndarray and X.dtype is _COMPLEX:
+        return X
+    return np.asarray(X, dtype=complex)
+
+
 def _as_matrix(M) -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    A = _complex_array(M)
     if A.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={A.ndim}")
     return A
 
 
 def mat(U) -> np.ndarray:
-    """Underlying ndarray of a BipartiteUnitary or array-like."""
+    """Underlying ndarray of a BipartiteUnitary or array-like; a complex128
+    matrix, as the package passes around, is returned as is."""
+    if type(U) is np.ndarray and U.dtype is _COMPLEX and U.ndim == 2:
+        return U
     return U.matrix if isinstance(U, BipartiteUnitary) else _as_matrix(U)
 
 
@@ -115,8 +128,8 @@ def kron(A, B) -> np.ndarray:
     one length, (k, m, n) and (k, p, q), as one broadcast product: the same
     bits, faster. An operand with fewer than two axes, or stacks whose
     leading axes differ, raise DimensionMismatch."""
-    a = A.matrix if isinstance(A, BipartiteUnitary) else np.asarray(A, dtype=complex)
-    b = B.matrix if isinstance(B, BipartiteUnitary) else np.asarray(B, dtype=complex)
+    a = A.matrix if isinstance(A, BipartiteUnitary) else _complex_array(A)
+    b = B.matrix if isinstance(B, BipartiteUnitary) else _complex_array(B)
     k = a.shape[:-2]
     if a.ndim < 2 or b.ndim < 2 or k != b.shape[:-2]:
         raise DimensionMismatch(f"expected two matrices or two equal-length stacks, "
@@ -128,7 +141,7 @@ def kron(A, B) -> np.ndarray:
 def normalize(psi) -> np.ndarray:
     """psi flattened and scaled to unit norm; a norm that is zero or not
     finite (a NaN or infinite entry) raises ValueError."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = _complex_array(psi).reshape(-1)
     n = norm(v)
     if not 0.0 < n < math.inf:
         raise ValueError(f"cannot normalize a vector of norm {n}")
@@ -159,11 +172,9 @@ def _trace_inner(a: np.ndarray, b: np.ndarray):
     distance of ~1e-9 instead of ~3e-8. phase_distance needs it only for a
     deficit at or below _EXTENDED_BELOW.
     """
-    ar, ai = a.real.astype(np.longdouble), a.imag.astype(np.longdouble)
-    br, bi = b.real.astype(np.longdouble), b.imag.astype(np.longdouble)
-    re = np.sum(ar * br + ai * bi)
-    im = np.sum(ar * bi - ai * br)
-    return re, im
+    x, y = a.astype(np.clongdouble), b.astype(np.clongdouble)
+    ar, ai, br, bi = x.real, x.imag, y.real, y.imag
+    return (ar * br + ai * bi).sum(), (ar * bi - ai * br).sum()
 
 
 def _extended_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -213,17 +224,23 @@ def op_distance_mod_phase(A, B) -> float:
     return float(singular_values(a - phase * b)[0])
 
 
-def wrap_phases(phases) -> np.ndarray:
-    """Angles mapped into [0, 2pi); a value that rounds to 2pi becomes 0."""
-    ph = np.array(phases, dtype=float)  # a copy: a scalar becomes a writable 0-d array
+def _wrap(ph: np.ndarray) -> np.ndarray:
+    """The float array ph mapped into [0, 2pi) in place."""
     np.mod(ph, TWO_PI, out=ph)
     ph[ph >= TWO_PI] = 0.0
     return ph
 
 
+def wrap_phases(phases) -> np.ndarray:
+    """Angles mapped into [0, 2pi); a value that rounds to 2pi becomes 0."""
+    return _wrap(np.array(phases, dtype=float))  # a copy: a scalar becomes a writable 0-d array
+
+
 def canonical_phases(eigvals) -> np.ndarray:
-    """Angles of unit-circle values mapped into [0, 2pi)."""
-    return wrap_phases(np.angle(np.asarray(eigvals, dtype=complex)))
+    """Angles of unit-circle values mapped into [0, 2pi): np.angle's
+    arctan2(imag, real), written into a fresh array and wrapped there."""
+    z = _complex_array(eigvals)
+    return _wrap(np.arctan2(z.imag, z.real, out=np.empty(z.shape)))
 
 
 def _no_sort(_eigenvalue):
@@ -288,7 +305,7 @@ def norm(x) -> float:
     """2-norm of the entries of an array: np.linalg.norm(x)'s own expression,
     x.real . x.real + x.imag . x.imag (x . x for a real x) over the array
     raveled in memory order, without its wrapper, so the same bits."""
-    v = np.asarray(x).ravel(order="K")
+    v = (x if type(x) is np.ndarray else np.asarray(x)).ravel(order="K")
     if v.dtype.kind == "c":
         re, im = v.real, v.imag
         return math.sqrt(re.dot(re) + im.dot(im))
@@ -325,7 +342,7 @@ def eig_unitary(U) -> SpectralDecomposition:
         raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")
     phases = canonical_phases(w)
     residual = _schur_residual(A, T, phases)
-    order = np.argsort(phases, kind="stable")
+    order = phases.argsort(kind="stable")
     phases = phases[order]
     vectors = Z[:, order]
     if residual > _EIG_FLOOR:

@@ -47,7 +47,6 @@ import numpy as np
 from .arcs import (
     _arc_of_sorted,
     _pair_weight,
-    arc_of_phases,
     queries_for_arc,
     zero_overlap_from_spectrum,
 )
@@ -87,7 +86,7 @@ def _circular_sorted_eig(M):
     sorted by phase from the start of the arc: its endpoints come first and last."""
     dec = eig_unitary(M)
     info = _arc_of_sorted(dec.phases)
-    order = np.argsort(np.mod(dec.phases - info.start_phase, 2 * PI), kind="stable")
+    order = np.mod(dec.phases - info.start_phase, 2 * PI).argsort(kind="stable")
     return dec, info, dec.vectors[:, order]
 
 
@@ -143,8 +142,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     if _relative is None and phase_distance(Um, Vm) <= DISTINCT_TOL:
         raise Indistinguishable("operations agree up to a global phase")
 
-    M = Um.conj().T @ Vm
-    dec, info, Q = _relative or _circular_sorted_eig(M)
+    dec, info, Q = _relative or _circular_sorted_eig(Um.conj().T @ Vm)
     theta_0 = info.theta
     n = queries_for_arc(theta_0)
     if n == math.inf:
@@ -154,6 +152,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
     trace = [k * theta_0 for k in range(1, n)]
     interleavers: list[np.ndarray] = []
     if n == 1:
+        M = Um.conj().T @ Vm
         trace.append(theta_0)
         try:
             psi = zero_overlap_from_spectrum(dec, info)
@@ -166,7 +165,7 @@ def build_sequential_scheme(U, V, cfg: RunConfig | None = None, *,
         T = Q.conj().T @ M @ Q
         edge = slice(None, None, Um.shape[0] - 1)  # the first and last index
         (l1, l2), (v1, v2) = _eig_2x2(T[edge, edge])
-        trace.append(arc_of_phases(canonical_phases([l1, l2, *np.diag(T)[1:-1]])).theta)
+        trace.append(_arc_of_sorted(np.sort(canonical_phases([l1, l2, *np.diag(T)[1:-1]]))).theta)
         gap = abs(cmath.phase(l1 * l2.conjugate()))
         if gap < math.pi - TOL_ANGLE - ARC_ROUNDING:
             raise StageStalled(f"endpoint gap {gap:.6f} short of pi after {n} queries", trace)

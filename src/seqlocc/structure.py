@@ -91,8 +91,7 @@ def operator_schmidt(U: BipartiteUnitary) -> OperatorSchmidtDecomposition:
 def _apply_phase_convention(fa: np.ndarray, fb: np.ndarray):
     """Largest-magnitude entry of factor_a real positive; the leftover
     scalar is absorbed into factor_b."""
-    flat = np.abs(fa).ravel()
-    pivot = fa.ravel()[int(np.argmax(flat))]
+    pivot = fa.ravel()[int(np.abs(fa).argmax())]
     phase = pivot / abs(pivot)
     return fa / phase, fb * phase
 
@@ -170,11 +169,12 @@ def classify_primitive(U: BipartiteUnitary) -> PrimitiveForm:
     dec = schmidt = operator_schmidt(U)
     # the swap P only trades the column indices, so U P and its realignment
     # are index permutations of U, and so is form P below
-    swapped = dec.rank() != 1 and d_a == d_b
+    product = dec.rank() == 1
+    swapped = not product and d_a == d_b
     if swapped:
         schmidt = _schmidt(U.matrix.reshape((d_a,) * 4).transpose(0, 3, 1, 2).reshape(
             d_a * d_a, d_a * d_a), d_a, d_a)
-    if schmidt.rank() == 1:
+    if product or (swapped and schmidt.rank() == 1):
         fa, fb = _apply_phase_convention(_closest_unitary(schmidt.left_ops[0]),
                                          _closest_unitary(schmidt.right_ops[0]))
         form = kron(fa, fb)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, MalformedScheme, NotUnitary
-from .linalg import kron, mat, stacked_operator_norms
+from .linalg import _complex_array, kron, mat, stacked_operator_norms
 
 
 @dataclass
@@ -80,8 +80,7 @@ def _normalize_layers(d_a: int, d_b: int, layers) -> list:
                 out.append(identity_local(d_a, d_b))
             out.append(QUERY)
         elif isinstance(layer, LocalLayer):
-            fa = np.asarray(layer.factor_a, dtype=complex)
-            fb = np.asarray(layer.factor_b, dtype=complex)
+            fa, fb = _complex_array(layer.factor_a), _complex_array(layer.factor_b)
             if fa.shape != (d_a, d_a) or fb.shape != (d_b, d_b):
                 raise DimensionMismatch(
                     f"local factors {fa.shape}/{fb.shape} do not fit ({d_a}, {d_b})")
@@ -127,7 +126,12 @@ def _check_unitarity(stacks, tol: float) -> None:
     Frobenius norms of F^dag F - I sum to at most tol^2 over both sides (the
     Frobenius norm bounds the operator norm); otherwise each side takes the
     exact (SVD) norm of its whole stack."""
-    grams = [np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1]) for F in stacks]
+    grams = []
+    for F in stacks:
+        k, n = F.shape[:2]
+        G = np.einsum("kji,kjl->kil", F.conj(), F, order="C")
+        G.reshape(k, n * n)[:, ::n + 1] -= 1.0  # a view: G is C-ordered
+        grams.append(G)
     if sum(np.vdot(G, G).real for G in grams) <= tol * tol:
         return
     for G in grams:

@@ -7,6 +7,7 @@ from seqlocc import (
     ArcTooSmall,
     DimensionMismatch,
     Indistinguishable,
+    NumericalFailure,
     discriminate,
     eig_unitary,
     min_achievable_overlap,
@@ -18,7 +19,8 @@ from seqlocc import (
     validate_unitary,
     zero_overlap_state,
 )
-from seqlocc.arcs import ArcInfo, arc_of_phases, eigenphase_rows, queries_for_arc
+from seqlocc.arcs import (ArcInfo, arc_of_phases, eigenphase_rows, numerical_range_zero,
+                          queries_for_arc)
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 
 TWO_PI = 2 * np.pi
@@ -314,3 +316,26 @@ def test_non_finite_phases_raise(fn, arg):
     a single eigenvalue; a nan arc has no query count. Each is refused."""
     with pytest.raises(ValueError, match="must be finite"):
         fn(arg)
+
+
+@pytest.mark.parametrize("A,error", [
+    (np.ones((2, 3)), DimensionMismatch),
+    (np.zeros((0, 0)), DimensionMismatch),
+    (np.ones(4), DimensionMismatch),
+    (np.ones((2, 2, 2)), DimensionMismatch),
+    (np.full((3, 3), np.nan), NumericalFailure),
+    (np.array([[1.0, np.inf], [0.0, 1.0]]), NumericalFailure),
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), NumericalFailure),
+], ids=["2x3", "0x0", "vector", "stack", "nan-3x3", "inf-2x2", "nan-2x2"])
+def test_numerical_range_zero_refuses_with_a_typed_error(A, error):
+    """A non-square, empty or non-2-D matrix is a DimensionMismatch, a
+    non-finite one a NumericalFailure; none returns None or fails in numpy."""
+    with pytest.raises(error):
+        numerical_range_zero(A)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_min_achievable_overlap_refuses_a_non_finite_arc(theta):
+    """A nan arc would read as overlap 0, perfectly distinguishable."""
+    with pytest.raises(ValueError, match="must be finite"):
+        min_achievable_overlap(theta)

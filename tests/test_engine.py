@@ -20,6 +20,7 @@ from seqlocc import (
     SeqloccError,
     basis_state,
     classify_primitive,
+    dagger,
     discriminate,
     evaluate_template,
     exp_xx_form,
@@ -34,6 +35,7 @@ from seqlocc import (
     verify_scheme,
 )
 from seqlocc import engine
+from seqlocc.arcs import queries_for_arc
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 from seqlocc.engine import _controlled_form, _image_factors, validate_scheme
 from seqlocc.io import dumps_scheme
@@ -798,3 +800,37 @@ def test_interaction_exponentials_properties(d_a, d_b, x, phase):
     """exp_xx(1) against e^{i phase} exp_xx(x), x away from 1 mod pi."""
     V = np.exp(1j * phase) * exp_xx_form(x, d_a, d_b).matrix
     _check_engine_scheme(exp_xx_form(1.0, d_a, d_b).matrix, V, d_a, d_b, "iii-b-xne1")
+
+
+_ARC_LADDER_SHAPES = [(a, b) for a in range(2, 6) for b in range(2, 6) if a * b <= 16]
+
+
+def _arc_factor(d, theta, rng):
+    """Q diag(e^{i phi}) Q^dag with phi spanning exactly [0, theta]."""
+    phi = np.concatenate([[0.0, theta], rng.uniform(0.0, theta, d - 2)])
+    Q = random_unitary(d, rng)
+    return (Q * np.exp(1j * phi)) @ Q.conj().T
+
+
+@pytest.mark.parametrize("sides", ["one-sided", "two-sided"])
+@pytest.mark.parametrize("d_a,d_b", _ARC_LADDER_SHAPES)
+def test_product_pairs_at_every_arc_ladder_shape(d_a, d_b, sides):
+    """i-a at each product shape the benchmark's arc-ladder draws: the
+    trace, the cheaper side's ceil(pi / Theta) queries, a passing verify and
+    a byte-identical rerun. Arcs are pi / (k + 1/2), away from count changes."""
+    rng = np.random.default_rng(3600 + 10 * d_a + d_b)
+    UA, UB = random_unitary(d_a, rng), random_unitary(d_b, rng)
+    theta_a = np.pi / (rng.integers(1, 5) + 0.5)
+    VA = UA @ _arc_factor(d_a, theta_a, rng)
+    if sides == "two-sided":
+        VB = UB @ _arc_factor(d_b, np.pi / (rng.integers(1, 5) + 0.5), rng)
+    else:
+        VB = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * UB
+    U, V = _v(np.kron(UA, UB), d_a, d_b), _v(np.kron(VA, VB), d_a, d_b)
+    expected = min(queries_for_arc(smallest_arc(dagger(X) @ Y).theta)
+                   for X, Y in ((UA, VA), (UB, VB)) if phase_distance(X, Y) > DISTINCT_TOL)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["i-a"]
+    assert report.query_count == expected
+    assert verify_scheme(scheme, U, V, CFG).passed
+    assert dumps_scheme(*discriminate(U, V, CFG)) == dumps_scheme(scheme, report)

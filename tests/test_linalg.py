@@ -487,3 +487,64 @@ def test_svd_kernels_read_matrices_whose_square_norm_overflows():
 def test_normalize_refuses_a_zero_or_non_finite_norm(bad):
     with pytest.raises(ValueError):
         linalg.normalize(bad)
+
+
+def test_mat_and_kron_pass_complex128_arrays_through(monkeypatch):
+    """A complex128 ndarray, as the package makes them, is used as it is: mat
+    returns the same object, and neither mat nor kron converts it (np.asarray
+    is not called)."""
+    rng = np.random.default_rng(36)
+    A = random_unitary(3, rng)
+    S = np.stack([random_unitary(2, rng) for _ in range(4)])
+    want = np.kron(A, A)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.asarray called on a complex128 array")
+
+    monkeypatch.setattr(np, "asarray", refuse)
+    assert linalg.mat(A) is A
+    assert np.array_equal(kron(A, A).view(np.uint64), want.view(np.uint64))
+    assert kron(S, S).shape == (4, 4, 4)
+
+
+def test_mat_and_kron_still_convert_other_input_and_refuse_vectors():
+    real = np.array([[0.0, 1.0], [1.0, 0.0]])
+    listed = [[1, 0], [0, 1j]]
+    swapped = random_unitary(2, np.random.default_rng(36)).astype(">c16")  # big-endian
+    for M in (real, listed, swapped):
+        got = linalg.mat(M)
+        assert got.dtype == np.dtype(complex) and got is not M
+        assert np.array_equal(got, np.asarray(M, dtype=complex))
+    got = kron(real, listed)
+    want = np.kron(np.asarray(real, dtype=complex), np.asarray(listed, dtype=complex))
+    assert got.dtype == np.dtype(complex)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    for call in (lambda: linalg.mat(np.ones(3, dtype=complex)),
+                 lambda: kron(np.ones(3, dtype=complex), np.eye(2, dtype=complex)),
+                 lambda: kron(np.eye(2, dtype=complex), [1.0, 2.0])):
+        with pytest.raises(DimensionMismatch):
+            call()
+
+
+def test_canonical_phases_and_the_extended_trace_keep_their_bits():
+    """canonical_phases is np.angle's arctan2 wrapped in place, and the
+    extended trace converts each operand once to clongdouble: both give the
+    bits of the expressions they replace, on seeded draws, == and no tolerance."""
+    rng = np.random.default_rng(36)
+    for trial in range(200):
+        n = int(rng.integers(1, 9))
+        z = np.exp(1j * rng.uniform(-10.0, 10.0, n)) * rng.uniform(0.5, 2.0, n)
+        z[0] = np.exp(-1e-17j)  # a phase that rounds to 2 pi
+        old = np.array(np.angle(np.asarray(z, dtype=complex)), dtype=float)
+        np.mod(old, 2 * np.pi, out=old)
+        old[old >= 2 * np.pi] = 0.0
+        assert np.array_equal(linalg.canonical_phases(z).view(np.uint64), old.view(np.uint64))
+        assert np.array_equal(linalg.canonical_phases(list(z)), old)
+        a, b = random_unitary(n, rng), random_unitary(n, rng)
+        if trial % 3 == 0:
+            a, b = a.T, np.exp(0.4j) * a.T  # strided operands, near phase equivalence
+        ar, ai = a.real.astype(np.longdouble), a.imag.astype(np.longdouble)
+        br, bi = b.real.astype(np.longdouble), b.imag.astype(np.longdouble)
+        re, im = linalg._trace_inner(a, b)
+        assert re == np.sum(ar * br + ai * bi) and im == np.sum(ar * bi - ai * br)
+    assert linalg.canonical_phases(1j) == np.pi / 2

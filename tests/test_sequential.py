@@ -25,7 +25,8 @@ import seqlocc.arcs
 import seqlocc.sequential
 from seqlocc.arcs import queries_for_arc
 from seqlocc.config import MAX_QUERIES, TOL_ANGLE
-from seqlocc.sequential import _stage_rotation
+from seqlocc.linalg import canonical_phases
+from seqlocc.sequential import _circular_sorted_eig, _eig_2x2, _stage_rotation
 
 CFG = RunConfig()
 
@@ -391,3 +392,39 @@ def test_the_query_cap_admits_its_own_count(monkeypatch):
     monkeypatch.setattr(seqlocc.sequential, "MAX_QUERIES", 5)
     with pytest.raises(TooManyQueries):
         build_sequential_scheme(U, V, CFG)
+
+
+def test_pair_weight_is_its_old_numpy_expression():
+    """_pair_weight in scalar arithmetic gives the bits of the numpy
+    expression it replaces, on Python complexes and numpy scalars alike."""
+    rng = np.random.default_rng(36)
+    for trial in range(500):
+        z1, z2 = np.exp(1j * rng.uniform(0.0, 2 * math.pi, 2))
+        if trial % 2:
+            z1, z2 = complex(z1) * rng.uniform(0.5, 2.0), complex(z2)
+        delta = z1 - z2
+        old = float(np.clip(-np.real(np.conj(delta) * z2) / abs(delta) ** 2, 0.0, 1.0))
+        assert seqlocc.arcs._pair_weight(z1, z2) == old
+        assert seqlocc.arcs._pair_weight(complex(z1), complex(z2)) == old
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_final_arc_is_its_old_expression(dim):
+    """The recorded final arc, read from the already wrapped phases by the
+    gap kernel, is arc_of_phases of the same phases, == on seeded pairs."""
+    rng = np.random.default_rng(36 + dim)
+    for theta in (0.3, 0.7, 1.1, 2.0):
+        U, V = _pair_with_arc(theta, dim, rng)
+        scheme = build_sequential_scheme(U, V, CFG)
+        Q = _circular_sorted_eig(dagger(U) @ V)[2]
+        M = compose_sequential(U, scheme.interleavers).conj().T @ compose_sequential(
+            V, scheme.interleavers)
+        T = Q.conj().T @ M @ Q
+        (l1, l2), _ = _eig_2x2(T[::dim - 1, ::dim - 1])
+        z = [l1, l2, *np.diag(T)[1:-1]]
+        old = np.array(np.angle(np.asarray(z, dtype=complex)), dtype=float)
+        np.mod(old, 2 * np.pi, out=old)
+        old[old >= 2 * np.pi] = 0.0
+        assert scheme.theta_trace[-1] == seqlocc.arcs.arc_of_phases(old).theta
+        assert seqlocc.arcs._arc_of_sorted(np.sort(canonical_phases(z))) == \
+            seqlocc.arcs.arc_of_phases(old)

@@ -14,8 +14,9 @@ from seqlocc import (
     swap_operator,
     unitarity_defect,
 )
-from seqlocc.errors import DimensionMismatch, MalformedScheme
-from seqlocc.templates import _factor_stacks, _propagate, identity_local
+from seqlocc.errors import DimensionMismatch, MalformedScheme, NotUnitary
+from seqlocc.linalg import stacked_operator_norms
+from seqlocc.templates import _check_unitarity, _factor_stacks, _propagate, identity_local
 
 from conftest import CNOT, HAD, SX, SZ
 
@@ -224,3 +225,34 @@ def test_matrix_columns_are_the_propagated_basis_inputs(d_a, d_b):
     columns = [_outputs(t, X[None], ea, eb)[0]
                for ea in np.eye(d_a, dtype=complex) for eb in np.eye(d_b, dtype=complex)]
     assert np.array_equal(evaluate_template(t, X), np.stack(columns, axis=1))
+
+
+def test_normalization_converts_other_factors_and_copies_no_layer():
+    """A complex128 factor is kept as it is; a real or list factor is
+    converted to complex128; the template's layers are its own objects."""
+    rng = np.random.default_rng(36)
+    fa = random_unitary(2, rng)
+    layers = [LocalLayer(fa, np.eye(3)), QUERY, LocalLayer([[0, 1], [1, 0]], random_unitary(3, rng))]
+    t = CircuitTemplate(2, 3, layers)
+    assert t.layers[0].factor_a is fa
+    for layer in t.layers[::2]:
+        for F in (layer.factor_a, layer.factor_b):
+            assert type(F) is np.ndarray and F.dtype == np.dtype(complex)
+    assert np.array_equal(t.layers[0].factor_b, np.eye(3))
+    assert np.array_equal(t.layers[2].factor_a, SX)
+    assert not any(mine is theirs for mine in t.layers[::2] for theirs in layers)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_unitarity_check_reports_the_defect_of_its_old_expression(order):
+    """The gram's identity is subtracted on its diagonal in place: a forged
+    factor raises NotUnitary with the defect of einsum(...) - eye, ==."""
+    rng = np.random.default_rng(36)
+    A = np.array([random_unitary(3, rng) for _ in range(4)], order=order)
+    B = np.array([random_unitary(2, rng) for _ in range(4)], order=order)
+    A[2] *= 1.0 + 1e-6
+    old = np.einsum("kji,kjl->kil", A.conj(), A) - np.eye(3)
+    with pytest.raises(NotUnitary) as info:
+        _check_unitarity((A, B), 1e-9)
+    assert info.value.defect == float(stacked_operator_norms(old).max())
+    _check_unitarity((A, B), 1e-5)  # passes at a looser tolerance
