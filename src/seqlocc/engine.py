@@ -253,13 +253,18 @@ def _compile(build: _Build, U: BipartiteUnitary, target: BipartiteUnitary, label
     """The inverse-free compile step: a template f over forward uses of U
     with f(U) close to target up to a phase, the bare query when U already
     is, to MATCH_TOL, and otherwise synthesized. Returns (f, the real f(U),
-    its operator-norm deviation from target modulo a global phase)."""
+    its operator-norm deviation from target modulo a global phase). A
+    synthesized template with no query (k = 0, possible at a loose epsilon)
+    raises SeqloccError: the plan built on it would never query U."""
     delta = op_distance_mod_phase(U.matrix, target.matrix)
     if delta <= MATCH_TOL:
         build.note(f"{label} fast path: operand already the target up to a phase")
         template = CircuitTemplate(U.d_a, U.d_b, [QUERY])
         return template, evaluate_template(template, U.matrix), delta
     res = synthesize(target, U, build.cfg)
+    if res.layer_count == 0:
+        raise SeqloccError(f"{label} synthesized with no query: delta {res.delta:.2e} "
+                           f"within epsilon {build.cfg.epsilon:g}")
     fU = evaluate_template(res.template, U.matrix)
     delta = op_distance_mod_phase(fU, target.matrix)
     build.note(f"{label} synthesized with k={res.layer_count}, delta={delta:.2e}")
@@ -565,36 +570,30 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
     in the numerical range of W_psi (the union over psi is the product
     numerical range of W). W is normal, so F(W) is the hull of its spectrum
     and contains that union: unless queries_for_arc(Theta(W)) is 1, no psi
-    works. psi runs over _direct_candidates, on B first, then on A.
+    works. psi runs over _direct_candidates, first on the larger subsystem
+    (B when d_a <= d_b), so the first compressions are on the smaller one:
+    2x2, solved in closed form, whenever either subsystem is a qubit.
 
-    W is formed once, for the compressions and for the screen, the
-    single-query test on W (arcs._single_query, the test behind
-    single_query_distinguishable), which decomposes W; most pairs pass it.
-    With d_a = 2 every B compression is 2x2 and solved in closed form, so
-    the d_b + 1 B probes that need no generator (the basis, then the uniform
-    superposition) come first and the screen runs only when they all miss,
-    before the first seeded draw. A hit puts a point of
-    F(W_psi), inside F(W), within arcs._ZERO_TOL of 0, and the hull of a W
-    the screen refuses keeps at least TOL_ANGLE / 2 from 0, so a probe
-    answers only what the screen lets through (up to rounding of Theta =
-    pi). With d_a >= 3 a B probe (a fan of eigh solves) costs more than the
-    screen, which comes first. The compression of basis probe k is a view
-    of W, W4[:, k, :, k] on B and W4[k, :, k, :] on A; only the other probes
-    are contracted.
+    The screen, the single-query test on W (arcs._single_query, the test
+    behind single_query_distinguishable), decomposes W; most pairs pass it.
+    It runs once, after the first side's probes that need no generator (the
+    basis, then the uniform superposition) all miss and before its first
+    seeded draw. A hit puts a point of F(W_psi), inside F(W), within
+    arcs._ZERO_TOL of 0, and the hull of a W the screen refuses keeps at
+    least TOL_ANGLE / 2 from 0, so a probe answers only what the screen lets
+    through (up to rounding of Theta = pi). Each side is a view Ws of W4 with
+    psi's index second: the compression of basis probe k is the view
+    Ws[:, k, :, k], and only the other probes are contracted.
     """
     cfg = build.cfg
     d_a, d_b = U.d_a, U.d_b
     W = dagger(U) @ V.matrix
-    screened = d_a > 2
-    if screened and not _single_query(W):
-        return None
     W4 = W.reshape(d_a, d_b, d_a, d_b)
-    for side, d, pattern in (("B", d_b, "ibjc,b,c->ij"), ("A", d_a, "bicj,b,c->ij")):
+    for n, side in enumerate(("B", "A") if d_a <= d_b else ("A", "B")):
+        Ws = W4 if side == "B" else W4.transpose(1, 0, 3, 2)
+        d = Ws.shape[1]
         for k, psi in enumerate(_direct_candidates(d, cfg)):
-            if k < d:
-                W_psi = W4[:, k, :, k] if side == "B" else W4[k, :, k, :]
-            else:
-                W_psi = np.einsum(pattern, W4, psi.conj(), psi)
+            W_psi = Ws[:, k, :, k] if k < d else np.einsum("ibjc,b,c->ij", Ws, psi.conj(), psi)
             phi = numerical_range_zero(W_psi)
             if phi is not None:
                 inputs = (phi, psi) if side == "B" else (psi, phi)
@@ -605,10 +604,9 @@ def _direct(build: _Build, U: BipartiteUnitary, V: BipartiteUnitary):
                     build.note(f"direct: one query, probe {k} on {side}, residual {residual:.1e}")
                     build.per_branch_error.append(residual)
                     return CircuitTemplate(d_a, d_b, [QUERY]), *inputs
-            if k == d and not screened:  # the last probe before the seeded draws
-                if not _single_query(W):
-                    return None
-                screened = True
+            # the first side's last probe before its seeded draws
+            if n == 0 and k == d and not _single_query(W):
+                return None
     return None
 
 

@@ -298,15 +298,55 @@ def test_seeded_draw_follows_one_screen(monkeypatch):
     assert [M.shape for M in calls] == [(4, 4)]
 
 
-def test_screen_comes_first_beyond_d_a_2(monkeypatch):
-    """With d_a = 3 a B probe costs more than the screen, so a pair with
-    Theta(U^dag V) < pi forms no compression."""
+def test_refused_3x3_pair_screens_after_the_deterministic_probes(monkeypatch):
+    """The 3x3 near pair of default_rng(2033) at theta = 0.6 pi has
+    Theta(U^dag V) < pi. As at every shape, the d_b + 1 B probes that need no
+    generator come first, each a 3x3 compression, and the screen then
+    returns before the generator is seeded, leaving the build untouched."""
     calls = _counting_zeros(monkeypatch)
+    rng_calls = _counting_rng(monkeypatch)
     U, V = _near_pair(np.random.default_rng(2033), 3, 3, 0.6 * np.pi)
     build = engine._Build(CFG)
     assert engine._direct(build, U, V) is None
-    assert calls == []
+    assert [A.shape for A in calls] == [(3, 3)] * 4
+    assert rng_calls == []
     assert build.trace == build.notes == build.per_branch_error == []
+
+
+@pytest.mark.parametrize("d_a, seed, probe", [(3, 1, 3), (4, 0, 1)])
+def test_qubit_on_b_probes_a_first(monkeypatch, d_a, seed, probe):
+    """With d_a > d_b = 2, psi runs over A first, so every compression is
+    2x2 and solved in closed form: the Haar pairs of default_rng(1) at 3x2
+    (the uniform probe) and default_rng(0) at 4x2 (a basis probe) are
+    answered without a decomposition."""
+    rng = np.random.default_rng(seed)
+    U, V = (validate_unitary(random_unitary(2 * d_a, rng), d_a, 2) for _ in range(2))
+    zeros = _counting_zeros(monkeypatch)
+    decompositions = _count_decompositions(monkeypatch)
+    build = engine._Build(CFG)
+    assert engine._direct(build, U, V) is not None
+    assert build.notes == [f"direct: one query, probe {probe} on A, "
+                           f"residual {build.per_branch_error[0]:.1e}"]
+    assert [A.shape for A in zeros] == [(2, 2)] * (probe + 1)
+    assert decompositions == []
+
+
+@pytest.mark.parametrize("d_a", [3, 4])
+def test_direct_route_end_to_end_beyond_d_b(d_a):
+    """discriminate through the route at d_a > d_b = 2 on 5 Haar pairs: one
+    query, verified, its budget the residual _direct measured, and a rerun
+    byte-identical."""
+    rng = np.random.default_rng(40 + d_a)
+    for _ in range(5):
+        U, V = (validate_unitary(random_unitary(2 * d_a, rng), d_a, 2) for _ in range(2))
+        build = engine._Build(CFG)
+        assert engine._direct(build, U, V) is not None
+        scheme, report = discriminate(U, V, CFG)
+        assert scheme.case_trace == ["direct"]
+        assert report.passed and report.query_count == 1
+        assert engine.verify_scheme(scheme, U, V, CFG).passed
+        assert scheme.budget == build.per_branch_error[0] <= CFG.overlap_tol
+        assert dumps_scheme(*discriminate(U, V, CFG)) == dumps_scheme(scheme, report)
 
 
 @pytest.mark.parametrize("swapped", [False, True])

@@ -264,18 +264,23 @@ def test_control_branches_both_equivalent_raise_case_failure(monkeypatch):
     assert isinstance(exc.value.cause, Indistinguishable)
 
 
-def test_queryless_synthesis_is_refused():
-    """At epsilon 0.5 synthesis accepts a controlled target with no query;
-    the ii-a scheme built on it would query nothing and read overlap 1
-    inside its budget of 1.55, so verification refuses it, with the case
-    trace that built it."""
+def test_queryless_synthesis_is_refused(monkeypatch):
+    """At epsilon 0.5 synthesis accepts a controlled target with no query.
+    The compile step refuses it, naming the target, the delta reached and
+    epsilon, with the case trace that reached it, before a plan is built or
+    verified."""
     rng = np.random.default_rng(5)
     U = _v(random_unitary(4, rng))
     V = _v(np.kron(random_unitary(2, rng), random_unitary(2, rng)))
-    with pytest.raises(CaseFailure, match="never queries") as exc:
+    reached = []
+    for name in ("_one_side", "verify_scheme"):
+        monkeypatch.setattr(engine, name, lambda *args, name=name: reached.append(name))
+    with pytest.raises(CaseFailure, match=r"controlled target synthesized with no query: "
+                                          r"delta \S+ within epsilon 0.5") as exc:
         discriminate(U, V, RunConfig(epsilon=0.5))
     assert exc.value.case_trace == ["ii-a"]
-    assert isinstance(exc.value.cause, MalformedScheme)
+    assert type(exc.value.cause) is SeqloccError
+    assert reached == []
 
 
 def test_cz_vs_swap_single_application():

@@ -2,9 +2,9 @@
 binding of linalg the first time it serves a routine (eig_unitary, the SVD
 kernels under classify_primitive and discriminate), and scipy.optimize
 inside synthesize, so importing the package, verifying a scheme and a
-direct pair answered by a B basis probe run on numpy alone. Each check
-runs in a fresh interpreter, because this process has scipy loaded
-already."""
+direct pair answered by a deterministic probe of the first side run on
+numpy alone. Each check runs in a fresh interpreter, because this process
+has scipy loaded already."""
 
 import json
 import os
@@ -74,17 +74,22 @@ def test_discriminate_product_pair_loads_linalg_only(product_pair):
 
 
 def test_haar_direct_pair_loads_numpy_only(tmp_path):
-    """A Haar 2x2 pair answered by a B basis probe: the closed-form 2x2
-    compression, no classification (both operands entangle |0...0>) and no
-    screen, so nothing goes through the LAPACK binding."""
-    rng = np.random.default_rng(28)
-    paths = [str(tmp_path / name) for name in ("u.json", "v.json")]
-    for path in paths:
-        save_matrix_file(path, validate_unitary(random_unitary(4, rng), 2, 2))
+    """Haar pairs whose smaller subsystem is a qubit, answered by a
+    deterministic probe of the first side (a B basis probe at 2x2, the
+    uniform A probe at 3x2): closed-form 2x2 compressions, no classification
+    (both operands entangle |0...0>) and no screen, so nothing goes through
+    the LAPACK binding."""
+    paths = []
+    for seed, d_a in ((28, 2), (1, 3)):
+        rng = np.random.default_rng(seed)
+        for tag in ("u", "v"):
+            paths.append(str(tmp_path / f"{tag}{d_a}.json"))
+            save_matrix_file(paths[-1], validate_unitary(random_unitary(2 * d_a, rng), d_a, 2))
     script = ("import sys\nfrom seqlocc import discriminate\n"
               "from seqlocc.io import load_matrix_file\n"
-              "scheme, report = discriminate(*map(load_matrix_file, sys.argv[1:3]))\n"
-              "assert scheme.case_trace == ['direct'] and 'probe 0 on B' in report.wall_notes")
+              "for paths, probe in ((sys.argv[1:3], 'probe 0 on B'), (sys.argv[3:5], 'probe 3 on A')):\n"
+              "    scheme, report = discriminate(*map(load_matrix_file, paths))\n"
+              "    assert scheme.case_trace == ['direct'] and probe in report.wall_notes")
     assert _loaded_after(script, *paths) == set()
 
 

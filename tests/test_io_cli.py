@@ -493,15 +493,16 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(tmp_path, capsys):
 
 def test_cli_discriminate_queryless_scheme_exit4(tmp_path, capsys, monkeypatch):
     """With the direct route off, --tol-epsilon 0.5 lets synthesis accept a
-    controlled target with no query; the ii-a scheme on it is refused as a
-    construction failure (exit 4) that names its case, not as an input
-    error (exit 2)."""
+    controlled target with no query; ii-a refuses it before building a
+    scheme, as a construction failure (exit 4) that names its case, the
+    target, the delta reached and epsilon, not as an input error (exit 2)."""
     monkeypatch.setattr(engine, "_direct", lambda build, U, V: None)
     rng = np.random.default_rng(5)
     u = _write(tmp_path, "u.json", random_unitary(4, rng))
     v = _write(tmp_path, "v.json", np.kron(random_unitary(2, rng), random_unitary(2, rng)))
     assert main(["discriminate", u, v, "--tol-epsilon", "0.5"]) == 4
-    assert "case ii-a: the template never queries" in capsys.readouterr().err
+    assert re.search(r"case ii-a: controlled target synthesized with no query: "
+                     r"delta \S+ within epsilon 0.5", capsys.readouterr().err)
 
 
 def test_cli_discriminate_phase_equivalent_exit3(tmp_path):
