@@ -58,6 +58,7 @@ from .errors import (
 )
 from .linalg import (
     BipartiteUnitary,
+    _phase_gap,
     basis_state,
     dagger,
     kron,
@@ -315,9 +316,12 @@ def _cheapest(sides: dict):
     two gaps of one cost within its rounding (about 1e-12 relative) either
     may win. A pair within DISTINCT_TOL costs inf and is not decomposed; the
     taken decomposition spares the sequential engine both the eig and that
-    check.
+    check. An idle pair, one the float64 trace alone puts within
+    DISTINCT_TOL (linalg._phase_gap), skips the extended trace; its gap then
+    orders only pairs that cost inf, and every one of those ends in the same
+    Indistinguishable.
     """
-    gaps = {key: phase_distance(X_u, X_v) for key, (X_u, X_v) in sides.items()}
+    gaps = {key: _phase_gap(X_u, X_v, DISTINCT_TOL) for key, (X_u, X_v) in sides.items()}
     spectra = {key: _circular_sorted_eig(dagger(X_u) @ mat(X_v))
                for key, (X_u, X_v) in sides.items() if gaps[key] > DISTINCT_TOL}
 

@@ -28,6 +28,9 @@ _EIG_FLOOR = 1e-10
 # float64 trace decides phase_distance; every threshold the distance is
 # compared with lies below it, so each is decided on the extended trace
 _EXTENDED_BELOW = 1e-4
+# eps of float64 plus eps of longdouble: (N + 2) times it bounds how far the
+# float64 and the extended deficits of a trace of N terms of unitaries part
+_TRACE_ROUNDING = float(np.finfo(float).eps + np.finfo(np.longdouble).eps)
 
 
 @dataclass
@@ -188,6 +191,27 @@ def _extended_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(deficit))
 
 
+def _operand_pair(U, V) -> tuple[np.ndarray, np.ndarray]:
+    a, b = mat(U), mat(V)
+    if a.shape != b.shape:
+        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
+    if not a.shape[0]:
+        raise DimensionMismatch(f"operands of shape {a.shape} have no rows")
+    return a, b
+
+
+def _distance_of_deficit(a: np.ndarray, b: np.ndarray, deficit: float) -> float:
+    """phase_distance of a and b, given the deficit 1 - |tr(a^dag b)| / dim
+    of the float64 trace. That deficit is not finite only when an entry is
+    not (or the trace overflowed); then NumericalFailure is raised, before
+    the extended trace would warn on the product."""
+    if deficit > _EXTENDED_BELOW:
+        return math.sqrt(deficit)
+    if not math.isfinite(deficit) and not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise NumericalFailure("phase distance of a matrix with non-finite entries")
+    return _extended_distance(a, b)
+
+
 def phase_distance(U, V) -> float:
     """Global-phase-invariant distance sqrt(max(0, 1 - |tr(U^dag V)| / dim)).
 
@@ -197,17 +221,41 @@ def phase_distance(U, V) -> float:
     it is measurable between stored operands. The float64 trace decides a
     deficit above _EXTENDED_BELOW, off by about one ulp of 1, which is
     eps / (2 r^2) relative at distance r; at or below it the value is
-    _extended_distance's, bit for bit.
+    _extended_distance's, bit for bit. A NaN or infinite entry raises
+    NumericalFailure.
     """
-    a, b = mat(U), mat(V)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shapes differ: {a.shape} vs {b.shape}")
-    if not a.shape[0]:
-        raise DimensionMismatch(f"operands of shape {a.shape} have no rows")
+    a, b = _operand_pair(U, V)
+    return _distance_of_deficit(a, b, 1.0 - abs(np.vdot(a, b)) / a.shape[0])
+
+
+def _phase_gap(U, V, tol: float) -> float:
+    """phase_distance(U, V) wherever it exceeds tol; a pair the float64
+    trace alone puts within tol reads that trace's sqrt(max(0, deficit))
+    instead, also within tol, and skips the extended trace.
+
+    The rounding bound: the float64 trace vdot(a, b) sums N = dim^2 complex
+    products. In the standard model (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 3.6) a complex product is off by at most
+    sqrt(2) gamma_2 = 2.83 u of its modulus and a complex sum by u of its
+    own, so in any summation order the sum is off by at most
+    (N - 1 + 2.83) u sum |a_ij| |b_ij|, and sum |a_ij| |b_ij| <= ||a||_F ||b||_F
+    = dim for unitaries. abs adds at most 2u, the division by dim u, and
+    1 - |t| / dim is exact near 1: the deficit is off by at most (N + 5) u,
+    within (N + 2) eps = (N + 2) 2u for every N >= 1. The factor of about 2
+    to spare covers operands a little off unitarity, whose norms scale the
+    bound. The extended deficit is off by at most (N + 2) eps_L in turn,
+    eps_L longdouble's eps. A float64 deficit below
+    tol^2 - (N + 2) (eps + eps_L) thus puts the extended deficit below
+    tol^2, which phase_distance reads as at most tol. For dim >= 7,
+    (N + 2) eps exceeds DISTINCT_TOL^2 = 1e-14, so at that tolerance no
+    pair whose float64 deficit is nonnegative skips the extended trace.
+    """
+    a, b = _operand_pair(U, V)
     deficit = 1.0 - abs(np.vdot(a, b)) / a.shape[0]
-    if deficit > _EXTENDED_BELOW:
-        return math.sqrt(deficit)
-    return _extended_distance(a, b)
+    # -inf is an infinite entry, which _distance_of_deficit reports
+    if -math.inf < deficit < tol * tol - (a.size + 2) * _TRACE_ROUNDING:
+        return math.sqrt(max(deficit, 0.0))
+    return _distance_of_deficit(a, b, deficit)
 
 
 def op_distance_mod_phase(A, B) -> float:
@@ -267,11 +315,15 @@ def _lapack(routine: str, m: int, n: int, compute_uv: bool = True):
     return func, int(work.real)
 
 
-def _check_finite(A: np.ndarray, what: str) -> None:
-    # the squared Frobenius norm, one BLAS call, is finite only when every
-    # entry is; the entrywise test runs when it is not (or it overflowed)
-    if not math.isfinite(np.vdot(A, A).real) and not np.isfinite(A).all():
+def _check_finite(A: np.ndarray, what: str) -> float:
+    """A's squared Frobenius norm, after NumericalFailure for a NaN or
+    infinite entry."""
+    # the squared norm, one BLAS call, is finite only when every entry is;
+    # the entrywise test runs when it is not (or it overflowed)
+    norm_sq = np.vdot(A, A).real
+    if not math.isfinite(norm_sq) and not np.isfinite(A).all():
         raise NumericalFailure(f"{what} of a matrix with non-finite entries")
+    return norm_sq
 
 
 def _gesdd(M, compute_uv: bool):
@@ -313,11 +365,16 @@ def norm(x) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _schur_residual(A: np.ndarray, T: np.ndarray, phases: np.ndarray) -> float:
+def _schur_residual(A: np.ndarray, T: np.ndarray, phases: np.ndarray, norm_sq=None) -> float:
     """||Z D Z^dag - A|| / ||A|| for A = Z T Z^dag, read as ||T - D|| / ||A|| (Z is
-    unitary), T overwritten; D = diag(e^{i phases}), as w / |w| is nan at w = 0."""
-    T.flat[::len(T) + 1] -= np.exp(1j * phases)
-    return np.vdot(T, T).real ** 0.5 / max(np.vdot(A, A).real ** 0.5, _TINY)
+    unitary), with D = diag(e^{i phases}), as w / |w| is nan at w = 0. T's
+    diagonal is overwritten through a flat view of LAPACK's Fortran array;
+    norm_sq is ||A||^2, when the caller has it."""
+    R = T.ravel(order="K")
+    R[::len(T) + 1] -= np.exp(1j * phases)
+    if norm_sq is None:
+        norm_sq = np.vdot(A, A).real
+    return math.sqrt(np.vdot(R, R).real / max(norm_sq, _TINY))
 
 
 def eig_unitary(U) -> SpectralDecomposition:
@@ -335,23 +392,22 @@ def eig_unitary(U) -> SpectralDecomposition:
     n = A.shape[0]
     if A.shape != (n, n) or n == 0:
         raise NumericalFailure(f"Schur decomposition needs a square matrix, got {A.shape}")
-    _check_finite(A, "Schur decomposition")
+    norm_sq = _check_finite(A, "Schur decomposition")
     gees, lwork = _lapack("gees", n, n)
-    T, _, w, Z, _, info = gees(_no_sort, A, lwork=lwork)
+    T, _, w, Z, _, info = gees(_no_sort, A, 1, 0, lwork)  # compute_v, sort_t, lwork
     if info != 0:
         raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")
-    phases = canonical_phases(w)
-    residual = _schur_residual(A, T, phases)
-    order = phases.argsort(kind="stable")
-    phases = phases[order]
-    vectors = Z[:, order]
+    phases = _wrap(np.arctan2(w.imag, w.real))  # canonical_phases of the vector w
+    residual = _schur_residual(A, T, phases, norm_sq)
     if residual > _EIG_FLOOR:
         defect = unitarity_defect(A)
         if not (defect <= EIG_MAX_DEFECT and residual <= defect + _EIG_FLOOR):
             raise NumericalFailure(
                 f"eigendecomposition residual {residual:.3e} with unitarity defect "
                 f"{defect:.3e} (accepted up to {EIG_MAX_DEFECT:.0e})")
-    return SpectralDecomposition(phases, vectors)
+    order = phases.argsort(kind="stable")
+    # Z[:, order]'s values and Fortran layout, gathered as rows of Z^T in one take
+    return SpectralDecomposition(phases[order], Z.T.take(order, axis=0).T)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,7 +34,7 @@ from seqlocc import (
     validate_unitary,
     verify_scheme,
 )
-from seqlocc import engine
+from seqlocc import engine, linalg
 from seqlocc.arcs import queries_for_arc
 from seqlocc.config import DISTINCT_TOL, TOL_ANGLE
 from seqlocc.engine import _controlled_form, _image_factors, validate_scheme
@@ -839,3 +839,74 @@ def test_product_pairs_at_every_arc_ladder_shape(d_a, d_b, sides):
     assert report.query_count == expected
     assert verify_scheme(scheme, U, V, CFG).passed
     assert dumps_scheme(*discriminate(U, V, CFG)) == dumps_scheme(scheme, report)
+
+
+@pytest.mark.parametrize("d_a,d_b", _ARC_LADDER_SHAPES + [(2, 8)])
+def test_idle_product_side_skips_the_extended_trace(d_a, d_b, monkeypatch):
+    """A one-sided product pair's idle side, V_B = e^{i phi} U_B, is decided
+    on the float64 trace at every arc-ladder shape, so discriminate reads
+    no extended trace. At d_b = 8 the trace's rounding bound is above
+    DISTINCT_TOL^2, and the idle side still reads it once."""
+    calls = []
+    extended = linalg._extended_distance
+    monkeypatch.setattr(linalg, "_extended_distance",
+                        lambda a, b: calls.append(a.shape) or extended(a, b))
+    rng = np.random.default_rng(3700 + 10 * d_a + d_b)
+    UA, UB = random_unitary(d_a, rng), random_unitary(d_b, rng)
+    VA = UA @ _arc_factor(d_a, np.pi / (rng.integers(1, 5) + 0.5), rng)
+    VB = np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * UB
+    U, V = _v(np.kron(UA, UB), d_a, d_b), _v(np.kron(VA, VB), d_a, d_b)
+    scheme, report = discriminate(U, V, CFG)
+    assert scheme.case_trace == ["i-a"] and report.passed
+    assert calls == ([] if d_b <= 6 else [(d_b, d_b)])
+
+
+def _near_phase(X, eps, rng):
+    """e^{i phi} X expm(i eps H) for a Hermitian H scaled so that the phase
+    distance to X is eps to first order."""
+    n = X.shape[0]
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h, Q = np.linalg.eigh(G + G.conj().T)
+    h /= np.sqrt(np.var(h) / 2.0)
+    return np.exp(1j * rng.uniform(0.0, 2 * np.pi)) * X @ (Q * np.exp(1j * eps * h)) @ Q.conj().T
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8])
+def test_cheapest_prices_as_phase_distance_does(n, monkeypatch):
+    """Pairs e^{i phi} X expm(i eps H), the distance eps swept across
+    DISTINCT_TOL, alone and two at a time: deciding idle sides on the
+    float64 trace, _cheapest returns the count and decompositions it
+    returns with phase_distance, and the key wherever a side is priced
+    (between inf sides the gap breaking the tie may differ). The float64
+    trace decides some sides at n <= 6 and none at n = 8."""
+    rng = np.random.default_rng(3800 + n)
+    factors = np.array([0.0, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 1.01, 1.05, 1.1, 1.5, 2.0])
+    pairs = []
+    for f in factors:
+        X = random_unitary(n, rng)
+        pairs.append((X, _near_phase(X, f * DISTINCT_TOL, rng)))
+    extended = linalg._extended_distance
+    skipped = 0
+    for X, Y in pairs:
+        calls = []
+        monkeypatch.setattr(linalg, "_extended_distance",
+                            lambda a, b: calls.append(1) or extended(a, b))
+        gap = linalg._phase_gap(X, Y, DISTINCT_TOL)
+        monkeypatch.setattr(linalg, "_extended_distance", extended)
+        skipped += not calls
+        distance = phase_distance(X, Y)
+        assert (gap > DISTINCT_TOL) == (distance > DISTINCT_TOL)
+        if distance > DISTINCT_TOL or calls:
+            assert gap == distance
+    assert (skipped > 0) == (n <= 6)
+    for i, j in [(i, j) for i in range(len(pairs)) for j in range(len(pairs)) if i != j][::7]:
+        sides = {"A": pairs[i], "B": pairs[j]}
+        key, count, spectra = engine._cheapest(sides)
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_phase_gap", lambda U, V, tol: phase_distance(U, V))
+            ref_key, ref_count, ref_spectra = engine._cheapest(sides)
+        assert count == ref_count and spectra.keys() == ref_spectra.keys()
+        for k in spectra:
+            assert spectra[k][1].theta == ref_spectra[k][1].theta
+        if count < math.inf:
+            assert key == ref_key

@@ -150,14 +150,32 @@ def test_phase_distance_is_the_extended_value_at_or_below_the_switch():
 
 def test_phase_distance_edge_values():
     """Phase-equivalent operands read 0.0, as does a non-unitary pair with
-    |tr(U^dag V)| / dim above 1; a NaN entry reads nan."""
+    |tr(U^dag V)| / dim above 1; a NaN entry raises NumericalFailure."""
     rng = np.random.default_rng(12)
     U = random_unitary(3, rng)
     assert phase_distance(U, np.exp(0.3j) * U) == 0.0
     assert phase_distance(2.0 * np.eye(2), np.eye(2)) == 0.0
     W = U.copy()
     W[1, 2] = np.nan
-    assert np.isnan(phase_distance(U, W))
+    with pytest.raises(NumericalFailure):
+        phase_distance(U, W)
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0, -np.inf), np.nan])
+@pytest.mark.parametrize("side", [0, 1])
+def test_phase_distance_of_a_non_finite_operand_raises_without_a_warning(bad, side):
+    """As op_distance_mod_phase and unitarity_defect do: the float64 trace is
+    not finite, so the extended trace, whose product would warn, never runs."""
+    U = random_unitary(3, np.random.default_rng(12))
+    W = U.copy()
+    W[0, 1] = bad
+    operands = (U, W) if side == 0 else (W, U)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalFailure):
+            phase_distance(*operands)
+        with pytest.raises(NumericalFailure):
+            linalg._phase_gap(*operands, DISTINCT_TOL)
 
 
 def test_phase_distance_of_empty_operands_is_a_dimension_mismatch():
@@ -354,6 +372,36 @@ def test_schur_residual_is_the_reconstruction_residual(n):
         recon = (Z * np.exp(1j * phases)) @ Z.conj().T
         expected = np.linalg.norm(recon - A) / np.linalg.norm(A)
         assert abs(_schur_residual(A, T, phases) - expected) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_eig_unitary_keeps_the_bits_of_schur_and_the_canonical_sort(n):
+    """Phases and vectors, ==, of scipy.linalg.schur(output="complex")
+    followed by np.angle, the wrap into [0, 2pi) and a stable argsort, on
+    seeded Haar draws and a degenerate spectrum; a defect above
+    EIG_MAX_DEFECT still raises."""
+    import scipy.linalg
+
+    from seqlocc.config import EIG_MAX_DEFECT
+
+    rng = np.random.default_rng(3900 + n)
+    Q = random_unitary(n, rng)
+    degenerate = (Q * np.exp(1j * np.resize([0.3, -2.0], n))) @ Q.conj().T
+    for M in [random_unitary(n, rng) for _ in range(40)] + [degenerate]:
+        T, Z = scipy.linalg.schur(M, output="complex")
+        phases = np.array(np.angle(np.diag(T)), dtype=float)
+        np.mod(phases, 2 * np.pi, out=phases)
+        phases[phases >= 2 * np.pi] = 0.0
+        order = np.argsort(phases, kind="stable")
+        dec = eig_unitary(M)
+        assert np.array_equal(dec.phases, phases[order])
+        assert np.array_equal(dec.vectors, Z[:, order])
+    G = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    H = (G + G.conj().T) / np.abs(np.linalg.eigvalsh(G + G.conj().T)).max()
+    M = Q @ (np.eye(n) + (np.sqrt(1 + 2 * EIG_MAX_DEFECT) - 1) * H)
+    assert unitarity_defect(M) > EIG_MAX_DEFECT
+    with pytest.raises(NumericalFailure):
+        eig_unitary(M)
 
 
 def test_eig_unitary_refuses_a_non_normal_unit_spectrum():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -256,3 +258,48 @@ def test_unitarity_check_reports_the_defect_of_its_old_expression(order):
         _check_unitarity((A, B), 1e-9)
     assert info.value.defect == float(stacked_operator_norms(old).max())
     _check_unitarity((A, B), 1e-5)  # passes at a looser tolerance
+
+
+def _factor_stack(n, k, rng):
+    return np.array([random_unitary(n, rng) for _ in range(k)])
+
+
+@pytest.mark.parametrize("bad", [np.inf, complex(0, -np.inf), np.nan, 1e200])
+def test_a_non_finite_factor_is_an_infinite_defect_without_a_warning(bad):
+    """The batched matmul of the screen warns on a NaN or infinite entry; the
+    stack's Frobenius norm keeps such a factor (or one whose gram
+    overflows) off it, and the einsum grams report an infinite defect."""
+    rng = np.random.default_rng(38)
+    A, B = _factor_stack(3, 3, rng), _factor_stack(2, 3, rng)
+    B[1, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotUnitary) as info:
+            _check_unitarity((A, B), 1e-9)
+    assert info.value.defect == np.inf
+
+
+@pytest.mark.parametrize("scale", [0.5, 0.99, 1.01, 2.0])
+@pytest.mark.parametrize("both_sides", [False, True])
+def test_unitarity_screen_keeps_the_exact_verdict(scale, both_sides):
+    """Factors forged to a defect of scale * tol, on one side or one factor
+    of each: the check passes exactly when every exact (einsum and SVD)
+    defect is within tol, and otherwise raises with the largest of the
+    first side that fails. On both sides at 0.99 tol the screen's sum,
+    about 1.96 tol^2, fails and the exact path passes."""
+    tol = 1e-9
+    rng = np.random.default_rng(39)
+    A, B = _factor_stack(3, 3, rng), _factor_stack(2, 3, rng)
+    A[1] = A[1] @ np.diag([np.sqrt(1 + scale * tol), 1.0, 1.0])
+    if both_sides:
+        B[2] = B[2] @ np.diag([1.0, np.sqrt(1 + scale * tol)])
+    defects = [float(stacked_operator_norms(
+        np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1])).max()) for F in (A, B)]
+    assert defects[0] == pytest.approx(scale * tol, rel=1e-6)
+    failing = [d for d in defects if d > tol]
+    if not failing:
+        _check_unitarity((A, B), tol)
+        return
+    with pytest.raises(NotUnitary) as info:
+        _check_unitarity((A, B), tol)
+    assert info.value.defect == failing[0]
