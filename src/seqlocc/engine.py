@@ -54,11 +54,13 @@ from .errors import (
     DimensionMismatch,
     Indistinguishable,
     MalformedScheme,
+    NotUnitary,
     SeqloccError,
 )
 from .linalg import (
     BipartiteUnitary,
     _phase_gap,
+    _unitarity_defect,
     basis_state,
     dagger,
     kron,
@@ -86,7 +88,6 @@ from .templates import (
     CircuitTemplate,
     LocalLayer,
     Query,
-    _check_unitarity,
     _factor_stacks,
     _propagate,
     compose_templates,
@@ -709,16 +710,18 @@ def discriminate(U: BipartiteUnitary, V: BipartiteUnitary,
 def validate_scheme(scheme: LoccSequentialScheme,
                     tol: float = RunConfig.unitarity_tol) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless the scheme is well formed: NotUnitary for a local factor
-    off unitarity by more than tol, MalformedScheme for a template whose
-    layers are not local, query, local, ..., local (a layer of another type,
-    two adjacent queries, no trailing local) or hold a local factor of the
-    wrong shape, for a template without a query, an input that is not a unit
-    vector (to tol) of length d_a or d_b, or a budget that is negative or not
-    finite. Returns the template's factor stacks, which verify_scheme
-    propagates."""
+    off unitarity by more than tol (linalg._unitarity_defect decides, for both
+    stacks at once), MalformedScheme for a template whose layers are not
+    local, query, local, ..., local (a layer of another type, two adjacent
+    queries, no trailing local) or hold a local factor of the wrong shape, for
+    a template without a query, an input that is not a unit vector (to tol)
+    of length d_a or d_b, or a budget that is negative or not finite. Returns
+    the template's factor stacks, which verify_scheme propagates."""
     t = scheme.template
     stacks = _factor_stacks(t)
-    _check_unitarity(stacks, tol)
+    defect = _unitarity_defect(stacks, tol)
+    if defect > tol:
+        raise NotUnitary(defect, tol)
     if len(t.layers) == 1:  # normal form L Q L ... Q L: len(layers) // 2 queries
         raise MalformedScheme("the template never queries the operation")
     if not 0 <= scheme.budget < np.inf:

@@ -35,7 +35,8 @@ _TRACE_ROUNDING = float(np.finfo(float).eps + np.finfo(np.longdouble).eps)
 
 @dataclass
 class BipartiteUnitary:
-    """A validated unitary with declared subsystem dimensions.
+    """A unitary with declared subsystem dimensions, as validate_unitary
+    returns it; unitarity_defect(U.matrix) reads its defect.
 
     d_b == 1 marks single-system use; then d_a is the full dimension.
     """
@@ -43,7 +44,6 @@ class BipartiteUnitary:
     matrix: np.ndarray
     d_a: int
     d_b: int
-    unitarity_defect: float
 
     @property
     def dim(self) -> int:
@@ -86,38 +86,62 @@ def mat(U) -> np.ndarray:
     return U.matrix if isinstance(U, BipartiteUnitary) else _as_matrix(U)
 
 
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity, made once per n and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _unitarity_defect(stacks, tol: float) -> float:
+    """The one unitarity verdict on the matrices F of these (k, n, n) stacks:
+    0.0 when the Frobenius norm of all their F^dag F - I is within tol (it
+    bounds each operator norm; a negative tol skips this screen), else the
+    largest operator norm, one np.linalg.svd call per stack, up to the first
+    stack with one above tol. A gram left non-finite by a NaN or infinite
+    entry, or by an overflow, is an infinite defect: the batched matmuls run
+    with numpy's warnings off. Taking the identity off changes no entry off
+    the diagonal."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        grams = [F.conj().transpose(0, 2, 1) @ F - _identity(F.shape[-1]) for F in stacks]
+        if math.sqrt(sum(np.vdot(G, G).real for G in grams)) <= tol:
+            return 0.0
+    defect = 0.0
+    for G in grams:
+        if not np.isfinite(G).all():
+            return math.inf
+        defect = max(defect, float(np.linalg.svd(G, compute_uv=False).max()))
+        if defect > tol:
+            break
+    return defect
+
+
 def unitarity_defect(M) -> float:
     """Operator-norm deviation of M^dag M from the identity: its largest
     singular value, from the one LAPACK call np.linalg.norm(., 2) makes. A
-    NaN or infinite entry raises NumericalFailure."""
+    NaN or infinite entry raises NumericalFailure; a gram that overflows is
+    an infinite defect."""
     A = _as_matrix(M)
     _check_finite(A, "unitarity defect")
-    return float(np.linalg.svd(A.conj().T @ A - np.eye(A.shape[1]), compute_uv=False)[0])
-
-
-def stacked_operator_norms(G: np.ndarray) -> np.ndarray:
-    """Largest singular value of each matrix of a (k, m, n) stack, from one
-    call of numpy's gufunc SVD, which over a stack beats a loop of LAPACK
-    calls and keeps verifying a scheme on numpy alone."""
-    return np.linalg.svd(G, compute_uv=False)[:, 0]
+    return _unitarity_defect((A[None],), -1.0)
 
 
 def validate_unitary(M, d_a: int, d_b: int = 1,
                      tol: float = RunConfig.unitarity_tol) -> BipartiteUnitary:
-    """Wrap M as a BipartiteUnitary after checking shape and unitarity; a
-    NaN or infinite entry is an infinite defect."""
+    """Wrap M as a BipartiteUnitary after checking shape and unitarity: the
+    defect _unitarity_defect decides, so a unitary M takes no SVD, and a NaN
+    or infinite entry, or an overflowing gram, is an infinite defect."""
     A = _as_matrix(M)
     if d_a < 2 or d_b < 1:
         raise DimensionMismatch(f"need d_a >= 2 and d_b >= 1, got ({d_a}, {d_b})")
     n = d_a * d_b
     if A.shape != (n, n):
         raise DimensionMismatch(f"expected {n}x{n} for ({d_a}, {d_b}), got {A.shape}")
-    if not np.isfinite(A).all():
-        raise NotUnitary(np.inf, tol)
-    defect = unitarity_defect(A)
+    defect = _unitarity_defect((A[None],), tol)
     if defect > tol:
         raise NotUnitary(defect, tol)
-    return BipartiteUnitary(A, d_a, d_b, defect)
+    return BipartiteUnitary(A, d_a, d_b)
 
 
 def dagger(U) -> np.ndarray:
@@ -386,21 +410,24 @@ def eig_unitary(U) -> SpectralDecomposition:
     out orthonormal. The relative residual of the reconstruction, read off the
     Schur form, is at most about d / sqrt(2) for a unitarity defect d, so it is
     verified to d + _EIG_FLOOR, with d up to EIG_MAX_DEFECT. A non-finite or
-    non-square matrix, or a LAPACK failure, raises NumericalFailure.
+    non-square matrix, one whose squared norm overflows, or a LAPACK failure
+    raises NumericalFailure.
     """
     A = mat(U)
     n = A.shape[0]
     if A.shape != (n, n) or n == 0:
         raise NumericalFailure(f"Schur decomposition needs a square matrix, got {A.shape}")
     norm_sq = _check_finite(A, "Schur decomposition")
+    if not math.isfinite(norm_sq):  # finite entries whose squares overflow: no residual is read
+        raise NumericalFailure("Schur decomposition of a matrix whose squared norm overflows")
     gees, lwork = _lapack("gees", n, n)
     T, _, w, Z, _, info = gees(_no_sort, A, 1, 0, lwork)  # compute_v, sort_t, lwork
     if info != 0:
         raise NumericalFailure(f"Schur decomposition failed: LAPACK zgees info {info}")
     phases = _wrap(np.arctan2(w.imag, w.real))  # canonical_phases of the vector w
     residual = _schur_residual(A, T, phases, norm_sq)
-    if residual > _EIG_FLOOR:
-        defect = unitarity_defect(A)
+    if not residual <= _EIG_FLOOR:  # a NaN residual fails too
+        defect = _unitarity_defect((A[None],), -1.0)
         if not (defect <= EIG_MAX_DEFECT and residual <= defect + _EIG_FLOOR):
             raise NumericalFailure(
                 f"eigendecomposition residual {residual:.3e} with unitarity defect "

@@ -9,13 +9,12 @@ enters forward.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedScheme, NotUnitary
-from .linalg import _complex_array, kron, mat, stacked_operator_norms
+from .errors import DimensionMismatch, MalformedScheme
+from .linalg import _complex_array, kron, mat
 
 
 @dataclass
@@ -119,40 +118,6 @@ def _factor_stacks(t: CircuitTemplate) -> tuple[np.ndarray, np.ndarray]:
         raise MalformedScheme(
             f"local factors {A.shape[1:]}/{B.shape[1:]} do not fit ({t.d_a}, {t.d_b})")
     return A, B
-
-
-@functools.cache
-def _identity(n: int) -> np.ndarray:
-    """The n x n identity, made once per n and read-only."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-def _check_unitarity(stacks, tol: float) -> None:
-    """Raise NotUnitary if a factor of these stacks is off unitarity by more
-    than tol in operator norm. One screen passes every factor when the squared
-    Frobenius norms of F^dag F - I sum to at most tol^2 over both sides (the
-    Frobenius norm bounds the operator norm); otherwise each side takes the
-    exact (SVD) norm of its whole stack, on grams formed anew by einsum.
-
-    The screen forms each side's grams in one batched matmul, which warns on
-    a NaN or infinite entry where einsum does not: its warnings are off, and
-    such an entry leaves a sum that is not finite, so the exact path reports
-    it. Subtracting the identity changes no entry off the diagonal, so each
-    F^dag F - I holds the bits of the gram with 1 taken off its diagonal.
-    """
-    with np.errstate(invalid="ignore", over="ignore"):
-        grams = [F.conj().transpose(0, 2, 1) @ F - _identity(F.shape[1]) for F in stacks]
-        if sum(np.vdot(G, G).real for G in grams) <= tol * tol:
-            return
-    for F in stacks:
-        G = np.einsum("kji,kjl->kil", F.conj(), F, order="C") - _identity(F.shape[1])
-        if not np.all(np.isfinite(G)):
-            raise NotUnitary(np.inf, tol)
-        defect = float(stacked_operator_norms(G).max())
-        if defect > tol:
-            raise NotUnitary(defect, tol)
 
 
 def _propagate(stacks, x: np.ndarray, psi: np.ndarray) -> np.ndarray:

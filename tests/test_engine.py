@@ -657,7 +657,7 @@ def test_one_non_unitary_factor_is_refused_with_its_defect(side):
     setattr(layer, side, F)
     with pytest.raises(NotUnitary) as err:
         verify_scheme(scheme, _v(np.eye(4)), _v(np.kron(np.diag([1, 1j]), I2)), CFG)
-    assert err.value.defect == pytest.approx(unitarity_defect(F), rel=1e-12)
+    assert err.value.defect == unitarity_defect(F)
 
 
 def test_factors_under_tol_that_fail_the_screen_pass():
@@ -673,6 +673,28 @@ def test_factors_under_tol_that_fail_the_screen_pass():
     assert sum(np.linalg.norm(G) ** 2 for G in grams) > tol ** 2
     assert all(unitarity_defect(F) <= tol for F in (first.factor_a, last.factor_b))
     verify_scheme(scheme, _v(U), _v(V), CFG)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_a_factor_at_the_screen_boundary_keeps_the_operator_norm_verdict(scale):
+    """A factor whose defect scale * tol sits on both singular values of
+    F^dag F - I, so its Frobenius norm is about 1.3 scale * tol: at 0.9 tol
+    the screen fails and validate_scheme accepts, at 1.1 tol NotUnitary carries
+    unitarity_defect(F), ==."""
+    U, V = np.eye(4, dtype=complex), np.kron(np.diag([1, 1j]), I2)
+    scheme, _ = _run(U, V)
+    tol = CFG.unitarity_tol
+    layer = _locals(scheme)[1]
+    F = layer.factor_a @ np.diag(np.sqrt(1.0 + scale * tol * np.array([1.0, 0.9])))
+    layer.factor_a = F
+    assert unitarity_defect(F) == pytest.approx(scale * tol, rel=1e-6)
+    assert np.linalg.norm(F.conj().T @ F - np.eye(2)) > tol
+    if scale < 1:
+        validate_scheme(scheme, tol)
+        return
+    with pytest.raises(NotUnitary) as err:
+        validate_scheme(scheme, tol)
+    assert err.value.defect == unitarity_defect(F)
 
 
 def test_nan_factor_is_an_infinite_defect():

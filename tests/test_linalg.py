@@ -40,13 +40,13 @@ EPS = np.finfo(float).eps
 
 def test_validate_identity():
     U = validate_unitary(np.eye(4), 2, 2)
-    assert U.unitarity_defect == 0.0
+    assert unitarity_defect(U.matrix) == 0.0
     assert (U.d_a, U.d_b) == (2, 2)
 
 
 def test_validate_hadamard_product():
     U = validate_unitary(np.kron(HAD, HAD), 2, 2)
-    assert U.unitarity_defect <= 1e-15
+    assert unitarity_defect(U.matrix) <= 1e-15
 
 
 def test_validate_rejects_shear():
@@ -214,7 +214,7 @@ def test_dagger_on_known_matrices():
     rng = np.random.default_rng(13)
     U = random_unitary(3, rng)
     assert np.allclose(dagger(U) @ U, np.eye(3), atol=1e-13)
-    wrapped = BipartiteUnitary(U, 3, 1, 0.0)
+    wrapped = BipartiteUnitary(U, 3, 1)
     assert np.allclose(dagger(wrapped), U.conj().T)
 
 
@@ -302,6 +302,18 @@ def test_eig_unitary_non_finite_raises(bad):
     M[0, 2] = bad
     with pytest.raises(NumericalFailure):
         eig_unitary(M)
+
+
+def test_eig_unitary_refuses_an_overflowing_matrix_without_a_warning():
+    """A Haar 3x3 U scaled so that its squared norm overflows (1e300 U,
+    1e154 U) raises before a residual is read, where the residual would read
+    0 or NaN; 2 U fails the residual test."""
+    U = random_unitary(3, np.random.default_rng(1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e300, 1e154, 2.0):
+            with pytest.raises(NumericalFailure):
+                eig_unitary(scale * U)
 
 
 def test_eig_unitary_non_square_raises():
@@ -513,6 +525,69 @@ def test_unitarity_defect_refuses_non_finite_entries(bad):
         warnings.simplefilter("error")
         with pytest.raises(NumericalFailure):
             unitarity_defect([[bad, 0], [0, 1]])
+
+
+def _spread_defect(scale, tol):
+    """A Haar 4x4 M whose defect scale * tol sits on three singular values of
+    M^dag M - I, so its Frobenius norm is about 1.6 scale * tol."""
+    rng = np.random.default_rng(40)
+    U, W = random_unitary(4, rng), random_unitary(4, rng)
+    s = np.sqrt(1.0 + scale * tol * np.array([1.0, 0.9, 0.8, 0.0]))
+    return U @ (s[:, None] * W)
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_validate_unitary_decides_on_the_operator_norm_at_the_screen_boundary(scale):
+    """At 0.9 tol the Frobenius screen fails and the exact norm accepts; at
+    1.1 tol NotUnitary carries unitarity_defect's value, ==."""
+    tol = 1e-9
+    M = _spread_defect(scale, tol)
+    assert unitarity_defect(M) == pytest.approx(scale * tol, rel=1e-6)
+    assert np.linalg.norm(M.conj().T @ M - np.eye(4)) > tol
+    if scale < 1:
+        validate_unitary(M, 2, 2, tol=tol)
+        return
+    with pytest.raises(NotUnitary) as info:
+        validate_unitary(M, 2, 2, tol=tol)
+    assert info.value.defect == unitarity_defect(M)
+
+
+def test_a_unitary_operand_takes_no_svd(monkeypatch):
+    """The screen passes a unitary, so neither validate_unitary nor
+    loads_matrix decomposes it."""
+    from seqlocc.io import dumps_matrix, loads_matrix
+
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+    rng = np.random.default_rng(41)
+    for d_a, d_b in ((2, 2), (3, 3), (2, 3)):
+        U = validate_unitary(random_unitary(d_a * d_b, rng), d_a, d_b)
+        loads_matrix(dumps_matrix(U))
+    assert calls == []
+    validate_unitary(_spread_defect(0.9, 1e-9), 2, 2)  # the counter sees the exact path
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "haar"])
+def test_an_overflowing_gram_is_an_infinite_defect_without_a_warning(kind):
+    """Finite entries whose gram overflows, diag(1e200, 0, 0, 0) and 1e200
+    times a Haar 4x4, are an infinite defect, with no numpy warning and no
+    LinAlgError, through validate_unitary, loads_matrix and unitarity_defect."""
+    from seqlocc.io import dumps_matrix, loads_matrix
+
+    if kind == "diagonal":
+        M = np.diag([1e200, 0.0, 0.0, 0.0]).astype(complex)
+    else:
+        M = 1e200 * random_unitary(4, np.random.default_rng(42))
+    text = dumps_matrix(BipartiteUnitary(M, 2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unitarity_defect(M) == np.inf
+        for check in (lambda: validate_unitary(M, 2, 2), lambda: loads_matrix(text)):
+            with pytest.raises(NotUnitary) as info:
+                check()
+            assert info.value.defect == np.inf
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

@@ -17,8 +17,8 @@ from seqlocc import (
     unitarity_defect,
 )
 from seqlocc.errors import DimensionMismatch, MalformedScheme, NotUnitary
-from seqlocc.linalg import stacked_operator_norms
-from seqlocc.templates import _check_unitarity, _factor_stacks, _propagate, identity_local
+from seqlocc.linalg import _unitarity_defect
+from seqlocc.templates import _factor_stacks, _propagate, identity_local
 
 from conftest import CNOT, HAD, SX, SZ
 
@@ -247,17 +247,18 @@ def test_normalization_converts_other_factors_and_copies_no_layer():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_unitarity_check_reports_the_defect_of_its_old_expression(order):
-    """The gram's identity is subtracted on its diagonal in place: a forged
-    factor raises NotUnitary with the defect of einsum(...) - eye, ==."""
+    """A forged factor in a C- or F-ordered stack reports the defect of the
+    one gram expression, the batched F^dag F - I, ==, which is also
+    unitarity_defect's value for that factor alone."""
     rng = np.random.default_rng(36)
     A = np.array([random_unitary(3, rng) for _ in range(4)], order=order)
     B = np.array([random_unitary(2, rng) for _ in range(4)], order=order)
     A[2] *= 1.0 + 1e-6
-    old = np.einsum("kji,kjl->kil", A.conj(), A) - np.eye(3)
-    with pytest.raises(NotUnitary) as info:
-        _check_unitarity((A, B), 1e-9)
-    assert info.value.defect == float(stacked_operator_norms(old).max())
-    _check_unitarity((A, B), 1e-5)  # passes at a looser tolerance
+    gram = A.conj().transpose(0, 2, 1) @ A - np.eye(3)
+    defect = _unitarity_defect((A, B), 1e-9)
+    assert defect == float(np.linalg.svd(gram, compute_uv=False).max())
+    assert defect == unitarity_defect(A[2]) > 1e-9
+    assert _unitarity_defect((A, B), 1e-5) <= 1e-5  # within a looser tolerance
 
 
 def _factor_stack(n, k, rng):
@@ -266,40 +267,37 @@ def _factor_stack(n, k, rng):
 
 @pytest.mark.parametrize("bad", [np.inf, complex(0, -np.inf), np.nan, 1e200])
 def test_a_non_finite_factor_is_an_infinite_defect_without_a_warning(bad):
-    """The batched matmul of the screen warns on a NaN or infinite entry; the
-    stack's Frobenius norm keeps such a factor (or one whose gram
-    overflows) off it, and the einsum grams report an infinite defect."""
+    """The batched matmul warns on a NaN or infinite entry, and on a gram
+    that overflows: the kernel runs it with numpy's warnings off, and such a
+    factor, kept off the screen by the sum that is not finite, is an
+    infinite defect."""
     rng = np.random.default_rng(38)
     A, B = _factor_stack(3, 3, rng), _factor_stack(2, 3, rng)
     B[1, 0, 1] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NotUnitary) as info:
-            _check_unitarity((A, B), 1e-9)
-    assert info.value.defect == np.inf
+        assert _unitarity_defect((A, B), 1e-9) == np.inf
 
 
 @pytest.mark.parametrize("scale", [0.5, 0.99, 1.01, 2.0])
 @pytest.mark.parametrize("both_sides", [False, True])
 def test_unitarity_screen_keeps_the_exact_verdict(scale, both_sides):
     """Factors forged to a defect of scale * tol, on one side or one factor
-    of each: the check passes exactly when every exact (einsum and SVD)
-    defect is within tol, and otherwise raises with the largest of the
-    first side that fails. On both sides at 0.99 tol the screen's sum,
-    about 1.96 tol^2, fails and the exact path passes."""
+    of each: the defect exceeds tol exactly when some factor's
+    unitarity_defect does, and is then the largest of the first side that
+    fails, ==. On both sides at 0.99 tol the screen's sum, about
+    1.96 tol^2, fails and the exact path finds every factor within tol."""
     tol = 1e-9
     rng = np.random.default_rng(39)
     A, B = _factor_stack(3, 3, rng), _factor_stack(2, 3, rng)
     A[1] = A[1] @ np.diag([np.sqrt(1 + scale * tol), 1.0, 1.0])
     if both_sides:
         B[2] = B[2] @ np.diag([1.0, np.sqrt(1 + scale * tol)])
-    defects = [float(stacked_operator_norms(
-        np.einsum("kji,kjl->kil", F.conj(), F) - np.eye(F.shape[1])).max()) for F in (A, B)]
+    defects = [max(unitarity_defect(F) for F in stack) for stack in (A, B)]
     assert defects[0] == pytest.approx(scale * tol, rel=1e-6)
     failing = [d for d in defects if d > tol]
+    defect = _unitarity_defect((A, B), tol)
     if not failing:
-        _check_unitarity((A, B), tol)
+        assert defect <= tol
         return
-    with pytest.raises(NotUnitary) as info:
-        _check_unitarity((A, B), tol)
-    assert info.value.defect == failing[0]
+    assert defect == failing[0]

@@ -18,6 +18,7 @@ from seqlocc import (
     operator_schmidt,
     random_unitary,
     smallest_arc,
+    unitarity_defect,
     validate_unitary,
 )
 from seqlocc import engine
@@ -55,7 +56,7 @@ def nudged_pair(request):
     U, V = (validate_unitary(_nudged(random_unitary(d * d, rng), 0.9 * CFG.unitarity_tol, rng),
                              d, d) for _ in range(2))
     for X in (U, V):
-        assert 0.8 * CFG.unitarity_tol < X.unitarity_defect <= CFG.unitarity_tol
+        assert 0.8 * CFG.unitarity_tol < unitarity_defect(X.matrix) <= CFG.unitarity_tol
     return d, U, V
 
 
